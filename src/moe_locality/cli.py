@@ -359,6 +359,8 @@ def _cmd_bound_check(args) -> int:
 
     if not args.trace:
         raise UsageError("bound-check needs --trace, --campaign, or --counterexamples")
+    if args.capacity is None:
+        raise UsageError("bound-check --trace needs --capacity")
     trace = load_trace(args.trace)
     check = check_working_set_bound if args.working_set else check_step_bound
     report = check(trace, args.capacity)

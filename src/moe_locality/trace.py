@@ -23,7 +23,9 @@ Probabilities are serialized with 17 significant digits so that
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, replace
+from functools import cached_property
 from typing import IO, Iterable, Iterator, Sequence
 
 import numpy as np
@@ -138,9 +140,17 @@ class RoutingTrace:
     def n_segments(self) -> int:
         return len(self.segment_lengths)
 
+    @cached_property
+    def _segment_offsets(self) -> tuple[int, ...]:
+        """First global step index of each segment, plus the total step count."""
+        offsets = [0]
+        for length in self.segment_lengths:
+            offsets.append(offsets[-1] + length)
+        return tuple(offsets)
+
     def record_at(self, segment, step, layer, batch) -> StepRecord:
         """O(1) lookup on a dense, sorted trace (validate first)."""
-        offset = sum(self.segment_lengths[:segment])
+        offset = self._segment_offsets[segment]
         h = self.header
         idx = ((offset + step) * h.n_moe_layers + layer) * h.batch_size + batch
         rec = self.records[idx]
@@ -193,28 +203,35 @@ def _parse_header(obj, line_no) -> TraceHeader:
         raise TraceError(str(e), line_no) from None
 
 
+_INTS = frozenset((int,))
+_NUMBERS = frozenset((int, float))
+
+
 def _parse_record(obj, line_no, has_probs) -> StepRecord:
     try:
         s, t, l, b = obj["s"], obj["t"], obj["l"], obj["b"]
         topk = obj["topk"]
     except KeyError as e:
         raise TraceError(f"record missing field {e.args[0]!r}", line_no) from None
-    for name, v in (("s", s), ("t", t), ("l", l), ("b", b)):
-        if not isinstance(v, int) or isinstance(v, bool) or v < 0:
-            raise TraceError(f"field {name!r} must be a non-negative integer, got {v!r}", line_no)
-    if not isinstance(topk, list) or not all(
-        isinstance(e, int) and not isinstance(e, bool) for e in topk
-    ):
-        raise TraceError("field 'topk' must be a list of integers", line_no)
     probs = obj.get("probs")
-    if has_probs and probs is None:
-        raise TraceError("header declares has_probs but record carries no 'probs'", line_no)
-    if not has_probs and probs is not None:
-        raise TraceError("record carries 'probs' but header declares has_probs=false", line_no)
+    # One combined test for the common well-formed record; json.loads yields
+    # exact int/float/bool/list types, so ``type(x) is int`` excludes bools just
+    # as the per-field checks below do. Any failure takes the per-field path,
+    # which names the first offending field.
+    if not (
+        type(s) is int and s >= 0 and type(t) is int and t >= 0
+        and type(l) is int and l >= 0 and type(b) is int and b >= 0
+        and type(topk) is list and _INTS.issuperset(map(type, topk))
+        and (probs is not None) == has_probs
+        and (probs is None or type(probs) is list and _NUMBERS.issuperset(map(type, probs)))
+    ):
+        _check_record_fields(s, t, l, b, topk, probs, line_no, has_probs)
     if probs is not None:
-        if not isinstance(probs, list) or not all(isinstance(p, (int, float)) for p in probs):
-            raise TraceError("field 'probs' must be a list of numbers", line_no)
-        probs = tuple(float(p) for p in probs)
+        try:
+            probs = tuple(map(float, probs))
+        except OverflowError:
+            msg = "field 'probs' holds a number too large for a float"
+            raise TraceError(msg, line_no) from None
     return StepRecord(
         segment_id=s,
         step_index=t,
@@ -223,6 +240,24 @@ def _parse_record(obj, line_no, has_probs) -> StepRecord:
         topk_indices=tuple(topk),
         probs=probs,
     )
+
+
+def _check_record_fields(s, t, l, b, topk, probs, line_no, has_probs) -> None:
+    """Raise TraceError naming the first malformed field of a record."""
+    for name, v in (("s", s), ("t", t), ("l", l), ("b", b)):
+        if not isinstance(v, int) or isinstance(v, bool) or v < 0:
+            raise TraceError(f"field {name!r} must be a non-negative integer, got {v!r}", line_no)
+    if not isinstance(topk, list) or not all(
+        isinstance(e, int) and not isinstance(e, bool) for e in topk
+    ):
+        raise TraceError("field 'topk' must be a list of integers", line_no)
+    if has_probs and probs is None:
+        raise TraceError("header declares has_probs but record carries no 'probs'", line_no)
+    if not has_probs and probs is not None:
+        raise TraceError("record carries 'probs' but header declares has_probs=false", line_no)
+    if probs is not None:
+        if not isinstance(probs, list) or not all(isinstance(p, (int, float)) for p in probs):
+            raise TraceError("field 'probs' must be a list of numbers", line_no)
 
 
 def parse_trace(stream: bytes | IO[bytes] | Iterable[bytes], validate: bool = True) -> RoutingTrace:
@@ -339,6 +374,9 @@ def _validate_record(rec: StepRecord, header: TraceHeader, out: list[Violation])
     if len(p) != n:
         out.append(Violation("probs_shape", where, f"probs length {len(p)}, expected N_r={n}"))
         return
+    if not all(map(math.isfinite, p)):
+        out.append(Violation("probs_nonfinite", where, "NaN or infinite probability entry"))
+        return
     if any(x < 0 for x in p):
         out.append(Violation("probs_negative", where, "negative probability entry"))
         return
@@ -357,17 +395,100 @@ def _validate_record(rec: StepRecord, header: TraceHeader, out: list[Violation])
         )
 
 
+_SCREEN_BLOCK = 512
+
+
+def _screen_block(
+    block: Sequence[StepRecord], keys: np.ndarray, header: TraceHeader
+) -> np.ndarray:
+    """Boolean mask over ``block``: True for every record that might break a
+    per-record rule of :func:`_validate_record`.
+
+    Whole-array tests over the block; anything they cannot represent (ragged
+    rows, non-integer ids, missing probs) flags the whole block.
+    """
+    every = np.ones(len(block), dtype=bool)
+    k, n = header.top_k, header.n_routed_experts
+    try:
+        topk = np.array([r.topk_indices for r in block])
+    except ValueError:  # ragged topk rows
+        return every
+    if topk.dtype.kind != "i" or topk.shape != (len(block), k):
+        return every
+    flags = (keys[:, 2] >= header.n_moe_layers) | (keys[:, 3] >= header.batch_size)
+    flags |= ((topk < 0) | (topk >= n)).any(axis=1)
+    ranked = np.sort(topk, axis=1)
+    flags |= (ranked[:, 1:] == ranked[:, :-1]).any(axis=1)
+
+    rows = [r.probs for r in block]
+    if None in rows:
+        return flags if rows.count(None) == len(rows) and not header.has_probs else every
+    try:
+        probs = np.array(rows)
+    except ValueError:  # ragged probs rows
+        return every
+    if probs.dtype.kind not in "fi" or probs.shape != (len(block), n):
+        return every
+    probs = probs.astype(float, copy=False)
+    flags |= (~np.isfinite(probs) | (probs < 0)).any(axis=1)
+    # Half the tolerance: numpy's pairwise sum and the per-record left-to-right
+    # sum differ by far less than PROB_SUM_TOL / 2, so no reportable sum escapes.
+    # Rows with inf or huge entries are flagged above; their sums may warn.
+    with np.errstate(invalid="ignore", over="ignore"):
+        flags |= np.abs(probs.sum(axis=1) - 1.0) > PROB_SUM_TOL / 2
+    top = np.sort(np.argsort(-probs, axis=1, kind="stable")[:, :k], axis=1)
+    flags |= (top != ranked).any(axis=1)
+    return flags
+
+
+def _dense_keys(offsets: np.ndarray, start: int, count: int, header: TraceHeader) -> np.ndarray:
+    """Keys ``start .. start+count-1`` of the sorted dense (s, t, l, b) grid
+    whose segments begin at the global steps ``offsets``."""
+    idx = np.arange(start, start + count)
+    step = idx // (header.n_moe_layers * header.batch_size)
+    seg = np.searchsorted(offsets, step, side="right") - 1
+    layer = idx // header.batch_size % header.n_moe_layers
+    return np.stack([seg, step - offsets[seg], layer, idx % header.batch_size], axis=1)
+
+
 def validate_trace(trace: RoutingTrace) -> list[Violation]:
     """Check every invariant; returns an empty list iff the trace is well-formed.
 
     Violations are data, not exceptions: each one names the offending record
     coordinates and the rule it breaks.
+
+    Per-record rules are screened a block of records at a time with whole-array
+    tests (:func:`_screen_block`), and only flagged records are described by
+    :func:`_validate_record`. The screen must flag a superset of the records
+    ``_validate_record`` would report (it may flag more), so the violations and
+    their order are those of a full per-record pass. Cross-record rules are
+    checked in full unless every segment length is >= 1 and the record keys
+    are exactly the dense grid implied by ``segment_lengths``, which breaks none.
     """
     out: list[Violation] = []
     h = trace.header
-    for rec in trace.records:
-        _validate_record(rec, h, out)
+    records = trace.records
+    offsets = np.array(trace._segment_offsets)
+    dense = (
+        all(length >= 1 for length in trace.segment_lengths)
+        and len(records) == offsets[-1] * h.n_moe_layers * h.batch_size
+    )
+    for i0 in range(0, len(records), _SCREEN_BLOCK):
+        block = records[i0 : i0 + _SCREEN_BLOCK]
+        keys = np.array([r.key for r in block])
+        for i in np.flatnonzero(_screen_block(block, keys, h)):
+            _validate_record(block[i], h, out)
+        dense = dense and keys.dtype.kind == "i" and np.array_equal(
+            keys, _dense_keys(offsets, i0, len(block), h)
+        )
+    if not dense:
+        _cross_record_violations(trace, out)
+    return out
 
+
+def _cross_record_violations(trace: RoutingTrace, out: list[Violation]) -> None:
+    """Ordering, duplicate, coverage and segment-structure rules."""
+    h = trace.header
     keys = [r.key for r in trace.records]
     if keys != sorted(keys):
         out.append(Violation("ordering", "trace", "records not sorted by (s,t,l,b)"))
@@ -419,7 +540,6 @@ def validate_trace(trace: RoutingTrace) -> list[Violation]:
                 f"declared {trace.segment_lengths}, derived {lengths}",
             )
         )
-    return out
 
 
 # ---------------------------------------------------------------------------

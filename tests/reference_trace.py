@@ -1,0 +1,184 @@
+"""Per-record reference implementation of trace parsing and validation.
+
+Deliberately plain: every record goes through every per-field check and
+every per-record rule, and the cross-record rules always run in full. The
+package's ``parse_trace``/``validate_trace`` take shortcuts (one combined test
+per parsed record, a whole-array screen before per-record descriptions, a
+dense-grid test before the cross-record rules); the differential tests require
+identical results from both. Used only as a test oracle.
+"""
+
+from __future__ import annotations
+
+import json
+import math
+
+from moe_locality.trace import (
+    PROB_SUM_TOL,
+    RoutingTrace,
+    StepRecord,
+    TraceError,
+    TraceHeader,
+    Violation,
+    topk_of_probs,
+)
+
+
+def parse_record(obj, line_no, has_probs) -> StepRecord:
+    try:
+        s, t, l, b = obj["s"], obj["t"], obj["l"], obj["b"]
+        topk = obj["topk"]
+    except KeyError as e:
+        raise TraceError(f"record missing field {e.args[0]!r}", line_no) from None
+    for name, v in (("s", s), ("t", t), ("l", l), ("b", b)):
+        if not isinstance(v, int) or isinstance(v, bool) or v < 0:
+            raise TraceError(f"field {name!r} must be a non-negative integer, got {v!r}", line_no)
+    if not isinstance(topk, list) or not all(
+        isinstance(e, int) and not isinstance(e, bool) for e in topk
+    ):
+        raise TraceError("field 'topk' must be a list of integers", line_no)
+    probs = obj.get("probs")
+    if has_probs and probs is None:
+        raise TraceError("header declares has_probs but record carries no 'probs'", line_no)
+    if not has_probs and probs is not None:
+        raise TraceError("record carries 'probs' but header declares has_probs=false", line_no)
+    if probs is not None:
+        if not isinstance(probs, list) or not all(isinstance(p, (int, float)) for p in probs):
+            raise TraceError("field 'probs' must be a list of numbers", line_no)
+        try:
+            probs = tuple(float(p) for p in probs)
+        except OverflowError:
+            msg = "field 'probs' holds a number too large for a float"
+            raise TraceError(msg, line_no) from None
+    return StepRecord(
+        segment_id=s,
+        step_index=t,
+        layer_id=l,
+        batch_index=b,
+        topk_indices=tuple(topk),
+        probs=probs,
+    )
+
+
+def parse_trace(data: bytes) -> RoutingTrace:
+    """Structural parse of a whole JSONL trace (no semantic validation)."""
+    header = None
+    records = []
+    for line_no, raw in enumerate(data.splitlines(), start=1):
+        line = raw.decode("utf-8").strip()
+        if not line:
+            continue
+        try:
+            obj = json.loads(line)
+        except json.JSONDecodeError as e:
+            raise TraceError(f"malformed JSON ({e.msg})", line_no) from None
+        if not isinstance(obj, dict):
+            raise TraceError("each line must be a JSON object", line_no)
+        if header is None:
+            if obj.get("type") != "header":
+                raise TraceError('first line must be a {"type":"header",...} record', line_no)
+            fields = ("n_moe_layers", "n_routed_experts", "top_k", "batch_size")
+            header = TraceHeader(*(obj[f] for f in fields), bool(obj.get("has_probs", False)))
+        else:
+            records.append(parse_record(obj, line_no, header.has_probs))
+    if header is None:
+        raise TraceError("empty input: missing header line")
+    return RoutingTrace.from_records(header, records)
+
+
+def validate_record(rec: StepRecord, header: TraceHeader, out: list) -> None:
+    where = f"(s={rec.segment_id},t={rec.step_index},l={rec.layer_id},b={rec.batch_index})"
+    k, n = header.top_k, header.n_routed_experts
+    if rec.layer_id >= header.n_moe_layers:
+        out.append(Violation("range", where, f"layer_id {rec.layer_id} >= n_moe_layers"))
+    if rec.batch_index >= header.batch_size:
+        out.append(Violation("range", where, f"batch_index {rec.batch_index} >= batch_size"))
+    if len(rec.topk_indices) != k:
+        out.append(
+            Violation("arity", where, f"topk has {len(rec.topk_indices)} entries, expected K={k}")
+        )
+    if len(set(rec.topk_indices)) != len(rec.topk_indices):
+        out.append(Violation("distinctness", where, "duplicate expert id within topk"))
+    for e in rec.topk_indices:
+        if not (0 <= e < n):
+            out.append(Violation("range", where, f"expert id {e} out of range [0,{n})"))
+    if rec.probs is None:
+        if header.has_probs:
+            out.append(Violation("probs_missing", where, "has_probs header but record lacks probs"))
+        return
+    p = rec.probs
+    if len(p) != n:
+        out.append(Violation("probs_shape", where, f"probs length {len(p)}, expected N_r={n}"))
+        return
+    if any(math.isnan(x) or math.isinf(x) for x in p):
+        out.append(Violation("probs_nonfinite", where, "NaN or infinite probability entry"))
+        return
+    if any(x < 0 for x in p):
+        out.append(Violation("probs_negative", where, "negative probability entry"))
+        return
+    total = sum(p)
+    if abs(total - 1.0) > PROB_SUM_TOL:
+        out.append(Violation("probs_sum", where, f"probs sum {total!r} not within {PROB_SUM_TOL} of 1"))
+        return
+    if len(rec.topk_indices) == k and frozenset(topk_of_probs(p, k)) != rec.expert_set:
+        out.append(
+            Violation(
+                "probs_topk",
+                where,
+                f"topk {sorted(rec.topk_indices)} is not the Top-{k} of probs "
+                f"{sorted(topk_of_probs(p, k))}",
+            )
+        )
+
+
+def validate_trace(trace: RoutingTrace) -> list:
+    out: list = []
+    h = trace.header
+    for rec in trace.records:
+        validate_record(rec, h, out)
+
+    keys = [r.key for r in trace.records]
+    if keys != sorted(keys):
+        out.append(Violation("ordering", "trace", "records not sorted by (s,t,l,b)"))
+    seen: dict = {}
+    for key in keys:
+        seen[key] = seen.get(key, 0) + 1
+    for key, count in seen.items():
+        if count > 1:
+            out.append(Violation("duplicate", str(key), f"record appears {count} times"))
+
+    steps: dict = {}
+    for s, t, l, b in seen:
+        steps.setdefault((s, t), set()).add((l, b))
+    full = {(l, b) for l in range(h.n_moe_layers) for b in range(h.batch_size)}
+    for (s, t), present in sorted(steps.items()):
+        for l, b in sorted(full - present):
+            out.append(
+                Violation("coverage", f"(s={s},t={t})", f"missing record for layer={l}, batch={b}")
+            )
+
+    seg_steps: dict = {}
+    for s, t in steps:
+        seg_steps.setdefault(s, set()).add(t)
+    lengths: tuple = ()
+    if seg_steps:
+        n_seg = max(seg_steps) + 1
+        for s in range(n_seg):
+            if s not in seg_steps:
+                out.append(Violation("segments", f"s={s}", "segment id gap"))
+                continue
+            for t in range(max(seg_steps[s]) + 1):
+                if t not in seg_steps[s]:
+                    out.append(
+                        Violation("contiguity", f"(s={s},t={t})", "step index gap within segment")
+                    )
+        lengths = tuple(max(seg_steps[s]) + 1 if s in seg_steps else 0 for s in range(n_seg))
+    if trace.segment_lengths != lengths:
+        out.append(
+            Violation(
+                "segment_lengths",
+                "trace",
+                f"declared {trace.segment_lengths}, derived {lengths}",
+            )
+        )
+    return out

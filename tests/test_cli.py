@@ -34,6 +34,12 @@ def probs_trace_path(tmp_path):
     return path
 
 
+NAN_TRACE = (
+    b'{"type":"header","n_moe_layers":1,"n_routed_experts":4,"top_k":2,"batch_size":1,'
+    b'"has_probs":true}\n{"s":0,"t":0,"l":0,"b":0,"topk":[0,1],"probs":[0.5,0.5,NaN,0]}\n'
+)
+
+
 class TestSynthValidate:
     def test_synth_output_validates(self, trace_path):
         trace = load_trace(trace_path)
@@ -65,6 +71,20 @@ class TestSynthValidate:
 
     def test_missing_file_is_data_error(self):
         assert run("validate", "--trace", "/nonexistent/trace.jsonl") == 2
+
+    def test_nan_probability_is_a_violation(self, tmp_path, capsys):
+        path = tmp_path / "nan.jsonl"
+        path.write_bytes(NAN_TRACE)
+        assert run("validate", "--trace", str(path)) == 2
+        assert "[probs_nonfinite] (s=0,t=0,l=0,b=0)" in capsys.readouterr().out
+        assert run("metrics", "--trace", str(path), "--out", str(tmp_path / "m.csv")) == 2
+        assert not (tmp_path / "m.csv").exists()
+
+    def test_huge_integer_probability_is_data_error(self, tmp_path, capsys):
+        path = tmp_path / "huge.jsonl"
+        path.write_bytes(NAN_TRACE.replace(b"NaN", b"1" + b"0" * 400))
+        assert run("validate", "--trace", str(path)) == 2
+        assert "line 2: field 'probs' holds a number too large" in capsys.readouterr().err
 
 
 class TestMetricsCli:
@@ -174,6 +194,10 @@ class TestBoundCheckCli:
 
     def test_requires_some_mode(self):
         assert run("bound-check") == 1
+
+    def test_trace_mode_without_capacity_is_usage_error(self, trace_path, capsys):
+        assert run("bound-check", "--trace", str(trace_path)) == 1
+        assert "--capacity" in capsys.readouterr().err
 
 
 class TestRouterCli:

@@ -1,11 +1,17 @@
 import io
+import json
 import math
+from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import reference_trace
+from moe_locality import trace as trace_module
 from moe_locality.trace import (
+    PROB_SUM_TOL,
     RoutingTrace,
     StepRecord,
     SynthConfig,
@@ -170,6 +176,28 @@ class TestValidate:
         assert len(violations) == 1
         assert "(s=0,t=3)" in violations[0].where
 
+    def test_dense_trace_skips_cross_record_pass(self):
+        cfg = SynthConfig(n_moe_layers=2, batch_size=3, n_segments=3, steps_per_segment=5,
+                          seed=8, emit_probs=True)
+        trace = synth_trace(cfg)
+        with mock.patch.object(trace_module, "_SCREEN_BLOCK", 7), mock.patch.object(
+            trace_module, "_cross_record_violations", side_effect=AssertionError
+        ):
+            assert validate_trace(trace) == []
+
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    @pytest.mark.parametrize("off", [-1e-12, 0.0, 1e-12])
+    def test_sum_tolerance_edge_matches_reference(self, sign, off):
+        trace = synth_trace(SynthConfig(emit_probs=True, seed=1, steps_per_segment=3))
+        records = list(trace.records)
+        probs = list(records[1].probs)
+        probs[3] += 1.0 + sign * (PROB_SUM_TOL + off) - sum(probs)
+        records[1] = replace(records[1], probs=tuple(probs))
+        bad = RoutingTrace(trace.header, tuple(records), trace.segment_lengths)
+        expected = reference_trace.validate_trace(bad)
+        assert [v.rule for v in expected] == (["probs_sum"] if off >= 0 else [])
+        assert validate_trace(bad) == expected
+
     def test_step_gap_is_contiguity_violation(self):
         header = TraceHeader(1, 4, 2, 1)
         trace = make_trace(header, [(0, 0, 0, 0, (0, 1)), (0, 2, 0, 0, (0, 1))])
@@ -302,3 +330,166 @@ def test_synth_always_validates(cfg):
 def test_parse_write_round_trip(cfg):
     trace = synth_trace(cfg)
     assert parse_trace(write_trace(trace)) == trace
+
+
+class TestRecordAt:
+    @pytest.mark.parametrize("lengths", [(3,), (1, 4, 2), (5, 1, 1, 3)])
+    @pytest.mark.parametrize("layers,batch", [(1, 1), (2, 3)])
+    def test_agrees_with_linear_search(self, lengths, layers, batch):
+        cfg = SynthConfig(n_moe_layers=layers, batch_size=batch, n_segments=len(lengths),
+                          steps_per_segment=max(lengths), seed=6, independent_batches=True)
+        full = synth_trace(cfg)
+        trace = RoutingTrace.from_records(
+            full.header, [r for r in full.records if r.step_index < lengths[r.segment_id]]
+        )
+        assert trace.segment_lengths == lengths and validate_trace(trace) == []
+        for s, t in trace.iter_steps():
+            for l in range(layers):
+                for b in range(batch):
+                    found = [r for r in trace.records if r.key == (s, t, l, b)]
+                    assert [trace.record_at(s, t, l, b)] == found
+
+
+# ---------------------------------------------------------------------------
+# Differential tests: the screened validate_trace and the one-test record parse
+# against the per-record reference in tests/reference_trace.py.
+# ---------------------------------------------------------------------------
+
+small_synth_configs = st.builds(
+    SynthConfig,
+    n_moe_layers=st.integers(1, 3),
+    n_routed_experts=st.integers(4, 40),
+    top_k=st.integers(1, 4),
+    batch_size=st.integers(1, 3),
+    n_segments=st.integers(1, 3),
+    steps_per_segment=st.integers(1, 6),
+    seed=st.integers(0, 2**16),
+    emit_probs=st.booleans(),
+    independent_batches=st.booleans(),
+)
+
+MUTATIONS = (
+    "drop", "duplicate", "swap", "layer", "batch", "expert", "dup_expert", "arity",
+    "negative", "nan", "inf", "sum", "sum_edge", "topk", "uniform", "missing_probs",
+    "probs_shape", "step_gap", "segment_gap",
+)
+
+
+def _mutate(records, header, kind, data):
+    i = data.draw(st.integers(0, len(records) - 1))
+    r = records[i]
+    n, k = header.n_routed_experts, header.top_k
+    topk, probs = list(r.topk_indices), None if r.probs is None else list(r.probs)
+    j = data.draw(st.integers(0, n - 1))
+    if kind == "drop":
+        del records[i]
+    elif kind == "duplicate":
+        records.insert(i, r)
+    elif kind == "swap":
+        m = data.draw(st.integers(0, len(records) - 1))
+        records[i], records[m] = records[m], r
+    elif kind == "layer":
+        records[i] = replace(r, layer_id=data.draw(st.sampled_from(
+            [header.n_moe_layers, header.n_moe_layers + 2, 2**63, 10**30])))
+    elif kind == "batch":
+        records[i] = replace(r, batch_index=header.batch_size + data.draw(st.integers(0, 2)))
+    elif kind == "expert":
+        topk.insert(j % (len(topk) + 1), data.draw(st.sampled_from([-1, n, n + 5])))
+        records[i] = replace(r, topk_indices=tuple(topk[:k]))
+    elif kind == "dup_expert":
+        records[i] = replace(r, topk_indices=tuple(topk[:-1] + topk[:1]) if k > 1 else (j, j))
+    elif kind == "arity":
+        records[i] = replace(r, topk_indices=tuple(topk[:-1] if data.draw(st.booleans())
+                                                   else topk + [j]))
+    elif kind == "topk":
+        outside = [e for e in range(n) if e not in topk]
+        if topk and outside:
+            topk[j % len(topk)] = outside[j % len(outside)]
+        records[i] = replace(r, topk_indices=tuple(topk))
+    elif kind == "missing_probs":
+        records[i] = replace(r, probs=None)
+    elif probs is not None:
+        if kind == "negative":
+            probs[j] = -probs[j] - 1e-3
+        elif kind == "nan":
+            probs[j] = math.nan
+        elif kind == "inf":
+            probs[j] = data.draw(st.sampled_from([math.inf, -math.inf]))
+        elif kind == "sum":
+            probs = [p * 1.000001 for p in probs]
+        elif kind == "sum_edge":
+            # Land the left-to-right sum within 1e-12 of either side of the tolerance.
+            off = data.draw(st.sampled_from([-1e-12, 0.0, 1e-12]))
+            sign = data.draw(st.sampled_from([-1.0, 1.0]))
+            probs[j] += 1.0 + sign * (PROB_SUM_TOL + off) - sum(probs)
+        elif kind == "uniform":  # all ties: Top-K is the lowest k indices
+            probs = [1.0 / n] * n
+        elif kind == "probs_shape":
+            probs = probs[:-1] if data.draw(st.booleans()) else probs + [0.0]
+        records[i] = replace(r, probs=tuple(probs))
+    if kind == "step_gap":
+        records[:] = [x for x in records if x.key[:2] != r.key[:2]]
+    elif kind == "segment_gap":
+        records[:] = [x for x in records if x.segment_id != r.segment_id]
+
+
+PROBS_MUTATIONS = frozenset(
+    ("negative", "nan", "inf", "sum", "sum_edge", "uniform", "missing_probs", "probs_shape")
+)
+
+
+@pytest.mark.parametrize("first", MUTATIONS)
+@settings(max_examples=25, deadline=None, derandomize=True)
+@given(cfg=small_synth_configs, data=st.data())
+def test_validate_matches_reference(first, cfg, data):
+    if first in PROBS_MUTATIONS:
+        cfg = replace(cfg, emit_probs=True)
+    base = synth_trace(cfg)
+    records = list(base.records)
+    for kind in [first] + data.draw(st.lists(st.sampled_from(MUTATIONS), max_size=2)):
+        if records:
+            _mutate(records, base.header, kind, data)
+    if data.draw(st.booleans()):
+        trace = RoutingTrace.from_records(base.header, records)
+    else:
+        trace = RoutingTrace(base.header, tuple(records), base.segment_lengths)
+    block = data.draw(st.sampled_from([1, 3, 8, 512]))
+    with mock.patch.object(trace_module, "_SCREEN_BLOCK", block):
+        assert validate_trace(trace) == reference_trace.validate_trace(trace)
+
+
+DELETE = "<delete field>"
+CORRUPTIONS = (
+    [(f, v) for f in "stlb" for v in (True, False, -1, 1.5, "0", None, DELETE)]
+    + [("l", 10**30), ("b", 10**30)]
+    + [("topk", v) for v in ("x", 3, None, {}, [True], [1.5], ["1"], [None], [0, False], DELETE)]
+    + [("probs", v) for v in ("x", 3, None, [True], ["0.5"], [None], [1, 0], [10**400], DELETE)]
+)
+
+
+@pytest.mark.parametrize(
+    "field,value", CORRUPTIONS, ids=[f"{f}={v!r}"[:24] for f, v in CORRUPTIONS]
+)
+@settings(max_examples=10, deadline=None, derandomize=True)
+@given(cfg=small_synth_configs, data=st.data())
+def test_parse_errors_match_reference(field, value, cfg, data):
+    lines = write_trace(synth_trace(cfg)).splitlines()
+    line_no = data.draw(st.integers(2, len(lines)))
+    obj = json.loads(lines[line_no - 1])
+    if value == DELETE:
+        obj.pop(field, None)
+    else:
+        obj[field] = value
+    lines[line_no - 1] = json.dumps(obj).encode()
+    payload = b"\n".join(lines)
+
+    def outcome(parse):
+        try:
+            return parse(payload)
+        except TraceError as e:
+            return str(e), e.line_no
+
+    expected = outcome(reference_trace.parse_trace)
+    assert outcome(lambda d: parse_trace(d, validate=False)) == expected
+    if isinstance(expected, tuple):
+        assert expected[1] == line_no
