@@ -52,6 +52,7 @@ from .objective import (
     grad_total,
     mc_reuse_expectation,
     total_objective,
+    value_and_grad,
 )
 from .trainer import SyntheticDataConfig, TrainConfig, TrainResult, train
 

@@ -47,7 +47,6 @@ __all__ = [
     "TpotReport",
     "LayerCacheState",
     "simulate",
-    "belady_next_use",
     "reroute_topk",
     "estimate_tpot",
     "percentile",
@@ -317,26 +316,6 @@ def _layer_requests(trace: RoutingTrace, layer: int) -> list[tuple[int, int, lis
             slots.extend(trace.record_at(s, t, layer, b).topk_indices)
         out.append((s, t, slots, _ordered_unique(slots)))
     return out
-
-
-def belady_next_use(trace: RoutingTrace, layer: int) -> dict[tuple[int, int, int], float]:
-    """Next-use table keyed by (segment, step, expert) for every occurrence.
-
-    Values are the step index of the expert's next request within the same
-    segment and layer, or +inf when it never recurs before the segment ends.
-    Built with a backward scan per segment.
-    """
-    table: dict[tuple[int, int, int], float] = {}
-    by_segment: dict[int, list[tuple[int, list[int]]]] = {}
-    for s, t, _slots, uniq in _layer_requests(trace, layer):
-        by_segment.setdefault(s, []).append((t, uniq))
-    for s, steps in by_segment.items():
-        last_seen: dict[int, int] = {}
-        for t, uniq in reversed(steps):
-            for e in uniq:
-                table[(s, t, e)] = float(last_seen.get(e, math.inf))
-                last_seen[e] = t
-    return table
 
 
 def _occurrence_index(requests, within_segment: bool) -> dict:

@@ -20,6 +20,7 @@ import dataclasses
 import hashlib
 import io
 import json
+import math
 import os
 import sys
 import tempfile
@@ -304,6 +305,18 @@ def _cmd_simulate(args) -> int:
     return 0
 
 
+def _emit_bound_report(out, payload, config: dict, inputs: list[str], seed,
+                       started: float) -> None:
+    """Print a bound-check report to stdout when ``out`` is absent or "-";
+    otherwise write it atomically and append its manifest line."""
+    data = _json_bytes(payload)
+    if not out or out == "-":
+        sys.stdout.write(data.decode("utf-8"))
+    else:
+        _atomic_write(out, data)
+        _append_manifest("bound-check", config, inputs, [out], seed, started)
+
+
 def _cmd_bound_check(args) -> int:
     started = time.monotonic()
     if args.counterexamples:
@@ -324,13 +337,7 @@ def _cmd_bound_check(args) -> int:
             ],
         }
         ok = all(r.n_violations >= 1 for r in results)
-        out = args.out or "-"
-        data = _json_bytes(payload)
-        if out == "-":
-            sys.stdout.write(data.decode("utf-8"))
-        else:
-            _atomic_write(out, data)
-            _append_manifest("bound-check", {"mode": "counterexamples"}, [], [out], None, started)
+        _emit_bound_report(args.out, payload, {"mode": "counterexamples"}, [], None, started)
         # Violations are the expected outcome here; missing ones are the failure.
         return 0 if ok else 3
 
@@ -341,20 +348,8 @@ def _cmd_bound_check(args) -> int:
             working_set=args.working_set,
             threads=args.threads,
         )
-        out = args.out or "-"
-        data = _json_bytes(summary)
-        if out == "-":
-            sys.stdout.write(data.decode("utf-8"))
-        else:
-            _atomic_write(out, data)
-            _append_manifest(
-                "bound-check",
-                {"campaign": args.campaign, "working_set": args.working_set},
-                [],
-                [out],
-                args.seed,
-                started,
-            )
+        config = {"campaign": args.campaign, "working_set": args.working_set}
+        _emit_bound_report(args.out, summary, config, [], args.seed, started)
         return 0 if summary["violations"] == 0 else 3
 
     if not args.trace:
@@ -375,20 +370,8 @@ def _cmd_bound_check(args) -> int:
             if r.violated or (r.ws_violated or False)
         ],
     }
-    out = args.out or "-"
-    data = _json_bytes(payload)
-    if out == "-":
-        sys.stdout.write(data.decode("utf-8"))
-    else:
-        _atomic_write(out, data)
-        _append_manifest(
-            "bound-check",
-            {"trace": args.trace, "capacity": args.capacity, "working_set": args.working_set},
-            [args.trace],
-            [out],
-            None,
-            started,
-        )
+    config = {"trace": args.trace, "capacity": args.capacity, "working_set": args.working_set}
+    _emit_bound_report(args.out, payload, config, [args.trace], None, started)
     return 0 if report.n_violations == 0 else 3
 
 
@@ -404,15 +387,66 @@ def _cmd_router(args) -> int:
 def _load_json_config(path: str) -> dict:
     try:
         with open(path, "r", encoding="utf-8") as f:
-            return json.load(f)
+            config = json.load(f)
     except (OSError, json.JSONDecodeError) as e:
         raise TraceError(f"cannot read config {path}: {e}") from None
+    if not isinstance(config, dict):
+        raise TraceError(f"config {path} must be a JSON object")
+    return config
+
+
+_CONFIG_TYPES = {
+    bool: "true or false",
+    int: "an integer",
+    float: "a finite number",
+    str: "a string",
+    tuple: "a list of integers",
+}
+_CONFIG_SECTIONS = ("weights", "train", "data", "grid")
+
+
+def _config_fields(cls, section: str, values) -> dict:
+    """Keyword arguments for dataclass ``cls`` from one JSON config object.
+
+    Each value must have the type of the field's default (an int or a finite
+    float for float fields, a list of integers for tuple fields); an unknown
+    key or a wrongly typed value raises TraceError naming ``section.key``.
+    """
+    if not isinstance(values, dict):
+        raise TraceError(f"config {section!r} must be a JSON object, got {values!r}")
+    defaults = {f.name: f.default for f in dataclasses.fields(cls)}
+    kwargs = {}
+    for key, value in values.items():
+        if key not in defaults:
+            raise TraceError(f"unknown config key {section}.{key}")
+        default = defaults[key]
+        if isinstance(default, tuple):
+            ok = type(value) is list and all(type(v) is int for v in value)
+            value = tuple(value) if ok else value
+        elif isinstance(default, float):
+            try:
+                ok = type(value) in (int, float) and math.isfinite(value)
+            except OverflowError:  # an integer too large for a float
+                ok = False
+        else:  # bool, int, str
+            ok = type(value) is type(default)
+        if not ok:
+            raise TraceError(
+                f"config {section}.{key} must be {_CONFIG_TYPES[type(default)]}, got {value!r}"
+            )
+        kwargs[key] = value
+    return kwargs
 
 
 def _build_train_parts(config: dict):
-    weights = LossWeights(**config.get("weights", {}))
-    tcfg = TrainConfig(**config.get("train", {}))
-    dcfg = SyntheticDataConfig(**config.get("data", {}))
+    for key in config:
+        if key not in _CONFIG_SECTIONS:
+            raise TraceError(f"unknown config section {key!r}")
+    weights = LossWeights(**_config_fields(LossWeights, "weights", config.get("weights", {})))
+    tcfg = TrainConfig(**_config_fields(TrainConfig, "train", config.get("train", {})))
+    dcfg = SyntheticDataConfig(
+        **_config_fields(SyntheticDataConfig, "data", config.get("data", {}))
+    )
     return weights, tcfg, dcfg
 
 
@@ -492,7 +526,7 @@ def _cmd_gradcheck(args) -> int:
 def _cmd_sweep(args) -> int:
     config = _load_json_config(args.config)
     grid = config.get("grid", [])
-    if not grid:
+    if not grid or not isinstance(grid, list):
         raise TraceError("sweep config needs a non-empty 'grid' list")
     weights, tcfg, dcfg = _build_train_parts(config)
     started = time.monotonic()
@@ -501,8 +535,7 @@ def _cmd_sweep(args) -> int:
 
     rows = []
     for i, overrides in enumerate(grid):
-        w = dataclasses.replace(weights, **{k: tuple(v) if isinstance(v, list) else v
-                                            for k, v in overrides.items()})
+        w = dataclasses.replace(weights, **_config_fields(LossWeights, f"grid[{i}]", overrides))
         result = train(theta0.copy(), sequences, tcfg, w, dcfg.top_k)
         last = result.log[-1]
         rows.append(

@@ -47,6 +47,7 @@ __all__ = [
     "McReuseResult",
     "alpha_schedule",
     "routing_distributions",
+    "topk_rows",
     "sets_from_rows",
     "entropy",
     "kl_div",
@@ -59,6 +60,7 @@ __all__ = [
     "ws_loss",
     "total_objective",
     "grad_total",
+    "value_and_grad",
     "fd_gradient",
     "mc_reuse_expectation",
 ]
@@ -268,10 +270,14 @@ def _forward(theta, theta0, hiddens):
     return hiddens, logp, np.exp(logp), logref
 
 
-def _pair_symkl(logp, p, idx_a, idx_b, want_grad):
-    """Values (and both-sided dL/dP) of SymKL(P[a], P[b]) for index arrays."""
-    la, lb = logp[idx_a], logp[idx_b]
-    a, b = p[idx_a], p[idx_b]
+def _pair_symkl(logp, p, d, want_grad):
+    """Values (and both-sided dL/dP) of SymKL(P[t], P[t-d]) for t = d..T-1.
+
+    The rows are the views ``[d:]`` (side a) and ``[:-d]`` (side b), so the
+    gradients scatter back with ``grad_p[d:] += ...`` / ``grad_p[:-d] += ...``.
+    """
+    la, lb = logp[d:], logp[:-d]
+    a, b = p[d:], p[:-d]
     lac = np.maximum(la, _LOG_CLAMP)
     lbc = np.maximum(lb, _LOG_CLAMP)
     vals = 0.5 * ((a * (la - lbc)).sum(axis=1) + (b * (lb - lac)).sum(axis=1))
@@ -311,64 +317,64 @@ def _evaluate(theta, theta0, hiddens, w: LossWeights, train_step: int, top_k: in
         w_reuse = a_reuse * w.lambda_reuse
         if w_reuse > 0:
             coef = w_reuse * (-1.0 / (rho + w.eps)) / (t_len - 1) / top_k
-            np.add.at(grad_p, (cur_rows, prev_sets), coef)
+            # Each row's K columns are distinct, so no element is hit twice.
+            grad_p[cur_rows, prev_sets] += coef
 
     # smooth: adjacent symmetric KL, both sides differentiable.
-    idx_a = np.arange(1, t_len)
-    idx_b = idx_a - 1
     w_smooth = a_loc * w.lambda_smooth
-    vals, da, db = _pair_symkl(logp, p, idx_a, idx_b, want_grad and w_smooth > 0)
+    vals, da, db = _pair_symkl(logp, p, 1, want_grad and w_smooth > 0)
     smooth = float(vals.mean())
     if want_grad and w_smooth > 0:
         coef = w_smooth / (t_len - 1)
-        np.add.at(grad_p, idx_a, coef * da)
-        np.add.at(grad_p, idx_b, coef * db)
+        grad_p[1:] += coef * da
+        grad_p[:-1] += coef * db
 
     # lag: per lag distance, steps with t-d in range.
     lag_total = 0.0
     w_lag = a_loc * w.lambda_lag
+    lags = np.array(w.lag_set)
+    if w.lag_normalize_valid:  # lags in range at step t: those with d <= t
+        n_valid = np.searchsorted(lags, np.arange(t_len), side="right").astype(float)
+    else:
+        n_valid = np.full(t_len, float(lags.size))
     for d in w.lag_set:
         if d >= t_len:
-            continue
-        idx_a = np.arange(d, t_len)
-        idx_a = idx_a[idx_a >= 1]
-        idx_b = idx_a - d
-        if idx_a.size == 0:
-            continue
-        if w.lag_normalize_valid:
-            n_valid = np.array(
-                [sum(1 for dd in w.lag_set if t - dd >= 0) for t in idx_a], dtype=float
-            )
-        else:
-            n_valid = np.full(idx_a.size, float(len(w.lag_set)))
-        vals, da, db = _pair_symkl(logp, p, idx_a, idx_b, want_grad and w_lag > 0)
-        lag_total += float((vals / n_valid).sum())
+            break
+        vals, da, db = _pair_symkl(logp, p, d, want_grad and w_lag > 0)
+        lag_total += float((vals / n_valid[d:]).sum())
         if want_grad and w_lag > 0:
-            coef = (w_lag / (t_len - 1)) / n_valid[:, None]
-            np.add.at(grad_p, idx_a, coef * da)
-            np.add.at(grad_p, idx_b, coef * db)
+            coef = (w_lag / (t_len - 1)) / n_valid[d:, None]
+            grad_p[d:] += coef * da
+            grad_p[:-d] += coef * db
     lag = lag_total / (t_len - 1)
 
-    # ws: entropy of window means.
-    n_full = t_len // w.window
-    rem = t_len - n_full * w.window
-    win_weights = [1.0] * n_full
-    if w.ws_include_partial and rem > 0:
-        win_weights.append(rem / w.window)
-    denom = sum(win_weights)
+    # ws: entropy of window means; all full windows at once, then the
+    # trailing partial window when it is weighted in.
+    win = w.window
+    n_full = t_len // win
+    rem = t_len - n_full * win
+    tail = w.ws_include_partial and rem > 0
+    denom = n_full + (rem / win if tail else 0.0)
     ws = 0.0
     if denom > 0:
         w_ws = a_loc * w.lambda_ws
+        pbar = p[: n_full * win].reshape(n_full, win, n).mean(axis=1)
+        if tail:
+            pbar = np.vstack([pbar, p[n_full * win :].mean(axis=0)])
+        pos = pbar > 0
+        logbar = np.where(pos, np.log(np.where(pos, pbar, 1.0)), 0.0)
+        ents = -(pbar * logbar).sum(axis=1)
         acc = 0.0
-        for b, wgt in enumerate(win_weights):
-            rows = slice(b * w.window, min((b + 1) * w.window, t_len))
-            block = p[rows]
-            pbar = block.mean(axis=0)
-            pos = pbar > 0
-            logbar = np.where(pos, np.log(np.where(pos, pbar, 1.0)), 0.0)
-            acc += wgt * float(-(pbar * logbar).sum())
-            if want_grad and w_ws > 0:
-                grad_p[rows] += w_ws * (wgt / denom) * np.where(pos, -(logbar + 1.0), 0.0) / len(block)
+        for ent in ents[:n_full].tolist():  # summed in window order
+            acc += ent
+        if tail:
+            acc += (rem / win) * float(ents[-1])
+        if want_grad and w_ws > 0:
+            g = np.where(pos, -(logbar + 1.0), 0.0)
+            full = grad_p[: n_full * win].reshape(n_full, win, n)
+            full += (w_ws * (1.0 / denom) * g[:n_full] / win)[:, None, :]
+            if tail:
+                grad_p[n_full * win :] += w_ws * ((rem / win) / denom) * g[-1] / rem
         ws = acc / denom
 
     total = (
@@ -400,6 +406,17 @@ def total_objective(theta, theta0, hiddens, w: LossWeights, train_step: int,
     """Forward pass of the full objective on one hidden-state sequence."""
     breakdown, _ = _evaluate(theta, theta0, hiddens, w, train_step, top_k, want_grad=False)
     return breakdown
+
+
+def value_and_grad(theta, theta0, hiddens, w: LossWeights, train_step: int,
+                   top_k: int) -> tuple[LossBreakdown, np.ndarray]:
+    """Objective breakdown and analytic gradient from one forward pass.
+
+    Bitwise equal to ``total_objective(...)`` and ``grad_total(...)`` on the
+    same arguments: the values of the fused pass do not depend on whether the
+    gradient is also formed.
+    """
+    return _evaluate(theta, theta0, hiddens, w, train_step, top_k, want_grad=True)
 
 
 def grad_total(theta, theta0, hiddens, w: LossWeights, train_step: int,

@@ -271,6 +271,7 @@ def parse_trace(stream: bytes | IO[bytes] | Iterable[bytes], validate: bool = Tr
     header = None
     records: list[StepRecord] = []
     line_no = 0
+    peak_id, peak_line = 0, None  # largest segment id or step index, and its line
     for raw in _iter_lines(stream):
         line_no += 1
         line = raw.decode("utf-8") if isinstance(raw, (bytes, bytearray)) else raw
@@ -286,9 +287,21 @@ def parse_trace(stream: bytes | IO[bytes] | Iterable[bytes], validate: bool = Tr
         if header is None:
             header = _parse_header(obj, line_no)
         else:
-            records.append(_parse_record(obj, line_no, header.has_probs))
+            rec = _parse_record(obj, line_no, header.has_probs)
+            records.append(rec)
+            if rec.segment_id > peak_id or rec.step_index > peak_id:
+                peak_id, peak_line = max(rec.segment_id, rec.step_index), line_no
     if header is None:
         raise TraceError("empty input: missing header line", line_no=None)
+    # A dense trace of R records has segment ids and step indices below R.
+    # Ids up to R still parse, so validate can list a small gap; larger ones
+    # are refused here, before from_records sizes segment_lengths by them and
+    # the contiguity rule walks every missing step.
+    if peak_id > len(records):
+        raise TraceError(
+            f"segment id or step index {peak_id} exceeds the record count {len(records)}",
+            peak_line,
+        )
     trace = RoutingTrace.from_records(header, records)
     if validate:
         violations = validate_trace(trace)

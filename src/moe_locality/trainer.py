@@ -16,15 +16,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .gate import GateParams
-from .metrics import instantaneous_reuse
 from .objective import (
-    LossBreakdown,
     LossWeights,
-    grad_total,
     routing_distributions,
-    sets_from_rows,
-    total_objective,
+    topk_rows,
     trust_loss,
+    value_and_grad,
 )
 
 __all__ = [
@@ -109,14 +106,15 @@ def init_gate_matrix(hidden_dim: int, n_experts: int, seed: int) -> np.ndarray:
     return rng.standard_normal((hidden_dim, n_experts)) / np.sqrt(hidden_dim)
 
 
+def _rows_eor(rows: np.ndarray) -> float:
+    """Mean fraction of each Top-K row shared with the row before it."""
+    shared = (rows[1:, :, None] == rows[:-1, None, :]).sum(axis=(1, 2))
+    return float(np.mean(shared / rows.shape[1]))
+
+
 def sequence_eor(theta, hiddens, top_k: int) -> float:
     """EOR of the routing trajectory the gate induces on one sequence."""
-    p = routing_distributions(theta, hiddens)
-    sets = sets_from_rows(p, top_k)
-    irs = [
-        instantaneous_reuse(sets[t - 1], sets[t], top_k) for t in range(1, len(sets))
-    ]
-    return float(np.mean(irs))
+    return _rows_eor(topk_rows(routing_distributions(theta, hiddens), top_k))
 
 
 @dataclass(frozen=True)
@@ -132,12 +130,10 @@ def evaluate_gate(theta, theta0, sequences, top_k: int) -> EvalStats:
     for h in sequences:
         p = routing_distributions(theta, h)
         pref = routing_distributions(theta0, h)
-        sets = sets_from_rows(p, top_k)
-        eors.append(sequence_eor(theta, h, top_k))
+        rows = topk_rows(p, top_k)
+        eors.append(_rows_eor(rows))
         trusts.append(trust_loss(p, pref))
-        masses = [
-            float(p[t, list(sets[t - 1])].sum() / top_k) for t in range(1, len(p))
-        ]
+        masses = p[np.arange(1, len(p))[:, None], rows[:-1]].sum(axis=1) / top_k
         rhos.append(float(np.mean(masses)))
     return EvalStats(
         eor=float(np.mean(eors)),
@@ -181,6 +177,11 @@ def train(
 
     Deterministic for fixed inputs. ``theta0`` is snapshotted from
     ``theta_init`` before the first update and never touched again.
+
+    Each step takes the logged loss terms and the gradient from one fused
+    forward pass (:func:`value_and_grad`). The logged ``eor`` describes the
+    routing after the step's update, so it needs the updated ``theta`` and
+    runs a second, separate forward pass.
     """
     if not sequences:
         raise ValueError("need at least one training sequence")
@@ -194,10 +195,9 @@ def train(
     log: list[TrainLogRow] = []
     for step in range(cfg.steps):
         h = sequences[step % len(sequences)]
-        breakdown: LossBreakdown = total_objective(theta, theta0, h, weights, step, top_k)
+        breakdown, grad = value_and_grad(theta, theta0, h, weights, step, top_k)
         if not np.isfinite(breakdown.total):
             raise TrainingDiverged(step, breakdown.total)
-        grad = grad_total(theta, theta0, h, weights, step, top_k)
 
         grad_norm = float(np.linalg.norm(grad))
         if cfg.clip_norm > 0 and grad_norm > cfg.clip_norm:

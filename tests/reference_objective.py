@@ -1,0 +1,256 @@
+"""Reference objective and training loop: the straightforward versions.
+
+``evaluate`` is the fused forward/backward written with index arrays, one
+``np.add.at`` scatter per term and one loop iteration per ws window;
+``sequence_eor`` compares frozensets step by step; ``train`` runs three
+forward passes per step (value, gradient, logged EOR). The library's fast
+paths must reproduce all of them bit for bit, which the differential tests
+check.
+"""
+
+from __future__ import annotations
+
+import dataclasses
+import math
+
+import numpy as np
+
+from moe_locality.gate import GateParams
+from moe_locality.metrics import instantaneous_reuse
+from moe_locality.objective import (
+    _LOG_CLAMP,
+    LossBreakdown,
+    LossWeights,
+    _forward,
+    alpha_schedule,
+    routing_distributions,
+    sets_from_rows,
+    topk_rows,
+    trust_loss,
+)
+from moe_locality.trainer import (
+    EvalStats,
+    TrainConfig,
+    TrainingDiverged,
+    TrainLogRow,
+    TrainResult,
+)
+
+
+def float_bits(obj) -> list[str]:
+    """Exact bit patterns (``float.hex``) of a dataclass's numeric fields, so
+    that comparisons tell -0.0 from 0.0 and show the differing field."""
+    return [float(x).hex() for x in dataclasses.astuple(obj)]
+
+
+def _pair_symkl(logp, p, idx_a, idx_b, want_grad):
+    """Values (and both-sided dL/dP) of SymKL(P[a], P[b]) for index arrays."""
+    la, lb = logp[idx_a], logp[idx_b]
+    a, b = p[idx_a], p[idx_b]
+    lac = np.maximum(la, _LOG_CLAMP)
+    lbc = np.maximum(lb, _LOG_CLAMP)
+    vals = 0.5 * ((a * (la - lbc)).sum(axis=1) + (b * (lb - lac)).sum(axis=1))
+    if not want_grad:
+        return vals, None, None
+    mask_a = la > _LOG_CLAMP
+    mask_b = lb > _LOG_CLAMP
+    ratio_ba = np.where(mask_a, np.exp(np.where(mask_a, lb - la, 0.0)), 0.0)
+    ratio_ab = np.where(mask_b, np.exp(np.where(mask_b, la - lb, 0.0)), 0.0)
+    da = 0.5 * ((la - lbc + 1.0) - ratio_ba)
+    db = 0.5 * ((lb - lac + 1.0) - ratio_ab)
+    return vals, da, db
+
+
+def evaluate(theta, theta0, hiddens, w: LossWeights, train_step: int, top_k: int,
+             want_grad: bool):
+    h, logp, p, logref = _forward(theta, theta0, hiddens)
+    t_len, n = p.shape
+    grad_p = np.zeros_like(p) if want_grad else None
+
+    a_reuse = alpha_schedule(train_step, w.warm_reuse_steps)
+    a_loc = alpha_schedule(train_step, w.warm_loc_steps)
+
+    logref_c = np.maximum(logref, _LOG_CLAMP)
+    trust = float((p * (logp - logref_c)).sum(axis=1).mean())
+    if want_grad and w.lambda_kl > 0:
+        grad_p += (w.lambda_kl / t_len) * (logp - logref_c + 1.0)
+
+    prev_sets = topk_rows(p, top_k)[:-1]
+    cur_rows = np.arange(1, t_len)[:, None]
+    masses = p[cur_rows, prev_sets].sum(axis=1) / top_k
+    rho = float(masses.mean())
+    reuse = -math.log(rho + w.eps)
+    if want_grad:
+        w_reuse = a_reuse * w.lambda_reuse
+        if w_reuse > 0:
+            coef = w_reuse * (-1.0 / (rho + w.eps)) / (t_len - 1) / top_k
+            np.add.at(grad_p, (cur_rows, prev_sets), coef)
+
+    idx_a = np.arange(1, t_len)
+    idx_b = idx_a - 1
+    w_smooth = a_loc * w.lambda_smooth
+    vals, da, db = _pair_symkl(logp, p, idx_a, idx_b, want_grad and w_smooth > 0)
+    smooth = float(vals.mean())
+    if want_grad and w_smooth > 0:
+        coef = w_smooth / (t_len - 1)
+        np.add.at(grad_p, idx_a, coef * da)
+        np.add.at(grad_p, idx_b, coef * db)
+
+    lag_total = 0.0
+    w_lag = a_loc * w.lambda_lag
+    for d in w.lag_set:
+        if d >= t_len:
+            continue
+        idx_a = np.arange(d, t_len)
+        idx_a = idx_a[idx_a >= 1]
+        idx_b = idx_a - d
+        if idx_a.size == 0:
+            continue
+        if w.lag_normalize_valid:
+            n_valid = np.array(
+                [sum(1 for dd in w.lag_set if t - dd >= 0) for t in idx_a], dtype=float
+            )
+        else:
+            n_valid = np.full(idx_a.size, float(len(w.lag_set)))
+        vals, da, db = _pair_symkl(logp, p, idx_a, idx_b, want_grad and w_lag > 0)
+        lag_total += float((vals / n_valid).sum())
+        if want_grad and w_lag > 0:
+            coef = (w_lag / (t_len - 1)) / n_valid[:, None]
+            np.add.at(grad_p, idx_a, coef * da)
+            np.add.at(grad_p, idx_b, coef * db)
+    lag = lag_total / (t_len - 1)
+
+    n_full = t_len // w.window
+    rem = t_len - n_full * w.window
+    win_weights = [1.0] * n_full
+    if w.ws_include_partial and rem > 0:
+        win_weights.append(rem / w.window)
+    denom = sum(win_weights)
+    ws = 0.0
+    if denom > 0:
+        w_ws = a_loc * w.lambda_ws
+        acc = 0.0
+        for b, wgt in enumerate(win_weights):
+            rows = slice(b * w.window, min((b + 1) * w.window, t_len))
+            block = p[rows]
+            pbar = block.mean(axis=0)
+            pos = pbar > 0
+            logbar = np.where(pos, np.log(np.where(pos, pbar, 1.0)), 0.0)
+            acc += wgt * float(-(pbar * logbar).sum())
+            if want_grad and w_ws > 0:
+                grad_p[rows] += w_ws * (wgt / denom) * np.where(pos, -(logbar + 1.0), 0.0) / len(block)
+        ws = acc / denom
+
+    total = (
+        w.lambda_kl * trust
+        + a_reuse * w.lambda_reuse * reuse
+        + a_loc * (w.lambda_smooth * smooth + w.lambda_lag * lag + w.lambda_ws * ws)
+    )
+    breakdown = LossBreakdown(
+        trust_kl=trust,
+        reuse_rho=rho,
+        reuse_loss=reuse,
+        smooth=smooth,
+        lag=lag,
+        ws=ws,
+        alpha_reuse=a_reuse,
+        alpha_loc=a_loc,
+        total=total,
+    )
+    if not want_grad:
+        return breakdown, None
+    inner = (p * grad_p).sum(axis=1, keepdims=True)
+    g_logits = p * (grad_p - inner)
+    return breakdown, h.T @ g_logits
+
+
+def total_objective(theta, theta0, hiddens, w, train_step, top_k) -> LossBreakdown:
+    return evaluate(theta, theta0, hiddens, w, train_step, top_k, want_grad=False)[0]
+
+
+def grad_total(theta, theta0, hiddens, w, train_step, top_k) -> np.ndarray:
+    return evaluate(theta, theta0, hiddens, w, train_step, top_k, want_grad=True)[1]
+
+
+def sequence_eor(theta, hiddens, top_k: int) -> float:
+    p = routing_distributions(theta, hiddens)
+    sets = sets_from_rows(p, top_k)
+    irs = [
+        instantaneous_reuse(sets[t - 1], sets[t], top_k) for t in range(1, len(sets))
+    ]
+    return float(np.mean(irs))
+
+
+def evaluate_gate(theta, theta0, sequences, top_k: int) -> EvalStats:
+    eors, trusts, rhos = [], [], []
+    for h in sequences:
+        p = routing_distributions(theta, h)
+        pref = routing_distributions(theta0, h)
+        sets = sets_from_rows(p, top_k)
+        eors.append(sequence_eor(theta, h, top_k))
+        trusts.append(trust_loss(p, pref))
+        masses = [
+            float(p[t, list(sets[t - 1])].sum() / top_k) for t in range(1, len(p))
+        ]
+        rhos.append(float(np.mean(masses)))
+    return EvalStats(
+        eor=float(np.mean(eors)),
+        trust_kl=float(np.mean(trusts)),
+        reuse_rho=float(np.mean(rhos)),
+    )
+
+
+def train(theta_init, sequences, cfg: TrainConfig, weights: LossWeights,
+          top_k: int) -> TrainResult:
+    """One value pass, one gradient pass and one EOR pass per step."""
+    if not sequences:
+        raise ValueError("need at least one training sequence")
+    params = GateParams.snapshot(np.asarray(theta_init, dtype=float))
+    theta, theta0 = params.theta, params.theta0
+
+    m = np.zeros_like(theta)
+    v = np.zeros_like(theta)
+    eval_before = evaluate_gate(theta, theta0, sequences, top_k)
+
+    log = []
+    for step in range(cfg.steps):
+        h = sequences[step % len(sequences)]
+        breakdown = total_objective(theta, theta0, h, weights, step, top_k)
+        if not np.isfinite(breakdown.total):
+            raise TrainingDiverged(step, breakdown.total)
+        grad = grad_total(theta, theta0, h, weights, step, top_k)
+
+        grad_norm = float(np.linalg.norm(grad))
+        if cfg.clip_norm > 0 and grad_norm > cfg.clip_norm:
+            grad = grad * (cfg.clip_norm / grad_norm)
+
+        if cfg.optimizer == "adam":
+            m = cfg.beta1 * m + (1 - cfg.beta1) * grad
+            v = cfg.beta2 * v + (1 - cfg.beta2) * grad * grad
+            m_hat = m / (1 - cfg.beta1 ** (step + 1))
+            v_hat = v / (1 - cfg.beta2 ** (step + 1))
+            theta -= cfg.lr * m_hat / (np.sqrt(v_hat) + cfg.adam_eps)
+        else:
+            theta -= cfg.lr * grad
+
+        log.append(
+            TrainLogRow(
+                step=step,
+                total=breakdown.total,
+                trust_kl=breakdown.trust_kl,
+                reuse_rho=breakdown.reuse_rho,
+                reuse=breakdown.reuse_loss,
+                smooth=breakdown.smooth,
+                lag=breakdown.lag,
+                ws=breakdown.ws,
+                alpha_reuse=breakdown.alpha_reuse,
+                alpha_loc=breakdown.alpha_loc,
+                eor=sequence_eor(theta, h, top_k),
+                grad_norm=grad_norm,
+            )
+        )
+
+    eval_after = evaluate_gate(theta, theta0, sequences, top_k)
+    return TrainResult(
+        params=params, log=tuple(log), eval_before=eval_before, eval_after=eval_after
+    )

@@ -1,4 +1,5 @@
 import math
+from bisect import bisect_right
 
 import numpy as np
 import pytest
@@ -8,10 +9,11 @@ from moe_locality.cache_sim import (
     CacheConfig,
     IoModel,
     Policy,
-    belady_next_use,
     estimate_tpot,
     percentile,
     reroute_topk,
+    _layer_requests,
+    _occurrence_index,
     simulate,
 )
 from moe_locality.metrics import eor
@@ -91,26 +93,43 @@ class TestHandSimulations:
         assert report.final_resident == ((), ())
 
 
+def next_use_table(trace, layer, within_segment=True):
+    """(segment, step, expert) -> the step of that expert's next request, read
+    from the occurrence index that Belady's victim choice searches (inf when
+    the expert is not requested again in the same scope)."""
+    requests = _layer_requests(trace, layer)
+    occ = _occurrence_index(requests, within_segment)
+    table = {}
+    for ordinal, (s, t, _slots, uniq) in enumerate(requests):
+        for e in uniq:
+            positions = occ[(s if within_segment else None, e)]
+            i = bisect_right(positions, ordinal)
+            table[(s, t, e)] = requests[positions[i]][1] if i < len(positions) else math.inf
+    return table
+
+
 class TestBeladyNextUse:
     def test_two_occurrences(self):
         sets = [(0, 1)] + [(2, 3)] * 4 + [(0, 2)]
         trace = seq_trace(sets, k=2, n=4)
-        table = belady_next_use(trace, 0)
+        table = next_use_table(trace, 0)
         assert table[(0, 0, 0)] == 5
         assert table[(0, 5, 0)] == math.inf
 
     def test_reset_cuts_horizon(self):
         sets = [(0, 1), (0, 1)]
         trace = seq_trace(sets, k=2, n=4, segment_starts={1})
-        table = belady_next_use(trace, 0)
+        table = next_use_table(trace, 0)
         assert table[(0, 0, 0)] == math.inf
         assert table[(1, 0, 0)] == math.inf
+        # Without the per-segment reset the horizon crosses the boundary.
+        assert next_use_table(trace, 0, within_segment=False)[(0, 0, 0)] == 0
 
     def test_matches_quadratic_forward_search(self):
         trace = synth_trace(
             SynthConfig(n_routed_experts=6, top_k=2, n_segments=2, steps_per_segment=9, seed=8)
         )
-        table = belady_next_use(trace, 0)
+        table = next_use_table(trace, 0)
         for s in range(trace.n_segments):
             length = trace.segment_lengths[s]
             for t in range(length):

@@ -1,5 +1,6 @@
 import csv
 import json
+import resource
 import subprocess
 import sys
 
@@ -79,6 +80,28 @@ class TestSynthValidate:
         assert "[probs_nonfinite] (s=0,t=0,l=0,b=0)" in capsys.readouterr().out
         assert run("metrics", "--trace", str(path), "--out", str(tmp_path / "m.csv")) == 2
         assert not (tmp_path / "m.csv").exists()
+
+    @pytest.mark.parametrize("field", ["s", "t"])
+    def test_huge_segment_or_step_id_is_data_error(self, tmp_path, field):
+        # A subprocess with a timeout and an address-space cap, so that a
+        # regression (a structure sized by the id) fails this test instead of
+        # exhausting the memory or the time of the whole run.
+        record = {"s": 0, "t": 0, "l": 0, "b": 0, "topk": [0, 1], field: 10**30}
+        path = tmp_path / "huge_id.jsonl"
+        path.write_bytes(b'{"type":"header","n_moe_layers":1,"n_routed_experts":4,'
+                         b'"top_k":2,"batch_size":1,"has_probs":false}\n'
+                         + json.dumps(record).encode() + b"\n")
+
+        def cap_memory():
+            resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+        proc = subprocess.run(
+            [sys.executable, "-m", "moe_locality.cli", "validate", "--trace", str(path)],
+            capture_output=True, text=True, timeout=60, preexec_fn=cap_memory,
+        )
+        assert proc.returncode == 2
+        assert proc.stderr.startswith(f"data error: line 2: segment id or step index {10**30}")
+        assert "Traceback" not in proc.stderr
 
     def test_huge_integer_probability_is_data_error(self, tmp_path, capsys):
         path = tmp_path / "huge.jsonl"
@@ -255,6 +278,29 @@ class TestTrainCli:
                    "--log", str(tmp_path / "l.csv")) == 2
 
 
+BAD_TRAIN_CONFIGS = [
+    ({"train": {"steps": "x"}}, "train.steps"),
+    ({"weights": {"bogus": 1}}, "weights.bogus"),
+    ({"data": {"n_sequences": 2.5}}, "data.n_sequences"),
+    ({"weights": {"lag_set": 5}}, "weights.lag_set"),
+    ({"weight": {}}, "'weight'"),
+]
+
+
+@pytest.mark.parametrize("override,key", BAD_TRAIN_CONFIGS,
+                         ids=[key.strip("'") for _, key in BAD_TRAIN_CONFIGS])
+def test_bad_train_config_is_data_error_naming_the_key(tmp_path, capsys, override, key):
+    config = {**TRAIN_CONFIG, **{section: {**TRAIN_CONFIG.get(section, {}), **values}
+                                 for section, values in override.items()}}
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(config))
+    assert run("train", "--config", str(cfg), "--out-theta", str(tmp_path / "t.bin"),
+               "--log", str(tmp_path / "l.csv")) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("data error:") and key in err
+    assert not (tmp_path / "l.csv").exists()
+
+
 class TestSweepCli:
     def test_single_point_equals_train(self, tmp_path):
         cfg = dict(TRAIN_CONFIG)
@@ -283,6 +329,14 @@ class TestSweepCli:
         assert run("sweep", "--config", str(cfg_path), "--out", str(out)) == 0
         trust = [float(r["trust_kl"]) for r in csv.DictReader(out.open())]
         assert trust[0] > trust[1] > trust[2]
+
+    def test_bad_grid_override_is_data_error_naming_the_key(self, tmp_path, capsys):
+        cfg_path = tmp_path / "sweep.json"
+        cfg_path.write_text(json.dumps({**TRAIN_CONFIG, "grid": [{"bogus": 1}]}))
+        assert run("sweep", "--config", str(cfg_path), "--out", str(tmp_path / "s.csv")) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("data error:") and "grid[0].bogus" in err
+        assert not (tmp_path / "s.csv").exists()
 
     def test_empty_grid_is_data_error(self, tmp_path):
         cfg = dict(TRAIN_CONFIG)

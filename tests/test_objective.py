@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import reference_objective
+from reference_objective import float_bits
 from moe_locality.objective import (
     LossWeights,
     alpha_schedule,
@@ -19,6 +21,7 @@ from moe_locality.objective import (
     sym_kl,
     total_objective,
     trust_loss,
+    value_and_grad,
     ws_loss,
 )
 
@@ -443,3 +446,43 @@ def test_grad_matches_fd_on_random_instances(seed):
     numeric = fd_gradient(theta, theta0, hiddens, w, 1000, k)
     # absolute agreement at the FD noise floor
     assert np.max(np.abs(analytic - numeric)) < 1e-7
+
+
+@st.composite
+def objective_instances(draw):
+    """Random instances that reach every branch of the fused pass: lags at or
+    beyond T, windows longer than T, a weighted partial window, both lag
+    normalizations, K=1 and K=N, zero weights and zero or partial warmups."""
+    n = draw(st.integers(1, 12))
+    k = draw(st.sampled_from(sorted({1, n, draw(st.integers(1, n))})))
+    t_len = draw(st.integers(2, 40))
+    weights = LossWeights(
+        **{name: draw(st.sampled_from([0.0, 0.3, 1.7])) for name in
+           ("lambda_kl", "lambda_reuse", "lambda_smooth", "lambda_lag", "lambda_ws")},
+        lag_set=tuple(sorted(draw(st.sets(st.integers(1, 45), min_size=1, max_size=6)))),
+        window=draw(st.integers(1, 45)),
+        warm_reuse_steps=draw(st.sampled_from([0, 7, 400])),
+        warm_loc_steps=draw(st.sampled_from([0, 7, 800])),
+        lag_normalize_valid=draw(st.booleans()),
+        ws_include_partial=draw(st.booleans()),
+    )
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    d = draw(st.integers(1, 6))
+    # Large logit scales drive probabilities below the KL clamp.
+    scale = draw(st.sampled_from([0.1, 1.0, 40.0]))
+    theta = scale * rng.standard_normal((d, n))
+    theta0 = theta + rng.standard_normal((d, n))
+    hiddens = rng.standard_normal((t_len, d))
+    return theta, theta0, hiddens, weights, draw(st.integers(0, 1000)), k
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(instance=objective_instances())
+def test_fused_pass_matches_reference_bitwise(instance):
+    expected, expected_grad = reference_objective.evaluate(*instance, want_grad=True)
+    breakdown, grad = value_and_grad(*instance)
+    want = float_bits(expected)
+    assert float_bits(breakdown) == want
+    assert float_bits(total_objective(*instance)) == want
+    assert grad.tobytes() == expected_grad.tobytes()
+    assert grad_total(*instance).tobytes() == expected_grad.tobytes()

@@ -1,6 +1,9 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+import reference_objective
+from reference_objective import float_bits
 from moe_locality.objective import LossWeights
 from moe_locality.trainer import (
     SyntheticDataConfig,
@@ -128,3 +131,50 @@ class TestTrainingEffect:
         assert stats.trust_kl == pytest.approx(0.0, abs=1e-14)
         assert 0.0 <= stats.eor <= 1.0
         assert sequence_eor(theta0, sequences[0], BENCH.top_k) <= 1.0
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 10), t_len=st.integers(2, 20),
+       data=st.data())
+def test_sequence_eor_matches_reference(seed, n, t_len, data):
+    k = data.draw(st.sampled_from(sorted({1, n, data.draw(st.integers(1, n))})))
+    rng = np.random.default_rng(seed)
+    # Small logit scales give near ties; rounding the gate gives exact ties.
+    theta = np.round(data.draw(st.sampled_from([0.01, 1.0, 20.0]))
+                     * rng.standard_normal((3, n)), data.draw(st.sampled_from([1, 12])))
+    hiddens = rng.standard_normal((t_len, 3))
+    got = sequence_eor(theta, hiddens, k)
+    assert got.hex() == reference_objective.sequence_eor(theta, hiddens, k).hex()
+
+
+@settings(max_examples=25, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 2**32 - 1), data=st.data())
+def test_train_matches_three_pass_reference_bitwise(seed, data):
+    n = data.draw(st.integers(1, 10))
+    k = data.draw(st.sampled_from(sorted({1, n, data.draw(st.integers(1, n))})))
+    rng = np.random.default_rng(seed)
+    d = data.draw(st.integers(1, 5))
+    sequences = [rng.standard_normal((data.draw(st.integers(2, 20)), d))
+                 for _ in range(data.draw(st.integers(1, 3)))]
+    theta_init = rng.standard_normal((d, n))
+    cfg = TrainConfig(
+        steps=data.draw(st.integers(1, 25)),
+        lr=data.draw(st.sampled_from([1e-3, 5e-2])),
+        optimizer=data.draw(st.sampled_from(["adam", "sgd"])),
+        clip_norm=data.draw(st.sampled_from([0.0, 0.05, 1.0])),
+    )
+    weights = LossWeights(
+        lag_set=tuple(sorted(data.draw(st.sets(st.integers(1, 25), min_size=1, max_size=4)))),
+        window=data.draw(st.integers(1, 25)),
+        warm_reuse_steps=data.draw(st.sampled_from([0, 5])),
+        warm_loc_steps=data.draw(st.sampled_from([0, 10])),
+        lag_normalize_valid=data.draw(st.booleans()),
+        ws_include_partial=data.draw(st.booleans()),
+    )
+    got = train(theta_init.copy(), sequences, cfg, weights, k)
+    want = reference_objective.train(theta_init.copy(), sequences, cfg, weights, k)
+    assert [float_bits(row) for row in got.log] == [float_bits(row) for row in want.log]
+    assert float_bits(got.eval_before) == float_bits(want.eval_before)
+    assert float_bits(got.eval_after) == float_bits(want.eval_after)
+    assert got.params.theta.tobytes() == want.params.theta.tobytes()
+    assert got.params.theta0.tobytes() == want.params.theta0.tobytes()
