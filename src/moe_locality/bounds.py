@@ -108,27 +108,35 @@ def _require(cond: bool, message: str) -> None:
 def _collect_step_records(
     trace: RoutingTrace, cfg: CacheConfig, working_set: bool
 ) -> tuple[list[StepBoundRecord], list[SequenceBound]]:
-    """Per-step fetch counts vs. bounds for one B=1 trace under ``cfg``."""
-    k = trace.header.top_k
-    report = simulate(trace, cfg, record_events=True)
-    by_key = {(ev.layer, ev.segment, ev.step): ev for ev in report.events}
-    fetch = {
-        (st.layer, st.segment, st.step): st.unique_misses for st in report.step_stats
-    }
+    """Per-step fetch counts vs. bounds for one B=1 trace under ``cfg``.
+
+    Fetch counts are read from ``step_stats`` by position (layer-major, steps
+    in trace order). The resident set before a flagged step comes from a
+    second, event-recording simulation that runs only when some step is
+    flagged; ``simulate`` is deterministic, so it replays the first exactly.
+    """
+    h = trace.header
+    k = h.top_k
+    # simulate raises KeyError unless the trace is dense, so the strided
+    # slices below hold each layer's records in step order.
+    stats = simulate(trace, cfg).step_stats
+    n_steps = sum(trace.segment_lengths)
 
     step_records: list[StepBoundRecord] = []
     seq_records: list[SequenceBound] = []
-    for layer in range(trace.header.n_moe_layers):
+    flagged: list[tuple[int, int]] = []  # (index in step_records, index in step_stats)
+    for layer in range(h.n_moe_layers):
+        column = trace.records[layer * h.batch_size :: h.n_moe_layers * h.batch_size]
+        start = 0  # the segment's first step ordinal
         for segment, length in enumerate(trace.segment_lengths):
-            sets = [
-                trace.record_at(segment, t, layer, 0).expert_set for t in range(length)
-            ]
+            sets = [rec.expert_set for rec in column[start : start + length]]
             total_fetch = 0
             total_bound = 0
             for t in range(1, length):
                 # Exact integer form of K * (1 - IR_t).
                 bound = k - len(sets[t] & sets[t - 1])
-                n_fetch = fetch[(layer, segment, t)]
+                ordinal = layer * n_steps + start + t
+                n_fetch = stats[ordinal].unique_misses
                 violated = n_fetch > bound
                 ws_horizon = ws_bound = ws_violated = None
                 if working_set:
@@ -143,7 +151,8 @@ def _collect_step_records(
                     ws_horizon = horizon
                     ws_bound = k - len(sets[t] & union)
                     ws_violated = n_fetch > ws_bound
-                flagged = violated or bool(ws_violated)
+                if violated or ws_violated:
+                    flagged.append((len(step_records), ordinal))
                 step_records.append(
                     StepBoundRecord(
                         layer=layer,
@@ -156,9 +165,6 @@ def _collect_step_records(
                         ws_horizon=ws_horizon,
                         ws_bound=ws_bound,
                         ws_violated=ws_violated,
-                        resident_before=(
-                            by_key[(layer, segment, t)].resident_before if flagged else None
-                        ),
                     )
                 )
                 total_fetch += n_fetch
@@ -175,6 +181,13 @@ def _collect_step_records(
                         violated=total_fetch > total_bound,
                     )
                 )
+            start += length
+    if flagged:
+        events = simulate(trace, cfg, record_events=True).events
+        for i, ordinal in flagged:
+            step_records[i] = replace(
+                step_records[i], resident_before=events[ordinal].resident_before
+            )
     return step_records, seq_records
 
 

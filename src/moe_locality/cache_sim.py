@@ -26,6 +26,8 @@ import enum
 import math
 from bisect import bisect_right
 from dataclasses import dataclass
+from heapq import nsmallest
+from itertools import count, filterfalse, islice
 
 import numpy as np
 
@@ -45,7 +47,6 @@ __all__ = [
     "StepEvent",
     "SimReport",
     "TpotReport",
-    "LayerCacheState",
     "simulate",
     "reroute_topk",
     "estimate_tpot",
@@ -66,6 +67,10 @@ class FaultKind(str, enum.Enum):
     UNDER_CAPACITY = "under_capacity"  # no event; the config itself sets C < K
     INTERFERENCE = "interference"  # evict n random residents between steps
     PREFETCH = "prefetch"  # insert n non-requested experts between steps
+
+
+def _finite_nonnegative(value: float) -> bool:
+    return math.isfinite(value) and value >= 0
 
 
 @dataclass(frozen=True)
@@ -90,8 +95,8 @@ class CacheConfig:
     def __post_init__(self):
         if self.capacity < 1:
             raise ValueError("capacity must be >= 1")
-        if self.reroute_beta is not None and self.reroute_beta < 0:
-            raise ValueError("reroute_beta must be >= 0")
+        if self.reroute_beta is not None and not _finite_nonnegative(self.reroute_beta):
+            raise ValueError(f"reroute_beta must be a finite number >= 0, got {self.reroute_beta}")
 
 
 @dataclass(frozen=True)
@@ -103,8 +108,10 @@ class IoModel:
     compute_ms: float
 
     def __post_init__(self):
-        if self.expert_bytes <= 0 or self.bandwidth_gbps <= 0 or self.compute_ms <= 0:
-            raise ValueError("IoModel fields must all be positive")
+        for name in ("expert_bytes", "bandwidth_gbps", "compute_ms"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value > 0):
+                raise ValueError(f"IoModel {name} must be finite and positive, got {value}")
 
 
 @dataclass(frozen=True)
@@ -211,8 +218,8 @@ def reroute_topk(probs, resident, beta: float, k: int) -> tuple[int, ...]:
     Traces carry probabilities rather than raw scores, so the residency bonus
     is added in log space; beta = 0 reproduces the plain Top-K exactly.
     """
-    if beta < 0:
-        raise ValueError("beta must be >= 0")
+    if not _finite_nonnegative(beta):
+        raise ValueError(f"beta must be a finite number >= 0, got {beta}")
     p = np.asarray(probs, dtype=float)
     scores = np.log(p + REROUTE_EPS)
     for e in resident:
@@ -221,111 +228,70 @@ def reroute_topk(probs, resident, beta: float, k: int) -> tuple[int, ...]:
 
 
 # ---------------------------------------------------------------------------
-# Per-layer cache state
+# Requests and Belady next-use tables
 # ---------------------------------------------------------------------------
 
 
-class LayerCacheState:
-    """Resident expert set plus exactly the policy metadata for that set.
+def _layer_columns(trace: RoutingTrace, layer: int, steps) -> list[tuple[StepRecord, ...]]:
+    """The layer's records, one column per batch item, one entry per step ordinal.
 
-    Metadata entries exist only for resident experts: eviction drops an
-    expert's counters, so an LFU frequency restarts on readmission.
+    A dense sorted trace keeps layer ``l``, batch ``b`` at
+    ``records[l*B + b :: L*B]``. Every record's key is checked against the
+    step it stands for, so a trace that is not dense raises KeyError, as
+    ``RoutingTrace.record_at`` does.
     """
-
-    def __init__(self, capacity: int, policy: Policy):
-        self.capacity = capacity
-        self.policy = policy
-        self.resident: set[int] = set()
-        self.last_touch: dict[int, int] = {}
-        self.admitted_at: dict[int, int] = {}
-        self.freq: dict[int, int] = {}
-        self._clock = 0
-
-    def reset(self) -> None:
-        self.resident.clear()
-        self.last_touch.clear()
-        self.admitted_at.clear()
-        self.freq.clear()
-
-    def _tick(self) -> int:
-        self._clock += 1
-        return self._clock
-
-    def touch(self, expert: int) -> None:
-        """Serve one distinct request: admit on miss, refresh metadata on hit."""
-        now = self._tick()
-        if expert in self.resident:
-            self.last_touch[expert] = now
-            self.freq[expert] += 1
-        else:
-            self.resident.add(expert)
-            self.last_touch[expert] = now
-            self.admitted_at[expert] = now
-            self.freq[expert] = 1
-
-    def insert_untouched(self, expert: int) -> None:
-        """Admission without a request (prefetch injection)."""
-        if expert in self.resident:
-            return
-        now = self._tick()
-        self.resident.add(expert)
-        self.last_touch[expert] = now
-        self.admitted_at[expert] = now
-        self.freq[expert] = 0
-
-    def drop(self, expert: int) -> None:
-        self.resident.discard(expert)
-        self.last_touch.pop(expert, None)
-        self.admitted_at.pop(expert, None)
-        self.freq.pop(expert, None)
-
-    def pick_victim(self, candidates, next_use=None) -> int:
-        if self.policy == Policy.LRU:
-            return min(candidates, key=lambda e: self.last_touch[e])
-        if self.policy == Policy.FIFO:
-            return min(candidates, key=lambda e: self.admitted_at[e])
-        if self.policy == Policy.LFU:
-            return min(candidates, key=lambda e: (self.freq[e], self.last_touch[e], e))
-        if self.policy == Policy.BELADY:
-            return min(candidates, key=lambda e: (-next_use(e), e))
-        raise ValueError(f"unknown policy {self.policy}")
-
-
-# ---------------------------------------------------------------------------
-# Belady next-use tables
-# ---------------------------------------------------------------------------
-
-
-def _ordered_unique(items) -> list[int]:
-    seen: set[int] = set()
-    out: list[int] = []
-    for e in items:
-        if e not in seen:
-            seen.add(e)
-            out.append(e)
-    return out
-
-
-def _layer_requests(trace: RoutingTrace, layer: int) -> list[tuple[int, int, list[int], list[int]]]:
-    """Per (segment, step): (s, t, token slot list R, ordered-unique list U)."""
     h = trace.header
-    out = []
-    for s, t in trace.iter_steps():
-        slots: list[int] = []
-        for b in range(h.batch_size):
-            slots.extend(trace.record_at(s, t, layer, b).topk_indices)
-        out.append((s, t, slots, _ordered_unique(slots)))
-    return out
+    stride = h.n_moe_layers * h.batch_size
+    records = trace.records
+    if len(records) != len(steps) * stride:
+        raise KeyError(
+            f"trace is not dense: {len(records)} records for {len(steps)} steps "
+            f"x {h.n_moe_layers} layers x {h.batch_size} batch items"
+        )
+    columns = []
+    for b in range(h.batch_size):
+        column = records[layer * h.batch_size + b :: stride]
+        for (s, t), rec in zip(steps, column):
+            if (rec.step_index != t or rec.segment_id != s or rec.layer_id != layer
+                    or rec.batch_index != b):
+                raise KeyError(f"trace is not dense at {(s, t, layer, b)}")
+        columns.append(column)
+    return columns
 
 
-def _occurrence_index(requests, within_segment: bool) -> dict:
+def _step_requests(columns) -> list[tuple[tuple[int, ...], dict]]:
+    """Per step ordinal: the token slots (batch items in order) and the
+    distinct set U, a dict whose keys are the slots in first-request order."""
+    if len(columns) == 1:
+        slot_rows = [rec.topk_indices for rec in columns[0]]
+    else:
+        slot_rows = [sum((rec.topk_indices for rec in recs), ()) for recs in zip(*columns)]
+    return [(slots, dict.fromkeys(slots)) for slots in slot_rows]
+
+
+def _occurrence_index(steps, requests, within_segment: bool) -> dict:
     """expert -> sorted list of request ordinals, scoped per segment or globally."""
     occ: dict = {}
-    for ordinal, (s, _t, _slots, uniq) in enumerate(requests):
+    for ordinal, ((s, _t), (_slots, uniq)) in enumerate(zip(steps, requests)):
         scope = s if within_segment else None
         for e in uniq:
             occ.setdefault((scope, e), []).append(ordinal)
     return occ
+
+
+def _farthest_first(occ: dict, scope, ordinal: int):
+    """Belady's victim order after request ``ordinal``: farthest next use
+    first (no further use counts as farthest), ties to the lowest id."""
+
+    def key(e):
+        positions = occ.get((scope, e))
+        if positions is not None:
+            i = bisect_right(positions, ordinal)
+            if i < len(positions):
+                return (-positions[i], e)
+        return (-math.inf, e)
+
+    return key
 
 
 # ---------------------------------------------------------------------------
@@ -333,30 +299,61 @@ def _occurrence_index(requests, within_segment: bool) -> dict:
 # ---------------------------------------------------------------------------
 
 
-def _apply_fault(state: LayerCacheState, scenario: FaultScenario, rng, n_experts: int) -> None:
+def _victims(resident: dict, policy: Policy, n: int, protected, belady_key=None) -> list[int]:
+    """The policy's first ``n`` eviction choices among residents not in ``protected``.
+
+    LRU and FIFO keep ``resident`` in eviction order, so theirs is a prefix
+    scan; LFU values are ``(freq, last_touch, id)`` tuples.
+    """
+    if policy == Policy.LFU:
+        return [v[2] for v in nsmallest(n, (v for e, v in resident.items() if e not in protected))]
+    if policy == Policy.BELADY:
+        return nsmallest(n, (e for e in resident if e not in protected), key=belady_key)
+    return list(islice(filterfalse(protected.__contains__, resident), n))
+
+
+def _apply_fault(resident: dict, policy: Policy, capacity: int, scenario: FaultScenario,
+                 rng, n_experts: int, tick) -> None:
     if scenario.kind == FaultKind.INTERFERENCE:
         for _ in range(scenario.n):
-            if not state.resident:
+            if not resident:
                 break
-            victim = int(rng.choice(sorted(state.resident)))
-            state.drop(victim)
+            del resident[int(rng.choice(sorted(resident)))]
     elif scenario.kind == FaultKind.PREFETCH:
         for _ in range(scenario.n):
-            outside = sorted(set(range(n_experts)) - state.resident)
+            outside = sorted(set(range(n_experts)).difference(resident))
             if not outside:
                 break
-            state.insert_untouched(int(rng.choice(outside)))
-            while len(state.resident) > state.capacity:
-                state.drop(state.pick_victim(state.resident, next_use=lambda e: math.inf))
+            e = int(rng.choice(outside))
+            # Admitted untouched: most recent, newest admission, frequency 0.
+            resident[e] = (0, tick(), e) if policy == Policy.LFU else None
+            if len(resident) > capacity:
+                for victim in _victims(resident, policy, len(resident) - capacity, ()):
+                    del resident[victim]
 
 
 def simulate(trace: RoutingTrace, cfg: CacheConfig, record_events: bool = False) -> SimReport:
     """Run the per-layer cache simulation over a full trace.
 
-    Deterministic for a fixed (trace, cfg). With ``cfg.reroute_beta`` set the
-    step's Top-K sets are recomputed from the stored distributions with a
-    residency bonus before being served, and the rerouted trace is attached to
-    the report so its locality metrics can be compared against the original.
+    Deterministic for a fixed (trace, cfg), including the fault RNG, which is
+    seeded from ``cfg.scenario``. With ``cfg.reroute_beta`` set the step's
+    Top-K sets are recomputed from the stored distributions with a residency
+    bonus before being served, and the rerouted trace is attached to the
+    report so its locality metrics can be compared against the original.
+
+    Each layer's resident set is one dict, served in one pass over the steps.
+    For LRU its key order is recency (a hit moves the key to the end) and for
+    FIFO admission order (a hit leaves it in place); since the step's own
+    requests are never victims, the victim is the first key outside the
+    step's request set and no scan over timestamps is needed. LFU keeps
+    ``(freq, last_touch, id)`` values and BELADY scans ``(-next_use, id)``.
+
+    Per-step audit events (resident set before serving, fetched and evicted
+    experts) cost a sorted copy of the resident set per step, so they are
+    built only with ``record_events``. The bound checks read fetch counts from
+    ``step_stats`` and run a second, event-recording simulation only when some
+    step breaks a bound; because the run is deterministic, that second run
+    reproduces the first exactly.
     """
     h = trace.header
     if cfg.reroute_beta is not None and not h.has_probs:
@@ -366,142 +363,118 @@ def simulate(trace: RoutingTrace, cfg: CacheConfig, record_events: bool = False)
     if cfg.scenario is not None and cfg.policy == Policy.BELADY:
         raise ValueError("fault injection is only supported with online policies")
 
-    rng = np.random.default_rng(cfg.scenario.seed) if cfg.scenario is not None else None
+    policy = cfg.policy
+    capacity = cfg.capacity
+    scenario = cfg.scenario
+    rng = np.random.default_rng(scenario.seed) if scenario is not None else None
     reroute = cfg.reroute_beta is not None
+    tick = count(1).__next__  # LFU's recency clock
 
-    layer_requests = {
-        layer: _layer_requests(trace, layer) for layer in range(h.n_moe_layers)
-    }
-    occurrences = None
-    if cfg.policy == Policy.BELADY:
-        occurrences = {
-            layer: _occurrence_index(reqs, within_segment=cfg.reset_each_segment)
-            for layer, reqs in layer_requests.items()
-        }
-
+    steps = list(trace.iter_steps())
     step_stats: list[StepCacheStats] = []
     events: list[StepEvent] = []
     rerouted_records: list[StepRecord] = []
     final_resident: list[tuple[int, ...]] = []
-    cross_step_miss: dict[tuple[int, int], int] = {(s, t): 0 for s, t in trace.iter_steps()}
+    per_layer: list[LayerTotals] = []
+    cross_step_miss = [0] * len(steps)
 
     for layer in range(h.n_moe_layers):
-        state = LayerCacheState(cfg.capacity, cfg.policy)
-        requests = layer_requests[layer]
-        occ = occurrences[layer] if occurrences is not None else None
-        prev_unique: list[int] | None = None
+        columns = _layer_columns(trace, layer, steps)
+        requests = None if reroute else _step_requests(columns)
+        occ = None
+        if policy == Policy.BELADY:
+            occ = _occurrence_index(steps, requests, within_segment=cfg.reset_each_segment)
+        resident: dict = {}
+        prev_unique: dict | None = None
         prev_segment: int | None = None
+        u_hits_sum = u_total_sum = t_hits_sum = t_total_sum = 0
 
-        for ordinal, (s, t, slots, uniq) in enumerate(requests):
+        for ordinal, (s, t) in enumerate(steps):
             if cfg.reset_each_segment and s != prev_segment:
-                state.reset()
+                resident.clear()
                 prev_unique = None
-            elif cfg.scenario is not None and prev_segment is not None:
-                _apply_fault(state, cfg.scenario, rng, h.n_routed_experts)
+            elif scenario is not None and prev_segment is not None:
+                _apply_fault(resident, policy, capacity, scenario, rng, h.n_routed_experts, tick)
             prev_segment = s
 
             if reroute:
-                slots = []
-                for b in range(h.batch_size):
-                    rec = trace.record_at(s, t, layer, b)
-                    new_topk = reroute_topk(
-                        rec.probs, state.resident, cfg.reroute_beta, h.top_k
-                    )
-                    slots.extend(new_topk)
-                    rerouted_records.append(
-                        StepRecord(s, t, layer, b, new_topk, rec.probs)
-                    )
-                uniq = _ordered_unique(slots)
-
-            resident_before = state.resident.copy()
+                slots = ()
+                for column in columns:
+                    rec = column[ordinal]
+                    new_topk = reroute_topk(rec.probs, resident, cfg.reroute_beta, h.top_k)
+                    slots += new_topk
+                    rerouted_records.append(StepRecord(s, t, layer, rec.batch_index, new_topk))
+                uniq = dict.fromkeys(slots)
+            else:
+                slots, uniq = requests[ordinal]
 
             # Serve-and-admit guarantee: absent injected faults, the previous
             # step's distinct request set must still be resident whenever it
             # fits (the operational form of the proof's residency lemma).
             if (
-                cfg.scenario is None
+                scenario is None
                 and prev_unique is not None
-                and cfg.capacity >= len(prev_unique)
-                and not set(prev_unique) <= resident_before
+                and capacity >= len(prev_unique)
+                and not prev_unique.keys() <= resident.keys()
             ):
                 raise RuntimeError(
                     f"admission property violated at layer {layer}, step ({s},{t})"
                 )
 
-            token_hits = sum(1 for e in slots if e in resident_before)
-            unique_hits = sum(1 for e in uniq if e in resident_before)
-            fetched = tuple(e for e in uniq if e not in resident_before)
-
-            for e in uniq:
-                state.touch(e)
-
-            if cfg.policy == Policy.BELADY:
-                scope = s if cfg.reset_each_segment else None
-
-                def next_use(e, _scope=scope, _ordinal=ordinal):
-                    positions = occ.get((_scope, e))
-                    if positions is None:
-                        return math.inf
-                    i = bisect_right(positions, _ordinal)
-                    return positions[i] if i < len(positions) else math.inf
-
+            n_unique, n_slots = len(uniq), len(slots)
+            unique_hits = sum(map(resident.__contains__, uniq))
+            if n_unique == n_slots:
+                token_hits = unique_hits
             else:
-                next_use = None
+                token_hits = sum(map(resident.__contains__, slots))
+            if record_events:
+                resident_before = tuple(sorted(resident))
+                fetched = tuple(e for e in uniq if e not in resident)
 
-            evicted: list[int] = []
-            uniq_set = set(uniq)
-            surplus_cursor = 0
-            while len(state.resident) > cfg.capacity:
-                candidates = state.resident - uniq_set
-                if candidates:
-                    victim = state.pick_victim(candidates, next_use=next_use)
-                else:
+            if policy == Policy.LFU:
+                for e in uniq:
+                    old = resident.get(e)
+                    resident[e] = (old[0] + 1 if old else 1, tick(), e)
+            else:
+                if unique_hits and policy == Policy.LRU:
+                    for e in uniq:
+                        resident.pop(e, None)
+                resident.update(uniq)
+
+            evicted = []
+            over = len(resident) - capacity
+            if over > 0:
+                belady_key = None
+                if occ is not None:
+                    belady_key = _farthest_first(
+                        occ, s if cfg.reset_each_segment else None, ordinal
+                    )
+                evicted = _victims(resident, policy, over, uniq, belady_key)
+                if len(evicted) < over:
                     # C < |U|: shed the step's own experts in request order.
-                    victim = uniq[surplus_cursor]
-                    surplus_cursor += 1
-                state.drop(victim)
-                evicted.append(victim)
+                    evicted.extend(islice(uniq, over - len(evicted)))
+                for e in evicted:
+                    del resident[e]
 
             step_stats.append(
-                StepCacheStats(
-                    segment=s,
-                    step=t,
-                    layer=layer,
-                    unique_hits=unique_hits,
-                    unique_total=len(uniq),
-                    token_hits=token_hits,
-                    token_total=len(slots),
-                )
+                StepCacheStats(s, t, layer, unique_hits, n_unique, token_hits, n_slots)
             )
-            cross_step_miss[(s, t)] += len(uniq) - unique_hits
+            cross_step_miss[ordinal] += n_unique - unique_hits
+            u_hits_sum += unique_hits
+            u_total_sum += n_unique
+            t_hits_sum += token_hits
+            t_total_sum += n_slots
             if record_events:
                 events.append(
-                    StepEvent(
-                        segment=s,
-                        step=t,
-                        layer=layer,
-                        resident_before=tuple(sorted(resident_before)),
-                        request_unique=tuple(uniq),
-                        fetched=fetched,
-                        evicted=tuple(evicted),
-                    )
+                    StepEvent(s, t, layer, resident_before, tuple(uniq), fetched, tuple(evicted))
                 )
             prev_unique = uniq
 
-        final_resident.append(tuple(sorted(state.resident)))
-
-    per_layer = []
-    for layer in range(h.n_moe_layers):
-        stats = [st for st in step_stats if st.layer == layer]
+        final_resident.append(tuple(sorted(resident)))
         per_layer.append(
-            LayerTotals(
-                layer=layer,
-                unique_hits=sum(st.unique_hits for st in stats),
-                unique_total=sum(st.unique_total for st in stats),
-                token_hits=sum(st.token_hits for st in stats),
-                token_total=sum(st.token_total for st in stats),
-            )
+            LayerTotals(layer, u_hits_sum, u_total_sum, t_hits_sum, t_total_sum)
         )
+
     overall = LayerTotals(
         layer=None,
         unique_hits=sum(lt.unique_hits for lt in per_layer),
@@ -509,7 +482,7 @@ def simulate(trace: RoutingTrace, cfg: CacheConfig, record_events: bool = False)
         token_hits=sum(lt.token_hits for lt in per_layer),
         token_total=sum(lt.token_total for lt in per_layer),
     )
-    miss_series = tuple(cross_step_miss[(s, t)] for s, t in trace.iter_steps())
+    miss_series = tuple(cross_step_miss)
 
     rerouted_trace = None
     if reroute:
@@ -520,11 +493,7 @@ def simulate(trace: RoutingTrace, cfg: CacheConfig, record_events: bool = False)
             batch_size=h.batch_size,
             has_probs=False,
         )
-        rerouted_trace = RoutingTrace.from_records(
-            rerouted_header,
-            [StepRecord(r.segment_id, r.step_index, r.layer_id, r.batch_index, r.topk_indices)
-             for r in rerouted_records],
-        )
+        rerouted_trace = RoutingTrace.from_records(rerouted_header, rerouted_records)
 
     return SimReport(
         config=cfg,
@@ -551,4 +520,6 @@ def estimate_tpot(report: SimReport, io: IoModel, batch: int) -> TpotReport:
         for m in report.step_unique_miss_series
     )
     tpot = tuple(io.compute_ms + x / batch for x in io_ms)
+    if not all(map(math.isfinite, tpot)):
+        raise ValueError(f"the I/O model {io} overflows: a step's TPOT is not finite")
     return TpotReport(io_ms=io_ms, tpot_ms=tpot, percentiles=_percentile_summary(tpot))

@@ -91,7 +91,8 @@ def _csv_bytes(rows: list[dict], columns: list[str]) -> bytes:
 
 
 def _json_bytes(obj) -> bytes:
-    return (json.dumps(obj, indent=2, sort_keys=True) + "\n").encode("utf-8")
+    """Strict JSON: a NaN or infinity raises ValueError instead of being written."""
+    return (json.dumps(obj, indent=2, sort_keys=True, allow_nan=False) + "\n").encode("utf-8")
 
 
 def _manifest_id(subcommand: str, config: dict, inputs: list[str], outputs: list[str],
@@ -234,8 +235,6 @@ def _cmd_simulate(args) -> int:
         reset_each_segment=args.reset_each_segment,
         reroute_beta=args.beta,
     )
-    report = simulate(trace, cfg)
-
     io_model = None
     if args.expert_bytes is not None or args.bandwidth_gbps is not None or args.compute_ms is not None:
         if None in (args.expert_bytes, args.bandwidth_gbps, args.compute_ms):
@@ -243,6 +242,7 @@ def _cmd_simulate(args) -> int:
                 "--expert-bytes, --bandwidth-gbps and --compute-ms must be given together"
             )
         io_model = IoModel(args.expert_bytes, args.bandwidth_gbps, args.compute_ms)
+    report = simulate(trace, cfg)
     tpot = estimate_tpot(report, io_model, trace.header.batch_size) if io_model else None
 
     layer_rows = []
@@ -272,6 +272,9 @@ def _cmd_simulate(args) -> int:
         "beta": args.beta,
         "io": _config_dict(io_model) if io_model else None,
     }
+    eors = None  # (original, rerouted)
+    if report.rerouted_trace is not None:
+        eors = (eor(trace).overall, eor(report.rerouted_trace).overall)
     outputs = [args.out]
     mid = _manifest_id("simulate", config, [args.trace], [args.out], None)
     if args.out.endswith(".json"):
@@ -284,9 +287,8 @@ def _cmd_simulate(args) -> int:
         if tpot is not None:
             payload["tpot_percentiles"] = tpot.percentiles
             payload["tpot_ms"] = list(tpot.tpot_ms)
-        if report.rerouted_trace is not None:
-            payload["rerouted_eor"] = eor(report.rerouted_trace).overall
-            payload["original_eor"] = eor(trace).overall
+        if eors is not None:
+            payload["original_eor"], payload["rerouted_eor"] = eors
         _atomic_write(args.out, _json_bytes(payload))
     else:
         _atomic_write(args.out, _csv_bytes(layer_rows, ["layer", "uHR", "tHR", "uMiss", "tMiss"]))
@@ -296,11 +298,8 @@ def _cmd_simulate(args) -> int:
         outputs.append(steps_path)
     _append_manifest("simulate", config, [args.trace], outputs, None, started)
     summary = f"uHR={report.overall.uhr:.4f} uMiss={report.overall.unique_misses}"
-    if report.rerouted_trace is not None:
-        summary += (
-            f" eor={eor(trace).overall:.4f}"
-            f" rerouted_eor={eor(report.rerouted_trace).overall:.4f}"
-        )
+    if eors is not None:
+        summary += f" eor={eors[0]:.4f} rerouted_eor={eors[1]:.4f}"
     print(f"{summary} -> {args.out}")
     return 0
 
@@ -651,6 +650,21 @@ def _build_parser() -> _Parser:
     return parser
 
 
+def _thread_count(flag: int | None) -> int:
+    """``--threads``, else the ``REMOE_LAB_THREADS`` env var, else 1; at least 1."""
+    if flag is not None:
+        source, value = "--threads", flag
+    else:
+        source, raw = "REMOE_LAB_THREADS", os.environ.get("REMOE_LAB_THREADS", "1")
+        try:
+            value = int(raw)
+        except ValueError:
+            raise UsageError(f"{source} must be an integer >= 1, got {raw!r}") from None
+    if value < 1:
+        raise UsageError(f"{source} must be an integer >= 1, got {value}")
+    return value
+
+
 def dispatch(argv: list[str]) -> int:
     parser = _build_parser()
     try:
@@ -658,9 +672,9 @@ def dispatch(argv: list[str]) -> int:
     except UsageError as e:
         print(f"usage error: {e}", file=sys.stderr)
         return 1
-    if getattr(args, "threads", None) is None and hasattr(args, "threads"):
-        args.threads = int(os.environ.get("REMOE_LAB_THREADS", "1"))
     try:
+        if hasattr(args, "threads"):
+            args.threads = _thread_count(args.threads)
         return args.func(args)
     except UsageError as e:
         print(f"usage error: {e}", file=sys.stderr)

@@ -4,9 +4,32 @@ Deliberately independent of the package's simulator: state is a plain list of
 (expert, last_touch, admitted_at, freq) tuples and every eviction decision is
 made by a full scan. BELADY recomputes the farthest next use by searching the
 raw future request list. Used only as a test oracle on tiny traces.
+
+Below it is the package's previous simulator (per-expert timestamp state,
+per-step ``record_at`` reads), the oracle for whole-report equality.
 """
 
 from __future__ import annotations
+
+import math
+from bisect import bisect_right
+
+import numpy as np
+
+from moe_locality.bounds import SequenceBound, StepBoundRecord
+from moe_locality.cache_sim import (
+    CacheConfig,
+    FaultKind,
+    FaultScenario,
+    LayerTotals,
+    Policy,
+    SimReport,
+    StepCacheStats,
+    StepEvent,
+    _percentile_summary,
+    reroute_topk,
+)
+from moe_locality.trace import RoutingTrace, StepRecord, TraceHeader
 
 
 def ordered_unique(xs):
@@ -134,3 +157,385 @@ def naive_simulate(trace, capacity, policy, reset_each_segment):
             )
         final_resident.append(tuple(sorted(sim.resident_set())))
     return stats, events, final_resident
+
+
+# ---------------------------------------------------------------------------
+# The record_at simulator and bound-check collection, kept as a differential
+# oracle for ``moe_locality.cache_sim.simulate`` and
+# ``moe_locality.bounds._collect_step_records``. ``LayerCacheState`` keeps
+# timestamps and counters per resident expert and every victim is a ``min``
+# over the candidates; requests are read with one ``record_at`` call per
+# (step, batch item). It returns the package's own report types so whole
+# reports compare with ``==``.
+# ---------------------------------------------------------------------------
+
+
+class LayerCacheState:
+    """Resident expert set plus exactly the policy metadata for that set.
+
+    Metadata entries exist only for resident experts: eviction drops an
+    expert's counters, so an LFU frequency restarts on readmission.
+    """
+
+    def __init__(self, capacity: int, policy: Policy):
+        self.capacity = capacity
+        self.policy = policy
+        self.resident: set[int] = set()
+        self.last_touch: dict[int, int] = {}
+        self.admitted_at: dict[int, int] = {}
+        self.freq: dict[int, int] = {}
+        self._clock = 0
+
+    def reset(self) -> None:
+        self.resident.clear()
+        self.last_touch.clear()
+        self.admitted_at.clear()
+        self.freq.clear()
+
+    def _tick(self) -> int:
+        self._clock += 1
+        return self._clock
+
+    def touch(self, expert: int) -> None:
+        """Serve one distinct request: admit on miss, refresh metadata on hit."""
+        now = self._tick()
+        if expert in self.resident:
+            self.last_touch[expert] = now
+            self.freq[expert] += 1
+        else:
+            self.resident.add(expert)
+            self.last_touch[expert] = now
+            self.admitted_at[expert] = now
+            self.freq[expert] = 1
+
+    def insert_untouched(self, expert: int) -> None:
+        """Admission without a request (prefetch injection)."""
+        if expert in self.resident:
+            return
+        now = self._tick()
+        self.resident.add(expert)
+        self.last_touch[expert] = now
+        self.admitted_at[expert] = now
+        self.freq[expert] = 0
+
+    def drop(self, expert: int) -> None:
+        self.resident.discard(expert)
+        self.last_touch.pop(expert, None)
+        self.admitted_at.pop(expert, None)
+        self.freq.pop(expert, None)
+
+    def pick_victim(self, candidates, next_use=None) -> int:
+        if self.policy == Policy.LRU:
+            return min(candidates, key=lambda e: self.last_touch[e])
+        if self.policy == Policy.FIFO:
+            return min(candidates, key=lambda e: self.admitted_at[e])
+        if self.policy == Policy.LFU:
+            return min(candidates, key=lambda e: (self.freq[e], self.last_touch[e], e))
+        if self.policy == Policy.BELADY:
+            return min(candidates, key=lambda e: (-next_use(e), e))
+        raise ValueError(f"unknown policy {self.policy}")
+
+
+def _ordered_unique(items) -> list[int]:
+    seen: set[int] = set()
+    out: list[int] = []
+    for e in items:
+        if e not in seen:
+            seen.add(e)
+            out.append(e)
+    return out
+
+
+def _layer_requests(trace: RoutingTrace, layer: int) -> list[tuple[int, int, list[int], list[int]]]:
+    """Per (segment, step): (s, t, token slot list R, ordered-unique list U)."""
+    h = trace.header
+    out = []
+    for s, t in trace.iter_steps():
+        slots: list[int] = []
+        for b in range(h.batch_size):
+            slots.extend(trace.record_at(s, t, layer, b).topk_indices)
+        out.append((s, t, slots, _ordered_unique(slots)))
+    return out
+
+
+def _occurrence_index(requests, within_segment: bool) -> dict:
+    """expert -> sorted list of request ordinals, scoped per segment or globally."""
+    occ: dict = {}
+    for ordinal, (s, _t, _slots, uniq) in enumerate(requests):
+        scope = s if within_segment else None
+        for e in uniq:
+            occ.setdefault((scope, e), []).append(ordinal)
+    return occ
+
+
+def _apply_fault(state: LayerCacheState, scenario: FaultScenario, rng, n_experts: int) -> None:
+    if scenario.kind == FaultKind.INTERFERENCE:
+        for _ in range(scenario.n):
+            if not state.resident:
+                break
+            victim = int(rng.choice(sorted(state.resident)))
+            state.drop(victim)
+    elif scenario.kind == FaultKind.PREFETCH:
+        for _ in range(scenario.n):
+            outside = sorted(set(range(n_experts)) - state.resident)
+            if not outside:
+                break
+            state.insert_untouched(int(rng.choice(outside)))
+            while len(state.resident) > state.capacity:
+                state.drop(state.pick_victim(state.resident, next_use=lambda e: math.inf))
+
+
+def reference_simulate(trace: RoutingTrace, cfg: CacheConfig, record_events: bool = False) -> SimReport:
+    """The per-step ``record_at`` simulator: same contract as ``simulate``."""
+    h = trace.header
+    if cfg.reroute_beta is not None and not h.has_probs:
+        raise ValueError("rerouting requires a trace with routing distributions")
+    if cfg.reroute_beta is not None and cfg.policy == Policy.BELADY:
+        raise ValueError("BELADY needs the future request stream, which rerouting changes")
+    if cfg.scenario is not None and cfg.policy == Policy.BELADY:
+        raise ValueError("fault injection is only supported with online policies")
+
+    rng = np.random.default_rng(cfg.scenario.seed) if cfg.scenario is not None else None
+    reroute = cfg.reroute_beta is not None
+
+    layer_requests = {
+        layer: _layer_requests(trace, layer) for layer in range(h.n_moe_layers)
+    }
+    occurrences = None
+    if cfg.policy == Policy.BELADY:
+        occurrences = {
+            layer: _occurrence_index(reqs, within_segment=cfg.reset_each_segment)
+            for layer, reqs in layer_requests.items()
+        }
+
+    step_stats: list[StepCacheStats] = []
+    events: list[StepEvent] = []
+    rerouted_records: list[StepRecord] = []
+    final_resident: list[tuple[int, ...]] = []
+    cross_step_miss: dict[tuple[int, int], int] = {(s, t): 0 for s, t in trace.iter_steps()}
+
+    for layer in range(h.n_moe_layers):
+        state = LayerCacheState(cfg.capacity, cfg.policy)
+        requests = layer_requests[layer]
+        occ = occurrences[layer] if occurrences is not None else None
+        prev_unique: list[int] | None = None
+        prev_segment: int | None = None
+
+        for ordinal, (s, t, slots, uniq) in enumerate(requests):
+            if cfg.reset_each_segment and s != prev_segment:
+                state.reset()
+                prev_unique = None
+            elif cfg.scenario is not None and prev_segment is not None:
+                _apply_fault(state, cfg.scenario, rng, h.n_routed_experts)
+            prev_segment = s
+
+            if reroute:
+                slots = []
+                for b in range(h.batch_size):
+                    rec = trace.record_at(s, t, layer, b)
+                    new_topk = reroute_topk(
+                        rec.probs, state.resident, cfg.reroute_beta, h.top_k
+                    )
+                    slots.extend(new_topk)
+                    rerouted_records.append(
+                        StepRecord(s, t, layer, b, new_topk, rec.probs)
+                    )
+                uniq = _ordered_unique(slots)
+
+            resident_before = state.resident.copy()
+
+            # Serve-and-admit guarantee: absent injected faults, the previous
+            # step's distinct request set must still be resident whenever it
+            # fits (the operational form of the proof's residency lemma).
+            if (
+                cfg.scenario is None
+                and prev_unique is not None
+                and cfg.capacity >= len(prev_unique)
+                and not set(prev_unique) <= resident_before
+            ):
+                raise RuntimeError(
+                    f"admission property violated at layer {layer}, step ({s},{t})"
+                )
+
+            token_hits = sum(1 for e in slots if e in resident_before)
+            unique_hits = sum(1 for e in uniq if e in resident_before)
+            fetched = tuple(e for e in uniq if e not in resident_before)
+
+            for e in uniq:
+                state.touch(e)
+
+            if cfg.policy == Policy.BELADY:
+                scope = s if cfg.reset_each_segment else None
+
+                def next_use(e, _scope=scope, _ordinal=ordinal):
+                    positions = occ.get((_scope, e))
+                    if positions is None:
+                        return math.inf
+                    i = bisect_right(positions, _ordinal)
+                    return positions[i] if i < len(positions) else math.inf
+
+            else:
+                next_use = None
+
+            evicted: list[int] = []
+            uniq_set = set(uniq)
+            surplus_cursor = 0
+            while len(state.resident) > cfg.capacity:
+                candidates = state.resident - uniq_set
+                if candidates:
+                    victim = state.pick_victim(candidates, next_use=next_use)
+                else:
+                    # C < |U|: shed the step's own experts in request order.
+                    victim = uniq[surplus_cursor]
+                    surplus_cursor += 1
+                state.drop(victim)
+                evicted.append(victim)
+
+            step_stats.append(
+                StepCacheStats(
+                    segment=s,
+                    step=t,
+                    layer=layer,
+                    unique_hits=unique_hits,
+                    unique_total=len(uniq),
+                    token_hits=token_hits,
+                    token_total=len(slots),
+                )
+            )
+            cross_step_miss[(s, t)] += len(uniq) - unique_hits
+            if record_events:
+                events.append(
+                    StepEvent(
+                        segment=s,
+                        step=t,
+                        layer=layer,
+                        resident_before=tuple(sorted(resident_before)),
+                        request_unique=tuple(uniq),
+                        fetched=fetched,
+                        evicted=tuple(evicted),
+                    )
+                )
+            prev_unique = uniq
+
+        final_resident.append(tuple(sorted(state.resident)))
+
+    per_layer = []
+    for layer in range(h.n_moe_layers):
+        stats = [st for st in step_stats if st.layer == layer]
+        per_layer.append(
+            LayerTotals(
+                layer=layer,
+                unique_hits=sum(st.unique_hits for st in stats),
+                unique_total=sum(st.unique_total for st in stats),
+                token_hits=sum(st.token_hits for st in stats),
+                token_total=sum(st.token_total for st in stats),
+            )
+        )
+    overall = LayerTotals(
+        layer=None,
+        unique_hits=sum(lt.unique_hits for lt in per_layer),
+        unique_total=sum(lt.unique_total for lt in per_layer),
+        token_hits=sum(lt.token_hits for lt in per_layer),
+        token_total=sum(lt.token_total for lt in per_layer),
+    )
+    miss_series = tuple(cross_step_miss[(s, t)] for s, t in trace.iter_steps())
+
+    rerouted_trace = None
+    if reroute:
+        rerouted_header = TraceHeader(
+            n_moe_layers=h.n_moe_layers,
+            n_routed_experts=h.n_routed_experts,
+            top_k=h.top_k,
+            batch_size=h.batch_size,
+            has_probs=False,
+        )
+        rerouted_trace = RoutingTrace.from_records(
+            rerouted_header,
+            [StepRecord(r.segment_id, r.step_index, r.layer_id, r.batch_index, r.topk_indices)
+             for r in rerouted_records],
+        )
+
+    return SimReport(
+        config=cfg,
+        per_layer=tuple(per_layer),
+        overall=overall,
+        step_stats=tuple(step_stats),
+        step_unique_miss_series=miss_series,
+        miss_percentiles=_percentile_summary(miss_series),
+        final_resident=tuple(final_resident),
+        events=tuple(events),
+        rerouted_trace=rerouted_trace,
+    )
+
+
+def reference_collect_step_records(
+    trace: RoutingTrace, cfg: CacheConfig, working_set: bool
+) -> tuple[list[StepBoundRecord], list[SequenceBound]]:
+    """Per-step fetch counts vs. bounds for one B=1 trace under ``cfg``."""
+    k = trace.header.top_k
+    report = reference_simulate(trace, cfg, record_events=True)
+    by_key = {(ev.layer, ev.segment, ev.step): ev for ev in report.events}
+    fetch = {
+        (st.layer, st.segment, st.step): st.unique_misses for st in report.step_stats
+    }
+
+    step_records: list[StepBoundRecord] = []
+    seq_records: list[SequenceBound] = []
+    for layer in range(trace.header.n_moe_layers):
+        for segment, length in enumerate(trace.segment_lengths):
+            sets = [
+                trace.record_at(segment, t, layer, 0).expert_set for t in range(length)
+            ]
+            total_fetch = 0
+            total_bound = 0
+            for t in range(1, length):
+                # Exact integer form of K * (1 - IR_t).
+                bound = k - len(sets[t] & sets[t - 1])
+                n_fetch = fetch[(layer, segment, t)]
+                violated = n_fetch > bound
+                ws_horizon = ws_bound = ws_violated = None
+                if working_set:
+                    union: set[int] = set()
+                    horizon = 0
+                    for back in range(1, t + 1):
+                        candidate = union | sets[t - back]
+                        if len(candidate) > cfg.capacity:
+                            break
+                        union = candidate
+                        horizon = back
+                    ws_horizon = horizon
+                    ws_bound = k - len(sets[t] & union)
+                    ws_violated = n_fetch > ws_bound
+                flagged = violated or bool(ws_violated)
+                step_records.append(
+                    StepBoundRecord(
+                        layer=layer,
+                        batch=0,
+                        segment=segment,
+                        step=t,
+                        n_fetch=n_fetch,
+                        overlap_bound=bound,
+                        violated=violated,
+                        ws_horizon=ws_horizon,
+                        ws_bound=ws_bound,
+                        ws_violated=ws_violated,
+                        resident_before=(
+                            by_key[(layer, segment, t)].resident_before if flagged else None
+                        ),
+                    )
+                )
+                total_fetch += n_fetch
+                total_bound += bound
+            if length >= 2:
+                seq_records.append(
+                    SequenceBound(
+                        layer=layer,
+                        batch=0,
+                        segment=segment,
+                        total_fetch=total_fetch,
+                        total_bound=total_bound,
+                        n_steps=length - 1,
+                        violated=total_fetch > total_bound,
+                    )
+                )
+    return step_records, seq_records

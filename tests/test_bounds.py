@@ -1,14 +1,19 @@
-import pytest
+from unittest import mock
 
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from moe_locality import bounds
 from moe_locality.bounds import (
     check_step_bound,
     check_working_set_bound,
     run_campaign,
     run_counterexamples,
 )
-from moe_locality.cache_sim import CacheConfig, Policy, simulate
+from moe_locality.cache_sim import CacheConfig, FaultKind, FaultScenario, Policy, simulate
 from moe_locality.trace import SynthConfig, TraceHeader, synth_trace
 
+from reference_sim import reference_collect_step_records
 from test_trace import make_trace
 
 
@@ -148,3 +153,53 @@ class TestAdmissionProperty:
             per_step[key] = per_step.get(key, 0) + st_.unique_misses
         for i, (s, t) in enumerate(trace.iter_steps()):
             assert report.step_unique_miss_series[i] == per_step[(s, t)]
+
+
+def with_reference_collection(fn, *args):
+    """``fn(*args)`` with the bound checks collecting their records through
+    the reference simulator instead of the package's."""
+    with mock.patch.object(bounds, "_collect_step_records", reference_collect_step_records):
+        return fn(*args)
+
+
+bound_trace_configs = st.builds(
+    SynthConfig,
+    n_moe_layers=st.integers(1, 2),
+    n_routed_experts=st.integers(6, 14),
+    top_k=st.integers(1, 4),
+    batch_size=st.integers(1, 2),
+    n_segments=st.integers(1, 3),
+    steps_per_segment=st.integers(1, 12),
+    stickiness=st.floats(0.0, 1.0),
+    seed=st.integers(0, 2**31),
+)
+
+
+class TestReferenceEquivalence:
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(cfg=bound_trace_configs, extra=st.integers(0, 5), working_set=st.booleans())
+    def test_bound_report_matches_reference(self, cfg, extra, working_set):
+        trace = synth_trace(cfg)
+        check = check_working_set_bound if working_set else check_step_bound
+        capacity = cfg.top_k + extra
+        assert check(trace, capacity) == with_reference_collection(check, trace, capacity)
+
+    @settings(max_examples=80, deadline=None, derandomize=True)
+    @given(
+        cfg=bound_trace_configs.map(lambda c: SynthConfig(**{**vars(c), "batch_size": 1})),
+        capacity=st.integers(1, 8),
+        scenario=st.builds(FaultScenario, kind=st.sampled_from(list(FaultKind)),
+                           n=st.integers(1, 2), seed=st.integers(0, 99)),
+        working_set=st.booleans(),
+    )
+    def test_faulted_records_match_reference(self, cfg, capacity, scenario, working_set):
+        # Faults and C < K produce flagged steps, whose resident sets come
+        # from the second, event-recording simulation.
+        trace = synth_trace(cfg)
+        sim_cfg = CacheConfig(capacity, Policy.LRU, reset_each_segment=True, scenario=scenario)
+        assert bounds._collect_step_records(
+            trace, sim_cfg, working_set
+        ) == reference_collect_step_records(trace, sim_cfg, working_set)
+
+    def test_counterexamples_match_reference(self):
+        assert run_counterexamples() == with_reference_collection(run_counterexamples)

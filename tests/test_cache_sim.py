@@ -7,19 +7,22 @@ from hypothesis import given, settings, strategies as st
 
 from moe_locality.cache_sim import (
     CacheConfig,
+    FaultKind,
+    FaultScenario,
     IoModel,
     Policy,
     estimate_tpot,
     percentile,
     reroute_topk,
-    _layer_requests,
+    _layer_columns,
     _occurrence_index,
+    _step_requests,
     simulate,
 )
 from moe_locality.metrics import eor
 from moe_locality.trace import RoutingTrace, StepRecord, SynthConfig, TraceHeader, synth_trace
 
-from reference_sim import naive_simulate
+from reference_sim import naive_simulate, reference_simulate
 from test_trace import make_trace
 
 
@@ -97,14 +100,15 @@ def next_use_table(trace, layer, within_segment=True):
     """(segment, step, expert) -> the step of that expert's next request, read
     from the occurrence index that Belady's victim choice searches (inf when
     the expert is not requested again in the same scope)."""
-    requests = _layer_requests(trace, layer)
-    occ = _occurrence_index(requests, within_segment)
+    steps = list(trace.iter_steps())
+    requests = _step_requests(_layer_columns(trace, layer, steps))
+    occ = _occurrence_index(steps, requests, within_segment)
     table = {}
-    for ordinal, (s, t, _slots, uniq) in enumerate(requests):
+    for ordinal, ((s, t), (_slots, uniq)) in enumerate(zip(steps, requests)):
         for e in uniq:
             positions = occ[(s if within_segment else None, e)]
             i = bisect_right(positions, ordinal)
-            table[(s, t, e)] = requests[positions[i]][1] if i < len(positions) else math.inf
+            table[(s, t, e)] = steps[positions[i]][1] if i < len(positions) else math.inf
     return table
 
 
@@ -188,6 +192,12 @@ class TestTpot:
         with pytest.raises(ValueError, match="positive"):
             IoModel(1e6, -1.0, 5.0)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_rejects_non_finite_io_model(self, bad):
+        for fields in ((bad, 4.0, 5.0), (1e6, bad, 5.0), (1e6, 4.0, bad)):
+            with pytest.raises(ValueError, match="finite"):
+                IoModel(*fields)
+
 
 class TestReroute:
     def test_beta_zero_is_plain_topk(self):
@@ -233,6 +243,13 @@ class TestReroute:
         )
         report = simulate(trace, lru(4, reroute_beta=4.0))
         assert eor(report.rerouted_trace).overall > eor(trace).overall
+
+    @pytest.mark.parametrize("beta", [math.nan, math.inf, -1.0])
+    def test_rejects_bad_beta(self, beta):
+        with pytest.raises(ValueError, match="finite"):
+            lru(4, reroute_beta=beta)
+        with pytest.raises(ValueError, match="finite"):
+            reroute_topk([0.4, 0.3, 0.2, 0.1], {3}, beta, 2)
 
     def test_reroute_without_probs_rejected(self):
         trace = synth_trace(SynthConfig(seed=2, emit_probs=False))
@@ -306,6 +323,24 @@ class TestPolicies:
         # expert 0 is requested every step (freq 2, 3); 1 then 2 get evicted.
         assert report.events[1].evicted == (1,)
         assert report.events[2].evicted == (2,)
+
+
+class TestDensity:
+    def test_missing_record_raises_key_error(self):
+        header = TraceHeader(2, 8, 2, 1)
+        rows = [(0, t, layer, 0, (0, 1)) for t in range(3) for layer in range(2)]
+        del rows[2]  # (s=0, t=1, layer 0)
+        with pytest.raises(KeyError, match="not dense"):
+            simulate(make_trace(header, rows), lru(4))
+
+    def test_mis_keyed_record_raises_key_error(self):
+        # As many records as a dense trace, but step 1 of layer 0 appears twice
+        # and step 2 not at all.
+        header = TraceHeader(1, 8, 2, 2)
+        rows = [(0, t, 0, b, (0, 1)) for t in (0, 1, 1) for b in range(2)]
+        rows[-2:] = [(0, 1, 0, 0, (2, 3)), (0, 2, 0, 1, (2, 3))]
+        with pytest.raises(KeyError, match="not dense"):
+            simulate(make_trace(header, rows), lru(4))
 
 
 class TestNaiveReferenceEquivalence:
@@ -384,3 +419,48 @@ def test_accounting_identities(cfg, capacity, policy, reset):
         assert st_.token_hits >= st_.unique_hits
     assert sum(report.step_unique_miss_series) == report.overall.unique_misses
     assert report.overall.unique_misses == sum(lt.unique_misses for lt in report.per_layer)
+
+
+@st.composite
+def sim_cases(draw):
+    """A tiny trace and a cache config over every policy, resets on and off,
+    C < |U| through C > N, multi-batch steps, both fault injections and
+    rerouting (each where ``simulate`` accepts it), events on and off."""
+    cfg = draw(st.builds(
+        SynthConfig,
+        n_moe_layers=st.integers(1, 3),
+        n_routed_experts=st.integers(4, 12),
+        top_k=st.integers(1, 4),
+        batch_size=st.integers(1, 3),
+        n_segments=st.integers(1, 3),
+        steps_per_segment=st.integers(1, 8),
+        stickiness=st.floats(0.0, 1.0),
+        seed=st.integers(0, 2**31),
+        emit_probs=st.booleans(),
+    ))
+    policy = draw(st.sampled_from(list(Policy)))
+    online = policy != Policy.BELADY
+    scenario = beta = None
+    if online:
+        scenario = draw(st.none() | st.builds(
+            FaultScenario, kind=st.sampled_from(list(FaultKind)), n=st.integers(1, 3),
+            seed=st.integers(0, 99),
+        ))
+        if cfg.emit_probs:
+            beta = draw(st.none() | st.floats(0.0, 10.0))
+    cache = CacheConfig(
+        capacity=draw(st.integers(1, 13)), policy=policy,
+        reset_each_segment=draw(st.booleans()), reroute_beta=beta, scenario=scenario,
+    )
+    return synth_trace(cfg), cache, draw(st.booleans())
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(case=sim_cases())
+def test_simulate_matches_reference_report(case):
+    # The whole report: stats, totals, percentiles, final sets, events and
+    # the rerouted trace.
+    trace, cache, record_events = case
+    assert simulate(trace, cache, record_events) == reference_simulate(
+        trace, cache, record_events
+    )

@@ -6,7 +6,7 @@ import sys
 
 import pytest
 
-from moe_locality.cli import dispatch
+from moe_locality.cli import _json_bytes, dispatch
 from moe_locality.trace import load_trace, validate_trace
 
 
@@ -187,6 +187,57 @@ class TestSimulateCli:
         assert run("simulate", "--trace", str(trace_path), "--capacity", "4",
                    "--beta", "1.0", "--out", str(tmp_path / "x.csv")) == 2
 
+    def test_reroute_summary_line_and_json_eors_agree(self, probs_trace_path, tmp_path,
+                                                      capsys):
+        out = tmp_path / "sim.json"
+        assert run("simulate", "--trace", str(probs_trace_path), "--capacity", "4",
+                   "--beta", "2.0", "--out", str(out)) == 0
+        payload = json.loads(out.read_text())
+        summary = capsys.readouterr().out
+        assert f" eor={payload['original_eor']:.4f}" in summary
+        assert f" rerouted_eor={payload['rerouted_eor']:.4f}" in summary
+
+    def test_nan_compute_ms_is_data_error(self, trace_path, tmp_path, capsys):
+        out = tmp_path / "s.json"
+        assert run("simulate", "--trace", str(trace_path), "--capacity", "4",
+                   "--expert-bytes", "1e6", "--bandwidth-gbps", "4", "--compute-ms", "nan",
+                   "--out", str(out)) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("data error:") and "compute_ms" in err
+        assert not out.exists()
+
+    def test_inf_expert_bytes_is_data_error(self, trace_path, tmp_path, capsys):
+        out = tmp_path / "s.csv"
+        assert run("simulate", "--trace", str(trace_path), "--capacity", "4",
+                   "--expert-bytes", "inf", "--bandwidth-gbps", "4", "--compute-ms", "5",
+                   "--out", str(out)) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("data error:") and "expert_bytes" in err
+        assert not out.exists() and not (tmp_path / "s_steps.csv").exists()
+
+    def test_overflowing_io_model_is_data_error(self, trace_path, tmp_path, capsys):
+        out = tmp_path / "s.csv"
+        assert run("simulate", "--trace", str(trace_path), "--capacity", "4",
+                   "--expert-bytes", "1e308", "--bandwidth-gbps", "1e-300",
+                   "--compute-ms", "5", "--out", str(out)) == 2
+        assert "not finite" in capsys.readouterr().err
+        assert not out.exists() and not (tmp_path / "s_steps.csv").exists()
+
+    def test_nan_beta_is_data_error(self, probs_trace_path, tmp_path, capsys):
+        out = tmp_path / "s.csv"
+        assert run("simulate", "--trace", str(probs_trace_path), "--capacity", "4",
+                   "--beta", "nan", "--out", str(out)) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("data error:") and "reroute_beta" in err
+        assert not out.exists()
+
+
+def test_json_reports_are_strict():
+    assert _json_bytes({"x": 1.5}) == b'{\n  "x": 1.5\n}\n'
+    for bad in (float("nan"), float("inf")):
+        with pytest.raises(ValueError):
+            _json_bytes({"x": bad})
+
 
 class TestBoundCheckCli:
     def test_trace_mode_clean(self, trace_path, tmp_path):
@@ -355,6 +406,25 @@ class TestDispatch:
         out = tmp_path / "c.json"
         assert run("bound-check", "--campaign", "6", "--out", str(out)) == 0
         assert json.loads(out.read_text())["violations"] == 0
+
+    @pytest.mark.parametrize("value", ["two", "0", "-1", ""])
+    def test_bad_threads_env_is_usage_error(self, monkeypatch, tmp_path, capsys, value):
+        monkeypatch.setenv("REMOE_LAB_THREADS", value)
+        out = tmp_path / "c.json"
+        assert run("bound-check", "--campaign", "3", "--out", str(out)) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("usage error:") and "REMOE_LAB_THREADS" in err
+        assert not out.exists()
+
+    def test_threads_flag_below_one_is_usage_error(self, tmp_path, capsys):
+        assert run("bound-check", "--campaign", "3", "--threads", "0",
+                   "--out", str(tmp_path / "c.json")) == 1
+        assert "--threads" in capsys.readouterr().err
+
+    def test_threads_flag_overrides_bad_env(self, monkeypatch, tmp_path):
+        monkeypatch.setenv("REMOE_LAB_THREADS", "two")
+        assert run("bound-check", "--campaign", "3", "--threads", "2",
+                   "--out", str(tmp_path / "c.json")) == 0
 
     def test_subcommands_never_mutate_the_trace(self, probs_trace_path, tmp_path):
         before = probs_trace_path.read_bytes()
