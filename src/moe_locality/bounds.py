@@ -28,14 +28,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .cache_sim import CacheConfig, FaultKind, FaultScenario, Policy, simulate
-from .trace import (
-    RoutingTrace,
-    StepRecord,
-    SynthConfig,
-    TraceHeader,
-    slice_batch,
-    synth_trace,
-)
+from .trace import RoutingTrace, StepRecord, SynthConfig, TraceHeader, synth_trace
 
 __all__ = [
     "FaultKind",
@@ -106,9 +99,10 @@ def _require(cond: bool, message: str) -> None:
 
 
 def _collect_step_records(
-    trace: RoutingTrace, cfg: CacheConfig, working_set: bool
+    trace: RoutingTrace, cfg: CacheConfig, working_set: bool, batch: int = 0
 ) -> tuple[list[StepBoundRecord], list[SequenceBound]]:
-    """Per-step fetch counts vs. bounds for one B=1 trace under ``cfg``.
+    """Per-step fetch counts vs. bounds for one B=1 trace under ``cfg``; the
+    records carry ``batch``, the slot the trace was taken from.
 
     Fetch counts are read from ``step_stats`` by position (layer-major, steps
     in trace order). The resident set before a flagged step comes from a
@@ -156,7 +150,7 @@ def _collect_step_records(
                 step_records.append(
                     StepBoundRecord(
                         layer=layer,
-                        batch=0,
+                        batch=batch,
                         segment=segment,
                         step=t,
                         n_fetch=n_fetch,
@@ -173,7 +167,7 @@ def _collect_step_records(
                 seq_records.append(
                     SequenceBound(
                         layer=layer,
-                        batch=0,
+                        batch=batch,
                         segment=segment,
                         total_fetch=total_fetch,
                         total_bound=total_bound,
@@ -191,6 +185,29 @@ def _collect_step_records(
     return step_records, seq_records
 
 
+def _batch_trace(trace: RoutingTrace, batch: int) -> RoutingTrace:
+    """Batch slot ``batch`` of a dense sorted trace as a standalone B=1 trace.
+
+    The slot's records are ``records[batch::B]``; a record of another slot
+    among them means the trace is not dense (a key missing or repeated), so
+    it raises KeyError rather than check one slot's routing as another's.
+    """
+    h = trace.header
+    if h.batch_size == 1:
+        return trace
+    records = trace.records[batch :: h.batch_size]
+    if any(rec.batch_index != batch for rec in records):
+        raise KeyError(f"trace is not dense in batch slot {batch}")
+    return RoutingTrace(
+        header=replace(h, batch_size=1),
+        records=tuple(
+            StepRecord(r.segment_id, r.step_index, r.layer_id, 0, r.topk_indices, r.probs)
+            for r in records
+        ),
+        segment_lengths=trace.segment_lengths,
+    )
+
+
 def _check(trace: RoutingTrace, capacity: int, working_set: bool) -> BoundReport:
     k = trace.header.top_k
     _require(capacity >= k, f"bound checks require C >= K (got C={capacity}, K={k})")
@@ -198,11 +215,7 @@ def _check(trace: RoutingTrace, capacity: int, working_set: bool) -> BoundReport
     step_records: list[StepBoundRecord] = []
     seq_records: list[SequenceBound] = []
     for b in range(trace.header.batch_size):
-        sub = slice_batch(trace, b) if trace.header.batch_size > 1 else trace
-        steps, seqs = _collect_step_records(sub, cfg, working_set)
-        if trace.header.batch_size > 1:
-            steps = [replace(r, batch=b) for r in steps]
-            seqs = [replace(r, batch=b) for r in seqs]
+        steps, seqs = _collect_step_records(_batch_trace(trace, b), cfg, working_set, b)
         step_records.extend(steps)
         seq_records.extend(seqs)
     if working_set:

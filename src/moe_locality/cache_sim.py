@@ -31,7 +31,8 @@ from itertools import count, filterfalse, islice
 
 import numpy as np
 
-from .trace import RoutingTrace, StepRecord, TraceHeader, topk_of_probs
+from .gate import topk
+from .trace import RoutingTrace, StepRecord, TraceHeader
 
 REROUTE_EPS = 1e-12
 
@@ -224,7 +225,7 @@ def reroute_topk(probs, resident, beta: float, k: int) -> tuple[int, ...]:
     scores = np.log(p + REROUTE_EPS)
     for e in resident:
         scores[e] += beta
-    return topk_of_probs(scores, k)
+    return topk(scores, k)
 
 
 # ---------------------------------------------------------------------------

@@ -304,6 +304,11 @@ def _cmd_simulate(args) -> int:
     return 0
 
 
+def _require_at_least(flag: str, value: int, low: int) -> None:
+    if value < low:
+        raise UsageError(f"{flag} must be an integer >= {low}, got {value}")
+
+
 def _emit_bound_report(out, payload, config: dict, inputs: list[str], seed,
                        started: float) -> None:
     """Print a bound-check report to stdout when ``out`` is absent or "-";
@@ -318,6 +323,7 @@ def _emit_bound_report(out, payload, config: dict, inputs: list[str], seed,
 
 def _cmd_bound_check(args) -> int:
     started = time.monotonic()
+    _require_at_least("--threads", args.threads, 1)
     if args.counterexamples:
         results = run_counterexamples()
         payload = {
@@ -375,7 +381,12 @@ def _cmd_bound_check(args) -> int:
 
 
 def _cmd_router(args) -> int:
+    _require_at_least("--trials", args.trials, 1)
+    _require_at_least("--experts", args.experts, 2)
     if args.check == "stability":
+        if not 1 <= args.top_k < args.experts:
+            raise UsageError(f"--top-k must be in [1, {args.experts}) for "
+                             f"--experts {args.experts}, got {args.top_k}")
         summary = stability_campaign(args.trials, args.experts, args.top_k, seed=args.seed)
     else:
         summary = pinsker_campaign(args.trials, args.experts, seed=args.seed)
@@ -615,7 +626,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--campaign", type=int, default=None,
                    help="run N randomized synthetic traces instead of --trace")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--threads", type=int, default=None)
+    p.add_argument("--threads", type=int, default=1)
     p.add_argument("--counterexamples", action="store_true")
     p.add_argument("--out")
     p.set_defaults(func=_cmd_bound_check)
@@ -650,21 +661,6 @@ def _build_parser() -> _Parser:
     return parser
 
 
-def _thread_count(flag: int | None) -> int:
-    """``--threads``, else the ``REMOE_LAB_THREADS`` env var, else 1; at least 1."""
-    if flag is not None:
-        source, value = "--threads", flag
-    else:
-        source, raw = "REMOE_LAB_THREADS", os.environ.get("REMOE_LAB_THREADS", "1")
-        try:
-            value = int(raw)
-        except ValueError:
-            raise UsageError(f"{source} must be an integer >= 1, got {raw!r}") from None
-    if value < 1:
-        raise UsageError(f"{source} must be an integer >= 1, got {value}")
-    return value
-
-
 def dispatch(argv: list[str]) -> int:
     parser = _build_parser()
     try:
@@ -673,8 +669,6 @@ def dispatch(argv: list[str]) -> int:
         print(f"usage error: {e}", file=sys.stderr)
         return 1
     try:
-        if hasattr(args, "threads"):
-            args.threads = _thread_count(args.threads)
         return args.func(args)
     except UsageError as e:
         print(f"usage error: {e}", file=sys.stderr)

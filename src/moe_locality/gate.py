@@ -3,7 +3,8 @@ distribution-stability checks (probability margin, Pinsker bound).
 
 All probability math runs in float64 with max-subtracted softmax. Ties in
 Top-K selection break toward the lowest expert index; that rule is global to
-the package so traces and tests are reproducible.
+the package so traces and tests are reproducible. :func:`topk_rows` is the
+rule's one definition and :func:`kl_div` the package's one KL divergence.
 """
 
 from __future__ import annotations
@@ -24,7 +25,9 @@ __all__ = [
     "softmax",
     "log_softmax",
     "gate_forward",
+    "topk_rows",
     "topk",
+    "kl_div",
     "probability_margin",
     "stability_check",
     "pinsker_check",
@@ -53,24 +56,42 @@ def gate_forward(h: np.ndarray, theta: np.ndarray) -> np.ndarray:
     return softmax(np.asarray(h, dtype=float) @ np.asarray(theta, dtype=float))
 
 
+def topk_rows(p_rows: np.ndarray, k: int) -> np.ndarray:
+    """Top-K index array along the last axis, descending, ties to the lowest index.
+
+    The package's one statement of the tie rule: every Top-K set (trace
+    validation, rerouting, the reuse term, EOR) is read from here.
+    """
+    return np.argsort(-p_rows, axis=-1, kind="stable")[..., :k]
+
+
 def topk(p, k: int) -> tuple[int, ...]:
-    """The k highest-probability expert indices, descending, ties to lowest index."""
+    """The k highest-probability expert indices of one distribution, as a tuple."""
     p = np.asarray(p, dtype=float)
+    if k < 1:
+        raise ValueError(f"K={k} must be >= 1")
     if k > p.size:
         raise ValueError(f"K={k} exceeds the number of experts {p.size}")
-    order = np.argsort(-p, kind="stable")
-    return tuple(int(i) for i in order[:k])
+    return tuple(topk_rows(p, k).tolist())
+
+
+def kl_div(p, q, eps: float = KL_EPS) -> float:
+    """KL(P || Q) with Q clamped below by eps; >= 0 up to clamping."""
+    p = np.asarray(p, dtype=float)
+    q = np.maximum(np.asarray(q, dtype=float), eps)
+    mask = p > 0
+    return float(np.sum(p[mask] * (np.log(p[mask]) - np.log(q[mask]))))
 
 
 def probability_margin(q, k: int) -> float:
     """Gap between the K-th and (K+1)-th largest probabilities of q.
 
-    Zero exactly at a Top-K boundary tie; requires K < N_r so the (K+1)-th
-    entry exists.
+    Zero exactly at a Top-K boundary tie; requires 1 <= K < N_r so the K-th
+    and (K+1)-th entries exist.
     """
     q = np.asarray(q, dtype=float)
-    if k >= q.size:
-        raise ValueError(f"margin needs K < N_r, got K={k}, N_r={q.size}")
+    if not 1 <= k < q.size:
+        raise ValueError(f"margin needs 1 <= K < N_r, got K={k}, N_r={q.size}")
     desc = np.sort(q)[::-1]
     return float(desc[k - 1] - desc[k])
 
@@ -115,9 +136,7 @@ def pinsker_check(p, q, tol: float = 1e-9) -> PinskerResult:
     p = np.asarray(p, dtype=float)
     q = np.asarray(q, dtype=float)
     l1 = float(np.abs(p - q).sum())
-    q_safe = np.maximum(q, KL_EPS)
-    mask = p > 0
-    kl = float(np.sum(p[mask] * (np.log(p[mask]) - np.log(q_safe[mask]))))
+    kl = kl_div(p, q)
     bound = float(np.sqrt(max(2.0 * kl, 0.0)))
     return PinskerResult(l1_distance=l1, kl_bound=bound, holds=l1 <= bound + tol)
 

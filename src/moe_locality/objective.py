@@ -35,7 +35,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .gate import KL_EPS, log_softmax
+from .gate import KL_EPS, log_softmax, topk_rows
 
 REUSE_EPS = 1e-8
 _LOG_CLAMP = math.log(KL_EPS)
@@ -47,17 +47,6 @@ __all__ = [
     "McReuseResult",
     "alpha_schedule",
     "routing_distributions",
-    "topk_rows",
-    "sets_from_rows",
-    "entropy",
-    "kl_div",
-    "sym_kl",
-    "trust_loss",
-    "reuse_mass",
-    "reuse_loss",
-    "smooth_loss",
-    "lag_loss",
-    "ws_loss",
     "total_objective",
     "grad_total",
     "value_and_grad",
@@ -133,125 +122,6 @@ def alpha_schedule(step: int, warm_steps: int) -> float:
 def routing_distributions(theta, hiddens) -> np.ndarray:
     """Row-wise softmax(h_t @ theta)."""
     return np.exp(log_softmax(np.asarray(hiddens, dtype=float) @ np.asarray(theta, dtype=float)))
-
-
-def topk_rows(p_rows: np.ndarray, k: int) -> np.ndarray:
-    """Row-wise Top-K index matrix under the global tie rule (lowest index)."""
-    return np.argsort(-p_rows, axis=1, kind="stable")[:, :k]
-
-
-def sets_from_rows(p_rows: np.ndarray, k: int) -> list[tuple[int, ...]]:
-    return [tuple(int(i) for i in row) for row in topk_rows(np.asarray(p_rows, float), k)]
-
-
-# ---------------------------------------------------------------------------
-# Individual terms (reference API; total_objective uses the fused path below)
-# ---------------------------------------------------------------------------
-
-
-def entropy(p) -> float:
-    p = np.asarray(p, dtype=float)
-    nz = p[p > 0]
-    return -float(np.sum(nz * np.log(nz)))
-
-
-def kl_div(p, q, eps: float = KL_EPS) -> float:
-    """KL(P || Q) with Q clamped below by eps; >= 0 up to clamping."""
-    p = np.asarray(p, dtype=float)
-    q = np.maximum(np.asarray(q, dtype=float), eps)
-    mask = p > 0
-    return float(np.sum(p[mask] * (np.log(p[mask]) - np.log(q[mask]))))
-
-
-def sym_kl(p, q) -> float:
-    return 0.5 * (kl_div(p, q) + kl_div(q, p))
-
-
-def trust_loss(p_seq, pref_seq) -> float:
-    p_seq = np.asarray(p_seq, dtype=float)
-    pref_seq = np.asarray(pref_seq, dtype=float)
-    if p_seq.shape != pref_seq.shape:
-        raise ValueError(f"shape mismatch: {p_seq.shape} vs {pref_seq.shape}")
-    return float(np.mean([kl_div(p, q) for p, q in zip(p_seq, pref_seq)]))
-
-
-def reuse_mass(p, prev_set, k: int) -> float:
-    """Probability mass on the previous step's routed set, scaled by 1/K.
-
-    Bounded by 1/K since the set covers K entries of a distribution.
-    """
-    prev = tuple(prev_set)
-    if len(set(prev)) != k:
-        raise ValueError(f"prev_set must contain K={k} distinct experts")
-    p = np.asarray(p, dtype=float)
-    return float(p[list(prev)].sum() / k)
-
-
-def reuse_loss(p_seq, e_seq, eps: float = REUSE_EPS) -> tuple[float, float]:
-    """Sequence-level reuse score rho and its stabilized negative log.
-
-    ``e_seq`` are the per-step routed sets; step t is scored against
-    e_seq[t-1], so only steps 2..T contribute.
-    """
-    p_seq = np.asarray(p_seq, dtype=float)
-    t_len = len(p_seq)
-    if t_len < 2:
-        raise ValueError("reuse needs a sequence of length >= 2")
-    if len(e_seq) != t_len:
-        raise ValueError("e_seq must align with p_seq")
-    k = len(tuple(e_seq[0]))
-    masses = [reuse_mass(p_seq[t], e_seq[t - 1], k) for t in range(1, t_len)]
-    rho = float(np.mean(masses))
-    return rho, -math.log(rho + eps)
-
-
-def smooth_loss(p_seq) -> float:
-    p_seq = np.asarray(p_seq, dtype=float)
-    if len(p_seq) < 2:
-        raise ValueError("smoothness needs a sequence of length >= 2")
-    return float(np.mean([sym_kl(p_seq[t], p_seq[t - 1]) for t in range(1, len(p_seq))]))
-
-
-def lag_loss(p_seq, lags, normalize_valid: bool = False) -> float:
-    p_seq = np.asarray(p_seq, dtype=float)
-    t_len = len(p_seq)
-    if t_len < 2:
-        raise ValueError("lag loss needs a sequence of length >= 2")
-    lags = tuple(lags)
-    if not lags:
-        raise ValueError("empty lag set")
-    total = 0.0
-    for t in range(1, t_len):
-        in_range = [d for d in lags if t - d >= 0]
-        if not in_range:
-            continue
-        denom = len(in_range) if normalize_valid else len(lags)
-        total += sum(sym_kl(p_seq[t], p_seq[t - d]) for d in in_range) / denom
-    return total / (t_len - 1)
-
-
-def ws_loss(p_seq, window: int, include_partial: bool = False) -> float:
-    """Mean entropy of window-averaged distributions.
-
-    Fewer rows than one window yields 0 by convention. With
-    ``include_partial`` the trailing remainder of r rows joins with weight
-    r / window.
-    """
-    if window < 1:
-        raise ValueError("window must be >= 1")
-    p_seq = np.asarray(p_seq, dtype=float)
-    t_len = len(p_seq)
-    n = t_len // window
-    terms: list[tuple[float, float]] = [
-        (1.0, entropy(p_seq[b * window : (b + 1) * window].mean(axis=0))) for b in range(n)
-    ]
-    rem = t_len - n * window
-    if include_partial and rem > 0:
-        terms.append((rem / window, entropy(p_seq[n * window :].mean(axis=0))))
-    denom = sum(wgt for wgt, _ in terms)
-    if denom == 0:
-        return 0.0
-    return sum(wgt * h for wgt, h in terms) / denom
 
 
 # ---------------------------------------------------------------------------
@@ -486,7 +356,7 @@ def mc_reuse_expectation(p, prev_set, k: int, n_samples: int, seed: int = 0) -> 
     reused = np.isin(draws, prev).sum(axis=1)
 
     q = float(p[prev].sum())
-    expected = k * q  # equals K^2 * reuse_mass
+    expected = k * q  # equals K^2 times the reuse mass
     estimate = float(reused.mean())
     stderr = math.sqrt(k * q * (1.0 - q) / n_samples)
     if stderr > 0:

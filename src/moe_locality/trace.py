@@ -24,11 +24,13 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import cached_property
 from typing import IO, Iterable, Iterator, Sequence
 
 import numpy as np
+
+from .gate import topk, topk_rows
 
 PROB_SUM_TOL = 1e-9
 
@@ -46,8 +48,6 @@ __all__ = [
     "save_trace",
     "synth_trace",
     "validate_trace",
-    "topk_of_probs",
-    "slice_batch",
 ]
 
 
@@ -163,15 +163,6 @@ class RoutingTrace:
         for s, length in enumerate(self.segment_lengths):
             for t in range(length):
                 yield s, t
-
-
-def topk_of_probs(probs: Sequence[float], k: int) -> tuple[int, ...]:
-    """Indices of the k largest probabilities, descending, ties to the lowest index.
-
-    This is the global tie rule used everywhere in the package.
-    """
-    order = np.argsort(-np.asarray(probs, dtype=float), kind="stable")
-    return tuple(int(i) for i in order[:k])
 
 
 # ---------------------------------------------------------------------------
@@ -397,13 +388,13 @@ def _validate_record(rec: StepRecord, header: TraceHeader, out: list[Violation])
     if abs(total - 1.0) > PROB_SUM_TOL:
         out.append(Violation("probs_sum", where, f"probs sum {total!r} not within {PROB_SUM_TOL} of 1"))
         return
-    if len(rec.topk_indices) == k and frozenset(topk_of_probs(p, k)) != rec.expert_set:
+    if len(rec.topk_indices) == k and frozenset(topk(p, k)) != rec.expert_set:
         out.append(
             Violation(
                 "probs_topk",
                 where,
                 f"topk {sorted(rec.topk_indices)} is not the Top-{k} of probs "
-                f"{sorted(topk_of_probs(p, k))}",
+                f"{sorted(topk(p, k))}",
             )
         )
 
@@ -423,14 +414,14 @@ def _screen_block(
     every = np.ones(len(block), dtype=bool)
     k, n = header.top_k, header.n_routed_experts
     try:
-        topk = np.array([r.topk_indices for r in block])
+        ids = np.array([r.topk_indices for r in block])
     except ValueError:  # ragged topk rows
         return every
-    if topk.dtype.kind != "i" or topk.shape != (len(block), k):
+    if ids.dtype.kind != "i" or ids.shape != (len(block), k):
         return every
     flags = (keys[:, 2] >= header.n_moe_layers) | (keys[:, 3] >= header.batch_size)
-    flags |= ((topk < 0) | (topk >= n)).any(axis=1)
-    ranked = np.sort(topk, axis=1)
+    flags |= ((ids < 0) | (ids >= n)).any(axis=1)
+    ranked = np.sort(ids, axis=1)
     flags |= (ranked[:, 1:] == ranked[:, :-1]).any(axis=1)
 
     rows = [r.probs for r in block]
@@ -449,7 +440,7 @@ def _screen_block(
     # Rows with inf or huge entries are flagged above; their sums may warn.
     with np.errstate(invalid="ignore", over="ignore"):
         flags |= np.abs(probs.sum(axis=1) - 1.0) > PROB_SUM_TOL / 2
-    top = np.sort(np.argsort(-probs, axis=1, kind="stable")[:, :k], axis=1)
+    top = np.sort(topk_rows(probs, k), axis=1)
     flags |= (top != ranked).any(axis=1)
     return flags
 
@@ -641,12 +632,10 @@ def synth_trace(cfg: SynthConfig) -> RoutingTrace:
                 batches = [stream] if cfg.independent_batches else range(cfg.batch_size)
                 for t, members in enumerate(sets):
                     probs = None
-                    topk = tuple(members)
+                    order = tuple(members)
                     if cfg.emit_probs:
                         probs = _probs_for_set(rng, n, members, cfg.concentration)
-                        topk = tuple(
-                            sorted(members, key=lambda e: (-probs[e], e))
-                        )
+                        order = topk(probs, k)  # the members, most probable first
                     for b in batches:
                         records.append(
                             StepRecord(
@@ -654,21 +643,9 @@ def synth_trace(cfg: SynthConfig) -> RoutingTrace:
                                 step_index=t,
                                 layer_id=l,
                                 batch_index=b,
-                                topk_indices=topk,
+                                topk_indices=order,
                                 probs=probs,
                             )
                         )
     return RoutingTrace.from_records(cfg.header, records)
 
-
-def slice_batch(trace: RoutingTrace, batch_index: int) -> RoutingTrace:
-    """Extract one batch slot as a standalone B=1 trace."""
-    if not 0 <= batch_index < trace.header.batch_size:
-        raise ValueError(f"batch_index {batch_index} out of range")
-    header = replace(trace.header, batch_size=1)
-    records = [
-        replace(r, batch_index=0)
-        for r in trace.records
-        if r.batch_index == batch_index
-    ]
-    return RoutingTrace.from_records(header, records)

@@ -15,14 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .gate import GateParams
-from .objective import (
-    LossWeights,
-    routing_distributions,
-    topk_rows,
-    trust_loss,
-    value_and_grad,
-)
+from .gate import GateParams, kl_div, topk_rows
+from .objective import LossWeights, routing_distributions, value_and_grad
 
 __all__ = [
     "TrainConfig",
@@ -132,7 +126,7 @@ def evaluate_gate(theta, theta0, sequences, top_k: int) -> EvalStats:
         pref = routing_distributions(theta0, h)
         rows = topk_rows(p, top_k)
         eors.append(_rows_eor(rows))
-        trusts.append(trust_loss(p, pref))
+        trusts.append(float(np.mean([kl_div(a, b) for a, b in zip(p, pref)])))
         masses = p[np.arange(1, len(p))[:, None], rows[:-1]].sum(axis=1) / top_k
         rhos.append(float(np.mean(masses)))
     return EvalStats(

@@ -1,5 +1,11 @@
 """Reference objective and training loop: the straightforward versions.
 
+The per-term functions (``trust_loss``, ``reuse_loss``, ``smooth_loss``,
+``lag_loss``, ``ws_loss`` and their helpers) compute each term of the
+objective on its own, one step or window at a time, with ``gate.kl_div`` as
+the divergence; every field of ``total_objective``'s breakdown must agree with
+them to rounding.
+
 ``evaluate`` is the fused forward/backward written with index arrays, one
 ``np.add.at`` scatter per term and one loop iteration per ws window;
 ``sequence_eor`` compares frozensets step by step; ``train`` runs three
@@ -15,18 +21,16 @@ import math
 
 import numpy as np
 
-from moe_locality.gate import GateParams
+from moe_locality.gate import GateParams, kl_div, topk, topk_rows
 from moe_locality.metrics import instantaneous_reuse
 from moe_locality.objective import (
     _LOG_CLAMP,
+    REUSE_EPS,
     LossBreakdown,
     LossWeights,
     _forward,
     alpha_schedule,
     routing_distributions,
-    sets_from_rows,
-    topk_rows,
-    trust_loss,
 )
 from moe_locality.trainer import (
     EvalStats,
@@ -41,6 +45,118 @@ def float_bits(obj) -> list[str]:
     """Exact bit patterns (``float.hex``) of a dataclass's numeric fields, so
     that comparisons tell -0.0 from 0.0 and show the differing field."""
     return [float(x).hex() for x in dataclasses.astuple(obj)]
+
+
+# ---------------------------------------------------------------------------
+# Individual terms, one step or window at a time
+# ---------------------------------------------------------------------------
+
+
+def entropy(p) -> float:
+    p = np.asarray(p, dtype=float)
+    nz = p[p > 0]
+    return -float(np.sum(nz * np.log(nz)))
+
+
+def sym_kl(p, q) -> float:
+    return 0.5 * (kl_div(p, q) + kl_div(q, p))
+
+
+def trust_loss(p_seq, pref_seq) -> float:
+    p_seq = np.asarray(p_seq, dtype=float)
+    pref_seq = np.asarray(pref_seq, dtype=float)
+    if p_seq.shape != pref_seq.shape:
+        raise ValueError(f"shape mismatch: {p_seq.shape} vs {pref_seq.shape}")
+    return float(np.mean([kl_div(p, q) for p, q in zip(p_seq, pref_seq)]))
+
+
+def reuse_mass(p, prev_set, k: int) -> float:
+    """Probability mass on the previous step's routed set, scaled by 1/K.
+
+    Bounded by 1/K since the set covers K entries of a distribution.
+    """
+    prev = tuple(prev_set)
+    if len(set(prev)) != k:
+        raise ValueError(f"prev_set must contain K={k} distinct experts")
+    p = np.asarray(p, dtype=float)
+    return float(p[list(prev)].sum() / k)
+
+
+def reuse_loss(p_seq, e_seq, eps: float = REUSE_EPS) -> tuple[float, float]:
+    """Sequence-level reuse score rho and its stabilized negative log.
+
+    ``e_seq`` are the per-step routed sets; step t is scored against
+    e_seq[t-1], so only steps 2..T contribute.
+    """
+    p_seq = np.asarray(p_seq, dtype=float)
+    t_len = len(p_seq)
+    if t_len < 2:
+        raise ValueError("reuse needs a sequence of length >= 2")
+    if len(e_seq) != t_len:
+        raise ValueError("e_seq must align with p_seq")
+    k = len(tuple(e_seq[0]))
+    masses = [reuse_mass(p_seq[t], e_seq[t - 1], k) for t in range(1, t_len)]
+    rho = float(np.mean(masses))
+    return rho, -math.log(rho + eps)
+
+
+def smooth_loss(p_seq) -> float:
+    p_seq = np.asarray(p_seq, dtype=float)
+    if len(p_seq) < 2:
+        raise ValueError("smoothness needs a sequence of length >= 2")
+    return float(np.mean([sym_kl(p_seq[t], p_seq[t - 1]) for t in range(1, len(p_seq))]))
+
+
+def lag_loss(p_seq, lags, normalize_valid: bool = False) -> float:
+    p_seq = np.asarray(p_seq, dtype=float)
+    t_len = len(p_seq)
+    if t_len < 2:
+        raise ValueError("lag loss needs a sequence of length >= 2")
+    lags = tuple(lags)
+    if not lags:
+        raise ValueError("empty lag set")
+    total = 0.0
+    for t in range(1, t_len):
+        in_range = [d for d in lags if t - d >= 0]
+        if not in_range:
+            continue
+        denom = len(in_range) if normalize_valid else len(lags)
+        total += sum(sym_kl(p_seq[t], p_seq[t - d]) for d in in_range) / denom
+    return total / (t_len - 1)
+
+
+def ws_loss(p_seq, window: int, include_partial: bool = False) -> float:
+    """Mean entropy of window-averaged distributions.
+
+    Fewer rows than one window yields 0 by convention. With
+    ``include_partial`` the trailing remainder of r rows joins with weight
+    r / window.
+    """
+    if window < 1:
+        raise ValueError("window must be >= 1")
+    p_seq = np.asarray(p_seq, dtype=float)
+    t_len = len(p_seq)
+    n = t_len // window
+    terms: list[tuple[float, float]] = [
+        (1.0, entropy(p_seq[b * window : (b + 1) * window].mean(axis=0))) for b in range(n)
+    ]
+    rem = t_len - n * window
+    if include_partial and rem > 0:
+        terms.append((rem / window, entropy(p_seq[n * window :].mean(axis=0))))
+    denom = sum(wgt for wgt, _ in terms)
+    if denom == 0:
+        return 0.0
+    return sum(wgt * h for wgt, h in terms) / denom
+
+
+def sets_from_rows(p_rows, k: int) -> list[tuple[int, ...]]:
+    """Per-row Top-K tuples, one ``gate.topk`` call per row."""
+    return [topk(row, k) for row in np.asarray(p_rows, dtype=float)]
+
+
+# ---------------------------------------------------------------------------
+# Fused evaluation with index arrays and np.add.at scatters
+# ---------------------------------------------------------------------------
 
 
 def _pair_symkl(logp, p, idx_a, idx_b, want_grad):

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_right
+from dataclasses import replace
 
 import numpy as np
 
@@ -162,10 +163,10 @@ def naive_simulate(trace, capacity, policy, reset_each_segment):
 # ---------------------------------------------------------------------------
 # The record_at simulator and bound-check collection, kept as a differential
 # oracle for ``moe_locality.cache_sim.simulate`` and
-# ``moe_locality.bounds._collect_step_records``. ``LayerCacheState`` keeps
-# timestamps and counters per resident expert and every victim is a ``min``
-# over the candidates; requests are read with one ``record_at`` call per
-# (step, batch item). It returns the package's own report types so whole
+# ``moe_locality.bounds._collect_step_records`` / ``_batch_trace``.
+# ``LayerCacheState`` keeps timestamps and counters per resident expert and
+# every victim is a ``min`` over the candidates; requests are read with one
+# ``record_at`` call per (step, batch item). It returns the package's own report types so whole
 # reports compare with ``==``.
 # ---------------------------------------------------------------------------
 
@@ -468,10 +469,25 @@ def reference_simulate(trace: RoutingTrace, cfg: CacheConfig, record_events: boo
     )
 
 
+def reference_slice_batch(trace: RoutingTrace, batch_index: int) -> RoutingTrace:
+    """Extract one batch slot as a standalone B=1 trace by filtering on the
+    batch index and re-sorting."""
+    if not 0 <= batch_index < trace.header.batch_size:
+        raise ValueError(f"batch_index {batch_index} out of range")
+    header = replace(trace.header, batch_size=1)
+    records = [
+        replace(r, batch_index=0)
+        for r in trace.records
+        if r.batch_index == batch_index
+    ]
+    return RoutingTrace.from_records(header, records)
+
+
 def reference_collect_step_records(
-    trace: RoutingTrace, cfg: CacheConfig, working_set: bool
+    trace: RoutingTrace, cfg: CacheConfig, working_set: bool, batch: int = 0
 ) -> tuple[list[StepBoundRecord], list[SequenceBound]]:
-    """Per-step fetch counts vs. bounds for one B=1 trace under ``cfg``."""
+    """Per-step fetch counts vs. bounds for one B=1 trace under ``cfg``,
+    labelled with batch slot ``batch``."""
     k = trace.header.top_k
     report = reference_simulate(trace, cfg, record_events=True)
     by_key = {(ev.layer, ev.segment, ev.step): ev for ev in report.events}
@@ -510,7 +526,7 @@ def reference_collect_step_records(
                 step_records.append(
                     StepBoundRecord(
                         layer=layer,
-                        batch=0,
+                        batch=batch,
                         segment=segment,
                         step=t,
                         n_fetch=n_fetch,
@@ -530,7 +546,7 @@ def reference_collect_step_records(
                 seq_records.append(
                     SequenceBound(
                         layer=layer,
-                        batch=0,
+                        batch=batch,
                         segment=segment,
                         total_fetch=total_fetch,
                         total_bound=total_bound,

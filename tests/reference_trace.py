@@ -20,8 +20,12 @@ from moe_locality.trace import (
     TraceError,
     TraceHeader,
     Violation,
-    topk_of_probs,
 )
+
+
+def topk_set(p, k: int) -> list[int]:
+    """Sorted ids of the k largest entries of p, ties to the lowest id."""
+    return sorted(sorted(range(len(p)), key=lambda e: (-p[e], e))[:k])
 
 
 def parse_record(obj, line_no, has_probs) -> StepRecord:
@@ -120,13 +124,13 @@ def validate_record(rec: StepRecord, header: TraceHeader, out: list) -> None:
     if abs(total - 1.0) > PROB_SUM_TOL:
         out.append(Violation("probs_sum", where, f"probs sum {total!r} not within {PROB_SUM_TOL} of 1"))
         return
-    if len(rec.topk_indices) == k and frozenset(topk_of_probs(p, k)) != rec.expert_set:
+    if len(rec.topk_indices) == k and frozenset(topk_set(p, k)) != rec.expert_set:
         out.append(
             Violation(
                 "probs_topk",
                 where,
                 f"topk {sorted(rec.topk_indices)} is not the Top-{k} of probs "
-                f"{sorted(topk_of_probs(p, k))}",
+                f"{topk_set(p, k)}",
             )
         )
 

@@ -1,3 +1,4 @@
+from dataclasses import replace
 from unittest import mock
 
 import pytest
@@ -11,9 +12,15 @@ from moe_locality.bounds import (
     run_counterexamples,
 )
 from moe_locality.cache_sim import CacheConfig, FaultKind, FaultScenario, Policy, simulate
-from moe_locality.trace import SynthConfig, TraceHeader, synth_trace
+from moe_locality.trace import (
+    RoutingTrace,
+    SynthConfig,
+    TraceHeader,
+    synth_trace,
+    validate_trace,
+)
 
-from reference_sim import reference_collect_step_records
+from reference_sim import reference_collect_step_records, reference_slice_batch
 from test_trace import make_trace
 
 
@@ -59,6 +66,25 @@ class TestStepBound:
         report = check_step_bound(trace, capacity=trace.header.top_k)
         assert report.n_violations == 0
         assert {r.batch for r in report.step_records} == {0, 1, 2}
+
+    def test_batch_slot_reindexes_to_single_batch(self):
+        trace = synth_trace(SynthConfig(batch_size=3, seed=9, independent_batches=True))
+        sub = bounds._batch_trace(trace, 2)
+        assert sub.header.batch_size == 1
+        assert validate_trace(sub) == []
+        assert all(r.batch_index == 0 for r in sub.records)
+        assert len(sub.records) == len(trace.records) // 3
+
+    def test_duplicated_key_is_refused(self):
+        # (0,0,0,1) replaced by a second (0,0,0,0): batch slot 1's stride
+        # would serve batch 0's routing as its own.
+        trace = synth_trace(SynthConfig(batch_size=2, seed=4, steps_per_segment=6))
+        records = list(trace.records)
+        records[1] = records[0]
+        bad = RoutingTrace.from_records(trace.header, records)
+        for check in (check_step_bound, check_working_set_bound):
+            with pytest.raises(KeyError, match="not dense"):
+                check(bad, trace.header.top_k)
 
 
 class TestWorkingSetBound:
@@ -156,9 +182,11 @@ class TestAdmissionProperty:
 
 
 def with_reference_collection(fn, *args):
-    """``fn(*args)`` with the bound checks collecting their records through
-    the reference simulator instead of the package's."""
-    with mock.patch.object(bounds, "_collect_step_records", reference_collect_step_records):
+    """``fn(*args)`` with the bound checks slicing batch slots and collecting
+    their records through the reference implementations instead of the
+    package's."""
+    with mock.patch.object(bounds, "_batch_trace", reference_slice_batch), \
+            mock.patch.object(bounds, "_collect_step_records", reference_collect_step_records):
         return fn(*args)
 
 
@@ -167,7 +195,7 @@ bound_trace_configs = st.builds(
     n_moe_layers=st.integers(1, 2),
     n_routed_experts=st.integers(6, 14),
     top_k=st.integers(1, 4),
-    batch_size=st.integers(1, 2),
+    batch_size=st.integers(1, 4),
     n_segments=st.integers(1, 3),
     steps_per_segment=st.integers(1, 12),
     stickiness=st.floats(0.0, 1.0),

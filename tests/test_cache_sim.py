@@ -19,6 +19,7 @@ from moe_locality.cache_sim import (
     _step_requests,
     simulate,
 )
+from moe_locality.gate import topk
 from moe_locality.metrics import eor
 from moe_locality.trace import RoutingTrace, StepRecord, SynthConfig, TraceHeader, synth_trace
 
@@ -205,9 +206,7 @@ class TestReroute:
         for _ in range(50):
             p = rng.dirichlet(np.ones(8))
             resident = set(rng.choice(8, size=3, replace=False).tolist())
-            from moe_locality.trace import topk_of_probs
-
-            assert reroute_topk(p, resident, 0.0, 3) == topk_of_probs(p, 3)
+            assert reroute_topk(p, resident, 0.0, 3) == topk(p, 3)
 
     def test_strong_bonus_pulls_in_cached_expert(self):
         got = reroute_topk([0.4, 0.3, 0.2, 0.1], {3}, 10.0, 2)

@@ -16,6 +16,7 @@ from moe_locality.gate import (
     stability_campaign,
     stability_check,
     topk,
+    topk_rows,
 )
 
 
@@ -70,6 +71,11 @@ class TestTopk:
         with pytest.raises(ValueError, match="exceeds"):
             topk([0.5, 0.5], 3)
 
+    @pytest.mark.parametrize("k", [0, -1])
+    def test_k_below_one(self, k):
+        with pytest.raises(ValueError, match=">= 1"):
+            topk([0.5, 0.3, 0.2], k)
+
     def test_order_preserving_transform_invariance(self):
         rng = np.random.default_rng(1)
         p = rng.dirichlet(np.ones(10))
@@ -91,6 +97,11 @@ class TestMargin:
     def test_requires_k_below_n(self):
         with pytest.raises(ValueError, match="K < N_r"):
             probability_margin([0.5, 0.5], 2)
+
+    @pytest.mark.parametrize("k", [0, -1])
+    def test_requires_k_at_least_one(self, k):
+        with pytest.raises(ValueError, match="1 <= K"):
+            probability_margin([0.5, 0.3, 0.2], k)
 
 
 class TestStability:
@@ -191,3 +202,29 @@ def test_topk1_is_argmax(seed):
     rng = np.random.default_rng(seed)
     p = rng.dirichlet(np.ones(8))
     assert topk(p, 1)[0] == int(np.argmax(p))
+
+
+@st.composite
+def prob_matrices_with_ties(draw):
+    """Rows over a few repeated values (exact ties, zeros) or free floats, and
+    a K anywhere in [1, N], K = N included."""
+    n = draw(st.integers(1, 9))
+    rows = draw(st.integers(1, 6))
+    values = st.sampled_from([0.0, 0.125, 0.25, 0.5]) | st.floats(0.0, 1.0)
+    p = np.array(draw(st.lists(st.lists(values, min_size=n, max_size=n),
+                               min_size=rows, max_size=rows)))
+    k = draw(st.sampled_from(sorted({1, n, draw(st.integers(1, n))})))
+    return p, k
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(case=prob_matrices_with_ties())
+def test_topk_rows_matches_topk_per_row(case):
+    # The row-wise form (the validator's screen, the reuse term, EOR) and the
+    # 1-D form (per-record validation, rerouting) apply one tie rule.
+    p, k = case
+    rows = topk_rows(p, k)
+    assert rows.shape == (len(p), k)
+    for i, row in enumerate(p):
+        assert tuple(rows[i].tolist()) == topk(row, k)
+        assert topk(row, k) == tuple(sorted(range(len(row)), key=lambda e: (-row[e], e))[:k])

@@ -5,24 +5,28 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import reference_objective
-from reference_objective import float_bits
+from reference_objective import (
+    entropy,
+    float_bits,
+    lag_loss,
+    reuse_loss,
+    reuse_mass,
+    sets_from_rows,
+    smooth_loss,
+    sym_kl,
+    trust_loss,
+    ws_loss,
+)
+from moe_locality.gate import kl_div
 from moe_locality.objective import (
     LossWeights,
     alpha_schedule,
-    entropy,
     fd_gradient,
     grad_total,
-    kl_div,
-    lag_loss,
     mc_reuse_expectation,
-    reuse_loss,
-    reuse_mass,
-    smooth_loss,
-    sym_kl,
+    routing_distributions,
     total_objective,
-    trust_loss,
     value_and_grad,
-    ws_loss,
 )
 
 KL_09_05 = 0.9 * math.log(1.8) + 0.1 * math.log(0.2)  # KL([.9,.1] || [.5,.5])
@@ -486,3 +490,24 @@ def test_fused_pass_matches_reference_bitwise(instance):
     assert float_bits(total_objective(*instance)) == want
     assert grad.tobytes() == expected_grad.tobytes()
     assert grad_total(*instance).tobytes() == expected_grad.tobytes()
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(instance=objective_instances())
+def test_breakdown_matches_per_term_functions(instance):
+    # Each fused term against its one-step-at-a-time definition, over both
+    # lag normalizations and both ws tail settings.
+    theta, theta0, hiddens, w, step, k = instance
+    bd = total_objective(*instance)
+    p = routing_distributions(theta, hiddens)
+    rho, reuse = reuse_loss(p, sets_from_rows(p, k), eps=w.eps)
+    per_term = {
+        "trust_kl": trust_loss(p, routing_distributions(theta0, hiddens)),
+        "reuse_rho": rho,
+        "reuse_loss": reuse,
+        "smooth": smooth_loss(p),
+        "lag": lag_loss(p, w.lag_set, normalize_valid=w.lag_normalize_valid),
+        "ws": ws_loss(p, w.window, include_partial=w.ws_include_partial),
+    }
+    for field, want in per_term.items():
+        assert abs(getattr(bd, field) - want) <= 1e-12, field

@@ -18,12 +18,11 @@ from moe_locality.trace import (
     TraceError,
     TraceHeader,
     parse_trace,
-    slice_batch,
     synth_trace,
-    topk_of_probs,
     validate_trace,
     write_trace,
 )
+from moe_locality.gate import topk
 from moe_locality.metrics import eor
 
 
@@ -233,7 +232,7 @@ class TestSynth:
         trace = synth_trace(cfg)
         k = trace.header.top_k
         for rec in trace.records:
-            assert frozenset(topk_of_probs(rec.probs, k)) == rec.expert_set
+            assert frozenset(topk(rec.probs, k)) == rec.expert_set
             # storage order is descending probability
             probs = [rec.probs[e] for e in rec.topk_indices]
             assert probs == sorted(probs, reverse=True)
@@ -290,17 +289,6 @@ def _spearman(xs, ys):
     rx -= rx.mean()
     ry -= ry.mean()
     return float((rx * ry).sum() / math.sqrt((rx * rx).sum() * (ry * ry).sum()))
-
-
-class TestSliceBatch:
-    def test_slice_reindexes_to_single_batch(self):
-        cfg = SynthConfig(batch_size=3, seed=9, independent_batches=True)
-        trace = synth_trace(cfg)
-        sub = slice_batch(trace, 2)
-        assert sub.header.batch_size == 1
-        assert validate_trace(sub) == []
-        assert all(r.batch_index == 0 for r in sub.records)
-        assert len(sub.records) == len(trace.records) // 3
 
 
 synth_configs = st.builds(
