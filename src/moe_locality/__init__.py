@@ -42,13 +42,13 @@ from .gate import (
     gate_forward,
     pinsker_check,
     probability_margin,
-    stability_check,
     topk,
 )
 from .objective import (
     LossBreakdown,
     LossWeights,
     fd_gradient,
+    fd_gradients,
     grad_total,
     mc_reuse_expectation,
     total_objective,

@@ -359,6 +359,8 @@ def run_campaign(
     {2K} for the working-set bound. Per-seed results are deterministic and
     reduced in seed order, so the thread count never changes the report.
     """
+    if n_traces < 1:
+        raise ValueError(f"campaign needs n_traces >= 1, got {n_traces}")
     rng = np.random.default_rng(seed)
     jobs = []
     for i in range(n_traces):

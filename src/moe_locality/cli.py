@@ -33,7 +33,7 @@ from .bounds import check_step_bound, check_working_set_bound, run_campaign, run
 from .cache_sim import CacheConfig, IoModel, Policy, estimate_tpot, simulate
 from .gate import pinsker_campaign, save_gate, stability_campaign
 from .metrics import compute_metrics, eor
-from .objective import LossWeights, fd_gradient, grad_total
+from .objective import LossWeights, fd_gradients, grad_total
 from .trace import (
     SynthConfig,
     TraceError,
@@ -346,7 +346,8 @@ def _cmd_bound_check(args) -> int:
         # Violations are the expected outcome here; missing ones are the failure.
         return 0 if ok else 3
 
-    if args.campaign:
+    if args.campaign is not None:
+        _require_at_least("--campaign", args.campaign, 1)
         summary = run_campaign(
             n_traces=args.campaign,
             seed=args.seed,
@@ -508,7 +509,14 @@ def gradcheck_weight_configs() -> list[tuple[str, LossWeights]]:
 
 def run_gradcheck(instances: int, seed: int) -> float:
     """Worst relative error between analytic and central-difference gradients,
-    per isolated term and combined, over randomized small instances."""
+    per isolated term and combined, over randomized small instances.
+
+    The configs differ only in their loss weights, so one finite-difference
+    pass per instance serves all of them.
+    """
+    if instances < 1:
+        raise ValueError(f"gradcheck needs instances >= 1, got {instances}")
+    configs = [w for _name, w in gradcheck_weight_configs()]
     rng = np.random.default_rng(seed)
     worst = 0.0
     for _ in range(instances):
@@ -519,15 +527,16 @@ def run_gradcheck(instances: int, seed: int) -> float:
         theta = rng.standard_normal((d, n))
         theta0 = theta + 0.1 * rng.standard_normal((d, n))
         hiddens = rng.standard_normal((t, d))
-        for _name, weights in gradcheck_weight_configs():
+        numerics = fd_gradients(theta, theta0, hiddens, configs, 1000, k)
+        for weights, numeric in zip(configs, numerics):
             analytic = grad_total(theta, theta0, hiddens, weights, 1000, k)
-            numeric = fd_gradient(theta, theta0, hiddens, weights, 1000, k)
             rel = np.max(np.abs(analytic - numeric) / (np.abs(numeric) + 1e-8))
             worst = max(worst, float(rel))
     return worst
 
 
 def _cmd_gradcheck(args) -> int:
+    _require_at_least("--instances", args.instances, 1)
     worst = run_gradcheck(args.instances, args.seed)
     print(f"max relative error over {args.instances} instances: {worst:.3e}")
     return 0 if worst < GRADCHECK_TOL else 3
@@ -673,10 +682,7 @@ def dispatch(argv: list[str]) -> int:
     except UsageError as e:
         print(f"usage error: {e}", file=sys.stderr)
         return 1
-    except (TraceError, FileNotFoundError) as e:
-        print(f"data error: {e}", file=sys.stderr)
-        return 2
-    except ValueError as e:
+    except (TraceError, OSError, ValueError) as e:  # OSError messages name the path
         print(f"data error: {e}", file=sys.stderr)
         return 2
 

@@ -19,8 +19,9 @@ KL_EPS = 1e-12
 
 __all__ = [
     "KL_EPS",
+    "STABILITY_BLOCK",
     "GateParams",
-    "StabilityVerdict",
+    "StabilityBlock",
     "PinskerResult",
     "softmax",
     "log_softmax",
@@ -29,9 +30,9 @@ __all__ = [
     "topk",
     "kl_div",
     "probability_margin",
-    "stability_check",
     "pinsker_check",
-    "sample_within_margin",
+    "perturb_rows",
+    "stability_block",
     "stability_campaign",
     "pinsker_campaign",
     "save_gate",
@@ -83,45 +84,20 @@ def kl_div(p, q, eps: float = KL_EPS) -> float:
     return float(np.sum(p[mask] * (np.log(p[mask]) - np.log(q[mask]))))
 
 
-def probability_margin(q, k: int) -> float:
+def probability_margin(q, k: int) -> float | np.ndarray:
     """Gap between the K-th and (K+1)-th largest probabilities of q.
 
     Zero exactly at a Top-K boundary tie; requires 1 <= K < N_r so the K-th
-    and (K+1)-th entries exist.
+    and (K+1)-th entries exist. A ``(..., N_r)`` array gives one margin per
+    distribution along the last axis; a single distribution gives a float.
     """
-    q = np.asarray(q, dtype=float)
-    if not 1 <= k < q.size:
-        raise ValueError(f"margin needs 1 <= K < N_r, got K={k}, N_r={q.size}")
-    desc = np.sort(q)[::-1]
-    return float(desc[k - 1] - desc[k])
-
-
-@dataclass(frozen=True)
-class StabilityVerdict:
-    margin: float
-    sup_distance: float
-    condition_met: bool  # sup_distance < margin / 2
-    sets_equal: bool
-
-    @property
-    def holds(self) -> bool:
-        """Vacuously true when the margin condition is not met."""
-        return self.sets_equal or not self.condition_met
-
-
-def stability_check(q, p, k: int) -> StabilityVerdict:
-    """Does a sup-norm perturbation within half the probability margin leave
-    the Top-K set unchanged? ``holds`` is the executable claim: whenever
-    ||p - q||_inf < margin/2, the two Top-K sets must agree."""
-    q = np.asarray(q, dtype=float)
-    p = np.asarray(p, dtype=float)
-    margin = probability_margin(q, k)
-    dist = float(np.max(np.abs(p - q)))
-    condition = dist < margin / 2
-    equal = frozenset(topk(p, k)) == frozenset(topk(q, k))
-    return StabilityVerdict(
-        margin=margin, sup_distance=dist, condition_met=condition, sets_equal=equal
-    )
+    q = np.atleast_1d(np.asarray(q, dtype=float))
+    n = q.shape[-1]
+    if not 1 <= k < n:
+        raise ValueError(f"margin needs 1 <= K < N_r, got K={k}, N_r={n}")
+    asc = np.sort(q, axis=-1)
+    margin = asc[..., n - k] - asc[..., n - k - 1]
+    return float(margin) if margin.ndim == 0 else margin
 
 
 @dataclass(frozen=True)
@@ -146,46 +122,94 @@ def pinsker_check(p, q, tol: float = 1e-9) -> PinskerResult:
 # ---------------------------------------------------------------------------
 
 
-def sample_within_margin(q: np.ndarray, budget: float, rng) -> np.ndarray:
-    """A random distribution p with ||p - q||_inf strictly below ``budget``.
+STABILITY_BLOCK = 1024  # trials drawn and checked per set of array operations
+_MAX_HALVINGS = 100
 
-    Draws a zero-sum perturbation scaled into the sup-norm ball (so the
-    simplex sum is preserved exactly) and halves it until all entries stay
-    non-negative; halving never leaves the ball.
+
+def perturb_rows(q: np.ndarray, budget: np.ndarray, rng) -> np.ndarray:
+    """Per row of q, a random distribution p with ||p - q||_inf strictly below
+    that row's ``budget``.
+
+    Each row draws a zero-sum perturbation scaled into its sup-norm ball (so
+    the simplex sum is preserved exactly) and halves it until all entries
+    stay non-negative; halving never leaves the ball. A row still negative
+    after 100 halvings (q has a zero entry the draw cannot clear) gets p = q.
     """
-    raw = rng.uniform(-1.0, 1.0, size=q.size)
-    raw -= raw.mean()
-    peak = np.abs(raw).max()
-    if peak == 0.0:
-        return q.copy()
-    delta = raw / peak * (budget * rng.random())
-    for _ in range(100):
-        if not np.any(q + delta < 0):
-            return q + delta
-        delta *= 0.5
-    return q.copy()  # q has a zero entry the zero-sum draw cannot clear
+    raw = rng.uniform(-1.0, 1.0, size=q.shape)
+    raw -= raw.mean(axis=-1, keepdims=True)
+    peak = np.abs(raw).max(axis=-1, keepdims=True)
+    unit = np.divide(raw, peak, out=np.zeros_like(raw), where=peak > 0)
+    delta = unit * (budget * rng.random(len(q)))[:, None]
+    for _ in range(_MAX_HALVINGS):
+        bad = np.any(q + delta < 0, axis=-1)
+        if not bad.any():
+            break
+        delta[bad] *= 0.5
+    else:
+        delta[bad] = 0.0
+    return q + delta
+
+
+@dataclass(frozen=True)
+class StabilityBlock:
+    """Margin-lemma verdicts for a block of (q, p) pairs, one entry per row."""
+
+    p: np.ndarray
+    margin: np.ndarray
+    sup_distance: np.ndarray
+    condition_met: np.ndarray  # sup_distance < margin / 2
+    sets_equal: np.ndarray
+
+    @property
+    def checked(self) -> np.ndarray:
+        """Rows with a positive margin; a Top-K tie has nothing to keep stable."""
+        return self.margin > 0
+
+    @property
+    def failed(self) -> np.ndarray:
+        return self.checked & self.condition_met & ~self.sets_equal
+
+
+def stability_block(q: np.ndarray, k: int, rng) -> StabilityBlock:
+    """Perturb each row of q within 0.999 of half its probability margin and
+    compare the Top-K sets of q and p."""
+    margin = probability_margin(q, k)
+    p = perturb_rows(q, 0.999 * margin / 2.0, rng)
+    dist = np.abs(p - q).max(axis=-1)
+    sets_equal = np.all(
+        np.sort(topk_rows(p, k), axis=-1) == np.sort(topk_rows(q, k), axis=-1), axis=-1
+    )
+    return StabilityBlock(p, margin, dist, dist < margin / 2, sets_equal)
+
+
+def _require_campaign(trials: int, n_experts: int) -> None:
+    if trials < 1:
+        raise ValueError(f"trials must be >= 1, got {trials}")
+    if n_experts < 2:
+        raise ValueError(f"n_experts must be >= 2, got {n_experts}")
 
 
 def stability_campaign(trials: int, n_experts: int, k: int, seed: int = 0) -> dict:
     """Randomized executable form of the margin lemma: perturbations inside
-    half the probability margin must never change the Top-K set."""
+    half the probability margin must never change the Top-K set.
+
+    Trials are drawn and checked ``STABILITY_BLOCK`` at a time.
+    """
+    _require_campaign(trials, n_experts)
+    if not 1 <= k < n_experts:
+        raise ValueError(f"K must be in [1, {n_experts}), got {k}")
     rng = np.random.default_rng(seed)
-    failures = 0
-    checked = 0
-    for _ in range(trials):
-        q = rng.dirichlet(np.ones(n_experts))
-        margin = probability_margin(q, k)
-        if margin <= 0:
-            continue
-        p = sample_within_margin(q, 0.999 * margin / 2.0, rng)
-        verdict = stability_check(q, p, k)
-        checked += 1
-        if verdict.condition_met and not verdict.sets_equal:
-            failures += 1
+    checked = failures = 0
+    for start in range(0, trials, STABILITY_BLOCK):
+        q = rng.dirichlet(np.ones(n_experts), size=min(STABILITY_BLOCK, trials - start))
+        block = stability_block(q, k, rng)
+        checked += int(np.count_nonzero(block.checked))
+        failures += int(np.count_nonzero(block.failed))
     return {"trials": trials, "checked": checked, "failures": failures}
 
 
 def pinsker_campaign(trials: int, n_experts: int, seed: int = 0) -> dict:
+    _require_campaign(trials, n_experts)
     rng = np.random.default_rng(seed)
     failures = 0
     for _ in range(trials):

@@ -25,13 +25,14 @@ The weighted total is
 with linear warmups alpha = min(1, step / warm_steps). Everything runs in
 float64; the analytic gradient is the exact derivative of the value actually
 computed, which the finite-difference oracle verifies coordinate by
-coordinate.
+coordinate (one objective pair per coordinate for any number of weight
+configs that differ only in their ``lambda_*`` weights).
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -51,8 +52,12 @@ __all__ = [
     "grad_total",
     "value_and_grad",
     "fd_gradient",
+    "fd_gradients",
     "mc_reuse_expectation",
 ]
+
+
+_LAMBDAS = ("lambda_kl", "lambda_reuse", "lambda_smooth", "lambda_lag", "lambda_ws")
 
 
 @dataclass(frozen=True)
@@ -72,7 +77,7 @@ class LossWeights:
     ws_include_partial: bool = False  # weight the trailing partial window by r/W
 
     def __post_init__(self):
-        for name in ("lambda_kl", "lambda_reuse", "lambda_smooth", "lambda_lag", "lambda_ws"):
+        for name in _LAMBDAS:
             if getattr(self, name) < 0:
                 raise ValueError(f"{name} must be >= 0")
         lags = tuple(self.lag_set)
@@ -301,22 +306,42 @@ def grad_total(theta, theta0, hiddens, w: LossWeights, train_step: int,
     return grad
 
 
-def fd_gradient(theta, theta0, hiddens, w: LossWeights, train_step: int, top_k: int,
-                h_step: float = 1e-5) -> np.ndarray:
-    """Central-difference gradient oracle, one objective pair per coordinate."""
+def fd_gradients(theta, theta0, hiddens, weight_list, train_step: int, top_k: int,
+                 h_step: float = 1e-5) -> list[np.ndarray]:
+    """Central-difference gradient oracle for several weight configs at once.
+
+    One objective pair per coordinate serves every config: no breakdown field
+    depends on the ``lambda_*`` weights, so each config's total is read with
+    :meth:`LossBreakdown.reassembled`, which is bitwise equal to the ``total``
+    an evaluation under that config gives. The configs must therefore agree
+    in every field but the five ``lambda_*`` weights.
+    """
+    weight_list = list(weight_list)
+    if not weight_list:
+        raise ValueError("fd_gradients needs at least one weight config")
+    shared = [replace(w, **dict.fromkeys(_LAMBDAS, 0.0)) for w in weight_list]
+    if any(s != shared[0] for s in shared):
+        raise ValueError("weight configs may differ only in their lambda_* fields")
     theta = np.asarray(theta, dtype=float)
     if theta.size > 10_000:
         raise ValueError("finite differences limited to <= 1e4 coordinates")
-    grad = np.zeros_like(theta)
+    grads = [np.zeros_like(theta) for _ in weight_list]
     for idx in np.ndindex(*theta.shape):
         plus = theta.copy()
         plus[idx] += h_step
         minus = theta.copy()
         minus[idx] -= h_step
-        f_plus = total_objective(plus, theta0, hiddens, w, train_step, top_k).total
-        f_minus = total_objective(minus, theta0, hiddens, w, train_step, top_k).total
-        grad[idx] = (f_plus - f_minus) / (2.0 * h_step)
-    return grad
+        f_plus = total_objective(plus, theta0, hiddens, weight_list[0], train_step, top_k)
+        f_minus = total_objective(minus, theta0, hiddens, weight_list[0], train_step, top_k)
+        for grad, w in zip(grads, weight_list):
+            grad[idx] = (f_plus.reassembled(w) - f_minus.reassembled(w)) / (2.0 * h_step)
+    return grads
+
+
+def fd_gradient(theta, theta0, hiddens, w: LossWeights, train_step: int, top_k: int,
+                h_step: float = 1e-5) -> np.ndarray:
+    """Central-difference gradient oracle, one objective pair per coordinate."""
+    return fd_gradients(theta, theta0, hiddens, [w], train_step, top_k, h_step)[0]
 
 
 # ---------------------------------------------------------------------------

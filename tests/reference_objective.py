@@ -9,9 +9,10 @@ them to rounding.
 ``evaluate`` is the fused forward/backward written with index arrays, one
 ``np.add.at`` scatter per term and one loop iteration per ws window;
 ``sequence_eor`` compares frozensets step by step; ``train`` runs three
-forward passes per step (value, gradient, logged EOR). The library's fast
-paths must reproduce all of them bit for bit, which the differential tests
-check.
+forward passes per step (value, gradient, logged EOR); ``fd_gradient`` is the
+central-difference loop for one weight config, two library objective
+evaluations per coordinate. The library's fast paths must reproduce all of
+them bit for bit, which the differential tests check.
 """
 
 from __future__ import annotations
@@ -21,6 +22,7 @@ import math
 
 import numpy as np
 
+from moe_locality import objective
 from moe_locality.gate import GateParams, kl_div, topk, topk_rows
 from moe_locality.metrics import instantaneous_reuse
 from moe_locality.objective import (
@@ -286,6 +288,22 @@ def total_objective(theta, theta0, hiddens, w, train_step, top_k) -> LossBreakdo
 
 def grad_total(theta, theta0, hiddens, w, train_step, top_k) -> np.ndarray:
     return evaluate(theta, theta0, hiddens, w, train_step, top_k, want_grad=True)[1]
+
+
+def fd_gradient(theta, theta0, hiddens, w: LossWeights, train_step: int, top_k: int,
+                h_step: float = 1e-5) -> np.ndarray:
+    """Central-difference gradient of one config, one objective pair per coordinate."""
+    theta = np.asarray(theta, dtype=float)
+    grad = np.zeros_like(theta)
+    for idx in np.ndindex(*theta.shape):
+        plus = theta.copy()
+        plus[idx] += h_step
+        minus = theta.copy()
+        minus[idx] -= h_step
+        f_plus = objective.total_objective(plus, theta0, hiddens, w, train_step, top_k).total
+        f_minus = objective.total_objective(minus, theta0, hiddens, w, train_step, top_k).total
+        grad[idx] = (f_plus - f_minus) / (2.0 * h_step)
+    return grad
 
 
 def sequence_eor(theta, hiddens, top_k: int) -> float:

@@ -59,6 +59,11 @@ class TestStepBound:
         b = run_campaign(n_traces=30, seed=9, threads=4)
         assert a == b
 
+    @pytest.mark.parametrize("n_traces", [0, -2])
+    def test_campaign_rejects_no_traces(self, n_traces):
+        with pytest.raises(ValueError, match="n_traces"):
+            run_campaign(n_traces=n_traces)
+
     def test_multi_batch_reduced_per_batch(self):
         trace = synth_trace(
             SynthConfig(batch_size=3, independent_batches=True, seed=3, steps_per_segment=10)

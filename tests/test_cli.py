@@ -6,7 +6,7 @@ import sys
 
 import pytest
 
-from moe_locality.cli import _json_bytes, dispatch
+from moe_locality.cli import _json_bytes, dispatch, run_gradcheck
 from moe_locality.trace import load_trace, validate_trace
 
 
@@ -273,6 +273,20 @@ class TestBoundCheckCli:
         assert run("bound-check", "--trace", str(trace_path)) == 1
         assert "--capacity" in capsys.readouterr().err
 
+    def test_negative_campaign_is_usage_error(self, tmp_path, capsys):
+        out = tmp_path / "c.json"
+        assert run("bound-check", "--campaign", "-3", "--out", str(out)) == 1
+        assert "--campaign" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_zero_campaign_is_not_read_as_absent(self, trace_path, tmp_path, capsys):
+        # With --trace also given, 0 used to fall through to the trace check.
+        out = tmp_path / "c.json"
+        assert run("bound-check", "--campaign", "0", "--trace", str(trace_path),
+                   "--capacity", "4", "--out", str(out)) == 1
+        assert "--campaign" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestRouterCli:
     def test_stability(self):
@@ -299,6 +313,17 @@ class TestRouterCli:
 class TestGradcheckCli:
     def test_passes_at_default_seed(self):
         assert run("gradcheck", "--instances", "3") == 0
+
+    @pytest.mark.parametrize("instances", ["0", "-1"])
+    def test_no_instances_is_usage_error(self, capsys, instances):
+        assert run("gradcheck", "--instances", instances) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("usage error:") and "--instances" in captured.err
+
+    def test_library_refuses_no_instances(self):
+        with pytest.raises(ValueError, match="instances"):
+            run_gradcheck(0, seed=2)
 
 
 TRAIN_CONFIG = {
@@ -421,6 +446,19 @@ class TestDispatch:
         out = tmp_path / "c.json"
         assert run("bound-check", "--campaign", "3", "--out", str(out)) == 0
         assert json.loads(out.read_text())["violations"] == 0
+
+    def test_directory_trace_is_data_error(self, tmp_path, capsys):
+        assert run("validate", "--trace", str(tmp_path)) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("data error:") and str(tmp_path) in err
+        assert "Traceback" not in err
+
+    def test_directory_out_is_data_error(self, trace_path, tmp_path, capsys):
+        out = tmp_path / "out_dir"
+        out.mkdir()
+        assert run("metrics", "--trace", str(trace_path), "--out", str(out)) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("data error:") and str(out) in err
 
     def test_threads_flag_below_one_is_usage_error(self, tmp_path, capsys):
         assert run("bound-check", "--campaign", "3", "--threads", "0",

@@ -4,20 +4,23 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import reference_gate
 from moe_locality.gate import (
+    STABILITY_BLOCK,
     GateParams,
     gate_forward,
     load_gate,
+    perturb_rows,
     pinsker_campaign,
     pinsker_check,
     probability_margin,
-    sample_within_margin,
     save_gate,
+    stability_block,
     stability_campaign,
-    stability_check,
     topk,
     topk_rows,
 )
+from reference_gate import sample_within_margin, stability_check
 
 
 class TestGateForward:
@@ -103,6 +106,15 @@ class TestMargin:
         with pytest.raises(ValueError, match="1 <= K"):
             probability_margin([0.5, 0.3, 0.2], k)
 
+    def test_rows_match_one_distribution_at_a_time(self):
+        q = np.random.default_rng(4).dirichlet(np.ones(7), size=(3, 5))
+        q[0, 0] = [0.25, 0.25, 0.2, 0.1, 0.1, 0.05, 0.05]  # ties at several K
+        for k in range(1, 7):
+            margins = probability_margin(q, k)
+            assert margins.shape == (3, 5)
+            for idx in np.ndindex(3, 5):
+                assert margins[idx] == probability_margin(q[idx], k)
+
 
 class TestStability:
     def test_identical_distributions(self):
@@ -132,6 +144,116 @@ class TestStability:
         assert summary["checked"] > 1900
 
 
+class _Replay:
+    """Hands a perturbation sampler pre-drawn uniforms and scales, so the
+    block form and the per-trial oracle see the same draws."""
+
+    def __init__(self, raw, scale):
+        self.raw, self.scale = raw, scale
+
+    def uniform(self, low, high, size):
+        assert (low, high) == (-1.0, 1.0) and np.shape(self.raw) == np.shape(np.empty(size))
+        return self.raw.copy()
+
+    def random(self, size=None):
+        assert np.shape(self.scale) == np.shape(np.empty(size or ()))
+        return self.scale
+
+
+def _replayed(q, budget, seed):
+    """(block p, oracle p rows) for q rows on the same uniform/scale draws."""
+    rng = np.random.default_rng(seed)
+    raw = rng.uniform(-1.0, 1.0, size=q.shape)
+    scale = rng.random(len(q))
+    block = perturb_rows(q, budget, _Replay(raw, scale))
+    oracle = [
+        sample_within_margin(q[i], budget[i], _Replay(raw[i], float(scale[i])))
+        for i in range(len(q))
+    ]
+    return block, oracle
+
+
+class TestStabilityBlock:
+    """The whole-array campaign against the per-trial oracle in reference_gate."""
+
+    def test_verdicts_match_oracle_row_by_row(self):
+        k = 4
+        rng = np.random.default_rng(0)
+        q = rng.dirichlet(np.ones(16), size=STABILITY_BLOCK)
+        block = stability_block(q, k, rng)
+        assert block.p.shape == q.shape
+        for i in range(len(q)):
+            v = stability_check(q[i], block.p[i], k)
+            assert (v.margin, v.sup_distance, v.condition_met, v.sets_equal) == (
+                block.margin[i], block.sup_distance[i],
+                block.condition_met[i], block.sets_equal[i],
+            )
+            assert v.holds
+        assert np.all(block.p >= 0)
+        assert np.max(np.abs(block.p.sum(axis=1) - 1.0)) <= 1e-12
+        assert np.all(block.checked)
+        assert np.all(block.sup_distance < 0.999 * block.margin / 2)  # strictly inside
+        assert not block.failed.any()
+
+    def test_perturbation_matches_oracle_bitwise(self):
+        q = np.random.default_rng(1).dirichlet(np.ones(12), size=256)
+        budget = 0.999 * probability_margin(q, 3) / 2.0
+        block, oracle = _replayed(q, budget, seed=2)
+        for i, p in enumerate(oracle):
+            assert block[i].tobytes() == p.tobytes()
+
+    def test_zero_entry_falls_back_after_halvings(self):
+        # A zero in q is pushed negative whenever its share of the zero-sum
+        # draw is negative; no halving clears that, so those rows keep p = q.
+        q = np.tile([0.4, 0.3, 0.2, 0.1, 0.0], (64, 1))
+        budget = np.full(64, 0.999 * 0.1 / 2.0)
+        block, oracle = _replayed(q, budget, seed=3)
+        for i, p in enumerate(oracle):
+            assert block[i].tobytes() == p.tobytes()
+        kept = np.all(block == q, axis=1)
+        assert 0 < kept.sum() < len(q)
+        assert np.all(block >= 0)
+
+    def test_zero_margin_tie_is_not_checked(self):
+        q = np.array([[0.3, 0.3, 0.2, 0.2], [0.4, 0.3, 0.2, 0.1]])
+        block = stability_block(q, 1, np.random.default_rng(5))
+        assert block.margin[0] == 0.0
+        assert block.checked.tolist() == [False, True]
+        assert np.array_equal(block.p[0], q[0])  # a zero budget draws no perturbation
+        assert not block.failed.any()
+
+    def test_partial_last_block(self, monkeypatch):
+        from moe_locality import gate
+
+        monkeypatch.setattr(gate, "STABILITY_BLOCK", 7)
+        summary = gate.stability_campaign(trials=20, n_experts=6, k=2, seed=8)
+        rng = np.random.default_rng(8)
+        checked = failures = 0
+        for size in (7, 7, 6):
+            block = stability_block(rng.dirichlet(np.ones(6), size=size), 2, rng)
+            checked += int(block.checked.sum())
+            failures += int(block.failed.sum())
+        assert summary == {"trials": 20, "checked": checked, "failures": failures}
+        assert checked == 20
+
+    @pytest.mark.parametrize("trials, n, k, seed", [
+        (1, 2, 1, 0), (STABILITY_BLOCK + 1, 16, 4, 0), (300, 5, 4, 3),
+    ])
+    def test_report_matches_per_trial_campaign(self, trials, n, k, seed):
+        # Different draws, same report: every margin is positive and the
+        # margin lemma admits no failure.
+        block_form = stability_campaign(trials, n, k, seed)
+        assert block_form == reference_gate.stability_campaign(trials, n, k, seed)
+        assert block_form == {"trials": trials, "checked": trials, "failures": 0}
+
+    @pytest.mark.parametrize("trials, n, k", [
+        (-5, 8, 2), (0, 8, 2), (3, 1, 1), (3, 8, 0), (3, 8, 8), (3, 8, -1),
+    ])
+    def test_campaign_rejects_out_of_range(self, trials, n, k):
+        with pytest.raises(ValueError):
+            stability_campaign(trials, n, k)
+
+
 class TestPinsker:
     def test_equal_distributions(self):
         p = np.array([0.25, 0.75])
@@ -150,6 +272,11 @@ class TestPinsker:
     def test_campaign_zero_failures(self):
         summary = pinsker_campaign(trials=2000, n_experts=8, seed=1)
         assert summary["failures"] == 0
+
+    @pytest.mark.parametrize("trials, n", [(-2, 4), (0, 4), (3, 0), (3, 1)])
+    def test_campaign_rejects_out_of_range(self, trials, n):
+        with pytest.raises(ValueError):
+            pinsker_campaign(trials, n)
 
 
 class TestGateParams:

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -22,6 +23,7 @@ from moe_locality.objective import (
     LossWeights,
     alpha_schedule,
     fd_gradient,
+    fd_gradients,
     grad_total,
     mc_reuse_expectation,
     routing_distributions,
@@ -393,6 +395,52 @@ class TestGradients:
             errs.append(float(np.max(np.abs(analytic - numeric))))
         assert errs[1] < errs[0]  # truncation shrinks
         assert errs[1] < errs[2]  # round-off grows back
+
+
+class TestFdGradients:
+    def test_refuses_configs_that_differ_beyond_lambdas(self):
+        theta, theta0, hiddens, k = small_instance(0)
+        others = [no_warm(window=5), no_warm(lag_set=(1, 2)), no_warm(ws_include_partial=True),
+                  no_warm(lag_normalize_valid=True), no_warm(warm_loc_steps=3),
+                  no_warm(eps=1e-6)]
+        for other in others:
+            with pytest.raises(ValueError, match="lambda_"):
+                fd_gradients(theta, theta0, hiddens, [no_warm(lambda_kl=2.0), other], 1000, k)
+
+    def test_refuses_an_empty_list(self):
+        theta, theta0, hiddens, k = small_instance(0)
+        with pytest.raises(ValueError, match="at least one"):
+            fd_gradients(theta, theta0, hiddens, [], 1000, k)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    d=st.integers(1, 3),
+    n=st.integers(2, 6),
+    t_len=st.integers(2, 13),
+    lag_normalize_valid=st.booleans(),
+    ws_include_partial=st.booleans(),
+)
+def test_fd_gradients_match_per_config_loop_bitwise(seed, d, n, t_len, lag_normalize_valid,
+                                                    ws_include_partial):
+    # One shared finite-difference pass against the old per-config loop, on
+    # the gradcheck configs under both lag normalizations and ws tail rules.
+    from moe_locality.cli import gradcheck_weight_configs
+
+    configs = [
+        dataclasses.replace(w, lag_normalize_valid=lag_normalize_valid,
+                            ws_include_partial=ws_include_partial)
+        for _name, w in gradcheck_weight_configs()
+    ]
+    k = 1 + seed % (n - 1)
+    theta, theta0, hiddens, _ = small_instance(seed, d=d, n=n, t=t_len, k=k)
+    numerics = fd_gradients(theta, theta0, hiddens, configs, 1000, k)
+    assert len(numerics) == len(configs)
+    for w, numeric in zip(configs, numerics):
+        oracle = reference_objective.fd_gradient(theta, theta0, hiddens, w, 1000, k)
+        assert numeric.tobytes() == oracle.tobytes()
+        assert fd_gradient(theta, theta0, hiddens, w, 1000, k).tobytes() == oracle.tobytes()
 
 
 class TestMcReuse:
