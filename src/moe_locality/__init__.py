@@ -17,7 +17,7 @@ from .trace import (
     validate_trace,
     write_trace,
 )
-from .metrics import MetricsReport, compute_metrics, eor, instantaneous_reuse
+from .metrics import MetricsReport, compute_metrics, eor
 from .cache_sim import (
     CacheConfig,
     FaultKind,
@@ -39,7 +39,6 @@ from .bounds import (
 )
 from .gate import (
     GateParams,
-    gate_forward,
     pinsker_check,
     probability_margin,
     topk,
@@ -47,9 +46,7 @@ from .gate import (
 from .objective import (
     LossBreakdown,
     LossWeights,
-    fd_gradient,
     fd_gradients,
-    grad_total,
     mc_reuse_expectation,
     total_objective,
     value_and_grad,

@@ -28,6 +28,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .cache_sim import CacheConfig, FaultKind, FaultScenario, Policy, simulate
+from .gate import overlap_counts
 from .trace import RoutingTrace, StepRecord, SynthConfig, TraceHeader, synth_trace
 
 __all__ = [
@@ -93,11 +94,6 @@ class ScenarioResult:
     description: str
 
 
-def _require(cond: bool, message: str) -> None:
-    if not cond:
-        raise ValueError(message)
-
-
 def _collect_step_records(
     trace: RoutingTrace, cfg: CacheConfig, working_set: bool, batch: int = 0
 ) -> tuple[list[StepBoundRecord], list[SequenceBound]]:
@@ -111,24 +107,25 @@ def _collect_step_records(
     """
     h = trace.header
     k = h.top_k
-    # simulate raises KeyError unless the trace is dense, so the strided
-    # slices below hold each layer's records in step order.
     stats = simulate(trace, cfg).step_stats
-    n_steps = sum(trace.segment_lengths)
+    offsets = trace.segment_offsets
+    n_steps = offsets[-1]
 
-    step_records: list[StepBoundRecord] = []
-    seq_records: list[SequenceBound] = []
-    flagged: list[tuple[int, int]] = []  # (index in step_records, index in step_stats)
+    per_step: list[StepBoundRecord] = []
+    per_sequence: list[SequenceBound] = []
+    flagged: list[tuple[int, int]] = []  # (index in per_step, index in step_stats)
     for layer in range(h.n_moe_layers):
-        column = trace.records[layer * h.batch_size :: h.n_moe_layers * h.batch_size]
-        start = 0  # the segment's first step ordinal
+        rows = trace.expert_rows(layer, 0)
+        # Exact integer form of K * (1 - IR_t), one entry per adjacent pair.
+        pair_bounds = (k - overlap_counts(rows)).tolist()
         for segment, length in enumerate(trace.segment_lengths):
-            sets = [rec.expert_set for rec in column[start : start + length]]
+            start = offsets[segment]  # the segment's first step ordinal
+            if working_set:
+                sets = [frozenset(row) for row in rows[start : start + length].tolist()]
             total_fetch = 0
             total_bound = 0
             for t in range(1, length):
-                # Exact integer form of K * (1 - IR_t).
-                bound = k - len(sets[t] & sets[t - 1])
+                bound = pair_bounds[start + t - 1]
                 ordinal = layer * n_steps + start + t
                 n_fetch = stats[ordinal].unique_misses
                 violated = n_fetch > bound
@@ -146,8 +143,8 @@ def _collect_step_records(
                     ws_bound = k - len(sets[t] & union)
                     ws_violated = n_fetch > ws_bound
                 if violated or ws_violated:
-                    flagged.append((len(step_records), ordinal))
-                step_records.append(
+                    flagged.append((len(per_step), ordinal))
+                per_step.append(
                     StepBoundRecord(
                         layer=layer,
                         batch=batch,
@@ -164,7 +161,7 @@ def _collect_step_records(
                 total_fetch += n_fetch
                 total_bound += bound
             if length >= 2:
-                seq_records.append(
+                per_sequence.append(
                     SequenceBound(
                         layer=layer,
                         batch=batch,
@@ -175,53 +172,27 @@ def _collect_step_records(
                         violated=total_fetch > total_bound,
                     )
                 )
-            start += length
     if flagged:
         events = simulate(trace, cfg, record_events=True).events
         for i, ordinal in flagged:
-            step_records[i] = replace(
-                step_records[i], resident_before=events[ordinal].resident_before
+            per_step[i] = replace(
+                per_step[i], resident_before=events[ordinal].resident_before
             )
-    return step_records, seq_records
-
-
-def _batch_trace(trace: RoutingTrace, batch: int) -> RoutingTrace:
-    """Batch slot ``batch`` of a dense sorted trace as a standalone B=1 trace.
-
-    The slot's records are ``records[batch::B]``; a record of another slot
-    among them means the trace is not dense (a key missing or repeated), so
-    it raises KeyError rather than check one slot's routing as another's.
-    """
-    h = trace.header
-    if h.batch_size == 1:
-        return trace
-    records = trace.records[batch :: h.batch_size]
-    if any(rec.batch_index != batch for rec in records):
-        raise KeyError(f"trace is not dense in batch slot {batch}")
-    return RoutingTrace(
-        header=replace(h, batch_size=1),
-        records=tuple(
-            StepRecord(r.segment_id, r.step_index, r.layer_id, 0, r.topk_indices, r.probs)
-            for r in records
-        ),
-        segment_lengths=trace.segment_lengths,
-    )
+    return per_step, per_sequence
 
 
 def _check(trace: RoutingTrace, capacity: int, working_set: bool) -> BoundReport:
     k = trace.header.top_k
-    _require(capacity >= k, f"bound checks require C >= K (got C={capacity}, K={k})")
+    if capacity < k:
+        raise ValueError(f"bound checks require C >= K (got C={capacity}, K={k})")
     cfg = CacheConfig(capacity=capacity, policy=Policy.LRU, reset_each_segment=True)
     step_records: list[StepBoundRecord] = []
     seq_records: list[SequenceBound] = []
     for b in range(trace.header.batch_size):
-        steps, seqs = _collect_step_records(_batch_trace(trace, b), cfg, working_set, b)
+        steps, seqs = _collect_step_records(trace.batch_slot(b), cfg, working_set, b)
         step_records.extend(steps)
         seq_records.extend(seqs)
-    if working_set:
-        n_step = sum(1 for r in step_records if r.ws_violated)
-    else:
-        n_step = sum(1 for r in step_records if r.violated)
+    n_step = sum(1 for r in step_records if (r.ws_violated if working_set else r.violated))
     return BoundReport(
         kind="working_set" if working_set else "step",
         capacity=capacity,
@@ -253,20 +224,29 @@ def check_working_set_bound(trace: RoutingTrace, capacity: int) -> BoundReport:
 
 
 def _constant_set_trace(n_experts: int, k: int, steps: int) -> RoutingTrace:
-    header = TraceHeader(
-        n_moe_layers=1, n_routed_experts=n_experts, top_k=k, batch_size=1
-    )
     members = tuple(range(k))
-    records = [
-        StepRecord(segment_id=0, step_index=t, layer_id=0, batch_index=0, topk_indices=members)
-        for t in range(steps)
-    ]
-    return RoutingTrace.from_records(header, records)
+    records = [StepRecord(0, t, 0, 0, members) for t in range(steps)]
+    return RoutingTrace.from_records(TraceHeader(1, n_experts, k, 1), records)
 
 
-def _scenario_violations(trace: RoutingTrace, cfg: CacheConfig) -> list[StepBoundRecord]:
-    steps, _ = _collect_step_records(trace, cfg, working_set=False)
-    return [r for r in steps if r.violated]
+# (name, assumption broken, K, injected fault, description); each runs a
+# constant request set over N=8 experts for 5 steps at C=4 under LRU with resets.
+_COUNTEREXAMPLES = (
+    # Capacity below K: even perfect reuse leaves K - C experts missing.
+    ("under_capacity", "capacity (C >= K)", 6, FaultScenario(FaultKind.UNDER_CAPACITY),
+     "C=4 < K=6 with a constant request set: every step must "
+     "refetch the experts shed for capacity, though IR = 1."),
+    # Interference: outside traffic evicts a previous-step expert between steps.
+    ("interference", "cache isolation", 4, FaultScenario(FaultKind.INTERFERENCE, n=1, seed=7),
+     "An inter-step eviction removes a member of the previous "
+     "request set, so the next step fetches despite IR = 1."),
+    # Prefetch insertion at C = K: admitting an alien expert forces the
+    # policy to evict from the just-served set.
+    ("prefetch", "cache isolation (inter-step insertion)", 4,
+     FaultScenario(FaultKind.PREFETCH, n=1, seed=11),
+     "At C = K any inter-step insertion evicts a member of the "
+     "previous request set, producing a fetch despite IR = 1."),
+)
 
 
 def run_counterexamples() -> list[ScenarioResult]:
@@ -277,67 +257,14 @@ def run_counterexamples() -> list[ScenarioResult]:
     least one fetch.
     """
     results: list[ScenarioResult] = []
-
-    # 1. Capacity below K: even perfect reuse leaves K - C experts missing.
-    trace = _constant_set_trace(n_experts=8, k=6, steps=5)
-    cfg = CacheConfig(
-        capacity=4,
-        policy=Policy.LRU,
-        reset_each_segment=True,
-        scenario=FaultScenario(FaultKind.UNDER_CAPACITY),
-    )
-    violations = _scenario_violations(trace, cfg)
-    results.append(
-        ScenarioResult(
-            name="under_capacity",
-            assumption_broken="capacity (C >= K)",
-            n_violations=len(violations),
-            first_violation=violations[0] if violations else None,
-            description="C=4 < K=6 with a constant request set: every step must "
-            "refetch the experts shed for capacity, though IR = 1.",
-        )
-    )
-
-    # 2. Interference: outside traffic evicts a previous-step expert between steps.
-    trace = _constant_set_trace(n_experts=8, k=4, steps=5)
-    cfg = CacheConfig(
-        capacity=4,
-        policy=Policy.LRU,
-        reset_each_segment=True,
-        scenario=FaultScenario(FaultKind.INTERFERENCE, n=1, seed=7),
-    )
-    violations = _scenario_violations(trace, cfg)
-    results.append(
-        ScenarioResult(
-            name="interference",
-            assumption_broken="cache isolation",
-            n_violations=len(violations),
-            first_violation=violations[0] if violations else None,
-            description="An inter-step eviction removes a member of the previous "
-            "request set, so the next step fetches despite IR = 1.",
-        )
-    )
-
-    # 3. Prefetch insertion at C = K: admitting an alien expert forces the
-    # policy to evict from the just-served set.
-    trace = _constant_set_trace(n_experts=8, k=4, steps=5)
-    cfg = CacheConfig(
-        capacity=4,
-        policy=Policy.LRU,
-        reset_each_segment=True,
-        scenario=FaultScenario(FaultKind.PREFETCH, n=1, seed=11),
-    )
-    violations = _scenario_violations(trace, cfg)
-    results.append(
-        ScenarioResult(
-            name="prefetch",
-            assumption_broken="cache isolation (inter-step insertion)",
-            n_violations=len(violations),
-            first_violation=violations[0] if violations else None,
-            description="At C = K any inter-step insertion evicts a member of the "
-            "previous request set, producing a fetch despite IR = 1.",
-        )
-    )
+    for name, assumption, k, scenario, description in _COUNTEREXAMPLES:
+        trace = _constant_set_trace(n_experts=8, k=k, steps=5)
+        cfg = CacheConfig(capacity=4, policy=Policy.LRU, reset_each_segment=True,
+                          scenario=scenario)
+        steps, _ = _collect_step_records(trace, cfg, working_set=False)
+        violations = [r for r in steps if r.violated]
+        results.append(ScenarioResult(name, assumption, len(violations),
+                                      violations[0] if violations else None, description))
     return results
 
 
@@ -384,13 +311,10 @@ def run_campaign(
             caps = (2 * cfg.top_k,)
         else:
             caps = (cfg.top_k, cfg.top_k + 2, 2 * cfg.top_k)
+        check = check_working_set_bound if working_set else check_step_bound
         checked = violated = 0
         for cap in caps:
-            report = (
-                check_working_set_bound(trace, cap)
-                if working_set
-                else check_step_bound(trace, cap)
-            )
+            report = check(trace, cap)
             checked += len(report.step_records) + len(report.sequence_records)
             violated += report.n_violations
         return checked, violated

@@ -25,14 +25,14 @@ from __future__ import annotations
 import enum
 import math
 from bisect import bisect_right
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from heapq import nsmallest
 from itertools import count, filterfalse, islice
 
 import numpy as np
 
 from .gate import topk
-from .trace import RoutingTrace, StepRecord, TraceHeader
+from .trace import RoutingTrace, StepRecord
 
 REROUTE_EPS = 1e-12
 
@@ -233,33 +233,6 @@ def reroute_topk(probs, resident, beta: float, k: int) -> tuple[int, ...]:
 # ---------------------------------------------------------------------------
 
 
-def _layer_columns(trace: RoutingTrace, layer: int, steps) -> list[tuple[StepRecord, ...]]:
-    """The layer's records, one column per batch item, one entry per step ordinal.
-
-    A dense sorted trace keeps layer ``l``, batch ``b`` at
-    ``records[l*B + b :: L*B]``. Every record's key is checked against the
-    step it stands for, so a trace that is not dense raises KeyError, as
-    ``RoutingTrace.record_at`` does.
-    """
-    h = trace.header
-    stride = h.n_moe_layers * h.batch_size
-    records = trace.records
-    if len(records) != len(steps) * stride:
-        raise KeyError(
-            f"trace is not dense: {len(records)} records for {len(steps)} steps "
-            f"x {h.n_moe_layers} layers x {h.batch_size} batch items"
-        )
-    columns = []
-    for b in range(h.batch_size):
-        column = records[layer * h.batch_size + b :: stride]
-        for (s, t), rec in zip(steps, column):
-            if (rec.step_index != t or rec.segment_id != s or rec.layer_id != layer
-                    or rec.batch_index != b):
-                raise KeyError(f"trace is not dense at {(s, t, layer, b)}")
-        columns.append(column)
-    return columns
-
-
 def _step_requests(columns) -> list[tuple[tuple[int, ...], dict]]:
     """Per step ordinal: the token slots (batch items in order) and the
     distinct set U, a dict whose keys are the slots in first-request order."""
@@ -380,7 +353,7 @@ def simulate(trace: RoutingTrace, cfg: CacheConfig, record_events: bool = False)
     cross_step_miss = [0] * len(steps)
 
     for layer in range(h.n_moe_layers):
-        columns = _layer_columns(trace, layer, steps)
+        columns = [trace.stream(layer, b) for b in range(h.batch_size)]
         requests = None if reroute else _step_requests(columns)
         occ = None
         if policy == Policy.BELADY:
@@ -487,14 +460,7 @@ def simulate(trace: RoutingTrace, cfg: CacheConfig, record_events: bool = False)
 
     rerouted_trace = None
     if reroute:
-        rerouted_header = TraceHeader(
-            n_moe_layers=h.n_moe_layers,
-            n_routed_experts=h.n_routed_experts,
-            top_k=h.top_k,
-            batch_size=h.batch_size,
-            has_probs=False,
-        )
-        rerouted_trace = RoutingTrace.from_records(rerouted_header, rerouted_records)
+        rerouted_trace = RoutingTrace.from_records(replace(h, has_probs=False), rerouted_records)
 
     return SimReport(
         config=cfg,

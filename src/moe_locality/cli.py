@@ -33,7 +33,7 @@ from .bounds import check_step_bound, check_working_set_bound, run_campaign, run
 from .cache_sim import CacheConfig, IoModel, Policy, estimate_tpot, simulate
 from .gate import pinsker_campaign, save_gate, stability_campaign
 from .metrics import compute_metrics, eor
-from .objective import LossWeights, fd_gradients, grad_total
+from .objective import LossWeights, fd_gradients, value_and_grad
 from .trace import (
     SynthConfig,
     TraceError,
@@ -69,15 +69,20 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _atomic_write(path: str, data: bytes) -> None:
+    """Write through a temp file in the same directory, then rename. An
+    OSError names ``path``, never the temp file's random name."""
     directory = os.path.dirname(os.path.abspath(path)) or "."
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", suffix=os.path.basename(path))
+    tmp = None
     try:
+        fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", suffix=os.path.basename(path))
         with os.fdopen(fd, "wb") as f:
             f.write(data)
         os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
+    except BaseException as e:
+        if tmp is not None and os.path.exists(tmp):
             os.unlink(tmp)
+        if isinstance(e, OSError):
+            raise OSError(e.errno, e.strerror, path) from None
         raise
 
 
@@ -529,7 +534,7 @@ def run_gradcheck(instances: int, seed: int) -> float:
         hiddens = rng.standard_normal((t, d))
         numerics = fd_gradients(theta, theta0, hiddens, configs, 1000, k)
         for weights, numeric in zip(configs, numerics):
-            analytic = grad_total(theta, theta0, hiddens, weights, 1000, k)
+            _, analytic = value_and_grad(theta, theta0, hiddens, weights, 1000, k)
             rel = np.max(np.abs(analytic - numeric) / (np.abs(numeric) + 1e-8))
             worst = max(worst, float(rel))
     return worst

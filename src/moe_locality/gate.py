@@ -1,10 +1,12 @@
-"""Softmax gate forward pass, deterministic Top-K selection, and the
-distribution-stability checks (probability margin, Pinsker bound).
+"""Log-softmax, deterministic Top-K selection, step-to-step overlap, gate
+parameters, and the distribution-stability checks (probability margin,
+Pinsker bound).
 
 All probability math runs in float64 with max-subtracted softmax. Ties in
 Top-K selection break toward the lowest expert index; that rule is global to
 the package so traces and tests are reproducible. :func:`topk_rows` is the
-rule's one definition and :func:`kl_div` the package's one KL divergence.
+rule's one definition, :func:`overlap_counts` the one count of step-to-step
+overlap and :func:`kl_div` the package's one KL divergence.
 """
 
 from __future__ import annotations
@@ -23,10 +25,9 @@ __all__ = [
     "GateParams",
     "StabilityBlock",
     "PinskerResult",
-    "softmax",
     "log_softmax",
-    "gate_forward",
     "topk_rows",
+    "overlap_counts",
     "topk",
     "kl_div",
     "probability_margin",
@@ -36,7 +37,6 @@ __all__ = [
     "stability_campaign",
     "pinsker_campaign",
     "save_gate",
-    "load_gate",
 ]
 
 
@@ -48,15 +48,6 @@ def log_softmax(z: np.ndarray) -> np.ndarray:
     return shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
 
 
-def softmax(z: np.ndarray) -> np.ndarray:
-    return np.exp(log_softmax(z))
-
-
-def gate_forward(h: np.ndarray, theta: np.ndarray) -> np.ndarray:
-    """Routing distribution softmax(h @ theta) for one hidden state."""
-    return softmax(np.asarray(h, dtype=float) @ np.asarray(theta, dtype=float))
-
-
 def topk_rows(p_rows: np.ndarray, k: int) -> np.ndarray:
     """Top-K index array along the last axis, descending, ties to the lowest index.
 
@@ -64,6 +55,17 @@ def topk_rows(p_rows: np.ndarray, k: int) -> np.ndarray:
     validation, rerouting, the reuse term, EOR) is read from here.
     """
     return np.argsort(-p_rows, axis=-1, kind="stable")[..., :k]
+
+
+def overlap_counts(rows: np.ndarray) -> np.ndarray:
+    """int[T-1]: how many members each row of a (T, K) array of distinct-id
+    Top-K rows shares with the row before it.
+
+    The package's one statement of step-to-step overlap |E_t ∩ E_{t-1}|: EOR
+    (its mean over K), the fetch bound K - |E_t ∩ E_{t-1}| and the trainer's
+    logged EOR are all read from here.
+    """
+    return (rows[1:, :, None] == rows[:-1, None, :]).sum(axis=(1, 2))
 
 
 def topk(p, k: int) -> tuple[int, ...]:
@@ -250,23 +252,9 @@ class GateParams:
         theta = np.asarray(theta, dtype=float)
         return cls(theta=theta.copy(), theta0=theta)
 
-    @property
-    def d(self) -> int:
-        return self.theta.shape[0]
-
-    @property
-    def n_experts(self) -> int:
-        return self.theta.shape[1]
-
-    def forward(self, h: np.ndarray) -> np.ndarray:
-        return gate_forward(h, self.theta)
-
-    def forward_ref(self, h: np.ndarray) -> np.ndarray:
-        return gate_forward(h, self.theta0)
-
 
 _MAGIC = b"GATE"
-_LITTLE, _BIG = 0, 1
+_LITTLE = 0  # byte-order tag
 
 
 def save_gate(params: GateParams, path) -> None:
@@ -289,19 +277,3 @@ def save_gate(params: GateParams, path) -> None:
     with open(str(path) + ".json", "w", encoding="utf-8") as f:
         json.dump(sidecar, f, indent=2, sort_keys=True)
         f.write("\n")
-
-
-def load_gate(path) -> GateParams:
-    with open(path, "rb") as f:
-        magic = f.read(4)
-        if magic != _MAGIC:
-            raise ValueError(f"not a gate-params file (magic {magic!r})")
-        endian, d, n = struct.unpack("<BII", f.read(9))
-        if endian != _LITTLE:
-            raise ValueError("unsupported byte order tag")
-        count = d * n
-        theta = np.frombuffer(f.read(count * 8), dtype="<f8").reshape(d, n)
-        theta0 = np.frombuffer(f.read(count * 8), dtype="<f8").reshape(d, n)
-        if f.read(1):
-            raise ValueError("trailing bytes after gate matrices")
-    return GateParams(theta=theta.copy(), theta0=theta0.copy())

@@ -1,9 +1,11 @@
 """Routing-locality and concentration metrics over a trace.
 
-The step-to-step overlap |E_t ∩ E_{t-1}| / K is the instantaneous reuse; its
-mean over a decoding sequence is the expert overlap ratio (EOR), the headline
-locality statistic. One *sequence* is the set stream of a fixed
-(layer, batch, segment) triple. Also provided: normalized routing entropy,
+The step-to-step overlap |E_t ∩ E_{t-1}| / K is the instantaneous reuse, with
+the overlap counted by :func:`moe_locality.gate.overlap_counts`; its mean over
+a decoding sequence is the expert overlap ratio (EOR), the headline locality
+statistic. One *sequence* is the set stream of a fixed (layer, batch,
+segment) triple, read through ``RoutingTrace.expert_rows``, so a trace that
+is not dense raises KeyError. Also provided: normalized routing entropy,
 load-balance coefficient of variation, and unique experts per sequence.
 """
 
@@ -14,19 +16,18 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .gate import overlap_counts
 from .trace import RoutingTrace
 
 __all__ = [
     "MetricsReport",
     "EorReport",
     "SequenceEor",
-    "instantaneous_reuse",
     "eor",
     "normalized_entropy",
     "load_balance_cv",
     "unique_experts_per_sequence",
     "compute_metrics",
-    "sequence_sets",
 ]
 
 
@@ -55,24 +56,11 @@ class MetricsReport:
     unique_experts_per_sequence: float
 
 
-def sequence_sets(trace: RoutingTrace) -> dict[tuple[int, int, int], list[frozenset[int]]]:
-    """Expert-set streams keyed by (layer, batch, segment), in step order."""
-    seqs: dict[tuple[int, int, int], list[frozenset[int]]] = {}
-    for rec in trace.records:  # records are sorted by (s, t, l, b)
-        seqs.setdefault((rec.layer_id, rec.batch_index, rec.segment_id), []).append(
-            rec.expert_set
-        )
-    return seqs
-
-
-def instantaneous_reuse(prev_set, cur_set, k: int) -> float:
-    """Fraction of the current Top-K set shared with the previous step's set."""
-    prev_set, cur_set = frozenset(prev_set), frozenset(cur_set)
-    if len(prev_set) != k or len(cur_set) != k:
-        raise ValueError(
-            f"both sets must have size K={k}, got {len(prev_set)} and {len(cur_set)}"
-        )
-    return len(cur_set & prev_set) / k
+def _slot_rows(trace: RoutingTrace):
+    """``(layer, batch, RoutingTrace.expert_rows(layer, batch))`` per slot."""
+    for layer in range(trace.header.n_moe_layers):
+        for batch in range(trace.header.batch_size):
+            yield layer, batch, trace.expert_rows(layer, batch)
 
 
 def eor(trace: RoutingTrace, pooled: bool = False) -> EorReport:
@@ -84,14 +72,16 @@ def eor(trace: RoutingTrace, pooled: bool = False) -> EorReport:
     at all is an error.
     """
     k = trace.header.top_k
+    offsets = trace.segment_offsets
     per_sequence: list[SequenceEor] = []
-    for (layer, batch, segment), sets in sorted(sequence_sets(trace).items()):
-        if len(sets) < 2:
-            continue
-        irs = [instantaneous_reuse(sets[i - 1], sets[i], k) for i in range(1, len(sets))]
-        per_sequence.append(
-            SequenceEor(layer, batch, segment, float(np.mean(irs)), len(irs))
-        )
+    for layer, batch, rows in _slot_rows(trace):
+        reuse = overlap_counts(rows) / k  # entry i pairs steps i and i+1 of the stream
+        for segment, length in enumerate(trace.segment_lengths):
+            if length >= 2:
+                irs = reuse[offsets[segment] : offsets[segment] + length - 1]
+                per_sequence.append(
+                    SequenceEor(layer, batch, segment, float(np.mean(irs)), length - 1)
+                )
     if not per_sequence:
         raise ValueError("EOR undefined: no sequence has length >= 2")
     layers = sorted({s.layer for s in per_sequence})
@@ -136,8 +126,12 @@ def load_balance_cv(selection_counts) -> float:
 
 def unique_experts_per_sequence(trace: RoutingTrace) -> float:
     """Mean |union of routed sets| across (layer, batch, segment) sequences."""
+    offsets = trace.segment_offsets
     sizes = [
-        len(frozenset().union(*sets)) for sets in sequence_sets(trace).values()
+        len(set(rows[offsets[segment] : offsets[segment + 1]].ravel().tolist()))
+        for _layer, _batch, rows in _slot_rows(trace)
+        for segment, length in enumerate(trace.segment_lengths)
+        if length >= 1
     ]
     if not sizes:
         raise ValueError("trace has no records")
@@ -161,9 +155,8 @@ def compute_metrics(trace: RoutingTrace, pooled: bool = False) -> MetricsReport:
         entropy_norm = float(np.mean(vals)) if vals else None
 
     counts = np.zeros((h.n_moe_layers, h.n_routed_experts), dtype=np.int64)
-    for rec in trace.records:
-        for e in rec.topk_indices:
-            counts[rec.layer_id, e] += 1
+    for layer, _batch, rows in _slot_rows(trace):
+        counts[layer] += np.bincount(rows.ravel(), minlength=h.n_routed_experts)
     cvs = [load_balance_cv(counts[layer]) for layer in range(h.n_moe_layers)]
 
     return MetricsReport(

@@ -49,9 +49,7 @@ __all__ = [
     "alpha_schedule",
     "routing_distributions",
     "total_objective",
-    "grad_total",
     "value_and_grad",
-    "fd_gradient",
     "fd_gradients",
     "mc_reuse_expectation",
 ]
@@ -285,25 +283,15 @@ def total_objective(theta, theta0, hiddens, w: LossWeights, train_step: int,
 
 def value_and_grad(theta, theta0, hiddens, w: LossWeights, train_step: int,
                    top_k: int) -> tuple[LossBreakdown, np.ndarray]:
-    """Objective breakdown and analytic gradient from one forward pass.
+    """Objective breakdown and the analytic d(total)/d(theta) from one forward pass.
 
-    Bitwise equal to ``total_objective(...)`` and ``grad_total(...)`` on the
-    same arguments: the values of the fused pass do not depend on whether the
-    gradient is also formed.
+    The gradient is exact for the computed value: the previous-step Top-K
+    sets (reuse) and the reference distributions (trust) are constants, and
+    the symmetric-KL terms push gradient into both of their arguments. The
+    breakdown is bitwise equal to ``total_objective(...)`` on the same
+    arguments: the values do not depend on whether the gradient is formed.
     """
     return _evaluate(theta, theta0, hiddens, w, train_step, top_k, want_grad=True)
-
-
-def grad_total(theta, theta0, hiddens, w: LossWeights, train_step: int,
-               top_k: int) -> np.ndarray:
-    """Analytic d(total)/d(theta), exact for the computed objective value.
-
-    The previous-step Top-K sets (reuse) and the reference distributions
-    (trust) are constants; the symmetric-KL terms push gradient into both of
-    their arguments.
-    """
-    _, grad = _evaluate(theta, theta0, hiddens, w, train_step, top_k, want_grad=True)
-    return grad
 
 
 def fd_gradients(theta, theta0, hiddens, weight_list, train_step: int, top_k: int,
@@ -338,12 +326,6 @@ def fd_gradients(theta, theta0, hiddens, weight_list, train_step: int, top_k: in
     return grads
 
 
-def fd_gradient(theta, theta0, hiddens, w: LossWeights, train_step: int, top_k: int,
-                h_step: float = 1e-5) -> np.ndarray:
-    """Central-difference gradient oracle, one objective pair per coordinate."""
-    return fd_gradients(theta, theta0, hiddens, [w], train_step, top_k, h_step)[0]
-
-
 # ---------------------------------------------------------------------------
 # Monte Carlo check of the reuse-mass expectation
 # ---------------------------------------------------------------------------
@@ -356,10 +338,6 @@ class McReuseResult:
     stderr: float  # binomial standard error of the estimate
     z_score: float
     n_samples: int
-
-    @property
-    def abs_error(self) -> float:
-        return abs(self.estimate - self.expected)
 
 
 def mc_reuse_expectation(p, prev_set, k: int, n_samples: int, seed: int = 0) -> McReuseResult:

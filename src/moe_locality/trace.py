@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, replace
 from functools import cached_property
 from typing import IO, Iterable, Iterator, Sequence
 
@@ -141,22 +141,81 @@ class RoutingTrace:
         return len(self.segment_lengths)
 
     @cached_property
-    def _segment_offsets(self) -> tuple[int, ...]:
+    def segment_offsets(self) -> tuple[int, ...]:
         """First global step index of each segment, plus the total step count."""
         offsets = [0]
         for length in self.segment_lengths:
             offsets.append(offsets[-1] + length)
         return tuple(offsets)
 
-    def record_at(self, segment, step, layer, batch) -> StepRecord:
-        """O(1) lookup on a dense, sorted trace (validate first)."""
-        offset = self._segment_offsets[segment]
+    def stream(self, layer: int, batch: int) -> tuple[StepRecord, ...]:
+        """The records of one (layer, batch) slot, one per step in trace order.
+
+        A dense sorted trace keeps them at ``records[layer*B + batch :: L*B]``;
+        this is the one place that reads that layout. Every record's key is
+        checked against the step it stands for, so a trace that is not dense
+        (a key missing, repeated or out of place) raises KeyError.
+        """
         h = self.header
-        idx = ((offset + step) * h.n_moe_layers + layer) * h.batch_size + batch
-        rec = self.records[idx]
-        if rec.key != (segment, step, layer, batch):
-            raise KeyError(f"trace is not dense at {(segment, step, layer, batch)}")
-        return rec
+        stride = h.n_moe_layers * h.batch_size
+        n_steps = self.segment_offsets[-1]
+        if len(self.records) != n_steps * stride:
+            raise KeyError(
+                f"trace is not dense: {len(self.records)} records for {n_steps} steps "
+                f"x {h.n_moe_layers} layers x {h.batch_size} batch items"
+            )
+        column = self.records[layer * h.batch_size + batch :: stride]
+        for (s, t), rec in zip(self.iter_steps(), column):
+            if (rec.step_index != t or rec.segment_id != s or rec.layer_id != layer
+                    or rec.batch_index != batch):
+                raise KeyError(f"trace is not dense at {(s, t, layer, batch)}")
+        return column
+
+    def expert_rows(self, layer: int, batch: int) -> np.ndarray:
+        """The Top-K sets of :meth:`stream` as one int[steps, K] array.
+
+        Raises ValueError unless every set holds K distinct experts in
+        [0, N), so that overlaps counted over the rows are set intersections.
+        """
+        h = self.header
+        stream = self.stream(layer, batch)
+        try:
+            rows = np.array([r.topk_indices for r in stream], dtype=np.int64)
+            rows = rows.reshape(len(stream), h.top_k)
+        except ValueError:  # ragged rows or a row of another length
+            rows = None
+        # Sorted, a set of K experts in [0, N) rises strictly from >= 0 to < N.
+        ranked = None if rows is None else np.sort(rows, axis=1)
+        if (ranked is None or not (ranked[:, 1:] > ranked[:, :-1]).all()
+                or not (ranked[:, :1] >= 0).all()
+                or not (ranked[:, -1:] < h.n_routed_experts).all()):
+            raise ValueError(
+                f"every Top-K set of layer {layer}, batch {batch} must be a set of "
+                f"size K={h.top_k} of experts in [0, {h.n_routed_experts})"
+            )
+        return rows
+
+    def batch_slot(self, batch: int) -> "RoutingTrace":
+        """Batch slot ``batch`` of a dense sorted trace as a standalone B=1 trace.
+
+        The slot's records are ``records[batch::B]``; a record of another slot
+        among them means the trace is not dense (a key missing or repeated), so
+        it raises KeyError rather than check one slot's routing as another's.
+        """
+        h = self.header
+        if h.batch_size == 1:
+            return self
+        records = self.records[batch :: h.batch_size]
+        if any(rec.batch_index != batch for rec in records):
+            raise KeyError(f"trace is not dense in batch slot {batch}")
+        return RoutingTrace(
+            header=replace(h, batch_size=1),
+            records=tuple(
+                StepRecord(r.segment_id, r.step_index, r.layer_id, 0, r.topk_indices, r.probs)
+                for r in records
+            ),
+            segment_lengths=self.segment_lengths,
+        )
 
     def iter_steps(self) -> Iterator[tuple[int, int]]:
         """All (segment, step) pairs in order."""
@@ -322,19 +381,7 @@ def _format_record_line(rec: StepRecord) -> str:
 
 def write_trace(trace: RoutingTrace) -> bytes:
     """Serialize a trace in canonical (sorted) record order."""
-    h = trace.header
-    header_line = json.dumps(
-        {
-            "type": "header",
-            "n_moe_layers": h.n_moe_layers,
-            "n_routed_experts": h.n_routed_experts,
-            "top_k": h.top_k,
-            "batch_size": h.batch_size,
-            "has_probs": h.has_probs,
-        },
-        separators=(",", ":"),
-    )
-    lines = [header_line]
+    lines = [json.dumps({"type": "header", **asdict(trace.header)}, separators=(",", ":"))]
     lines.extend(_format_record_line(r) for r in sorted(trace.records, key=lambda r: r.key))
     return ("\n".join(lines) + "\n").encode("utf-8")
 
@@ -472,7 +519,7 @@ def validate_trace(trace: RoutingTrace) -> list[Violation]:
     out: list[Violation] = []
     h = trace.header
     records = trace.records
-    offsets = np.array(trace._segment_offsets)
+    offsets = np.array(trace.segment_offsets)
     dense = (
         all(length >= 1 for length in trace.segment_lengths)
         and len(records) == offsets[-1] * h.n_moe_layers * h.batch_size
@@ -579,8 +626,12 @@ class SynthConfig:
             raise ValueError(f"stickiness must be in [0,1], got {self.stickiness}")
         if self.n_segments < 1 or self.steps_per_segment < 1:
             raise ValueError("n_segments and steps_per_segment must be >= 1")
-        if self.concentration < 0.0:
-            raise ValueError("concentration must be >= 0")
+        # A member's score stays below 2(1 + c), so the score sum below 2(1 + c)N.
+        c = self.concentration
+        if not (c >= 0.0 and math.isfinite(2.0 * (1.0 + c) * self.n_routed_experts)):
+            raise ValueError(
+                f"concentration must be a finite number >= 0 that keeps the scores finite, got {c}"
+            )
 
     @property
     def header(self) -> TraceHeader:

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .gate import GateParams, kl_div, topk_rows
+from .gate import GateParams, kl_div, overlap_counts, topk_rows
 from .objective import LossWeights, routing_distributions, value_and_grad
 
 __all__ = [
@@ -100,15 +100,10 @@ def init_gate_matrix(hidden_dim: int, n_experts: int, seed: int) -> np.ndarray:
     return rng.standard_normal((hidden_dim, n_experts)) / np.sqrt(hidden_dim)
 
 
-def _rows_eor(rows: np.ndarray) -> float:
-    """Mean fraction of each Top-K row shared with the row before it."""
-    shared = (rows[1:, :, None] == rows[:-1, None, :]).sum(axis=(1, 2))
-    return float(np.mean(shared / rows.shape[1]))
-
-
 def sequence_eor(theta, hiddens, top_k: int) -> float:
     """EOR of the routing trajectory the gate induces on one sequence."""
-    return _rows_eor(topk_rows(routing_distributions(theta, hiddens), top_k))
+    rows = topk_rows(routing_distributions(theta, hiddens), top_k)
+    return float(np.mean(overlap_counts(rows) / top_k))
 
 
 @dataclass(frozen=True)
@@ -125,7 +120,7 @@ def evaluate_gate(theta, theta0, sequences, top_k: int) -> EvalStats:
         p = routing_distributions(theta, h)
         pref = routing_distributions(theta0, h)
         rows = topk_rows(p, top_k)
-        eors.append(_rows_eor(rows))
+        eors.append(float(np.mean(overlap_counts(rows) / top_k)))
         trusts.append(float(np.mean([kl_div(a, b) for a, b in zip(p, pref)])))
         masses = p[np.arange(1, len(p))[:, None], rows[:-1]].sum(axis=1) / top_k
         rhos.append(float(np.mean(masses)))

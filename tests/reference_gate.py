@@ -5,15 +5,19 @@
 ``stability_campaign`` runs them trial by trial. The library's block form
 (``gate.stability_block`` / ``gate.perturb_rows``) must give the same verdicts
 row by row, which the differential tests check.
+
+``load_gate`` reads the file ``gate.save_gate`` writes, for the round-trip
+tests.
 """
 
 from __future__ import annotations
 
+import struct
 from dataclasses import dataclass
 
 import numpy as np
 
-from moe_locality.gate import probability_margin, topk
+from moe_locality.gate import GateParams, probability_margin, topk
 
 
 @dataclass(frozen=True)
@@ -81,3 +85,21 @@ def stability_campaign(trials: int, n_experts: int, k: int, seed: int = 0) -> di
         if verdict.condition_met and not verdict.sets_equal:
             failures += 1
     return {"trials": trials, "checked": checked, "failures": failures}
+
+
+def load_gate(path) -> GateParams:
+    """Read a gate-params-v1 file: magic, little-endian tag, d, N_r, then
+    theta and theta0 as float64."""
+    with open(path, "rb") as f:
+        magic = f.read(4)
+        if magic != b"GATE":
+            raise ValueError(f"not a gate-params file (magic {magic!r})")
+        endian, d, n = struct.unpack("<BII", f.read(9))
+        if endian != 0:
+            raise ValueError("unsupported byte order tag")
+        count = d * n
+        theta = np.frombuffer(f.read(count * 8), dtype="<f8").reshape(d, n)
+        theta0 = np.frombuffer(f.read(count * 8), dtype="<f8").reshape(d, n)
+        if f.read(1):
+            raise ValueError("trailing bytes after gate matrices")
+    return GateParams(theta=theta.copy(), theta0=theta0.copy())

@@ -24,7 +24,6 @@ import numpy as np
 
 from moe_locality import objective
 from moe_locality.gate import GateParams, kl_div, topk, topk_rows
-from moe_locality.metrics import instantaneous_reuse
 from moe_locality.objective import (
     _LOG_CLAMP,
     REUSE_EPS,
@@ -41,6 +40,7 @@ from moe_locality.trainer import (
     TrainLogRow,
     TrainResult,
 )
+from reference_metrics import instantaneous_reuse
 
 
 def float_bits(obj) -> list[str]:

@@ -6,7 +6,9 @@ made by a full scan. BELADY recomputes the farthest next use by searching the
 raw future request list. Used only as a test oracle on tiny traces.
 
 Below it is the package's previous simulator (per-expert timestamp state,
-per-step ``record_at`` reads), the oracle for whole-report equality.
+one keyed record lookup per step and batch item), the oracle for
+whole-report equality. Both find records by key in a dict of their own
+(``records_by_key``), not through the package's dense-layout reader.
 """
 
 from __future__ import annotations
@@ -31,6 +33,11 @@ from moe_locality.cache_sim import (
     reroute_topk,
 )
 from moe_locality.trace import RoutingTrace, StepRecord, TraceHeader
+
+
+def records_by_key(trace: RoutingTrace) -> dict:
+    """(segment, step, layer, batch) -> record."""
+    return {r.key: r for r in trace.records}
 
 
 def ordered_unique(xs):
@@ -113,13 +120,14 @@ def naive_simulate(trace, capacity, policy, reset_each_segment):
     stats = []
     events = []
     final_resident = []
+    by_key = records_by_key(trace)
     for layer in range(header.n_moe_layers):
         sim = NaiveLayerSim(capacity, policy)
         steps = []
         for s, t in trace.iter_steps():
             slots = []
             for b in range(header.batch_size):
-                slots.extend(trace.record_at(s, t, layer, b).topk_indices)
+                slots.extend(by_key[(s, t, layer, b)].topk_indices)
             steps.append((s, t, slots))
         prev_segment = None
         for i, (s, t, slots) in enumerate(steps):
@@ -161,13 +169,13 @@ def naive_simulate(trace, capacity, policy, reset_each_segment):
 
 
 # ---------------------------------------------------------------------------
-# The record_at simulator and bound-check collection, kept as a differential
-# oracle for ``moe_locality.cache_sim.simulate`` and
-# ``moe_locality.bounds._collect_step_records`` / ``_batch_trace``.
+# The keyed-lookup simulator and bound-check collection, kept as a
+# differential oracle for ``moe_locality.cache_sim.simulate`` and
+# ``moe_locality.bounds._collect_step_records`` / ``RoutingTrace.batch_slot``.
 # ``LayerCacheState`` keeps timestamps and counters per resident expert and
 # every victim is a ``min`` over the candidates; requests are read with one
-# ``record_at`` call per (step, batch item). It returns the package's own report types so whole
-# reports compare with ``==``.
+# keyed lookup per (step, batch item). It returns the package's own report
+# types so whole reports compare with ``==``.
 # ---------------------------------------------------------------------------
 
 
@@ -250,11 +258,12 @@ def _ordered_unique(items) -> list[int]:
 def _layer_requests(trace: RoutingTrace, layer: int) -> list[tuple[int, int, list[int], list[int]]]:
     """Per (segment, step): (s, t, token slot list R, ordered-unique list U)."""
     h = trace.header
+    by_key = records_by_key(trace)
     out = []
     for s, t in trace.iter_steps():
         slots: list[int] = []
         for b in range(h.batch_size):
-            slots.extend(trace.record_at(s, t, layer, b).topk_indices)
+            slots.extend(by_key[(s, t, layer, b)].topk_indices)
         out.append((s, t, slots, _ordered_unique(slots)))
     return out
 
@@ -287,7 +296,7 @@ def _apply_fault(state: LayerCacheState, scenario: FaultScenario, rng, n_experts
 
 
 def reference_simulate(trace: RoutingTrace, cfg: CacheConfig, record_events: bool = False) -> SimReport:
-    """The per-step ``record_at`` simulator: same contract as ``simulate``."""
+    """The per-step keyed-lookup simulator: same contract as ``simulate``."""
     h = trace.header
     if cfg.reroute_beta is not None and not h.has_probs:
         raise ValueError("rerouting requires a trace with routing distributions")
@@ -298,6 +307,7 @@ def reference_simulate(trace: RoutingTrace, cfg: CacheConfig, record_events: boo
 
     rng = np.random.default_rng(cfg.scenario.seed) if cfg.scenario is not None else None
     reroute = cfg.reroute_beta is not None
+    by_key = records_by_key(trace)
 
     layer_requests = {
         layer: _layer_requests(trace, layer) for layer in range(h.n_moe_layers)
@@ -333,7 +343,7 @@ def reference_simulate(trace: RoutingTrace, cfg: CacheConfig, record_events: boo
             if reroute:
                 slots = []
                 for b in range(h.batch_size):
-                    rec = trace.record_at(s, t, layer, b)
+                    rec = by_key[(s, t, layer, b)]
                     new_topk = reroute_topk(
                         rec.probs, state.resident, cfg.reroute_beta, h.top_k
                     )
@@ -489,6 +499,7 @@ def reference_collect_step_records(
     """Per-step fetch counts vs. bounds for one B=1 trace under ``cfg``,
     labelled with batch slot ``batch``."""
     k = trace.header.top_k
+    record = records_by_key(trace)
     report = reference_simulate(trace, cfg, record_events=True)
     by_key = {(ev.layer, ev.segment, ev.step): ev for ev in report.events}
     fetch = {
@@ -499,9 +510,7 @@ def reference_collect_step_records(
     seq_records: list[SequenceBound] = []
     for layer in range(trace.header.n_moe_layers):
         for segment, length in enumerate(trace.segment_lengths):
-            sets = [
-                trace.record_at(segment, t, layer, 0).expert_set for t in range(length)
-            ]
+            sets = [record[(segment, t, layer, 0)].expert_set for t in range(length)]
             total_fetch = 0
             total_bound = 0
             for t in range(1, length):

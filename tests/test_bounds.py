@@ -74,7 +74,7 @@ class TestStepBound:
 
     def test_batch_slot_reindexes_to_single_batch(self):
         trace = synth_trace(SynthConfig(batch_size=3, seed=9, independent_batches=True))
-        sub = bounds._batch_trace(trace, 2)
+        sub = trace.batch_slot(2)
         assert sub.header.batch_size == 1
         assert validate_trace(sub) == []
         assert all(r.batch_index == 0 for r in sub.records)
@@ -90,6 +90,13 @@ class TestStepBound:
         for check in (check_step_bound, check_working_set_bound):
             with pytest.raises(KeyError, match="not dense"):
                 check(bad, trace.header.top_k)
+
+    def test_duplicate_expert_id_is_refused(self):
+        # Overlap counts are set intersections only for K distinct experts.
+        trace = seq_trace([(1, 1), (1, 2), (1, 2)], k=2, n=4)
+        for check in (check_step_bound, check_working_set_bound):
+            with pytest.raises(ValueError, match="size K=2"):
+                check(trace, 2)
 
 
 class TestWorkingSetBound:
@@ -190,7 +197,7 @@ def with_reference_collection(fn, *args):
     """``fn(*args)`` with the bound checks slicing batch slots and collecting
     their records through the reference implementations instead of the
     package's."""
-    with mock.patch.object(bounds, "_batch_trace", reference_slice_batch), \
+    with mock.patch.object(RoutingTrace, "batch_slot", reference_slice_batch), \
             mock.patch.object(bounds, "_collect_step_records", reference_collect_step_records):
         return fn(*args)
 

@@ -14,7 +14,6 @@ from moe_locality.cache_sim import (
     estimate_tpot,
     percentile,
     reroute_topk,
-    _layer_columns,
     _occurrence_index,
     _step_requests,
     simulate,
@@ -24,7 +23,7 @@ from moe_locality.metrics import eor
 from moe_locality.trace import RoutingTrace, StepRecord, SynthConfig, TraceHeader, synth_trace
 
 from reference_sim import naive_simulate, reference_simulate
-from test_trace import make_trace
+from test_trace import make_trace, record_at
 
 
 def seq_trace(sets, k=2, n=8, segment_starts=()):
@@ -75,7 +74,7 @@ class TestHandSimulations:
             for s in range(trace.n_segments):
                 union = set()
                 for t in range(trace.segment_lengths[s]):
-                    union |= trace.record_at(s, t, 0, 0).expert_set
+                    union |= record_at(trace, s, t, 0, 0).expert_set
                 expected += len(union)
             assert report.overall.unique_misses == expected
 
@@ -102,7 +101,7 @@ def next_use_table(trace, layer, within_segment=True):
     from the occurrence index that Belady's victim choice searches (inf when
     the expert is not requested again in the same scope)."""
     steps = list(trace.iter_steps())
-    requests = _step_requests(_layer_columns(trace, layer, steps))
+    requests = _step_requests([trace.stream(layer, b) for b in range(trace.header.batch_size)])
     occ = _occurrence_index(steps, requests, within_segment)
     table = {}
     for ordinal, ((s, t), (_slots, uniq)) in enumerate(zip(steps, requests)):
@@ -138,10 +137,10 @@ class TestBeladyNextUse:
         for s in range(trace.n_segments):
             length = trace.segment_lengths[s]
             for t in range(length):
-                for e in trace.record_at(s, t, 0, 0).topk_indices:
+                for e in record_at(trace, s, t, 0, 0).topk_indices:
                     expected = math.inf
                     for t2 in range(t + 1, length):
-                        if e in trace.record_at(s, t2, 0, 0).expert_set:
+                        if e in record_at(trace, s, t2, 0, 0).expert_set:
                             expected = t2
                             break
                     assert table[(s, t, e)] == expected

@@ -103,6 +103,14 @@ class TestSynthValidate:
         assert proc.stderr.startswith(f"data error: line 2: segment id or step index {10**30}")
         assert "Traceback" not in proc.stderr
 
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_non_finite_concentration_is_data_error(self, tmp_path, capsys, value):
+        out = tmp_path / "c.jsonl"
+        assert run("synth", "--emit-probs", "--concentration", value, "--out", str(out)) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("data error: concentration must be a finite number")
+        assert not out.exists()
+
     def test_huge_integer_probability_is_data_error(self, tmp_path, capsys):
         path = tmp_path / "huge.jsonl"
         path.write_bytes(NAN_TRACE.replace(b"NaN", b"1" + b"0" * 400))
@@ -459,6 +467,21 @@ class TestDispatch:
         assert run("metrics", "--trace", str(trace_path), "--out", str(out)) == 2
         err = capsys.readouterr().err
         assert err.startswith("data error:") and str(out) in err
+
+    @pytest.mark.parametrize("argv", [
+        pytest.param(("metrics", "--trace", "{trace}"), id="metrics"),
+        pytest.param(("simulate", "--trace", "{trace}", "--capacity", "4"), id="simulate"),
+        pytest.param(("bound-check", "--counterexamples"), id="bound-check"),
+    ])
+    def test_unwritable_out_names_the_requested_path(self, trace_path, tmp_path, capsys, argv):
+        # The report goes through a temp file next to it; the error names the
+        # --out path, never the temp file's random name.
+        out = tmp_path / "missing" / "report.json"
+        argv = [a.format(trace=trace_path) for a in argv]
+        assert run(*argv, "--out", str(out)) == 2
+        err = capsys.readouterr().err
+        assert err == f"data error: [Errno 2] No such file or directory: {str(out)!r}\n"
+        assert not (tmp_path / "missing").exists()
 
     def test_threads_flag_below_one_is_usage_error(self, tmp_path, capsys):
         assert run("bound-check", "--campaign", "3", "--threads", "0",

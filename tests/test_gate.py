@@ -8,8 +8,6 @@ import reference_gate
 from moe_locality.gate import (
     STABILITY_BLOCK,
     GateParams,
-    gate_forward,
-    load_gate,
     perturb_rows,
     pinsker_campaign,
     pinsker_check,
@@ -20,12 +18,15 @@ from moe_locality.gate import (
     topk,
     topk_rows,
 )
-from reference_gate import sample_within_margin, stability_check
+from moe_locality.objective import routing_distributions
+from reference_gate import load_gate, sample_within_margin, stability_check
 
 
 class TestGateForward:
+    """The gate's forward pass, ``objective.routing_distributions``."""
+
     def test_zero_weights_give_uniform(self):
-        p = gate_forward(np.ones(3), np.zeros((3, 5)))
+        p = routing_distributions(np.zeros((3, 5)), np.ones(3))
         assert p == pytest.approx(np.full(5, 0.2))
 
     def test_shift_invariance(self):
@@ -36,23 +37,25 @@ class TestGateForward:
         c = 3.7
         # h @ (theta + outer) = h @ theta + c requires outer = c * h / |h|^2 per column
         outer = np.outer(h / (h @ h), np.full(6, c))
-        assert gate_forward(h, theta + outer) == pytest.approx(gate_forward(h, shifted))
+        assert routing_distributions(theta + outer, h) == pytest.approx(
+            routing_distributions(shifted, h)
+        )
 
     def test_hand_softmax(self):
         # logits (2, 0, 0) -> [e^2, 1, 1] / (e^2 + 2)
         h = np.array([1.0, 0.0])
         theta = np.array([[2.0, 0.0, 0.0], [0.0, 0.0, 0.0]])
         expected = np.array([math.e**2, 1.0, 1.0]) / (math.e**2 + 2.0)
-        assert gate_forward(h, theta) == pytest.approx(expected, abs=1e-12)
+        assert routing_distributions(theta, h) == pytest.approx(expected, abs=1e-12)
 
     def test_rejects_non_finite(self):
         with pytest.raises(ValueError, match="finite"):
-            gate_forward(np.array([np.inf, 0.0]), np.ones((2, 3)))
+            routing_distributions(np.ones((2, 3)), np.array([np.inf, 0.0]))
 
     def test_sums_to_one_for_extreme_logits(self):
         h = np.array([1.0])
         theta = np.array([[700.0, -700.0, 0.0]])
-        p = gate_forward(h, theta)
+        p = routing_distributions(theta, h)
         assert abs(p.sum() - 1.0) < 1e-12
         assert np.all(p >= 0)
 
@@ -318,7 +321,8 @@ class TestGateParams:
 )
 def test_forward_always_a_distribution(seed, n, d):
     rng = np.random.default_rng(seed)
-    p = gate_forward(rng.standard_normal(d) * 10, rng.standard_normal((d, n)) * 10)
+    h = rng.standard_normal(d) * 10
+    p = routing_distributions(rng.standard_normal((d, n)) * 10, h)
     assert abs(p.sum() - 1.0) < 1e-9
     assert np.all(p >= 0)
 

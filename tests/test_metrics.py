@@ -4,32 +4,66 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import reference_metrics
+from moe_locality.gate import overlap_counts
 from moe_locality.metrics import (
     compute_metrics,
     eor,
-    instantaneous_reuse,
     load_balance_cv,
     normalized_entropy,
     unique_experts_per_sequence,
 )
-from moe_locality.trace import SynthConfig, TraceHeader, synth_trace
+from moe_locality.trace import RoutingTrace, StepRecord, SynthConfig, TraceHeader, synth_trace
 
 from test_trace import make_trace
 
 
 class TestInstantaneousReuse:
+    """Step-to-step overlap has one definition, ``gate.overlap_counts``."""
+
     def test_identical_sets(self):
-        assert instantaneous_reuse({1, 2, 3}, {1, 2, 3}, 3) == 1.0
+        assert overlap_counts(np.array([[1, 2, 3], [1, 2, 3]])).tolist() == [3]
 
     def test_disjoint_sets(self):
-        assert instantaneous_reuse({1, 2, 3}, {4, 5, 6}, 3) == 0.0
+        assert overlap_counts(np.array([[1, 2, 3], [4, 5, 6]])).tolist() == [0]
 
     def test_partial_overlap(self):
-        assert instantaneous_reuse({2, 3, 4}, {1, 2, 3}, 3) == pytest.approx(2 / 3)
+        assert overlap_counts(np.array([[2, 3, 4], [1, 2, 3]])).tolist() == [2]
 
     def test_size_mismatch(self):
+        header = TraceHeader(1, 8, 3, 1)
+        trace = make_trace(header, [(0, 0, 0, 0, (1, 2)), (0, 1, 0, 0, (1, 2, 3))])
         with pytest.raises(ValueError, match="size K"):
-            instantaneous_reuse({1, 2}, {1, 2, 3}, 3)
+            eor(trace)
+
+    def test_order_within_a_row_does_not_matter(self):
+        rows = np.array([[0, 1, 2], [2, 0, 5], [5, 6, 2], [7, 3, 4], [4, 7, 3]])
+        assert overlap_counts(rows).tolist() == [2, 2, 0, 3]
+        assert overlap_counts(rows[:, ::-1]).tolist() == [2, 2, 0, 3]
+
+    def test_one_row_has_no_pairs(self):
+        assert overlap_counts(np.array([[0, 1]])).tolist() == []
+
+    def test_duplicate_ids_are_refused_by_eor(self):
+        header = TraceHeader(1, 8, 2, 1)
+        trace = make_trace(header, [(0, 0, 0, 0, (1, 1)), (0, 1, 0, 0, (1, 2))])
+        with pytest.raises(ValueError, match="size K"):
+            eor(trace)
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 12), t_len=st.integers(1, 12),
+           k_pick=st.integers(1, 12))
+    def test_matches_the_set_form(self, seed, n, t_len, k_pick):
+        k = 1 + (k_pick - 1) % n  # K = N included
+        rng = np.random.default_rng(seed)
+        rows = np.array([rng.permutation(n)[:k] for _ in range(t_len)])
+        sets = [frozenset(r.tolist()) for r in rows]
+        expected = [len(sets[t] & sets[t - 1]) for t in range(1, t_len)]
+        assert overlap_counts(rows).tolist() == expected
+        assert [c / k for c in expected] == [
+            reference_metrics.instantaneous_reuse(sets[t - 1], sets[t], k)
+            for t in range(1, t_len)
+        ]
 
 
 def seq_trace(sets, k=2, n=8):
@@ -72,7 +106,7 @@ class TestEor:
 
     def test_matches_fetch_bound_identity(self):
         # EOR == 1 - mean(K * (1 - IR_t)) / K, computed through the set algebra
-        # rather than through instantaneous_reuse.
+        # rather than through overlap_counts.
         trace = synth_trace(SynthConfig(seed=13, stickiness=0.4, steps_per_segment=50))
         k = trace.header.top_k
         sets = [r.expert_set for r in trace.records]
@@ -181,3 +215,98 @@ class TestReport:
 def test_eor_within_unit_interval(p, seed):
     trace = synth_trace(SynthConfig(stickiness=p, seed=seed, steps_per_segment=8))
     assert 0.0 <= eor(trace).overall <= 1.0
+
+
+class TestDensity:
+    def test_step_gap_raises_key_error(self):
+        # Steps 0, 1 and 3: no record stands for step 2, so no pairing of
+        # step 1 with step 3 is reported as reuse.
+        header = TraceHeader(1, 8, 2, 1)
+        trace = make_trace(header, [(0, t, 0, 0, (0, 1)) for t in (0, 1, 3)])
+        for metric in (eor, compute_metrics, unique_experts_per_sequence):
+            with pytest.raises(KeyError, match="not dense"):
+                metric(trace)
+
+    def test_mis_keyed_record_raises_key_error(self):
+        # A dense record count, but layer 0's step 1 stands in for step 2.
+        header = TraceHeader(1, 8, 2, 2)
+        rows = [(0, t, 0, b, (0, 1)) for t in range(3) for b in range(2)]
+        rows[-1] = (0, 1, 0, 1, (2, 3))
+        trace = RoutingTrace(header, tuple(
+            StepRecord(*r[:4], r[4]) for r in sorted(rows)), (3,))
+        with pytest.raises(KeyError, match="not dense"):
+            eor(trace)
+
+
+# ---------------------------------------------------------------------------
+# Differential tests: whole reports against the frozenset reference in
+# tests/reference_metrics.py.
+# ---------------------------------------------------------------------------
+
+
+@st.composite
+def dense_traces(draw):
+    """Dense valid traces with B up to 4, length-1 segments, K = N, and
+    independent random Top-K sets (with probabilities for some)."""
+    n = draw(st.integers(1, 10))
+    k = draw(st.sampled_from(sorted({1, n, draw(st.integers(1, n))})))
+    layers = draw(st.integers(1, 3))
+    batch = draw(st.integers(1, 4))
+    lengths = draw(st.lists(st.integers(1, 6), min_size=1, max_size=5))
+    has_probs = draw(st.booleans()) and n >= 2
+    sticky = draw(st.sampled_from([0.0, 0.5, 0.9]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    records = []
+    for s, length in enumerate(lengths):
+        for l in range(layers):
+            for b in range(batch):
+                prev = None
+                for t in range(length):
+                    members = rng.permutation(n)[:k]
+                    if prev is not None and rng.random() < sticky:
+                        members = prev
+                    prev = members
+                    probs = None
+                    if has_probs:
+                        weights = rng.random(n)
+                        weights[members] += 2.0
+                        probs = tuple((weights / weights.sum()).tolist())
+                    records.append(StepRecord(s, t, l, b, tuple(members.tolist()), probs))
+    header = TraceHeader(layers, n, k, batch, has_probs=has_probs)
+    return RoutingTrace.from_records(header, records)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(trace=dense_traces(), pooled=st.booleans())
+def test_reports_match_reference_bitwise(trace, pooled):
+    if any(length >= 2 for length in trace.segment_lengths):
+        # repr spells every float exactly, so equal reprs mean equal bits.
+        assert repr(eor(trace, pooled)) == repr(reference_metrics.eor(trace, pooled))
+        assert repr(compute_metrics(trace, pooled)) == repr(
+            reference_metrics.compute_metrics(trace, pooled)
+        )
+    else:
+        with pytest.raises(ValueError, match="length >= 2"):
+            eor(trace, pooled)
+        with pytest.raises(ValueError, match="length >= 2"):
+            reference_metrics.eor(trace, pooled)
+    assert repr(unique_experts_per_sequence(trace)) == repr(
+        reference_metrics.unique_experts_per_sequence(trace)
+    )
+
+
+def test_bench_shaped_reports_match_reference_bitwise():
+    # The long-decode trace and a tenth of the many-short one; 127 pairs per
+    # sequence reach numpy's pairwise summation in the per-sequence means.
+    for cfg in (
+        SynthConfig(n_moe_layers=4, n_routed_experts=64, top_k=6, batch_size=4, n_segments=2,
+                    steps_per_segment=128, stickiness=0.4, seed=0, emit_probs=True),
+        SynthConfig(n_moe_layers=4, n_routed_experts=64, top_k=6, n_segments=100,
+                    steps_per_segment=4, stickiness=0.6, seed=0),
+    ):
+        trace = synth_trace(cfg)
+        for pooled in (False, True):
+            assert repr(compute_metrics(trace, pooled)) == repr(
+                reference_metrics.compute_metrics(trace, pooled)
+            )
+            assert repr(eor(trace, pooled)) == repr(reference_metrics.eor(trace, pooled))

@@ -22,9 +22,7 @@ from moe_locality.gate import kl_div
 from moe_locality.objective import (
     LossWeights,
     alpha_schedule,
-    fd_gradient,
     fd_gradients,
-    grad_total,
     mc_reuse_expectation,
     routing_distributions,
     total_objective,
@@ -331,12 +329,12 @@ class TestGradients:
     def test_zero_weights_zero_grad(self):
         theta, theta0, hiddens, k = small_instance(5)
         w = no_warm(lambda_kl=0, lambda_reuse=0, lambda_smooth=0, lambda_lag=0, lambda_ws=0)
-        assert np.all(grad_total(theta, theta0, hiddens, w, 10, k) == 0.0)
+        assert np.all(value_and_grad(theta, theta0, hiddens, w, 10, k)[1] == 0.0)
 
     def test_kl_stationary_at_snapshot(self):
         theta, _, hiddens, k = small_instance(6)
         w = no_warm(lambda_kl=1.0, lambda_reuse=0, lambda_smooth=0, lambda_lag=0, lambda_ws=0)
-        g = grad_total(theta, theta, hiddens, w, 10, k)
+        g = value_and_grad(theta, theta, hiddens, w, 10, k)[1]
         assert np.max(np.abs(g)) < 1e-14
 
     @pytest.mark.parametrize("term", ["trust", "reuse", "smooth", "lag", "ws", "combined"])
@@ -353,8 +351,8 @@ class TestGradients:
             theta = rng.standard_normal((d, n))
             theta0 = theta + 0.1 * rng.standard_normal((d, n))
             hiddens = rng.standard_normal((t, d))
-            analytic = grad_total(theta, theta0, hiddens, w, 1000, k)
-            numeric = fd_gradient(theta, theta0, hiddens, w, 1000, k)
+            analytic = value_and_grad(theta, theta0, hiddens, w, 1000, k)[1]
+            numeric = fd_gradients(theta, theta0, hiddens, [w], 1000, k)[0]
             rel = np.max(np.abs(analytic - numeric) / (np.abs(numeric) + 1e-8))
             assert rel < 1e-5
 
@@ -364,8 +362,8 @@ class TestGradients:
             lambda_kl=0, lambda_smooth=0, lambda_lag=0, lambda_ws=0,
             lambda_reuse=1.0, warm_reuse_steps=100, warm_loc_steps=100,
         )
-        g_half = grad_total(theta, theta0, hiddens, w, 50, k)
-        g_full = grad_total(theta, theta0, hiddens, w, 100, k)
+        g_half = value_and_grad(theta, theta0, hiddens, w, 50, k)[1]
+        g_full = value_and_grad(theta, theta0, hiddens, w, 100, k)[1]
         assert g_half == pytest.approx(0.5 * g_full, abs=1e-12)
 
     def test_fd_quadratic_exactness(self):
@@ -388,10 +386,10 @@ class TestGradients:
     def test_fd_error_v_shape(self):
         theta, theta0, hiddens, k = small_instance(0, d=4, n=8, t=16, k=3)
         w = no_warm()
-        analytic = grad_total(theta, theta0, hiddens, w, 1000, k)
+        analytic = value_and_grad(theta, theta0, hiddens, w, 1000, k)[1]
         errs = []
         for h in (1e-4, 1e-5, 1e-6):
-            numeric = fd_gradient(theta, theta0, hiddens, w, 1000, k, h_step=h)
+            numeric = fd_gradients(theta, theta0, hiddens, [w], 1000, k, h_step=h)[0]
             errs.append(float(np.max(np.abs(analytic - numeric))))
         assert errs[1] < errs[0]  # truncation shrinks
         assert errs[1] < errs[2]  # round-off grows back
@@ -440,7 +438,7 @@ def test_fd_gradients_match_per_config_loop_bitwise(seed, d, n, t_len, lag_norma
     for w, numeric in zip(configs, numerics):
         oracle = reference_objective.fd_gradient(theta, theta0, hiddens, w, 1000, k)
         assert numeric.tobytes() == oracle.tobytes()
-        assert fd_gradient(theta, theta0, hiddens, w, 1000, k).tobytes() == oracle.tobytes()
+        assert fd_gradients(theta, theta0, hiddens, [w], 1000, k)[0].tobytes() == oracle.tobytes()
 
 
 class TestMcReuse:
@@ -494,8 +492,8 @@ def test_grad_matches_fd_on_random_instances(seed):
     desc = np.sort(p, axis=1)[:, ::-1]
     assume(float(np.min(desc[:, k - 1] - desc[:, k])) > 1e-3)
     w = no_warm()
-    analytic = grad_total(theta, theta0, hiddens, w, 1000, k)
-    numeric = fd_gradient(theta, theta0, hiddens, w, 1000, k)
+    analytic = value_and_grad(theta, theta0, hiddens, w, 1000, k)[1]
+    numeric = fd_gradients(theta, theta0, hiddens, [w], 1000, k)[0]
     # absolute agreement at the FD noise floor
     assert np.max(np.abs(analytic - numeric)) < 1e-7
 
@@ -537,7 +535,7 @@ def test_fused_pass_matches_reference_bitwise(instance):
     assert float_bits(breakdown) == want
     assert float_bits(total_objective(*instance)) == want
     assert grad.tobytes() == expected_grad.tobytes()
-    assert grad_total(*instance).tobytes() == expected_grad.tobytes()
+    assert value_and_grad(*instance)[1].tobytes() == expected_grad.tobytes()
 
 
 @settings(max_examples=300, deadline=None, derandomize=True)

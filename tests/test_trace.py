@@ -35,6 +35,14 @@ def make_trace(header, rows):
     return RoutingTrace.from_records(header, records)
 
 
+def record_at(trace, segment, step, layer, batch):
+    """The record keyed (segment, step, layer, batch), by linear search."""
+    found = [r for r in trace.records if r.key == (segment, step, layer, batch)]
+    if len(found) != 1:
+        raise KeyError(f"{len(found)} records keyed {(segment, step, layer, batch)}")
+    return found[0]
+
+
 HEADER_LINE = (
     b'{"type":"header","n_moe_layers":1,"n_routed_experts":4,"top_k":2,'
     b'"batch_size":1,"has_probs":false}'
@@ -254,7 +262,7 @@ class TestSynth:
         cfg = SynthConfig(batch_size=3, seed=4, steps_per_segment=6)
         trace = synth_trace(cfg)
         for s, t in trace.iter_steps():
-            sets = {trace.record_at(s, t, 0, b).expert_set for b in range(3)}
+            sets = {record_at(trace, s, t, 0, b).expert_set for b in range(3)}
             assert len(sets) == 1
 
     def test_independent_batch_streams_differ(self):
@@ -263,7 +271,7 @@ class TestSynth:
         )
         trace = synth_trace(cfg)
         streams = [
-            tuple(trace.record_at(0, t, 0, b).expert_set for t in range(12))
+            tuple(rec.expert_set for rec in trace.stream(0, b))
             for b in range(3)
         ]
         assert len(set(streams)) > 1
@@ -321,6 +329,9 @@ def test_parse_write_round_trip(cfg):
 
 
 class TestRecordAt:
+    """``RoutingTrace.stream``, the one reader of the dense layout, against a
+    linear key search."""
+
     @pytest.mark.parametrize("lengths", [(3,), (1, 4, 2), (5, 1, 1, 3)])
     @pytest.mark.parametrize("layers,batch", [(1, 1), (2, 3)])
     def test_agrees_with_linear_search(self, lengths, layers, batch):
@@ -331,11 +342,59 @@ class TestRecordAt:
             full.header, [r for r in full.records if r.step_index < lengths[r.segment_id]]
         )
         assert trace.segment_lengths == lengths and validate_trace(trace) == []
-        for s, t in trace.iter_steps():
-            for l in range(layers):
-                for b in range(batch):
-                    found = [r for r in trace.records if r.key == (s, t, l, b)]
-                    assert [trace.record_at(s, t, l, b)] == found
+        for l in range(layers):
+            for b in range(batch):
+                stream = trace.stream(l, b)
+                assert len(stream) == sum(lengths)
+                for rec, (s, t) in zip(stream, trace.iter_steps()):
+                    assert rec is record_at(trace, s, t, l, b)
+
+    def test_empty_trace_has_empty_streams(self):
+        trace = RoutingTrace.from_records(TraceHeader(2, 8, 2, 3), [])
+        assert trace.stream(1, 2) == ()
+
+    @pytest.mark.parametrize("mutate", ["drop", "duplicate", "gap"])
+    def test_not_dense_raises_key_error(self, mutate):
+        trace = synth_trace(SynthConfig(n_moe_layers=2, batch_size=2, n_segments=2,
+                                        steps_per_segment=4, seed=3))
+        records = list(trace.records)
+        slots = [(l, b) for l in range(2) for b in range(2)]
+        if mutate == "drop":
+            del records[5]
+        elif mutate == "duplicate":  # (0,1,0,1) becomes a second (0,1,0,0)
+            records[5] = records[4]
+            slots = [(0, 1)]  # the other slots still hold their own records
+        else:  # segment 1 loses its step 2, so its step 3 follows step 1
+            records = [r for r in records if (r.segment_id, r.step_index) != (1, 2)]
+        bad = RoutingTrace.from_records(trace.header, records)
+        assert validate_trace(bad) != []
+        for l, b in slots:
+            with pytest.raises(KeyError, match="not dense"):
+                bad.stream(l, b)
+
+    def test_expert_rows_are_the_stream_sets(self):
+        trace = synth_trace(SynthConfig(n_moe_layers=2, batch_size=3, n_segments=2, seed=5,
+                                        steps_per_segment=4, independent_batches=True))
+        for l in range(2):
+            for b in range(3):
+                rows = trace.expert_rows(l, b)
+                assert rows.shape == (8, trace.header.top_k)
+                assert [tuple(r) for r in rows.tolist()] == [
+                    rec.topk_indices for rec in trace.stream(l, b)]
+
+    @pytest.mark.parametrize("topk", [(1, 1), (1, 8), (-1, 2), (1, 2, 3), (1,)])
+    def test_expert_rows_refuse_a_row_that_is_not_a_k_set(self, topk):
+        header = TraceHeader(1, 8, 2, 1)
+        trace = make_trace(header, [(0, 0, 0, 0, (0, 1)), (0, 1, 0, 0, topk)])
+        with pytest.raises(ValueError, match="size K=2 of experts in \\[0, 8\\)"):
+            trace.expert_rows(0, 0)
+
+    def test_batch_slot_refuses_a_slot_that_is_not_dense(self):
+        trace = synth_trace(SynthConfig(batch_size=2, seed=4, steps_per_segment=3))
+        records = list(trace.records)
+        records[1] = records[0]
+        with pytest.raises(KeyError, match="not dense in batch slot 1"):
+            RoutingTrace.from_records(trace.header, records).batch_slot(1)
 
 
 # ---------------------------------------------------------------------------
