@@ -18,16 +18,28 @@ below K, inter-step interference, inter-step prefetch insertion) and shows one
 bound violation for each.
 
 Checks run on B=1 sequences; multi-batch traces are reduced per batch index.
+Fetch counts come from one LRU recency-stack pass per batch slot
+(``cache_sim.lru_fetch_counts``), which is exact at every C >= K by the
+inclusion property, so a campaign checks {K, K+2, 2K} from one pass per
+trace and tallies its checks and violations from the count and bound arrays.
+The fault-free checks thus verify the bounds against that stack model of LRU,
+not against ``simulate``, whose serve-and-admit check runs in none of them;
+the differential tests of ``lru_fetch_counts`` tie the model to ``simulate``'s
+per-step misses. ``simulate`` counts the fetches of the faulted
+counterexamples, and replays a checked slot with events only to snapshot the
+resident set before a step that breaks a bound.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
+from typing import Iterable, Iterator, NamedTuple
 
 import numpy as np
 
-from .cache_sim import CacheConfig, FaultKind, FaultScenario, Policy, simulate
+from .cache_sim import CacheConfig, FaultKind, FaultScenario, Policy, lru_fetch_counts, simulate
 from .gate import overlap_counts
 from .trace import RoutingTrace, StepRecord, SynthConfig, TraceHeader, synth_trace
 
@@ -94,62 +106,106 @@ class ScenarioResult:
     description: str
 
 
-def _collect_step_records(
-    trace: RoutingTrace, cfg: CacheConfig, working_set: bool, batch: int = 0
-) -> tuple[list[StepBoundRecord], list[SequenceBound]]:
-    """Per-step fetch counts vs. bounds for one B=1 trace under ``cfg``; the
-    records carry ``batch``, the slot the trace was taken from.
+class _SlotBounds(NamedTuple):
+    """One B=1 slot's fetch counts and bounds, indexed by layer and step
+    ordinal; the leading axis of the capacity-dependent arrays is the
+    capacity. A segment's first step has no bound and is never read."""
 
-    Fetch counts are read from ``step_stats`` by position (layer-major, steps
-    in trace order). The resident set before a flagged step comes from a
-    second, event-recording simulation that runs only when some step is
-    flagged; ``simulate`` is deterministic, so it replays the first exactly.
-    """
+    n_fetch: np.ndarray  # int[C, L, steps], unique misses
+    overlap_bound: np.ndarray  # int[L, steps], K - |E_t ∩ E_{t-1}|
+    ws_horizon: np.ndarray | None  # int[C, L, steps], L_t (working-set checks only)
+    ws_bound: np.ndarray | None  # int[C, L, steps], K - |E_t ∩ U_{t, L_t}|
+
+
+def _slot_bounds(
+    trace: RoutingTrace, capacities: tuple[int, ...], working_set: bool, n_fetch: np.ndarray
+) -> _SlotBounds:
+    """The bounds of one B=1 trace at every capacity, next to its fetch
+    counts ``n_fetch``. Each layer's rows, overlaps and working-set sets are
+    built once; only the working-set horizon depends on the capacity."""
     h = trace.header
     k = h.top_k
-    stats = simulate(trace, cfg).step_stats
     offsets = trace.segment_offsets
     n_steps = offsets[-1]
+    overlap = np.zeros((h.n_moe_layers, n_steps), dtype=np.int64)
+    ws_horizon = ws_bound = None
+    if working_set:
+        ws_horizon = np.zeros((len(capacities), h.n_moe_layers, n_steps), dtype=np.int64)
+        ws_bound = np.zeros_like(ws_horizon)
+    deepest = max(capacities)
+    for layer in range(h.n_moe_layers):
+        rows = trace.expert_rows(layer, 0)
+        # Exact integer form of K * (1 - IR_t); a pair across segments is never read.
+        overlap[layer, 1:] = k - overlap_counts(rows)
+        if not working_set:
+            continue
+        sets = [frozenset(row) for row in rows.tolist()]
+        for segment, length in enumerate(trace.segment_lengths):
+            start = offsets[segment]
+            for i in range(start + 1, start + length):
+                # Grow the union back from E_{t-1}; its size never shrinks, so
+                # the horizon L_t at C is the number of unions that fit in C.
+                sizes: list[int] = []
+                shared: list[int] = []
+                union: set[int] = set()
+                for back in range(i - 1, start - 1, -1):
+                    union |= sets[back]
+                    if len(union) > deepest:
+                        break
+                    sizes.append(len(union))
+                    shared.append(len(sets[i] & union))
+                for c, capacity in enumerate(capacities):
+                    horizon = bisect_right(sizes, capacity)
+                    ws_horizon[c, layer, i] = horizon
+                    ws_bound[c, layer, i] = k - (shared[horizon - 1] if horizon else 0)
+    return _SlotBounds(n_fetch, overlap, ws_horizon, ws_bound)
+
+
+def _collect_step_records(
+    trace: RoutingTrace, cfg: CacheConfig, batch: int, bounds: _SlotBounds
+) -> tuple[list[StepBoundRecord], list[SequenceBound]]:
+    """Per-step fetch counts vs. bounds for one B=1 trace, from ``bounds`` at
+    one capacity, ``cfg.capacity``; the records carry ``batch``, the slot the
+    trace was taken from.
+
+    The resident set before a flagged step comes from an event-recording
+    simulation under ``cfg``, which runs only when some step is flagged.
+    """
+    h = trace.header
+    offsets = trace.segment_offsets
+    n_steps = offsets[-1]
+    working_set = bounds.ws_bound is not None
 
     per_step: list[StepBoundRecord] = []
     per_sequence: list[SequenceBound] = []
-    flagged: list[tuple[int, int]] = []  # (index in per_step, index in step_stats)
+    flagged: list[tuple[int, int]] = []  # (index in per_step, layer-major step ordinal)
     for layer in range(h.n_moe_layers):
-        rows = trace.expert_rows(layer, 0)
-        # Exact integer form of K * (1 - IR_t), one entry per adjacent pair.
-        pair_bounds = (k - overlap_counts(rows)).tolist()
+        fetches = bounds.n_fetch[0, layer].tolist()
+        pair_bounds = bounds.overlap_bound[layer].tolist()
+        if working_set:
+            horizons = bounds.ws_horizon[0, layer].tolist()
+            ws_bounds = bounds.ws_bound[0, layer].tolist()
         for segment, length in enumerate(trace.segment_lengths):
             start = offsets[segment]  # the segment's first step ordinal
-            if working_set:
-                sets = [frozenset(row) for row in rows[start : start + length].tolist()]
             total_fetch = 0
             total_bound = 0
-            for t in range(1, length):
-                bound = pair_bounds[start + t - 1]
-                ordinal = layer * n_steps + start + t
-                n_fetch = stats[ordinal].unique_misses
+            for i in range(start + 1, start + length):
+                n_fetch = fetches[i]
+                bound = pair_bounds[i]
                 violated = n_fetch > bound
                 ws_horizon = ws_bound = ws_violated = None
                 if working_set:
-                    union: set[int] = set()
-                    horizon = 0
-                    for back in range(1, t + 1):
-                        candidate = union | sets[t - back]
-                        if len(candidate) > cfg.capacity:
-                            break
-                        union = candidate
-                        horizon = back
-                    ws_horizon = horizon
-                    ws_bound = k - len(sets[t] & union)
+                    ws_horizon = horizons[i]
+                    ws_bound = ws_bounds[i]
                     ws_violated = n_fetch > ws_bound
                 if violated or ws_violated:
-                    flagged.append((len(per_step), ordinal))
+                    flagged.append((len(per_step), layer * n_steps + i))
                 per_step.append(
                     StepBoundRecord(
                         layer=layer,
                         batch=batch,
                         segment=segment,
-                        step=t,
+                        step=i - start,
                         n_fetch=n_fetch,
                         overlap_bound=bound,
                         violated=violated,
@@ -181,15 +237,40 @@ def _collect_step_records(
     return per_step, per_sequence
 
 
-def _check(trace: RoutingTrace, capacity: int, working_set: bool) -> BoundReport:
+def _simulated_records(
+    trace: RoutingTrace, cfg: CacheConfig, working_set: bool
+) -> tuple[list[StepBoundRecord], list[SequenceBound]]:
+    """Records of one B=1 trace whose fetches ``simulate`` counts under
+    ``cfg``: the counter for faults and C < K, where the stack pass of
+    :func:`lru_fetch_counts` does not apply."""
+    stats = simulate(trace, cfg).step_stats
+    n_fetch = np.array([s.unique_misses for s in stats], dtype=np.int64)
+    n_fetch = n_fetch.reshape(1, trace.header.n_moe_layers, -1)
+    bounds = _slot_bounds(trace, (cfg.capacity,), working_set, n_fetch)
+    return _collect_step_records(trace, cfg, 0, bounds)
+
+
+def _check(
+    trace: RoutingTrace, capacities: tuple[int, ...], working_set: bool
+) -> Iterator[tuple[RoutingTrace, _SlotBounds]]:
+    """Each batch slot in turn as a B=1 trace with its fetch counts and
+    bounds at every capacity; one stack pass counts the fetches at all of
+    them. Slots are yielded one at a time, so only one slot's copy is alive."""
     k = trace.header.top_k
-    if capacity < k:
-        raise ValueError(f"bound checks require C >= K (got C={capacity}, K={k})")
+    if min(capacities) < k:
+        raise ValueError(f"bound checks require C >= K (got C={min(capacities)}, K={k})")
+    for b in range(trace.header.batch_size):
+        slot = trace.batch_slot(b)
+        n_fetch = lru_fetch_counts(slot, capacities)
+        yield slot, _slot_bounds(slot, capacities, working_set, n_fetch)
+
+
+def _bound_report(trace: RoutingTrace, capacity: int, working_set: bool) -> BoundReport:
     cfg = CacheConfig(capacity=capacity, policy=Policy.LRU, reset_each_segment=True)
     step_records: list[StepBoundRecord] = []
     seq_records: list[SequenceBound] = []
-    for b in range(trace.header.batch_size):
-        steps, seqs = _collect_step_records(trace.batch_slot(b), cfg, working_set, b)
+    for b, (slot, bounds) in enumerate(_check(trace, (capacity,), working_set)):
+        steps, seqs = _collect_step_records(slot, cfg, b, bounds)
         step_records.extend(steps)
         seq_records.extend(seqs)
     n_step = sum(1 for r in step_records if (r.ws_violated if working_set else r.violated))
@@ -203,10 +284,40 @@ def _check(trace: RoutingTrace, capacity: int, working_set: bool) -> BoundReport
     )
 
 
+def _segment_sums(x: np.ndarray, offsets: np.ndarray) -> np.ndarray:
+    """Sums of ``x`` along its last (step) axis over each segment."""
+    cs = np.zeros(x.shape[:-1] + (x.shape[-1] + 1,), dtype=np.int64)
+    np.cumsum(x, axis=-1, out=cs[..., 1:])
+    return cs[..., offsets[1:]] - cs[..., offsets[:-1]]
+
+
+def _tally(trace: RoutingTrace, slots: Iterable[tuple[RoutingTrace, _SlotBounds]]) -> tuple[int, int]:
+    """(checks, violations) summed over the capacities and slots of
+    :func:`_check`, counted as the reports count them, without building them:
+    a campaign reads only these two numbers, and one record per step and
+    capacity would cost it more than its stack passes save."""
+    offsets = np.array(trace.segment_offsets)
+    lengths = np.diff(offsets)
+    pairs = np.ones(offsets[-1], dtype=bool)  # steps that have a bound
+    pairs[offsets[:-1][lengths > 0]] = False
+    per_capacity = int(pairs.sum() + (lengths >= 2).sum()) * trace.header.n_moe_layers
+    checks = violations = 0
+    for _slot, bounds in slots:
+        checks += len(bounds.n_fetch) * per_capacity
+        step_bound = bounds.overlap_bound if bounds.ws_bound is None else bounds.ws_bound
+        violations += int(((bounds.n_fetch > step_bound) & pairs).sum())
+        # A segment of under two steps has no pair step and no sequence record;
+        # both its totals are 0, so it never counts as a violation.
+        totals = _segment_sums(bounds.n_fetch * pairs, offsets)
+        total_bounds = _segment_sums(bounds.overlap_bound * pairs, offsets)
+        violations += int((totals > total_bounds).sum())
+    return checks, violations
+
+
 def check_step_bound(trace: RoutingTrace, capacity: int) -> BoundReport:
     """Assert N_fetch(t) <= K(1 - IR_t) per step and on average, under LRU
     with request-level resets and C >= K."""
-    return _check(trace, capacity, working_set=False)
+    return _bound_report(trace, capacity, working_set=False)
 
 
 def check_working_set_bound(trace: RoutingTrace, capacity: int) -> BoundReport:
@@ -215,7 +326,7 @@ def check_working_set_bound(trace: RoutingTrace, capacity: int) -> BoundReport:
     The report carries both bounds per step; the working-set one is never
     looser than the overlap bound because U_{t,L_t} contains E_{t-1}.
     """
-    return _check(trace, capacity, working_set=True)
+    return _bound_report(trace, capacity, working_set=True)
 
 
 # ---------------------------------------------------------------------------
@@ -261,7 +372,7 @@ def run_counterexamples() -> list[ScenarioResult]:
         trace = _constant_set_trace(n_experts=8, k=k, steps=5)
         cfg = CacheConfig(capacity=4, policy=Policy.LRU, reset_each_segment=True,
                           scenario=scenario)
-        steps, _ = _collect_step_records(trace, cfg, working_set=False)
+        steps, _ = _simulated_records(trace, cfg, working_set=False)
         violations = [r for r in steps if r.violated]
         results.append(ScenarioResult(name, assumption, len(violations),
                                       violations[0] if violations else None, description))
@@ -311,13 +422,7 @@ def run_campaign(
             caps = (2 * cfg.top_k,)
         else:
             caps = (cfg.top_k, cfg.top_k + 2, 2 * cfg.top_k)
-        check = check_working_set_bound if working_set else check_step_bound
-        checked = violated = 0
-        for cap in caps:
-            report = check(trace, cap)
-            checked += len(report.step_records) + len(report.sequence_records)
-            violated += report.n_violations
-        return checked, violated
+        return _tally(trace, _check(trace, caps, working_set))
 
     if threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:

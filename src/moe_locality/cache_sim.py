@@ -27,7 +27,7 @@ import math
 from bisect import bisect_right
 from dataclasses import dataclass, replace
 from heapq import nsmallest
-from itertools import count, filterfalse, islice
+from itertools import count, filterfalse, islice, repeat
 
 import numpy as np
 
@@ -49,6 +49,7 @@ __all__ = [
     "SimReport",
     "TpotReport",
     "simulate",
+    "lru_fetch_counts",
     "reroute_topk",
     "estimate_tpot",
     "percentile",
@@ -324,10 +325,12 @@ def simulate(trace: RoutingTrace, cfg: CacheConfig, record_events: bool = False)
 
     Per-step audit events (resident set before serving, fetched and evicted
     experts) cost a sorted copy of the resident set per step, so they are
-    built only with ``record_events``. The bound checks read fetch counts from
-    ``step_stats`` and run a second, event-recording simulation only when some
-    step breaks a bound; because the run is deterministic, that second run
-    reproduces the first exactly.
+    built only with ``record_events``. The bound checks count fault-free LRU
+    fetches with :func:`lru_fetch_counts` instead, at all their capacities in
+    one pass, and call this function only where that pass does not apply:
+    they read ``step_stats`` for the faulted counterexamples, and they run an
+    event-recording simulation for the resident set before a step that breaks
+    a bound. The run is deterministic, so it reproduces the counted one.
     """
     h = trace.header
     if cfg.reroute_beta is not None and not h.has_probs:
@@ -473,6 +476,54 @@ def simulate(trace: RoutingTrace, cfg: CacheConfig, record_events: bool = False)
         events=tuple(events),
         rerouted_trace=rerouted_trace,
     )
+
+
+def lru_fetch_counts(trace: RoutingTrace, capacities) -> np.ndarray:
+    """Per-step unique misses of fault-free LRU with request-level resets, at
+    every capacity C >= K, in one pass over a B=1 trace.
+
+    Returns ``int[len(capacities), L, steps]``; entry ``[c, l, i]`` equals the
+    ``unique_misses`` of ``simulate`` at ``capacities[c]`` with
+    ``reset_each_segment`` for layer ``l`` and step ordinal ``i``. Under
+    serve-and-admit LRU with C >= K, the resident set after every step is the
+    top C of the recency stack (inclusion; Mattson et al., 1970), so an expert
+    misses at C exactly when its stack depth before the step is >= C. Each
+    layer keeps one stack, most recent first, emptied at every segment start;
+    a step's Top-K row is served in order, so its last member is the most
+    recent. The stack is cut at the largest capacity (at most N), since deeper
+    experts miss at every capacity.
+
+    Raises ValueError for a trace with B > 1 (count each ``batch_slot``), for
+    no capacity or one below K, where inclusion does not hold and ``simulate``
+    is the counter, and for a row that :meth:`RoutingTrace.expert_rows` refuses.
+    """
+    h = trace.header
+    if h.batch_size != 1:
+        raise ValueError(f"lru_fetch_counts counts one batch slot, got B={h.batch_size}")
+    if not capacities or min(capacities) < h.top_k:
+        raise ValueError(
+            f"stack-distance counts need capacities >= K={h.top_k}, got {tuple(capacities)}"
+        )
+    # A stack holds at most N experts, so a capacity above N misses as C = N does.
+    effective = np.array([min(c, h.n_routed_experts) for c in capacities], dtype=np.int64)
+    cut = int(effective.max())
+    firsts = set(trace.segment_offsets[:-1])
+    n_steps = trace.segment_offsets[-1]
+    counts = np.empty((len(effective), h.n_moe_layers, n_steps), dtype=np.int64)
+    for layer in range(h.n_moe_layers):
+        rows = trace.expert_rows(layer, 0).tolist()
+        depths: list[int] = []  # stack depth of each requested expert, step by step
+        stack: list[int] = []
+        for i, row in enumerate(rows):
+            if i in firsts:
+                stack = []
+            depth = {e: d for d, e in enumerate(stack)}
+            depths.extend(map(depth.get, row, repeat(cut)))
+            stack = [*reversed(row), *filterfalse(set(row).__contains__, stack)]
+            del stack[cut:]
+        depth_rows = np.array(depths, dtype=np.int64).reshape(n_steps, h.top_k)
+        counts[:, layer] = (depth_rows >= effective[:, None, None]).sum(axis=-1)
+    return counts
 
 
 def estimate_tpot(report: SimReport, io: IoModel, batch: int) -> TpotReport:

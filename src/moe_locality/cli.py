@@ -329,6 +329,15 @@ def _emit_bound_report(out, payload, config: dict, inputs: list[str], seed,
 def _cmd_bound_check(args) -> int:
     started = time.monotonic()
     _require_at_least("--threads", args.threads, 1)
+    if args.campaign is not None:
+        _require_at_least("--campaign", args.campaign, 1)
+    modes = [flag for flag, given in (("--trace", args.trace is not None),
+                                      ("--campaign", args.campaign is not None),
+                                      ("--counterexamples", args.counterexamples)) if given]
+    if len(modes) > 1:
+        raise UsageError(f"bound-check modes are exclusive: {' and '.join(modes)} given together")
+    if args.capacity is not None and args.trace is None:
+        raise UsageError("bound-check --capacity needs --trace")
     if args.counterexamples:
         results = run_counterexamples()
         payload = {
@@ -352,7 +361,6 @@ def _cmd_bound_check(args) -> int:
         return 0 if ok else 3
 
     if args.campaign is not None:
-        _require_at_least("--campaign", args.campaign, 1)
         summary = run_campaign(
             n_traces=args.campaign,
             seed=args.seed,

@@ -26,6 +26,7 @@ import json
 import math
 from dataclasses import asdict, dataclass, replace
 from functools import cached_property
+from itertools import compress
 from typing import IO, Iterable, Iterator, Sequence
 
 import numpy as np
@@ -652,10 +653,15 @@ def _sticky_set_stream(rng, n, k, p, steps) -> list[list[int]]:
     cur = [int(e) for e in rng.choice(n, size=k, replace=False)]
     sets.append(cur)
     for _ in range(1, steps):
-        kept = [e for e in cur if rng.random() < p]
-        pool = np.array([e for e in range(n) if e not in kept], dtype=int)
-        fill = rng.choice(pool, size=k - len(kept), replace=False) if len(kept) < k else []
-        cur = kept + [int(e) for e in fill]
+        # k draws in slot order, the same stream as one rng.random() per slot.
+        kept = list(compress(cur, (rng.random(k) < p).tolist()))
+        if len(kept) < k:
+            unchosen = np.ones(n, dtype=bool)
+            unchosen[kept] = False
+            fill = rng.choice(np.flatnonzero(unchosen), size=k - len(kept), replace=False)
+            cur = kept + fill.tolist()
+        else:
+            cur = kept
         sets.append(cur)
     return sets
 

@@ -19,7 +19,7 @@ from dataclasses import replace
 
 import numpy as np
 
-from moe_locality.bounds import SequenceBound, StepBoundRecord
+from moe_locality.bounds import BoundReport, SequenceBound, StepBoundRecord
 from moe_locality.cache_sim import (
     CacheConfig,
     FaultKind,
@@ -31,8 +31,10 @@ from moe_locality.cache_sim import (
     StepEvent,
     _percentile_summary,
     reroute_topk,
+    simulate,
 )
-from moe_locality.trace import RoutingTrace, StepRecord, TraceHeader
+from moe_locality.gate import overlap_counts
+from moe_locality.trace import RoutingTrace, StepRecord, SynthConfig, TraceHeader, synth_trace
 
 
 def records_by_key(trace: RoutingTrace) -> dict:
@@ -170,8 +172,8 @@ def naive_simulate(trace, capacity, policy, reset_each_segment):
 
 # ---------------------------------------------------------------------------
 # The keyed-lookup simulator and bound-check collection, kept as a
-# differential oracle for ``moe_locality.cache_sim.simulate`` and
-# ``moe_locality.bounds._collect_step_records`` / ``RoutingTrace.batch_slot``.
+# differential oracle for ``moe_locality.cache_sim.simulate``, the bound
+# checks' per-slot records and ``RoutingTrace.batch_slot``.
 # ``LayerCacheState`` keeps timestamps and counters per resident expert and
 # every victim is a ``min`` over the candidates; requests are read with one
 # keyed lookup per (step, batch item). It returns the package's own report
@@ -564,3 +566,157 @@ def reference_collect_step_records(
                     )
                 )
     return step_records, seq_records
+
+
+# ---------------------------------------------------------------------------
+# The bound checks as they were with one ``simulate`` per capacity, kept as
+# the oracle for ``moe_locality.bounds``'s single stack pass over all
+# capacities: the package's previous ``_collect_step_records`` (fetch counts
+# from ``simulate(...).step_stats``), ``_check`` per capacity and the
+# per-capacity campaign loop.
+# ---------------------------------------------------------------------------
+
+
+def simulate_collect_step_records(
+    trace: RoutingTrace, cfg: CacheConfig, working_set: bool, batch: int = 0
+) -> tuple[list[StepBoundRecord], list[SequenceBound]]:
+    """Per-step fetch counts vs. bounds for one B=1 trace under ``cfg``,
+    counted by ``simulate`` and read from ``step_stats`` by position."""
+    h = trace.header
+    k = h.top_k
+    stats = simulate(trace, cfg).step_stats
+    offsets = trace.segment_offsets
+    n_steps = offsets[-1]
+
+    per_step: list[StepBoundRecord] = []
+    per_sequence: list[SequenceBound] = []
+    flagged: list[tuple[int, int]] = []
+    for layer in range(h.n_moe_layers):
+        rows = trace.expert_rows(layer, 0)
+        pair_bounds = (k - overlap_counts(rows)).tolist()
+        for segment, length in enumerate(trace.segment_lengths):
+            start = offsets[segment]
+            if working_set:
+                sets = [frozenset(row) for row in rows[start : start + length].tolist()]
+            total_fetch = 0
+            total_bound = 0
+            for t in range(1, length):
+                bound = pair_bounds[start + t - 1]
+                ordinal = layer * n_steps + start + t
+                n_fetch = stats[ordinal].unique_misses
+                violated = n_fetch > bound
+                ws_horizon = ws_bound = ws_violated = None
+                if working_set:
+                    union: set[int] = set()
+                    horizon = 0
+                    for back in range(1, t + 1):
+                        candidate = union | sets[t - back]
+                        if len(candidate) > cfg.capacity:
+                            break
+                        union = candidate
+                        horizon = back
+                    ws_horizon = horizon
+                    ws_bound = k - len(sets[t] & union)
+                    ws_violated = n_fetch > ws_bound
+                if violated or ws_violated:
+                    flagged.append((len(per_step), ordinal))
+                per_step.append(
+                    StepBoundRecord(
+                        layer=layer,
+                        batch=batch,
+                        segment=segment,
+                        step=t,
+                        n_fetch=n_fetch,
+                        overlap_bound=bound,
+                        violated=violated,
+                        ws_horizon=ws_horizon,
+                        ws_bound=ws_bound,
+                        ws_violated=ws_violated,
+                    )
+                )
+                total_fetch += n_fetch
+                total_bound += bound
+            if length >= 2:
+                per_sequence.append(
+                    SequenceBound(
+                        layer=layer,
+                        batch=batch,
+                        segment=segment,
+                        total_fetch=total_fetch,
+                        total_bound=total_bound,
+                        n_steps=length - 1,
+                        violated=total_fetch > total_bound,
+                    )
+                )
+    if flagged:
+        events = simulate(trace, cfg, record_events=True).events
+        for i, ordinal in flagged:
+            per_step[i] = replace(
+                per_step[i], resident_before=events[ordinal].resident_before
+            )
+    return per_step, per_sequence
+
+
+def reference_check(
+    trace: RoutingTrace, capacity: int, working_set: bool,
+    collect=reference_collect_step_records,
+) -> BoundReport:
+    """``check_step_bound`` / ``check_working_set_bound`` at one capacity,
+    each batch slot collected by ``collect``."""
+    k = trace.header.top_k
+    if capacity < k:
+        raise ValueError(f"bound checks require C >= K (got C={capacity}, K={k})")
+    cfg = CacheConfig(capacity=capacity, policy=Policy.LRU, reset_each_segment=True)
+    step_records: list[StepBoundRecord] = []
+    seq_records: list[SequenceBound] = []
+    for b in range(trace.header.batch_size):
+        steps, seqs = collect(reference_slice_batch(trace, b), cfg, working_set, b)
+        step_records.extend(steps)
+        seq_records.extend(seqs)
+    n_step = sum(1 for r in step_records if (r.ws_violated if working_set else r.violated))
+    return BoundReport(
+        kind="working_set" if working_set else "step",
+        capacity=capacity,
+        step_records=tuple(step_records),
+        sequence_records=tuple(seq_records),
+        n_step_violations=n_step,
+        n_avg_violations=sum(1 for r in seq_records if r.violated),
+    )
+
+
+def reference_run_campaign(
+    n_traces: int, seed: int, capacities=None, working_set: bool = False
+) -> dict:
+    """``run_campaign`` as one full bound report per trace and capacity,
+    through :func:`reference_check` with the ``simulate``-based collection."""
+    rng = np.random.default_rng(seed)
+    checked = violated = 0
+    for _ in range(n_traces):
+        cfg = SynthConfig(
+            n_moe_layers=1,
+            n_routed_experts=int(rng.integers(8, 33)),
+            top_k=int(rng.integers(2, 7)),
+            batch_size=1,
+            n_segments=int(rng.integers(1, 4)),
+            steps_per_segment=int(rng.integers(2, 25)),
+            stickiness=float(rng.random()),
+            seed=int(rng.integers(0, 2**63 - 1)),
+        )
+        trace = synth_trace(cfg)
+        if capacities:
+            caps = capacities
+        elif working_set:
+            caps = (2 * cfg.top_k,)
+        else:
+            caps = (cfg.top_k, cfg.top_k + 2, 2 * cfg.top_k)
+        for cap in caps:
+            report = reference_check(trace, cap, working_set, simulate_collect_step_records)
+            checked += len(report.step_records) + len(report.sequence_records)
+            violated += report.n_violations
+    return {
+        "kind": "working_set" if working_set else "step",
+        "n_traces": n_traces,
+        "seed": seed,
+        "checks": checked,
+        "violations": violated,
+    }

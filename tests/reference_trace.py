@@ -6,12 +6,17 @@ package's ``parse_trace``/``validate_trace`` take shortcuts (one combined test
 per parsed record, a whole-array screen before per-record descriptions, a
 dense-grid test before the cross-record rules); the differential tests require
 identical results from both. Used only as a test oracle.
+
+``sticky_set_stream`` is the synthetic generator's per-slot loop: one scalar
+``rng.random()`` per kept-or-dropped slot and a refill pool built as a list.
 """
 
 from __future__ import annotations
 
 import json
 import math
+
+import numpy as np
 
 from moe_locality.trace import (
     PROB_SUM_TOL,
@@ -21,6 +26,21 @@ from moe_locality.trace import (
     TraceHeader,
     Violation,
 )
+
+
+def sticky_set_stream(rng, n, k, p, steps) -> list[list[int]]:
+    """One segment's expert-set sequence, as ``trace._sticky_set_stream``
+    draws it from ``rng``."""
+    sets: list[list[int]] = []
+    cur = [int(e) for e in rng.choice(n, size=k, replace=False)]
+    sets.append(cur)
+    for _ in range(1, steps):
+        kept = [e for e in cur if rng.random() < p]
+        pool = np.array([e for e in range(n) if e not in kept], dtype=int)
+        fill = rng.choice(pool, size=k - len(kept), replace=False) if len(kept) < k else []
+        cur = kept + [int(e) for e in fill]
+        sets.append(cur)
+    return sets
 
 
 def topk_set(p, k: int) -> list[int]:

@@ -1,6 +1,7 @@
 from dataclasses import replace
 from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -20,7 +21,12 @@ from moe_locality.trace import (
     validate_trace,
 )
 
-from reference_sim import reference_collect_step_records, reference_slice_batch
+from reference_sim import (
+    reference_check,
+    reference_collect_step_records,
+    reference_run_campaign,
+    simulate_collect_step_records,
+)
 from test_trace import make_trace
 
 
@@ -96,6 +102,15 @@ class TestStepBound:
         trace = seq_trace([(1, 1), (1, 2), (1, 2)], k=2, n=4)
         for check in (check_step_bound, check_working_set_bound):
             with pytest.raises(ValueError, match="size K=2"):
+                check(trace, 2)
+
+    @pytest.mark.parametrize("sets", [[(0, 1), (0, 1, 2), (1, 2)], [(0, 1), (1, 2), ()]])
+    def test_row_that_is_not_a_top_k_set_is_refused(self, sets):
+        # A row of K+1 or of no experts is bad input, refused as such before
+        # any fetch is counted, even at C = K, which K+1 experts do not fit.
+        trace = seq_trace(sets, k=2, n=4)
+        for check in (check_step_bound, check_working_set_bound):
+            with pytest.raises(ValueError, match="layer 0, batch 0 must be a set of size K=2"):
                 check(trace, 2)
 
 
@@ -193,15 +208,6 @@ class TestAdmissionProperty:
             assert report.step_unique_miss_series[i] == per_step[(s, t)]
 
 
-def with_reference_collection(fn, *args):
-    """``fn(*args)`` with the bound checks slicing batch slots and collecting
-    their records through the reference implementations instead of the
-    package's."""
-    with mock.patch.object(RoutingTrace, "batch_slot", reference_slice_batch), \
-            mock.patch.object(bounds, "_collect_step_records", reference_collect_step_records):
-        return fn(*args)
-
-
 bound_trace_configs = st.builds(
     SynthConfig,
     n_moe_layers=st.integers(1, 2),
@@ -219,10 +225,16 @@ class TestReferenceEquivalence:
     @settings(max_examples=60, deadline=None, derandomize=True)
     @given(cfg=bound_trace_configs, extra=st.integers(0, 5), working_set=st.booleans())
     def test_bound_report_matches_reference(self, cfg, extra, working_set):
+        # Both oracles: the keyed-lookup collection and the former package
+        # collection, which counted fetches with one simulate per capacity.
         trace = synth_trace(cfg)
         check = check_working_set_bound if working_set else check_step_bound
         capacity = cfg.top_k + extra
-        assert check(trace, capacity) == with_reference_collection(check, trace, capacity)
+        report = check(trace, capacity)
+        assert report == reference_check(trace, capacity, working_set)
+        assert report == reference_check(
+            trace, capacity, working_set, simulate_collect_step_records
+        )
 
     @settings(max_examples=80, deadline=None, derandomize=True)
     @given(
@@ -234,12 +246,108 @@ class TestReferenceEquivalence:
     )
     def test_faulted_records_match_reference(self, cfg, capacity, scenario, working_set):
         # Faults and C < K produce flagged steps, whose resident sets come
-        # from the second, event-recording simulation.
+        # from the event-recording simulation.
         trace = synth_trace(cfg)
         sim_cfg = CacheConfig(capacity, Policy.LRU, reset_each_segment=True, scenario=scenario)
-        assert bounds._collect_step_records(
+        assert bounds._simulated_records(
             trace, sim_cfg, working_set
         ) == reference_collect_step_records(trace, sim_cfg, working_set)
 
     def test_counterexamples_match_reference(self):
-        assert run_counterexamples() == with_reference_collection(run_counterexamples)
+        with mock.patch.object(bounds, "_simulated_records", reference_collect_step_records):
+            expected = run_counterexamples()
+        assert run_counterexamples() == expected
+
+
+class TestCampaignEquivalence:
+    """``run_campaign`` tallies every capacity from one pass per trace; the
+    oracle builds one full report per trace and capacity."""
+
+    @pytest.mark.parametrize("seed", [0, 3, 8])
+    @pytest.mark.parametrize("threads", [1, 2])
+    @pytest.mark.parametrize("working_set", [False, True])
+    def test_matches_per_capacity_reports(self, seed, threads, working_set):
+        assert run_campaign(25, seed, working_set=working_set, threads=threads) == (
+            reference_run_campaign(25, seed, working_set=working_set)
+        )
+
+    @pytest.mark.parametrize("capacities", [(6,), (6, 7, 30), (9, 6, 6)])
+    @pytest.mark.parametrize("working_set", [False, True])
+    def test_explicit_capacities(self, capacities, working_set):
+        assert run_campaign(20, 4, capacities=capacities, working_set=working_set) == (
+            reference_run_campaign(20, 4, capacities=capacities, working_set=working_set)
+        )
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(cfg=bound_trace_configs, extras=st.lists(st.integers(0, 4), min_size=1, max_size=3),
+           working_set=st.booleans(), noise_seed=st.integers(0, 2**31))
+    def test_tally_matches_the_reports_of_the_same_counts(self, cfg, extras, working_set,
+                                                          noise_seed):
+        # Counts pushed off their true values break some bounds and keep
+        # others, so the tally must count exactly the violations the records
+        # flag, per step and per sequence.
+        trace = synth_trace(cfg)
+        caps = tuple(cfg.top_k + e for e in extras)
+        noise = np.random.default_rng(noise_seed)
+        slots = [
+            (slot, b._replace(n_fetch=b.n_fetch + noise.integers(-1, 3, b.n_fetch.shape)))
+            for slot, b in bounds._check(trace, caps, working_set)
+        ]
+        checks = violations = 0
+        for c, cap in enumerate(caps):
+            cfg_c = CacheConfig(cap, Policy.LRU, reset_each_segment=True)
+            for batch, (slot, b) in enumerate(slots):
+                one_capacity = b._replace(
+                    n_fetch=b.n_fetch[c:c + 1],
+                    ws_horizon=None if b.ws_horizon is None else b.ws_horizon[c:c + 1],
+                    ws_bound=None if b.ws_bound is None else b.ws_bound[c:c + 1],
+                )
+                steps, seqs = bounds._collect_step_records(slot, cfg_c, batch, one_capacity)
+                checks += len(steps) + len(seqs)
+                violations += sum(r.ws_violated if working_set else r.violated for r in steps)
+                violations += sum(r.violated for r in seqs)
+        assert bounds._tally(trace, slots) == (checks, violations)
+
+    def test_violations_are_tallied(self):
+        # Under a corrupted fetch count every bound must be seen to break:
+        # one fetch above K violates every step and every sequence record.
+        real = bounds.lru_fetch_counts
+
+        def excessive(trace, capacities):
+            return real(trace, capacities) + trace.header.top_k + 1
+
+        with mock.patch.object(bounds, "lru_fetch_counts", excessive):
+            summary = run_campaign(10, 2)
+        assert summary["checks"] == reference_run_campaign(10, 2)["checks"]
+        assert summary["violations"] == summary["checks"]
+
+
+def _refuse_simulate(*args, **kwargs):
+    raise AssertionError("simulate called on a clean check")
+
+
+class TestSimulateOnlyWhenFlagged:
+    """Fetch counts come from the stack pass; ``simulate`` runs only for the
+    resident-set snapshot of a flagged step."""
+
+    def test_clean_campaign_and_checks_never_simulate(self):
+        trace = synth_trace(SynthConfig(n_moe_layers=2, batch_size=3, n_segments=2,
+                                        independent_batches=True, seed=6))
+        with mock.patch.object(bounds, "simulate", _refuse_simulate):
+            assert run_campaign(50)["violations"] == 0
+            assert run_campaign(20, working_set=True)["violations"] == 0
+            for check in (check_step_bound, check_working_set_bound):
+                assert check(trace, trace.header.top_k + 1).n_violations == 0
+
+    def test_faulted_trace_keeps_its_snapshot(self):
+        calls = []
+
+        def spy(trace, cfg, record_events=False):
+            calls.append(record_events)
+            return simulate(trace, cfg, record_events)
+
+        with mock.patch.object(bounds, "simulate", spy):
+            results = run_counterexamples()
+        # One counting run per scenario, one event run per flagged scenario.
+        assert calls == [False, True] * len(results)
+        assert all(r.first_violation.resident_before is not None for r in results)

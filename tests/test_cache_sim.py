@@ -12,6 +12,7 @@ from moe_locality.cache_sim import (
     IoModel,
     Policy,
     estimate_tpot,
+    lru_fetch_counts,
     percentile,
     reroute_topk,
     _occurrence_index,
@@ -462,3 +463,71 @@ def test_simulate_matches_reference_report(case):
     assert simulate(trace, cache, record_events) == reference_simulate(
         trace, cache, record_events
     )
+
+
+@st.composite
+def stack_cases(draw):
+    """A trace with B up to 4 and length-1 segments, and capacities from K to
+    beyond N."""
+    cfg = draw(st.builds(
+        SynthConfig,
+        n_moe_layers=st.integers(1, 3),
+        n_routed_experts=st.integers(4, 12),
+        top_k=st.integers(1, 4),
+        batch_size=st.integers(1, 4),
+        n_segments=st.integers(1, 3),
+        steps_per_segment=st.integers(1, 8),
+        stickiness=st.floats(0.0, 1.0),
+        seed=st.integers(0, 2**31),
+        independent_batches=st.booleans(),
+    ))
+    capacities = draw(st.lists(st.integers(cfg.top_k, cfg.n_routed_experts + 3), min_size=1,
+                               max_size=4))
+    return synth_trace(cfg), tuple(capacities)
+
+
+class TestLruFetchCounts:
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(case=stack_cases())
+    def test_matches_simulate_at_every_capacity(self, case):
+        trace, capacities = case
+        h = trace.header
+        for b in range(h.batch_size):
+            slot = trace.batch_slot(b)
+            counts = lru_fetch_counts(slot, capacities)
+            assert counts.shape == (len(capacities), h.n_moe_layers, slot.segment_offsets[-1])
+            for c, capacity in enumerate(capacities):
+                stats = simulate(slot, lru(capacity)).step_stats
+                expected = [st_.unique_misses for st_ in stats]
+                assert counts[c].ravel().tolist() == expected, capacity
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(case=stack_cases())
+    def test_refuses_capacity_below_k(self, case):
+        trace, capacities = case
+        slot = trace.batch_slot(0)
+        with pytest.raises(ValueError, match="capacities >= K"):
+            lru_fetch_counts(slot, capacities + (trace.header.top_k - 1,))
+
+    def test_hand_counts(self):
+        # A, B, A with |A ∪ B| = 4: at C=2 every step misses twice, at C=4
+        # the return to A hits; the reset empties the stack for segment 1.
+        trace = seq_trace([(0, 1), (2, 3), (0, 1), (0, 1)], segment_starts=(3,))
+        counts = lru_fetch_counts(trace, (2, 4, 10**30))
+        assert counts[:, 0].tolist() == [[2, 2, 2, 2], [2, 2, 0, 2], [2, 2, 0, 2]]
+
+    def test_needs_a_capacity(self):
+        with pytest.raises(ValueError, match="capacities >= K"):
+            lru_fetch_counts(seq_trace([(0, 1)]), ())
+
+    def test_counts_one_batch_slot(self):
+        trace = synth_trace(SynthConfig(batch_size=2, seed=1))
+        with pytest.raises(ValueError, match="one batch slot, got B=2"):
+            lru_fetch_counts(trace, (8,))
+
+    @pytest.mark.parametrize("row", [(0, 1, 2), (), (1, 1)])
+    def test_refuses_a_row_that_is_not_a_top_k_set(self, row):
+        # The rows are checked before the stack pass counts any of them.
+        trace = seq_trace([(0, 1), row, (2, 3)])
+        with pytest.raises(ValueError, match="size K=2"):
+            lru_fetch_counts(trace, (2, 4))

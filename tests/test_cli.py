@@ -296,6 +296,33 @@ class TestBoundCheckCli:
         assert not out.exists()
 
 
+    @pytest.mark.parametrize("flags, named", [
+        pytest.param(("--trace", "{trace}", "--capacity", "4", "--campaign", "2"),
+                     ("--trace", "--campaign"), id="trace-campaign"),
+        pytest.param(("--trace", "{trace}", "--capacity", "4", "--counterexamples"),
+                     ("--trace", "--counterexamples"), id="trace-counterexamples"),
+        pytest.param(("--campaign", "2", "--counterexamples"),
+                     ("--campaign", "--counterexamples"), id="campaign-counterexamples"),
+        pytest.param(("--trace", "{trace}", "--capacity", "4", "--campaign", "2",
+                      "--counterexamples"),
+                     ("--trace", "--campaign", "--counterexamples"), id="all-three"),
+        pytest.param(("--campaign", "2", "--capacity", "3"), ("--capacity", "--trace"),
+                     id="campaign-capacity"),
+        pytest.param(("--counterexamples", "--capacity", "3"), ("--capacity", "--trace"),
+                     id="counterexamples-capacity"),
+        pytest.param(("--capacity", "3",), ("--capacity", "--trace"), id="capacity-alone"),
+    ])
+    def test_modes_are_exclusive(self, flags, named, trace_path, tmp_path, capsys):
+        out = tmp_path / "b.json"
+        argv = [f.format(trace=trace_path) for f in flags]
+        assert run("bound-check", *argv, "--out", str(out)) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("usage error: ") and err.count("\n") == 1
+        assert all(flag in err for flag in named), err
+        assert not out.exists()
+        assert not (tmp_path / "b.json.manifest.jsonl").exists()
+
+
 class TestRouterCli:
     def test_stability(self):
         assert run("router", "--check", "stability", "--trials", "500") == 0

@@ -277,6 +277,24 @@ class TestSynth:
         assert len(set(streams)) > 1
 
 
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(
+    n=st.integers(2, 40),
+    data=st.data(),
+    p=st.sampled_from([0.0, 1.0]) | st.floats(0.0, 1.0),
+    steps=st.integers(1, 30),
+    seed=st.integers(0, 2**63 - 1),
+)
+def test_sticky_stream_matches_per_slot_draws(n, data, p, steps, seed):
+    # Same sets from the same seed, and the generator left in the same state.
+    k = data.draw(st.integers(1, n))
+    fast, slow = np.random.default_rng(seed), np.random.default_rng(seed)
+    sets = trace_module._sticky_set_stream(fast, n, k, p, steps)
+    assert sets == reference_trace.sticky_set_stream(slow, n, k, p, steps)
+    assert all(type(e) is int for members in sets for e in members)
+    assert fast.random() == slow.random()
+
+
 def _rank(values):
     order = sorted(range(len(values)), key=lambda i: values[i])
     ranks = [0.0] * len(values)
