@@ -47,7 +47,6 @@ from .objective import (
     LossBreakdown,
     LossWeights,
     fd_gradients,
-    mc_reuse_expectation,
     total_objective,
     value_and_grad,
 )

@@ -161,6 +161,34 @@ def _slot_bounds(
     return _SlotBounds(n_fetch, overlap, ws_horizon, ws_bound)
 
 
+def _segment_sums(x: np.ndarray, offsets: np.ndarray) -> np.ndarray:
+    """Sums of ``x`` along its last (step) axis over each segment."""
+    cs = np.zeros(x.shape[:-1] + (x.shape[-1] + 1,), dtype=np.int64)
+    np.cumsum(x, axis=-1, out=cs[..., 1:])
+    return cs[..., offsets[1:]] - cs[..., offsets[:-1]]
+
+
+def _verdicts(trace: RoutingTrace, bounds: _SlotBounds):
+    """The one statement of which checks ``bounds`` (of ``trace``) makes and
+    which fail. Returns the steps that have a bound (bool[steps]: the previous
+    step is in their segment); the step verdicts against the overlap and the
+    working-set bound (bool[C, L, steps], True only on those steps; the latter
+    None without working-set bounds); and each segment's fetch total
+    (int[C, L, segments]), bound total (int[L, segments]) and verdict
+    (bool[C, L, segments])."""
+    offsets = np.array(trace.segment_offsets)
+    pairs = np.ones(offsets[-1], dtype=bool)
+    pairs[offsets[:-1][np.diff(offsets) > 0]] = False
+    n_fetch = bounds.n_fetch
+    ws_violated = None if bounds.ws_bound is None else (n_fetch > bounds.ws_bound) & pairs
+    # A segment of under two steps has no pair step and no sequence record;
+    # both its totals are 0, so it never counts as a violation.
+    totals = _segment_sums(n_fetch * pairs, offsets)
+    total_bounds = _segment_sums(bounds.overlap_bound * pairs, offsets)
+    return (pairs, (n_fetch > bounds.overlap_bound) & pairs, ws_violated,
+            (totals, total_bounds, totals > total_bounds))
+
+
 def _collect_step_records(
     trace: RoutingTrace, cfg: CacheConfig, batch: int, bounds: _SlotBounds
 ) -> tuple[list[StepBoundRecord], list[SequenceBound]]:
@@ -171,63 +199,35 @@ def _collect_step_records(
     The resident set before a flagged step comes from an event-recording
     simulation under ``cfg``, which runs only when some step is flagged.
     """
-    h = trace.header
     offsets = trace.segment_offsets
     n_steps = offsets[-1]
-    working_set = bounds.ws_bound is not None
-
+    _pairs, violated, ws_violated, (totals, total_bounds, seq_violated) = _verdicts(trace, bounds)
     per_step: list[StepBoundRecord] = []
     per_sequence: list[SequenceBound] = []
     flagged: list[tuple[int, int]] = []  # (index in per_step, layer-major step ordinal)
-    for layer in range(h.n_moe_layers):
-        fetches = bounds.n_fetch[0, layer].tolist()
-        pair_bounds = bounds.overlap_bound[layer].tolist()
-        if working_set:
-            horizons = bounds.ws_horizon[0, layer].tolist()
-            ws_bounds = bounds.ws_bound[0, layer].tolist()
+    for layer in range(trace.header.n_moe_layers):
+        # The StepBoundRecord fields from n_fetch on, per step ordinal.
+        columns = [bounds.n_fetch[0, layer], bounds.overlap_bound[layer], violated[0, layer]]
+        if ws_violated is not None:
+            columns += [bounds.ws_horizon[0, layer], bounds.ws_bound[0, layer],
+                        ws_violated[0, layer]]
+        steps = list(zip(*(column.tolist() for column in columns)))
+        fetch_totals = totals[0, layer].tolist()
+        bound_totals = total_bounds[layer].tolist()
+        seq_flags = seq_violated[0, layer].tolist()
         for segment, length in enumerate(trace.segment_lengths):
             start = offsets[segment]  # the segment's first step ordinal
-            total_fetch = 0
-            total_bound = 0
             for i in range(start + 1, start + length):
-                n_fetch = fetches[i]
-                bound = pair_bounds[i]
-                violated = n_fetch > bound
-                ws_horizon = ws_bound = ws_violated = None
-                if working_set:
-                    ws_horizon = horizons[i]
-                    ws_bound = ws_bounds[i]
-                    ws_violated = n_fetch > ws_bound
-                if violated or ws_violated:
+                record = StepBoundRecord(layer, batch, segment, i - start, *steps[i])
+                if record.violated or record.ws_violated:
                     flagged.append((len(per_step), layer * n_steps + i))
-                per_step.append(
-                    StepBoundRecord(
-                        layer=layer,
-                        batch=batch,
-                        segment=segment,
-                        step=i - start,
-                        n_fetch=n_fetch,
-                        overlap_bound=bound,
-                        violated=violated,
-                        ws_horizon=ws_horizon,
-                        ws_bound=ws_bound,
-                        ws_violated=ws_violated,
-                    )
-                )
-                total_fetch += n_fetch
-                total_bound += bound
+                per_step.append(record)
             if length >= 2:
-                per_sequence.append(
-                    SequenceBound(
-                        layer=layer,
-                        batch=batch,
-                        segment=segment,
-                        total_fetch=total_fetch,
-                        total_bound=total_bound,
-                        n_steps=length - 1,
-                        violated=total_fetch > total_bound,
-                    )
-                )
+                per_sequence.append(SequenceBound(
+                    layer=layer, batch=batch, segment=segment, n_steps=length - 1,
+                    total_fetch=fetch_totals[segment], total_bound=bound_totals[segment],
+                    violated=seq_flags[segment],
+                ))
     if flagged:
         events = simulate(trace, cfg, record_events=True).events
         for i, ordinal in flagged:
@@ -284,33 +284,18 @@ def _bound_report(trace: RoutingTrace, capacity: int, working_set: bool) -> Boun
     )
 
 
-def _segment_sums(x: np.ndarray, offsets: np.ndarray) -> np.ndarray:
-    """Sums of ``x`` along its last (step) axis over each segment."""
-    cs = np.zeros(x.shape[:-1] + (x.shape[-1] + 1,), dtype=np.int64)
-    np.cumsum(x, axis=-1, out=cs[..., 1:])
-    return cs[..., offsets[1:]] - cs[..., offsets[:-1]]
-
-
 def _tally(trace: RoutingTrace, slots: Iterable[tuple[RoutingTrace, _SlotBounds]]) -> tuple[int, int]:
     """(checks, violations) summed over the capacities and slots of
-    :func:`_check`, counted as the reports count them, without building them:
-    a campaign reads only these two numbers, and one record per step and
-    capacity would cost it more than its stack passes save."""
-    offsets = np.array(trace.segment_offsets)
-    lengths = np.diff(offsets)
-    pairs = np.ones(offsets[-1], dtype=bool)  # steps that have a bound
-    pairs[offsets[:-1][lengths > 0]] = False
-    per_capacity = int(pairs.sum() + (lengths >= 2).sum()) * trace.header.n_moe_layers
+    :func:`_check`, counted from the verdicts the reports are built from,
+    without building them: a campaign reads only these two numbers, and one
+    record per step and capacity would cost it more than its stack passes save."""
+    n_sequences = sum(length >= 2 for length in trace.segment_lengths)
     checks = violations = 0
-    for _slot, bounds in slots:
-        checks += len(bounds.n_fetch) * per_capacity
-        step_bound = bounds.overlap_bound if bounds.ws_bound is None else bounds.ws_bound
-        violations += int(((bounds.n_fetch > step_bound) & pairs).sum())
-        # A segment of under two steps has no pair step and no sequence record;
-        # both its totals are 0, so it never counts as a violation.
-        totals = _segment_sums(bounds.n_fetch * pairs, offsets)
-        total_bounds = _segment_sums(bounds.overlap_bound * pairs, offsets)
-        violations += int((totals > total_bounds).sum())
+    for slot, bounds in slots:
+        pairs, violated, ws_violated, (_, _, seq_violated) = _verdicts(slot, bounds)
+        checks += bounds.n_fetch[..., 0].size * (int(pairs.sum()) + n_sequences)
+        violations += int((violated if ws_violated is None else ws_violated).sum())
+        violations += int(seq_violated.sum())
     return checks, violations
 
 
@@ -387,13 +372,12 @@ def run_counterexamples() -> list[ScenarioResult]:
 def run_campaign(
     n_traces: int = 1000,
     seed: int = 0,
-    capacities: tuple[int, ...] | None = None,
     working_set: bool = False,
     threads: int = 1,
 ) -> dict:
     """Bound checks over randomized synthetic traces.
 
-    Per trace, capacities default to {K, K+2, 2K} for the one-step bound and
+    Per trace, the capacities are {K, K+2, 2K} for the one-step bound and
     {2K} for the working-set bound. Per-seed results are deterministic and
     reduced in seed order, so the thread count never changes the report.
     """
@@ -416,12 +400,8 @@ def run_campaign(
 
     def run_one(cfg: SynthConfig) -> tuple[int, int]:
         trace = synth_trace(cfg)
-        if capacities:
-            caps = capacities
-        elif working_set:
-            caps = (2 * cfg.top_k,)
-        else:
-            caps = (cfg.top_k, cfg.top_k + 2, 2 * cfg.top_k)
+        k = cfg.top_k
+        caps = (2 * k,) if working_set else (k, k + 2, 2 * k)
         return _tally(trace, _check(trace, caps, working_set))
 
     if threads > 1:

@@ -14,7 +14,7 @@ theta0. The objective combines:
 * lag:    symmetric KL against earlier steps {t-d : d in lags}, normalized by
   |lags| regardless of how many lags are in range.
 * ws:     mean entropy of window-averaged distributions over complete
-  length-W windows (the trailing partial window is discarded by default).
+  length-W windows (the trailing partial window is discarded).
 
 The weighted total is
 
@@ -45,13 +45,11 @@ __all__ = [
     "REUSE_EPS",
     "LossWeights",
     "LossBreakdown",
-    "McReuseResult",
     "alpha_schedule",
     "routing_distributions",
     "total_objective",
     "value_and_grad",
     "fd_gradients",
-    "mc_reuse_expectation",
 ]
 
 
@@ -70,9 +68,6 @@ class LossWeights:
     warm_reuse_steps: int = 400
     warm_loc_steps: int = 800
     eps: float = REUSE_EPS
-    # Documented alternatives, off by default:
-    lag_normalize_valid: bool = False  # divide by the in-range lag count, not |lags|
-    ws_include_partial: bool = False  # weight the trailing partial window by r/W
 
     def __post_init__(self):
         for name in _LAMBDAS:
@@ -103,8 +98,8 @@ class LossBreakdown:
     total: float
 
     def reassembled(self, w: LossWeights) -> float:
-        """Recompute the total from the parts with the canonical evaluation
-        order; must equal ``total`` bitwise."""
+        """The weighted total of the parts under ``w``: the one statement of
+        the total, which every evaluation stores as ``total``."""
         return (
             w.lambda_kl * self.trust_kl
             + self.alpha_reuse * w.lambda_reuse * self.reuse_loss
@@ -202,70 +197,41 @@ def _evaluate(theta, theta0, hiddens, w: LossWeights, train_step: int, top_k: in
         grad_p[1:] += coef * da
         grad_p[:-1] += coef * db
 
-    # lag: per lag distance, steps with t-d in range.
+    # lag: per lag distance, steps with t-d in range, each divided by |lags|.
     lag_total = 0.0
     w_lag = a_loc * w.lambda_lag
-    lags = np.array(w.lag_set)
-    if w.lag_normalize_valid:  # lags in range at step t: those with d <= t
-        n_valid = np.searchsorted(lags, np.arange(t_len), side="right").astype(float)
-    else:
-        n_valid = np.full(t_len, float(lags.size))
+    n_lags = float(len(w.lag_set))
     for d in w.lag_set:
         if d >= t_len:
             break
         vals, da, db = _pair_symkl(logp, p, d, want_grad and w_lag > 0)
-        lag_total += float((vals / n_valid[d:]).sum())
+        lag_total += float((vals / n_lags).sum())
         if want_grad and w_lag > 0:
-            coef = (w_lag / (t_len - 1)) / n_valid[d:, None]
+            coef = (w_lag / (t_len - 1)) / n_lags
             grad_p[d:] += coef * da
             grad_p[:-d] += coef * db
     lag = lag_total / (t_len - 1)
 
-    # ws: entropy of window means; all full windows at once, then the
-    # trailing partial window when it is weighted in.
+    # ws: entropy of the means of the complete windows, all at once.
     win = w.window
     n_full = t_len // win
-    rem = t_len - n_full * win
-    tail = w.ws_include_partial and rem > 0
-    denom = n_full + (rem / win if tail else 0.0)
     ws = 0.0
-    if denom > 0:
+    if n_full > 0:
         w_ws = a_loc * w.lambda_ws
         pbar = p[: n_full * win].reshape(n_full, win, n).mean(axis=1)
-        if tail:
-            pbar = np.vstack([pbar, p[n_full * win :].mean(axis=0)])
         pos = pbar > 0
         logbar = np.where(pos, np.log(np.where(pos, pbar, 1.0)), 0.0)
-        ents = -(pbar * logbar).sum(axis=1)
         acc = 0.0
-        for ent in ents[:n_full].tolist():  # summed in window order
+        for ent in (-(pbar * logbar).sum(axis=1)).tolist():  # summed in window order
             acc += ent
-        if tail:
-            acc += (rem / win) * float(ents[-1])
         if want_grad and w_ws > 0:
             g = np.where(pos, -(logbar + 1.0), 0.0)
             full = grad_p[: n_full * win].reshape(n_full, win, n)
-            full += (w_ws * (1.0 / denom) * g[:n_full] / win)[:, None, :]
-            if tail:
-                grad_p[n_full * win :] += w_ws * ((rem / win) / denom) * g[-1] / rem
-        ws = acc / denom
+            full += (w_ws * (1.0 / n_full) * g / win)[:, None, :]
+        ws = acc / n_full
 
-    total = (
-        w.lambda_kl * trust
-        + a_reuse * w.lambda_reuse * reuse
-        + a_loc * (w.lambda_smooth * smooth + w.lambda_lag * lag + w.lambda_ws * ws)
-    )
-    breakdown = LossBreakdown(
-        trust_kl=trust,
-        reuse_rho=rho,
-        reuse_loss=reuse,
-        smooth=smooth,
-        lag=lag,
-        ws=ws,
-        alpha_reuse=a_reuse,
-        alpha_loc=a_loc,
-        total=total,
-    )
+    parts = LossBreakdown(trust, rho, reuse, smooth, lag, ws, a_reuse, a_loc, total=math.nan)
+    breakdown = replace(parts, total=parts.reassembled(w))
     if not want_grad:
         return breakdown, None
     # Chain through the row-wise softmax: dL/dz = P * (U - <P, U>).
@@ -324,48 +290,3 @@ def fd_gradients(theta, theta0, hiddens, weight_list, train_step: int, top_k: in
         for grad, w in zip(grads, weight_list):
             grad[idx] = (f_plus.reassembled(w) - f_minus.reassembled(w)) / (2.0 * h_step)
     return grads
-
-
-# ---------------------------------------------------------------------------
-# Monte Carlo check of the reuse-mass expectation
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class McReuseResult:
-    estimate: float  # mean reused-sample count over draws
-    expected: float  # K^2 * m = K * (mass on the previous set)
-    stderr: float  # binomial standard error of the estimate
-    z_score: float
-    n_samples: int
-
-
-def mc_reuse_expectation(p, prev_set, k: int, n_samples: int, seed: int = 0) -> McReuseResult:
-    """Sample K experts i.i.d. from P per draw and count how many land in the
-    previous set; the mean must match K^2 times the reuse mass."""
-    p = np.asarray(p, dtype=float)
-    if n_samples < 1:
-        raise ValueError("n_samples must be >= 1")
-    if np.any(p < 0) or abs(float(p.sum()) - 1.0) > 1e-9:
-        raise ValueError("p is not a distribution")
-    prev = sorted(set(prev_set))
-    if len(prev) != k:
-        raise ValueError(f"prev_set must contain K={k} distinct experts")
-
-    rng = np.random.default_rng(seed)
-    cdf = np.cumsum(p)
-    draws = np.searchsorted(cdf, rng.random((n_samples, k)), side="right")
-    draws = np.minimum(draws, p.size - 1)
-    reused = np.isin(draws, prev).sum(axis=1)
-
-    q = float(p[prev].sum())
-    expected = k * q  # equals K^2 times the reuse mass
-    estimate = float(reused.mean())
-    stderr = math.sqrt(k * q * (1.0 - q) / n_samples)
-    if stderr > 0:
-        z = (estimate - expected) / stderr
-    else:
-        z = 0.0 if estimate == expected else math.inf
-    return McReuseResult(
-        estimate=estimate, expected=expected, stderr=stderr, z_score=z, n_samples=n_samples
-    )

@@ -240,13 +240,17 @@ def _iter_lines(stream) -> Iterator[bytes]:
 def _parse_header(obj, line_no) -> TraceHeader:
     if obj.get("type") != "header":
         raise TraceError('first line must be a {"type":"header",...} record', line_no)
+    has_probs = obj.get("has_probs", False)
+    if type(has_probs) is not bool:
+        raise TraceError(f"header field 'has_probs' must be true or false, got {has_probs!r}",
+                         line_no)
     try:
         return TraceHeader(
             n_moe_layers=obj["n_moe_layers"],
             n_routed_experts=obj["n_routed_experts"],
             top_k=obj["top_k"],
             batch_size=obj["batch_size"],
-            has_probs=bool(obj.get("has_probs", False)),
+            has_probs=has_probs,
         )
     except KeyError as e:
         raise TraceError(f"header missing field {e.args[0]!r}", line_no) from None
@@ -259,25 +263,26 @@ _NUMBERS = frozenset((int, float))
 
 
 def _parse_record(obj, line_no, has_probs) -> StepRecord:
+    """One record line's fields, each checked against its JSON type; json.loads
+    yields exact types, so ``type(x) is int`` also refuses true and false."""
     try:
         s, t, l, b = obj["s"], obj["t"], obj["l"], obj["b"]
         topk = obj["topk"]
     except KeyError as e:
         raise TraceError(f"record missing field {e.args[0]!r}", line_no) from None
+    for name, v in (("s", s), ("t", t), ("l", l), ("b", b)):
+        if type(v) is not int or v < 0:
+            raise TraceError(f"field {name!r} must be a non-negative integer, got {v!r}", line_no)
+    if type(topk) is not list or not _INTS.issuperset(map(type, topk)):
+        raise TraceError("field 'topk' must be a list of integers", line_no)
     probs = obj.get("probs")
-    # One combined test for the common well-formed record; json.loads yields
-    # exact int/float/bool/list types, so ``type(x) is int`` excludes bools just
-    # as the per-field checks below do. Any failure takes the per-field path,
-    # which names the first offending field.
-    if not (
-        type(s) is int and s >= 0 and type(t) is int and t >= 0
-        and type(l) is int and l >= 0 and type(b) is int and b >= 0
-        and type(topk) is list and _INTS.issuperset(map(type, topk))
-        and (probs is not None) == has_probs
-        and (probs is None or type(probs) is list and _NUMBERS.issuperset(map(type, probs)))
-    ):
-        _check_record_fields(s, t, l, b, topk, probs, line_no, has_probs)
+    if (probs is not None) != has_probs:
+        if has_probs:
+            raise TraceError("header declares has_probs but record carries no 'probs'", line_no)
+        raise TraceError("record carries 'probs' but header declares has_probs=false", line_no)
     if probs is not None:
+        if type(probs) is not list or not _NUMBERS.issuperset(map(type, probs)):
+            raise TraceError("field 'probs' must be a list of numbers", line_no)
         try:
             probs = tuple(map(float, probs))
         except OverflowError:
@@ -291,24 +296,6 @@ def _parse_record(obj, line_no, has_probs) -> StepRecord:
         topk_indices=tuple(topk),
         probs=probs,
     )
-
-
-def _check_record_fields(s, t, l, b, topk, probs, line_no, has_probs) -> None:
-    """Raise TraceError naming the first malformed field of a record."""
-    for name, v in (("s", s), ("t", t), ("l", l), ("b", b)):
-        if not isinstance(v, int) or isinstance(v, bool) or v < 0:
-            raise TraceError(f"field {name!r} must be a non-negative integer, got {v!r}", line_no)
-    if not isinstance(topk, list) or not all(
-        isinstance(e, int) and not isinstance(e, bool) for e in topk
-    ):
-        raise TraceError("field 'topk' must be a list of integers", line_no)
-    if has_probs and probs is None:
-        raise TraceError("header declares has_probs but record carries no 'probs'", line_no)
-    if not has_probs and probs is not None:
-        raise TraceError("record carries 'probs' but header declares has_probs=false", line_no)
-    if probs is not None:
-        if not isinstance(probs, list) or not all(isinstance(p, (int, float)) for p in probs):
-            raise TraceError("field 'probs' must be a list of numbers", line_no)
 
 
 def parse_trace(stream: bytes | IO[bytes] | Iterable[bytes], validate: bool = True) -> RoutingTrace:

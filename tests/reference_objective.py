@@ -13,6 +13,10 @@ forward passes per step (value, gradient, logged EOR); ``fd_gradient`` is the
 central-difference loop for one weight config, two library objective
 evaluations per coordinate. The library's fast paths must reproduce all of
 them bit for bit, which the differential tests check.
+
+``mc_reuse_expectation`` samples K experts i.i.d. from a distribution and
+counts the draws that land in the previous step's set; acceptance C07 checks
+that its mean matches K^2 times the reuse mass.
 """
 
 from __future__ import annotations
@@ -109,7 +113,7 @@ def smooth_loss(p_seq) -> float:
     return float(np.mean([sym_kl(p_seq[t], p_seq[t - 1]) for t in range(1, len(p_seq))]))
 
 
-def lag_loss(p_seq, lags, normalize_valid: bool = False) -> float:
+def lag_loss(p_seq, lags) -> float:
     p_seq = np.asarray(p_seq, dtype=float)
     t_len = len(p_seq)
     if t_len < 2:
@@ -122,33 +126,21 @@ def lag_loss(p_seq, lags, normalize_valid: bool = False) -> float:
         in_range = [d for d in lags if t - d >= 0]
         if not in_range:
             continue
-        denom = len(in_range) if normalize_valid else len(lags)
-        total += sum(sym_kl(p_seq[t], p_seq[t - d]) for d in in_range) / denom
+        total += sum(sym_kl(p_seq[t], p_seq[t - d]) for d in in_range) / len(lags)
     return total / (t_len - 1)
 
 
-def ws_loss(p_seq, window: int, include_partial: bool = False) -> float:
-    """Mean entropy of window-averaged distributions.
-
-    Fewer rows than one window yields 0 by convention. With
-    ``include_partial`` the trailing remainder of r rows joins with weight
-    r / window.
-    """
+def ws_loss(p_seq, window: int) -> float:
+    """Mean entropy of window-averaged distributions over the complete
+    windows; fewer rows than one window yields 0 by convention."""
     if window < 1:
         raise ValueError("window must be >= 1")
     p_seq = np.asarray(p_seq, dtype=float)
     t_len = len(p_seq)
     n = t_len // window
-    terms: list[tuple[float, float]] = [
-        (1.0, entropy(p_seq[b * window : (b + 1) * window].mean(axis=0))) for b in range(n)
-    ]
-    rem = t_len - n * window
-    if include_partial and rem > 0:
-        terms.append((rem / window, entropy(p_seq[n * window :].mean(axis=0))))
-    denom = sum(wgt for wgt, _ in terms)
-    if denom == 0:
+    if n == 0:
         return 0.0
-    return sum(wgt * h for wgt, h in terms) / denom
+    return sum(entropy(p_seq[b * window : (b + 1) * window].mean(axis=0)) for b in range(n)) / n
 
 
 def sets_from_rows(p_rows, k: int) -> list[tuple[int, ...]]:
@@ -224,12 +216,7 @@ def evaluate(theta, theta0, hiddens, w: LossWeights, train_step: int, top_k: int
         idx_b = idx_a - d
         if idx_a.size == 0:
             continue
-        if w.lag_normalize_valid:
-            n_valid = np.array(
-                [sum(1 for dd in w.lag_set if t - dd >= 0) for t in idx_a], dtype=float
-            )
-        else:
-            n_valid = np.full(idx_a.size, float(len(w.lag_set)))
+        n_valid = np.full(idx_a.size, float(len(w.lag_set)))
         vals, da, db = _pair_symkl(logp, p, idx_a, idx_b, want_grad and w_lag > 0)
         lag_total += float((vals / n_valid).sum())
         if want_grad and w_lag > 0:
@@ -238,18 +225,14 @@ def evaluate(theta, theta0, hiddens, w: LossWeights, train_step: int, top_k: int
             np.add.at(grad_p, idx_b, coef * db)
     lag = lag_total / (t_len - 1)
 
-    n_full = t_len // w.window
-    rem = t_len - n_full * w.window
-    win_weights = [1.0] * n_full
-    if w.ws_include_partial and rem > 0:
-        win_weights.append(rem / w.window)
+    win_weights = [1.0] * (t_len // w.window)
     denom = sum(win_weights)
     ws = 0.0
     if denom > 0:
         w_ws = a_loc * w.lambda_ws
         acc = 0.0
         for b, wgt in enumerate(win_weights):
-            rows = slice(b * w.window, min((b + 1) * w.window, t_len))
+            rows = slice(b * w.window, (b + 1) * w.window)
             block = p[rows]
             pbar = block.mean(axis=0)
             pos = pbar > 0
@@ -304,6 +287,51 @@ def fd_gradient(theta, theta0, hiddens, w: LossWeights, train_step: int, top_k: 
         f_minus = objective.total_objective(minus, theta0, hiddens, w, train_step, top_k).total
         grad[idx] = (f_plus - f_minus) / (2.0 * h_step)
     return grad
+
+
+# ---------------------------------------------------------------------------
+# Monte Carlo check of the reuse-mass expectation
+# ---------------------------------------------------------------------------
+
+
+@dataclasses.dataclass(frozen=True)
+class McReuseResult:
+    estimate: float  # mean reused-sample count over draws
+    expected: float  # K^2 * m = K * (mass on the previous set)
+    stderr: float  # binomial standard error of the estimate
+    z_score: float
+    n_samples: int
+
+
+def mc_reuse_expectation(p, prev_set, k: int, n_samples: int, seed: int = 0) -> McReuseResult:
+    """Sample K experts i.i.d. from P per draw and count how many land in the
+    previous set; the mean must match K^2 times the reuse mass."""
+    p = np.asarray(p, dtype=float)
+    if n_samples < 1:
+        raise ValueError("n_samples must be >= 1")
+    if np.any(p < 0) or abs(float(p.sum()) - 1.0) > 1e-9:
+        raise ValueError("p is not a distribution")
+    prev = sorted(set(prev_set))
+    if len(prev) != k:
+        raise ValueError(f"prev_set must contain K={k} distinct experts")
+
+    rng = np.random.default_rng(seed)
+    cdf = np.cumsum(p)
+    draws = np.searchsorted(cdf, rng.random((n_samples, k)), side="right")
+    draws = np.minimum(draws, p.size - 1)
+    reused = np.isin(draws, prev).sum(axis=1)
+
+    q = float(p[prev].sum())
+    expected = k * q  # equals K^2 times the reuse mass
+    estimate = float(reused.mean())
+    stderr = math.sqrt(k * q * (1.0 - q) / n_samples)
+    if stderr > 0:
+        z = (estimate - expected) / stderr
+    else:
+        z = 0.0 if estimate == expected else math.inf
+    return McReuseResult(
+        estimate=estimate, expected=expected, stderr=stderr, z_score=z, n_samples=n_samples
+    )
 
 
 def sequence_eor(theta, hiddens, top_k: int) -> float:

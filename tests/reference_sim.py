@@ -684,15 +684,11 @@ def reference_check(
     )
 
 
-def reference_run_campaign(
-    n_traces: int, seed: int, capacities=None, working_set: bool = False
-) -> dict:
-    """``run_campaign`` as one full bound report per trace and capacity,
-    through :func:`reference_check` with the ``simulate``-based collection."""
+def reference_campaign_configs(n_traces: int, seed: int) -> list[SynthConfig]:
+    """The synthetic trace configs ``run_campaign(n_traces, seed)`` draws."""
     rng = np.random.default_rng(seed)
-    checked = violated = 0
-    for _ in range(n_traces):
-        cfg = SynthConfig(
+    return [
+        SynthConfig(
             n_moe_layers=1,
             n_routed_experts=int(rng.integers(8, 33)),
             top_k=int(rng.integers(2, 7)),
@@ -702,17 +698,30 @@ def reference_run_campaign(
             stickiness=float(rng.random()),
             seed=int(rng.integers(0, 2**63 - 1)),
         )
-        trace = synth_trace(cfg)
-        if capacities:
-            caps = capacities
-        elif working_set:
-            caps = (2 * cfg.top_k,)
-        else:
-            caps = (cfg.top_k, cfg.top_k + 2, 2 * cfg.top_k)
-        for cap in caps:
-            report = reference_check(trace, cap, working_set, simulate_collect_step_records)
-            checked += len(report.step_records) + len(report.sequence_records)
-            violated += report.n_violations
+        for _ in range(n_traces)
+    ]
+
+
+def reference_tally(trace: RoutingTrace, capacities, working_set: bool) -> tuple[int, int]:
+    """(checks, violations) of one full bound report per capacity, through
+    :func:`reference_check` with the ``simulate``-based collection."""
+    checked = violated = 0
+    for cap in capacities:
+        report = reference_check(trace, cap, working_set, simulate_collect_step_records)
+        checked += len(report.step_records) + len(report.sequence_records)
+        violated += report.n_violations
+    return checked, violated
+
+
+def reference_run_campaign(n_traces: int, seed: int, working_set: bool = False) -> dict:
+    """``run_campaign`` as one full bound report per trace and capacity."""
+    checked = violated = 0
+    for cfg in reference_campaign_configs(n_traces, seed):
+        k = cfg.top_k
+        caps = (2 * k,) if working_set else (k, k + 2, 2 * k)
+        checks, violations = reference_tally(synth_trace(cfg), caps, working_set)
+        checked += checks
+        violated += violations
     return {
         "kind": "working_set" if working_set else "step",
         "n_traces": n_traces,

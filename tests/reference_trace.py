@@ -2,10 +2,10 @@
 
 Deliberately plain: every record goes through every per-field check and
 every per-record rule, and the cross-record rules always run in full. The
-package's ``parse_trace``/``validate_trace`` take shortcuts (one combined test
-per parsed record, a whole-array screen before per-record descriptions, a
-dense-grid test before the cross-record rules); the differential tests require
-identical results from both. Used only as a test oracle.
+package's ``validate_trace`` takes shortcuts (a whole-array screen before
+per-record descriptions, a dense-grid test before the cross-record rules); the
+differential tests require identical results from both. Used only as a test
+oracle.
 
 ``sticky_set_stream`` is the synthetic generator's per-slot loop: one scalar
 ``rng.random()`` per kept-or-dropped slot and a refill pool built as a list.
@@ -67,7 +67,9 @@ def parse_record(obj, line_no, has_probs) -> StepRecord:
     if not has_probs and probs is not None:
         raise TraceError("record carries 'probs' but header declares has_probs=false", line_no)
     if probs is not None:
-        if not isinstance(probs, list) or not all(isinstance(p, (int, float)) for p in probs):
+        if not isinstance(probs, list) or not all(
+            isinstance(p, (int, float)) and not isinstance(p, bool) for p in probs
+        ):
             raise TraceError("field 'probs' must be a list of numbers", line_no)
         try:
             probs = tuple(float(p) for p in probs)
@@ -101,8 +103,13 @@ def parse_trace(data: bytes) -> RoutingTrace:
         if header is None:
             if obj.get("type") != "header":
                 raise TraceError('first line must be a {"type":"header",...} record', line_no)
+            has_probs = obj.get("has_probs", False)
+            if not isinstance(has_probs, bool):
+                raise TraceError(
+                    f"header field 'has_probs' must be true or false, got {has_probs!r}", line_no
+                )
             fields = ("n_moe_layers", "n_routed_experts", "top_k", "batch_size")
-            header = TraceHeader(*(obj[f] for f in fields), bool(obj.get("has_probs", False)))
+            header = TraceHeader(*(obj[f] for f in fields), has_probs)
         else:
             records.append(parse_record(obj, line_no, header.has_probs))
     if header is None:

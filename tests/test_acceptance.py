@@ -15,7 +15,7 @@ from moe_locality.bounds import check_step_bound, check_working_set_bound, run_c
 from moe_locality.cache_sim import CacheConfig, IoModel, Policy, estimate_tpot, simulate
 from moe_locality.cli import dispatch, run_gradcheck
 from moe_locality.gate import pinsker_campaign, stability_campaign
-from moe_locality.objective import LossWeights, mc_reuse_expectation
+from moe_locality.objective import LossWeights
 from moe_locality.trace import SynthConfig, TraceHeader, synth_trace
 from moe_locality.trainer import (
     SyntheticDataConfig,
@@ -25,6 +25,7 @@ from moe_locality.trainer import (
     train,
 )
 
+from reference_objective import mc_reuse_expectation
 from reference_sim import naive_simulate
 from test_trace import make_trace
 

@@ -22,9 +22,11 @@ from moe_locality.trace import (
 )
 
 from reference_sim import (
+    reference_campaign_configs,
     reference_check,
     reference_collect_step_records,
     reference_run_campaign,
+    reference_tally,
     simulate_collect_step_records,
 )
 from test_trace import make_trace
@@ -274,9 +276,13 @@ class TestCampaignEquivalence:
     @pytest.mark.parametrize("capacities", [(6,), (6, 7, 30), (9, 6, 6)])
     @pytest.mark.parametrize("working_set", [False, True])
     def test_explicit_capacities(self, capacities, working_set):
-        assert run_campaign(20, 4, capacities=capacities, working_set=working_set) == (
-            reference_run_campaign(20, 4, capacities=capacities, working_set=working_set)
-        )
+        # The tally at capacities the campaign never picks, unsorted and
+        # repeated ones among them, over the campaign's own traces (K <= 6).
+        for cfg in reference_campaign_configs(20, 4):
+            trace = synth_trace(cfg)
+            assert bounds._tally(trace, bounds._check(trace, capacities, working_set)) == (
+                reference_tally(trace, capacities, working_set)
+            )
 
     @settings(max_examples=60, deadline=None, derandomize=True)
     @given(cfg=bound_trace_configs, extras=st.lists(st.integers(0, 4), min_size=1, max_size=3),

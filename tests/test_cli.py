@@ -1,17 +1,29 @@
 import csv
 import json
+import os
 import resource
 import subprocess
 import sys
 
 import pytest
 
+import moe_locality
 from moe_locality.cli import _json_bytes, dispatch, run_gradcheck
 from moe_locality.trace import load_trace, validate_trace
 
 
 def run(*argv):
     return dispatch(list(argv))
+
+
+def run_module(*argv, **kwargs):
+    """``python -m moe_locality.cli`` in a subprocess that imports the package
+    under test, installed or not."""
+    root = os.path.dirname(os.path.dirname(moe_locality.__file__))
+    path = os.pathsep.join(filter(None, (root, os.environ.get("PYTHONPATH"))))
+    return subprocess.run([sys.executable, "-m", "moe_locality.cli", *argv],
+                          capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": path}, **kwargs)
 
 
 @pytest.fixture()
@@ -95,10 +107,7 @@ class TestSynthValidate:
         def cap_memory():
             resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
 
-        proc = subprocess.run(
-            [sys.executable, "-m", "moe_locality.cli", "validate", "--trace", str(path)],
-            capture_output=True, text=True, timeout=60, preexec_fn=cap_memory,
-        )
+        proc = run_module("validate", "--trace", str(path), timeout=60, preexec_fn=cap_memory)
         assert proc.returncode == 2
         assert proc.stderr.startswith(f"data error: line 2: segment id or step index {10**30}")
         assert "Traceback" not in proc.stderr
@@ -311,6 +320,16 @@ class TestBoundCheckCli:
         pytest.param(("--counterexamples", "--capacity", "3"), ("--capacity", "--trace"),
                      id="counterexamples-capacity"),
         pytest.param(("--capacity", "3",), ("--capacity", "--trace"), id="capacity-alone"),
+        pytest.param(("--counterexamples", "--working-set"),
+                     ("--counterexamples", "--working-set"), id="counterexamples-working-set"),
+        pytest.param(("--counterexamples", "--seed", "3"), ("--counterexamples", "--seed"),
+                     id="counterexamples-seed"),
+        pytest.param(("--counterexamples", "--threads", "2"), ("--counterexamples", "--threads"),
+                     id="counterexamples-threads"),
+        pytest.param(("--trace", "{trace}", "--capacity", "4", "--seed", "0"),
+                     ("--trace", "--seed"), id="trace-seed"),
+        pytest.param(("--trace", "{trace}", "--capacity", "4", "--threads", "1"),
+                     ("--trace", "--threads"), id="trace-threads"),
     ])
     def test_modes_are_exclusive(self, flags, named, trace_path, tmp_path, capsys):
         out = tmp_path / "b.json"
@@ -321,6 +340,17 @@ class TestBoundCheckCli:
         assert all(flag in err for flag in named), err
         assert not out.exists()
         assert not (tmp_path / "b.json.manifest.jsonl").exists()
+
+
+    def test_campaign_defaults_are_seed_zero_one_thread(self, tmp_path):
+        plain, given = tmp_path / "plain.json", tmp_path / "given.json"
+        assert run("bound-check", "--campaign", "5", "--out", str(plain)) == 0
+        assert run("bound-check", "--campaign", "5", "--seed", "0", "--threads", "1",
+                   "--out", str(given)) == 0
+        assert plain.read_bytes() == given.read_bytes()
+        manifests = [json.loads((tmp_path / f"{name}.json.manifest.jsonl").read_text())
+                     for name in ("plain", "given")]
+        assert manifests[0]["seed"] == manifests[1]["seed"] == 0
 
 
 class TestRouterCli:
@@ -355,6 +385,12 @@ class TestGradcheckCli:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith("usage error:") and "--instances" in captured.err
+
+    @pytest.mark.parametrize("seed", ["0", str(10**30)])
+    def test_passes_at_any_seed(self, seed, capsys):
+        # Near-zero true gradients are compared absolutely, so no seed's
+        # finite-difference noise reads as an analytic error.
+        assert run("gradcheck", "--instances", "20", "--seed", seed) == 0, capsys.readouterr()
 
     def test_library_refuses_no_instances(self):
         with pytest.raises(ValueError, match="instances"):
@@ -526,9 +562,6 @@ class TestDispatch:
         assert probs_trace_path.read_bytes() == before
 
     def test_entry_point_runs(self):
-        proc = subprocess.run(
-            [sys.executable, "-m", "moe_locality.cli", "--version"],
-            capture_output=True, text=True,
-        )
+        proc = run_module("--version")
         assert proc.returncode == 0
         assert proc.stdout.strip() == "0.1.0"

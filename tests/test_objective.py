@@ -1,4 +1,3 @@
-import dataclasses
 import math
 
 import numpy as np
@@ -10,6 +9,7 @@ from reference_objective import (
     entropy,
     float_bits,
     lag_loss,
+    mc_reuse_expectation,
     reuse_loss,
     reuse_mass,
     sets_from_rows,
@@ -23,7 +23,6 @@ from moe_locality.objective import (
     LossWeights,
     alpha_schedule,
     fd_gradients,
-    mc_reuse_expectation,
     routing_distributions,
     total_objective,
     value_and_grad,
@@ -144,12 +143,6 @@ class TestLag:
         ) / 2
         assert lag_loss(p, (1, 2)) == pytest.approx(expected, abs=1e-14)
 
-    def test_normalize_valid_variant(self):
-        rng = np.random.default_rng(5)
-        p = rng.dirichlet(np.ones(5), size=3)
-        expected = (sym_kl(p[1], p[0]) / 1 + (sym_kl(p[2], p[1]) + sym_kl(p[2], p[0])) / 2) / 2
-        assert lag_loss(p, (1, 2), normalize_valid=True) == pytest.approx(expected, abs=1e-14)
-
     def test_empty_lags_rejected(self):
         with pytest.raises(ValueError, match="empty"):
             lag_loss([[0.5, 0.5]] * 3, ())
@@ -171,13 +164,14 @@ class TestWs:
     def test_short_sequence_zero_windows(self):
         assert ws_loss([[0.5, 0.5]] * 3, window=4) == 0.0
 
-    def test_partial_window_flag(self):
-        p = [[1.0, 0.0], [0.0, 1.0], [0.5, 0.5]]
-        strict = ws_loss(p, window=2)
-        assert strict == pytest.approx(math.log(2))
-        with_partial = ws_loss(p, window=2, include_partial=True)
-        # (1*ln2 + 0.5*H([.5,.5]))/1.5 = ln2
-        assert with_partial == pytest.approx(math.log(2))
+    def test_partial_window_is_discarded(self):
+        # Only the complete window [1,0],[0,1] counts: H([.5,.5]) = ln 2, and
+        # the trailing one-hot row would lower the mean entropy if weighted in.
+        p = [[1.0, 0.0], [0.0, 1.0], [1.0, 0.0]]
+        assert ws_loss(p, window=2) == pytest.approx(math.log(2))
+        theta = np.log(np.array(p) + 1e-300)  # hidden state I_3 routes row t to p[t]
+        bd = total_objective(theta, theta, np.eye(3), no_warm(window=2), 1000, 1)
+        assert bd.ws == pytest.approx(math.log(2))
 
 
 class TestAlpha:
@@ -398,8 +392,7 @@ class TestGradients:
 class TestFdGradients:
     def test_refuses_configs_that_differ_beyond_lambdas(self):
         theta, theta0, hiddens, k = small_instance(0)
-        others = [no_warm(window=5), no_warm(lag_set=(1, 2)), no_warm(ws_include_partial=True),
-                  no_warm(lag_normalize_valid=True), no_warm(warm_loc_steps=3),
+        others = [no_warm(window=5), no_warm(lag_set=(1, 2)), no_warm(warm_loc_steps=3),
                   no_warm(eps=1e-6)]
         for other in others:
             with pytest.raises(ValueError, match="lambda_"):
@@ -417,20 +410,13 @@ class TestFdGradients:
     d=st.integers(1, 3),
     n=st.integers(2, 6),
     t_len=st.integers(2, 13),
-    lag_normalize_valid=st.booleans(),
-    ws_include_partial=st.booleans(),
 )
-def test_fd_gradients_match_per_config_loop_bitwise(seed, d, n, t_len, lag_normalize_valid,
-                                                    ws_include_partial):
+def test_fd_gradients_match_per_config_loop_bitwise(seed, d, n, t_len):
     # One shared finite-difference pass against the old per-config loop, on
-    # the gradcheck configs under both lag normalizations and ws tail rules.
+    # the gradcheck configs.
     from moe_locality.cli import gradcheck_weight_configs
 
-    configs = [
-        dataclasses.replace(w, lag_normalize_valid=lag_normalize_valid,
-                            ws_include_partial=ws_include_partial)
-        for _name, w in gradcheck_weight_configs()
-    ]
+    configs = [w for _name, w in gradcheck_weight_configs()]
     k = 1 + seed % (n - 1)
     theta, theta0, hiddens, _ = small_instance(seed, d=d, n=n, t=t_len, k=k)
     numerics = fd_gradients(theta, theta0, hiddens, configs, 1000, k)
@@ -501,8 +487,8 @@ def test_grad_matches_fd_on_random_instances(seed):
 @st.composite
 def objective_instances(draw):
     """Random instances that reach every branch of the fused pass: lags at or
-    beyond T, windows longer than T, a weighted partial window, both lag
-    normalizations, K=1 and K=N, zero weights and zero or partial warmups."""
+    beyond T, windows longer than T, a trailing partial window, K=1 and K=N,
+    zero weights and zero or partial warmups."""
     n = draw(st.integers(1, 12))
     k = draw(st.sampled_from(sorted({1, n, draw(st.integers(1, n))})))
     t_len = draw(st.integers(2, 40))
@@ -513,8 +499,6 @@ def objective_instances(draw):
         window=draw(st.integers(1, 45)),
         warm_reuse_steps=draw(st.sampled_from([0, 7, 400])),
         warm_loc_steps=draw(st.sampled_from([0, 7, 800])),
-        lag_normalize_valid=draw(st.booleans()),
-        ws_include_partial=draw(st.booleans()),
     )
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     d = draw(st.integers(1, 6))
@@ -541,8 +525,7 @@ def test_fused_pass_matches_reference_bitwise(instance):
 @settings(max_examples=300, deadline=None, derandomize=True)
 @given(instance=objective_instances())
 def test_breakdown_matches_per_term_functions(instance):
-    # Each fused term against its one-step-at-a-time definition, over both
-    # lag normalizations and both ws tail settings.
+    # Each fused term against its one-step-at-a-time definition.
     theta, theta0, hiddens, w, step, k = instance
     bd = total_objective(*instance)
     p = routing_distributions(theta, hiddens)
@@ -552,8 +535,8 @@ def test_breakdown_matches_per_term_functions(instance):
         "reuse_rho": rho,
         "reuse_loss": reuse,
         "smooth": smooth_loss(p),
-        "lag": lag_loss(p, w.lag_set, normalize_valid=w.lag_normalize_valid),
-        "ws": ws_loss(p, w.window, include_partial=w.ws_include_partial),
+        "lag": lag_loss(p, w.lag_set),
+        "ws": ws_loss(p, w.window),
     }
     for field, want in per_term.items():
         assert abs(getattr(bd, field) - want) <= 1e-12, field

@@ -89,6 +89,13 @@ class TestParse:
         with pytest.raises(TraceError, match="Top-2"):
             parse_trace(data)
 
+    def test_boolean_probs_are_not_numbers(self):
+        # JSON true/false are not numbers, though Python reads them as 1 and 0.
+        header = HEADER_LINE.replace(b'"has_probs":false', b'"has_probs":true')
+        data = header + b'\n{"s":0,"t":0,"l":0,"b":0,"topk":[0,1],"probs":[true,false,false,false]}'
+        with pytest.raises(TraceError, match="line 2: field 'probs' must be a list of numbers"):
+            parse_trace(data)
+
     def test_malformed_json_reports_line(self):
         data = HEADER_LINE + b'\n{"s":0,"t":0,"l":0,"b":0,"topk":[0,1]}\n{nope'
         with pytest.raises(TraceError, match="line 3"):
@@ -558,3 +565,33 @@ def test_parse_errors_match_reference(field, value, cfg, data):
     assert outcome(lambda d: parse_trace(d, validate=False)) == expected
     if isinstance(expected, tuple):
         assert expected[1] == line_no
+
+
+HEADER_CORRUPTIONS = ("false", "true", 0, 1, None, [], {}, 1.0, True, False, DELETE)
+
+
+@pytest.mark.parametrize(
+    "value", HEADER_CORRUPTIONS, ids=[f"has_probs={v!r}" for v in HEADER_CORRUPTIONS]
+)
+@pytest.mark.parametrize("emit_probs", [False, True])
+def test_header_has_probs_matches_reference(value, emit_probs):
+    lines = write_trace(synth_trace(SynthConfig(steps_per_segment=3,
+                                                emit_probs=emit_probs))).splitlines()
+    header = json.loads(lines[0])
+    if value == DELETE:
+        header.pop("has_probs")
+    else:
+        header["has_probs"] = value
+    payload = b"\n".join([json.dumps(header).encode(), *lines[1:]])
+
+    def outcome(parse):
+        try:
+            return parse(payload)
+        except TraceError as e:
+            return str(e), e.line_no
+
+    expected = outcome(reference_trace.parse_trace)
+    assert outcome(lambda d: parse_trace(d, validate=False)) == expected
+    if type(value) is not bool and value != DELETE:
+        assert expected == (f"line 1: header field 'has_probs' must be true or false, "
+                            f"got {value!r}", 1)

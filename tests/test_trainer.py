@@ -168,8 +168,6 @@ def test_train_matches_three_pass_reference_bitwise(seed, data):
         window=data.draw(st.integers(1, 25)),
         warm_reuse_steps=data.draw(st.sampled_from([0, 5])),
         warm_loc_steps=data.draw(st.sampled_from([0, 10])),
-        lag_normalize_valid=data.draw(st.booleans()),
-        ws_include_partial=data.draw(st.booleans()),
     )
     got = train(theta_init.copy(), sequences, cfg, weights, k)
     want = reference_objective.train(theta_init.copy(), sequences, cfg, weights, k)
