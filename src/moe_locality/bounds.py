@@ -41,7 +41,7 @@ import numpy as np
 
 from .cache_sim import CacheConfig, FaultKind, FaultScenario, Policy, lru_fetch_counts, simulate
 from .gate import overlap_counts
-from .trace import RoutingTrace, StepRecord, SynthConfig, TraceHeader, synth_trace
+from .trace import RoutingTrace, SynthConfig, TraceHeader, synth_trace
 
 __all__ = [
     "FaultKind",
@@ -320,9 +320,10 @@ def check_working_set_bound(trace: RoutingTrace, capacity: int) -> BoundReport:
 
 
 def _constant_set_trace(n_experts: int, k: int, steps: int) -> RoutingTrace:
-    members = tuple(range(k))
-    records = [StepRecord(0, t, 0, 0, members) for t in range(steps)]
-    return RoutingTrace.from_records(TraceHeader(1, n_experts, k, 1), records)
+    keys = np.zeros((steps, 4), dtype=np.int64)
+    keys[:, 1] = np.arange(steps)
+    members = np.tile(np.arange(k, dtype=np.int64), (steps, 1))
+    return RoutingTrace(TraceHeader(1, n_experts, k, 1), keys, members, None, (steps,))
 
 
 # (name, assumption broken, K, injected fault, description); each runs a

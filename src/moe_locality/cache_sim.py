@@ -32,7 +32,7 @@ from itertools import count, filterfalse, islice, repeat
 import numpy as np
 
 from .gate import topk
-from .trace import RoutingTrace, StepRecord
+from .trace import RoutingTrace
 
 REROUTE_EPS = 1e-12
 
@@ -234,13 +234,11 @@ def reroute_topk(probs, resident, beta: float, k: int) -> tuple[int, ...]:
 # ---------------------------------------------------------------------------
 
 
-def _step_requests(columns) -> list[tuple[tuple[int, ...], dict]]:
+def _step_requests(columns: list[np.ndarray]) -> list[tuple[list[int], dict]]:
     """Per step ordinal: the token slots (batch items in order) and the
-    distinct set U, a dict whose keys are the slots in first-request order."""
-    if len(columns) == 1:
-        slot_rows = [rec.topk_indices for rec in columns[0]]
-    else:
-        slot_rows = [sum((rec.topk_indices for rec in recs), ()) for recs in zip(*columns)]
+    distinct set U, a dict whose keys are the slots in first-request order.
+    ``columns`` holds each batch slot's Top-K rows."""
+    slot_rows = np.concatenate(columns, axis=1).tolist()
     return [(slots, dict.fromkeys(slots)) for slots in slot_rows]
 
 
@@ -350,14 +348,14 @@ def simulate(trace: RoutingTrace, cfg: CacheConfig, record_events: bool = False)
     steps = list(trace.iter_steps())
     step_stats: list[StepCacheStats] = []
     events: list[StepEvent] = []
-    rerouted_records: list[StepRecord] = []
+    rerouted = np.empty_like(trace.topk) if reroute else None
     final_resident: list[tuple[int, ...]] = []
     per_layer: list[LayerTotals] = []
     cross_step_miss = [0] * len(steps)
 
     for layer in range(h.n_moe_layers):
         columns = [trace.stream(layer, b) for b in range(h.batch_size)]
-        requests = None if reroute else _step_requests(columns)
+        requests = None if reroute else _step_requests([trace.topk[c] for c in columns])
         occ = None
         if policy == Policy.BELADY:
             occ = _occurrence_index(steps, requests, within_segment=cfg.reset_each_segment)
@@ -377,10 +375,10 @@ def simulate(trace: RoutingTrace, cfg: CacheConfig, record_events: bool = False)
             if reroute:
                 slots = ()
                 for column in columns:
-                    rec = column[ordinal]
-                    new_topk = reroute_topk(rec.probs, resident, cfg.reroute_beta, h.top_k)
+                    row = column.start + ordinal * column.step
+                    new_topk = reroute_topk(trace.probs[row], resident, cfg.reroute_beta, h.top_k)
                     slots += new_topk
-                    rerouted_records.append(StepRecord(s, t, layer, rec.batch_index, new_topk))
+                    rerouted[row] = new_topk
                 uniq = dict.fromkeys(slots)
             else:
                 slots, uniq = requests[ordinal]
@@ -463,7 +461,9 @@ def simulate(trace: RoutingTrace, cfg: CacheConfig, record_events: bool = False)
 
     rerouted_trace = None
     if reroute:
-        rerouted_trace = RoutingTrace.from_records(replace(h, has_probs=False), rerouted_records)
+        # Every row was rerouted: each stream check above passed, so the keys are dense.
+        rerouted_trace = RoutingTrace(replace(h, has_probs=False), trace.keys, rerouted, None,
+                                      trace.segment_lengths)
 
     return SimReport(
         config=cfg,

@@ -151,7 +151,7 @@ def compute_metrics(trace: RoutingTrace, pooled: bool = False) -> MetricsReport:
 
     entropy_norm = None
     if h.has_probs:
-        vals = [normalized_entropy(r.probs) for r in trace.records if r.probs is not None]
+        vals = [normalized_entropy(row) for row in trace.probs]
         entropy_norm = float(np.mean(vals)) if vals else None
 
     counts = np.zeros((h.n_moe_layers, h.n_routed_experts), dtype=np.int64)

@@ -10,14 +10,32 @@ optionally, the full routing distribution over all routed experts.
 Expert ids are 0-based everywhere in this package (storage included), even
 though much of the literature indexes experts from 1.
 
+In memory a trace is columnar, one row per record (:class:`RoutingTrace`):
+``keys`` int64[R, 4] holds the (s, t, l, b) keys sorted, ``topk`` int64[R, K]
+the Top-K ids in stored order, ``probs`` float64[R, N] the distributions (None
+for an index-only trace) and ``segment_lengths`` the steps of each segment.
+
 On-disk format (UTF-8, one JSON object per line):
 
     {"type":"header","n_moe_layers":L,"n_routed_experts":N,"top_k":K,"batch_size":B,"has_probs":bool}
     {"s":0,"t":0,"l":0,"b":0,"topk":[3,17,...],"probs":[...]}   # probs only when has_probs
     ...
 
+Lines end at ``\\n`` only, for bytes and files alike; whitespace around a line
+(the ``\\r`` of ``\\r\\n`` included) is ignored and blank lines are skipped.
 Probabilities are serialized with 17 significant digits so that
 ``parse_trace(write_trace(x)) == x`` holds bit-for-bit.
+
+:func:`parse_trace` scans each line as one JSON value and converts the records
+into the arrays a block of lines at a time, type-checking each block's fields
+as whole lists. Input the arrays cannot hold exactly is parsed again by the
+per-line path, one :class:`StepRecord` per line, which words its first error
+with the line number: a line that is not UTF-8 or not one JSON object (too
+deep a nesting included), a field that is missing or of another JSON type, a
+has_probs mismatch, a number too large for a float, or a segment id or step
+index beyond the record count. Records that parse but that no array holds (a
+topk not K long, probs not N long, an id beyond int64) always break a rule;
+they are reported as the violations of the per-record rules.
 """
 
 from __future__ import annotations
@@ -26,8 +44,9 @@ import json
 import math
 from dataclasses import asdict, dataclass, replace
 from functools import cached_property
-from itertools import compress
-from typing import IO, Iterable, Iterator, Sequence
+from itertools import chain, compress, islice, repeat
+from operator import attrgetter, itemgetter
+from typing import IO, Callable, Iterable, Iterator
 
 import numpy as np
 
@@ -57,15 +76,17 @@ class TraceError(ValueError):
 
     ``line_no`` is the 1-based input line when the failure is tied to a
     specific line, else None. ``violations`` carries the structured findings
-    when the failure came from full-trace validation.
+    when the failure came from full-trace validation, and ``n_records`` the
+    number of records they were found in.
     """
 
-    def __init__(self, message, line_no=None, violations=()):
+    def __init__(self, message, line_no=None, violations=(), n_records=None):
         if line_no is not None:
             message = f"line {line_no}: {message}"
         super().__init__(message)
         self.line_no = line_no
         self.violations = tuple(violations)
+        self.n_records = n_records
 
 
 @dataclass(frozen=True)
@@ -101,8 +122,8 @@ class TraceHeader:
 
 @dataclass(frozen=True)
 class StepRecord:
-    """One routing decision. Cross-record invariants are checked by validate_trace,
-    not here, so that invalid traces can be constructed and then diagnosed."""
+    """One record line as the per-line parse path reads it, so that a record
+    no array holds (a ragged row, an id beyond int64) can still be diagnosed."""
 
     segment_id: int
     step_index: int
@@ -120,22 +141,48 @@ class StepRecord:
         return frozenset(self.topk_indices)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class RoutingTrace:
+    """A trace as arrays, one row per record (see the module docstring).
+
+    The rows hold exactly what the records said; whether they form a valid
+    trace is :func:`validate_trace`'s question. ``probs`` is given exactly when
+    the header declares ``has_probs``. The arrays are made read-only.
+    """
+
     header: TraceHeader
-    records: tuple[StepRecord, ...]
+    keys: np.ndarray
+    topk: np.ndarray
+    probs: np.ndarray | None
     segment_lengths: tuple[int, ...]
 
-    @classmethod
-    def from_records(cls, header: TraceHeader, records: Iterable[StepRecord]) -> "RoutingTrace":
-        """Build a trace with normalized ordering and derived segment lengths."""
-        recs = tuple(sorted(records, key=lambda r: r.key))
-        seg_len: dict[int, int] = {}
-        for r in recs:
-            seg_len[r.segment_id] = max(seg_len.get(r.segment_id, 0), r.step_index + 1)
-        n_seg = max(seg_len) + 1 if seg_len else 0
-        lengths = tuple(seg_len.get(s, 0) for s in range(n_seg))
-        return cls(header=header, records=recs, segment_lengths=lengths)
+    def __post_init__(self):
+        h, r = self.header, len(self.keys)
+        if (self.probs is not None) != h.has_probs:
+            raise ValueError("probs must be given exactly when the header declares has_probs")
+        columns = [("keys", (r, 4), np.int64), ("topk", (r, h.top_k), np.int64)]
+        if h.has_probs:
+            columns.append(("probs", (r, h.n_routed_experts), np.float64))
+        for name, shape, dtype in columns:
+            a = getattr(self, name)
+            if a.shape != shape or a.dtype != dtype:
+                raise ValueError(f"{name} must be {np.dtype(dtype)}{list(shape)}, "
+                                 f"got {a.dtype}{list(a.shape)}")
+            a.flags.writeable = False
+
+    def __eq__(self, other):
+        if not isinstance(other, RoutingTrace):
+            return NotImplemented
+        return (
+            self.header == other.header
+            and self.segment_lengths == other.segment_lengths
+            and all(map(np.array_equal, (self.keys, self.topk, self.probs),
+                        (other.keys, other.topk, other.probs)))
+        )
+
+    @property
+    def n_records(self) -> int:
+        return len(self.keys)
 
     @property
     def n_segments(self) -> int:
@@ -149,46 +196,44 @@ class RoutingTrace:
             offsets.append(offsets[-1] + length)
         return tuple(offsets)
 
-    def stream(self, layer: int, batch: int) -> tuple[StepRecord, ...]:
-        """The records of one (layer, batch) slot, one per step in trace order.
+    @cached_property
+    def _grid(self) -> np.ndarray:
+        """The keys of the dense sorted trace with these segment lengths."""
+        return _dense_keys(self.header, self.segment_lengths)
 
-        A dense sorted trace keeps them at ``records[layer*B + batch :: L*B]``;
-        this is the one place that reads that layout. Every record's key is
-        checked against the step it stands for, so a trace that is not dense
-        (a key missing, repeated or out of place) raises KeyError.
+    def stream(self, layer: int, batch: int) -> slice:
+        """The rows of one (layer, batch) slot, one per step in trace order.
+
+        A dense sorted trace keeps them at ``layer*B + batch :: L*B``; this is
+        the one place that reads that layout. The rows' keys are compared with
+        the steps they stand for in one array test, so a trace that is not
+        dense (a key missing, repeated or out of place) raises KeyError.
         """
         h = self.header
-        stride = h.n_moe_layers * h.batch_size
-        n_steps = self.segment_offsets[-1]
-        if len(self.records) != n_steps * stride:
+        grid = self._grid
+        if len(self.keys) != len(grid):
             raise KeyError(
-                f"trace is not dense: {len(self.records)} records for {n_steps} steps "
-                f"x {h.n_moe_layers} layers x {h.batch_size} batch items"
+                f"trace is not dense: {len(self.keys)} records for {self.segment_offsets[-1]} "
+                f"steps x {h.n_moe_layers} layers x {h.batch_size} batch items"
             )
-        column = self.records[layer * h.batch_size + batch :: stride]
-        for (s, t), rec in zip(self.iter_steps(), column):
-            if (rec.step_index != t or rec.segment_id != s or rec.layer_id != layer
-                    or rec.batch_index != batch):
-                raise KeyError(f"trace is not dense at {(s, t, layer, batch)}")
-        return column
+        rows = slice(layer * h.batch_size + batch, None, h.n_moe_layers * h.batch_size)
+        bad = np.flatnonzero((self.keys[rows] != grid[rows]).any(axis=1))
+        if len(bad):
+            s, t = grid[rows][bad[0], :2].tolist()
+            raise KeyError(f"trace is not dense at {(s, t, layer, batch)}")
+        return rows
 
     def expert_rows(self, layer: int, batch: int) -> np.ndarray:
-        """The Top-K sets of :meth:`stream` as one int[steps, K] array.
+        """The Top-K rows of :meth:`stream` as one int[steps, K] array.
 
-        Raises ValueError unless every set holds K distinct experts in
+        Raises ValueError unless every row holds K distinct experts in
         [0, N), so that overlaps counted over the rows are set intersections.
         """
         h = self.header
-        stream = self.stream(layer, batch)
-        try:
-            rows = np.array([r.topk_indices for r in stream], dtype=np.int64)
-            rows = rows.reshape(len(stream), h.top_k)
-        except ValueError:  # ragged rows or a row of another length
-            rows = None
+        rows = self.topk[self.stream(layer, batch)]
         # Sorted, a set of K experts in [0, N) rises strictly from >= 0 to < N.
-        ranked = None if rows is None else np.sort(rows, axis=1)
-        if (ranked is None or not (ranked[:, 1:] > ranked[:, :-1]).all()
-                or not (ranked[:, :1] >= 0).all()
+        ranked = np.sort(rows, axis=1)
+        if (not (ranked[:, 1:] > ranked[:, :-1]).all() or not (ranked[:, :1] >= 0).all()
                 or not (ranked[:, -1:] < h.n_routed_experts).all()):
             raise ValueError(
                 f"every Top-K set of layer {layer}, batch {batch} must be a set of "
@@ -199,24 +244,21 @@ class RoutingTrace:
     def batch_slot(self, batch: int) -> "RoutingTrace":
         """Batch slot ``batch`` of a dense sorted trace as a standalone B=1 trace.
 
-        The slot's records are ``records[batch::B]``; a record of another slot
-        among them means the trace is not dense (a key missing or repeated), so
-        it raises KeyError rather than check one slot's routing as another's.
+        The slot's rows are ``batch::B``; a row of another slot among them
+        means the trace is not dense (a key missing or repeated), so it raises
+        KeyError rather than check one slot's routing as another's.
         """
         h = self.header
         if h.batch_size == 1:
             return self
-        records = self.records[batch :: h.batch_size]
-        if any(rec.batch_index != batch for rec in records):
+        rows = slice(batch, None, h.batch_size)
+        keys = self.keys[rows].copy()
+        if (keys[:, 3] != batch).any():
             raise KeyError(f"trace is not dense in batch slot {batch}")
-        return RoutingTrace(
-            header=replace(h, batch_size=1),
-            records=tuple(
-                StepRecord(r.segment_id, r.step_index, r.layer_id, 0, r.topk_indices, r.probs)
-                for r in records
-            ),
-            segment_lengths=self.segment_lengths,
-        )
+        keys[:, 3] = 0
+        probs = None if self.probs is None else self.probs[rows]
+        return RoutingTrace(replace(h, batch_size=1), keys, self.topk[rows], probs,
+                            self.segment_lengths)
 
     def iter_steps(self) -> Iterator[tuple[int, int]]:
         """All (segment, step) pairs in order."""
@@ -225,16 +267,76 @@ class RoutingTrace:
                 yield s, t
 
 
+def _dense_keys(header: TraceHeader, lengths) -> np.ndarray:
+    """int64[R, 4]: the sorted (s, t, l, b) keys of the dense trace whose
+    segments have ``lengths`` steps."""
+    lengths = np.asarray(lengths, dtype=np.int64)
+    seg = np.repeat(np.arange(len(lengths)), lengths)
+    step = np.arange(len(seg)) - np.repeat(np.cumsum(lengths) - lengths, lengths)
+    per_step = header.n_moe_layers * header.batch_size
+    slot = np.arange(per_step)
+    return np.stack([
+        np.repeat(seg, per_step),
+        np.repeat(step, per_step),
+        np.tile(slot // header.batch_size, len(seg)),
+        np.tile(slot % header.batch_size, len(seg)),
+    ], axis=1)
+
+
+def _segment_lengths(keys: np.ndarray) -> tuple[int, ...]:
+    """One past the largest step index of each segment id up to the largest
+    (0 for an absent id), from the (s, t) columns of ``keys``."""
+    if not len(keys):
+        return ()
+    lengths = np.zeros(int(keys[:, 0].max()) + 1, dtype=np.int64)
+    np.maximum.at(lengths, keys[:, 0], keys[:, 1] + 1)
+    return tuple(lengths.tolist())
+
+
 # ---------------------------------------------------------------------------
 # Parsing / serialization
 # ---------------------------------------------------------------------------
 
+_scan_once = json.JSONDecoder().scan_once  # json.loads' scanner, without its wrappers
 
-def _iter_lines(stream) -> Iterator[bytes]:
-    if isinstance(stream, (bytes, bytearray)):
-        yield from stream.splitlines()
-    else:
-        yield from stream
+
+def _line_source(stream: bytes | IO[bytes]) -> Callable[[], Iterator[bytes]]:
+    """A function returning a fresh iterator over the input's lines, split at
+    ``\\n`` only, so that the per-line path can read them again."""
+    if isinstance(stream, bytearray):
+        stream = bytes(stream)
+    elif not isinstance(stream, bytes):
+        if stream.seekable():
+            start = stream.tell()
+
+            def reread():
+                stream.seek(start)
+                return iter(stream)
+
+            return reread
+        stream = stream.read()
+    return lambda: iter(stream.split(b"\n"))
+
+
+def _objects(lines: Iterable[bytes]) -> Iterator[tuple[int, dict]]:
+    """``(line_no, object)`` for every non-blank line; a line that is not one
+    UTF-8 JSON object raises TraceError naming it."""
+    for line_no, raw in enumerate(lines, 1):
+        try:
+            line = raw.decode("utf-8").strip()
+        except UnicodeDecodeError as e:
+            raise TraceError(f"invalid UTF-8 at byte {e.start} ({e.reason})", line_no) from None
+        if not line:
+            continue
+        try:
+            obj = json.loads(line)  # on a stripped line, the same test as _scan_block's
+        except RecursionError:
+            raise TraceError("malformed JSON (nested too deeply)", line_no) from None
+        except ValueError as e:  # a JSONDecodeError, or int's digit limit
+            raise TraceError(f"malformed JSON ({getattr(e, 'msg', e)})", line_no) from None
+        if type(obj) is not dict:
+            raise TraceError("each line must be a JSON object", line_no)
+        yield line_no, obj
 
 
 def _parse_header(obj, line_no) -> TraceHeader:
@@ -260,6 +362,97 @@ def _parse_header(obj, line_no) -> TraceHeader:
 
 _INTS = frozenset((int,))
 _NUMBERS = frozenset((int, float))
+_LISTS = frozenset((list,))
+_DICTS = frozenset((dict,))
+_BLOCK = 512  # record lines converted into arrays at a time
+_KEY_FIELDS = itemgetter("s", "t", "l", "b")
+_TOPK_FIELD = itemgetter("topk")
+_PROBS_FIELD = itemgetter("probs")
+
+
+def _rows_of(values, length: int, types: frozenset) -> bool:
+    """Whether every value is a JSON list of ``length`` entries of ``types``."""
+    return (_LISTS.issuperset(map(type, values)) and set(map(len, values)) == {length}
+            and types.issuperset(map(type, chain.from_iterable(values))))
+
+
+def _block_arrays(objs: list[dict], header: TraceHeader):
+    """``(keys, topk, probs)`` arrays of a block of record objects, or None
+    when one of them is not a record the arrays hold exactly: a field missing
+    or of another JSON type, a negative key, a topk not K or probs not N long,
+    probs against the header, or a number beyond int64 or float64. json
+    yields exact types, so ``type(x) is int`` also refuses true and false."""
+    try:
+        keys = list(map(_KEY_FIELDS, objs))
+        tops = list(map(_TOPK_FIELD, objs))
+        probs = list(map(_PROBS_FIELD, objs)) if header.has_probs else None
+    except KeyError:
+        return None
+    if header.has_probs:
+        probs_ok = _rows_of(probs, header.n_routed_experts, _NUMBERS)
+    else:
+        probs_ok = list(map(dict.get, objs, repeat("probs"))).count(None) == len(objs)
+    if not (probs_ok and _INTS.issuperset(map(type, chain.from_iterable(keys)))
+            and _rows_of(tops, header.top_k, _INTS)):
+        return None
+    try:
+        keys = np.array(keys, dtype=np.int64)
+        tops = np.array(tops, dtype=np.int64)
+        probs = None if probs is None else np.array(probs, dtype=np.float64)
+    except OverflowError:
+        return None
+    return None if (keys < 0).any() else (keys, tops, probs)
+
+
+def _scan_block(raws: list[bytes]) -> list[dict] | None:
+    """The JSON objects of a block of lines, blank lines skipped, or None if
+    a line is not one UTF-8 JSON object. The same tests as :func:`_objects`,
+    run as C-level maps over the block."""
+    try:
+        texts = list(filter(None, map(str.strip, map(bytes.decode, raws))))
+        scanned = list(map(_scan_once, texts, repeat(0)))
+    except (UnicodeDecodeError, ValueError, RecursionError):
+        return None
+    # A StopIteration (no value on a line) ends the map early, so the
+    # comparison also catches it, as well as a line holding more than one value.
+    if list(map(itemgetter(1), scanned)) != list(map(len, texts)):
+        return None
+    objs = list(map(itemgetter(0), scanned))
+    return objs if _DICTS.issuperset(map(type, objs)) else None
+
+
+def _parse_arrays(lines: Iterator[bytes]) -> RoutingTrace | None:
+    """The trace, its rows sorted by key, or None when the per-line path must
+    read the input: a line it would refuse, a record the arrays cannot hold,
+    or a segment id or step index beyond the record count."""
+    header = None
+    while block := list(islice(lines, _BLOCK)):
+        objs = _scan_block(block)
+        if objs is None:
+            return None
+        if header is None and objs:
+            try:
+                header = _parse_header(objs.pop(0), None)
+            except TraceError:
+                return None
+            n = header.n_routed_experts
+            blocks = [(np.empty((0, 4), np.int64), np.empty((0, header.top_k), np.int64),
+                       np.empty((0, n)) if header.has_probs else None)]
+        if objs:
+            arrays = _block_arrays(objs, header)
+            if arrays is None:
+                return None
+            blocks.append(arrays)
+    if header is None:
+        return None
+    keys, tops, probs = (None if c[0] is None else np.concatenate(c) for c in zip(*blocks))
+    if len(keys) and keys[:, :2].max() > len(keys):
+        return None
+    order = np.lexsort(keys.T[::-1])
+    if (np.diff(order) != 1).any():
+        keys, tops = keys[order], tops[order]
+        probs = None if probs is None else probs[order]
+    return RoutingTrace(header, keys, tops, probs, _segment_lengths(keys))
 
 
 def _parse_record(obj, line_no, has_probs) -> StepRecord:
@@ -298,79 +491,84 @@ def _parse_record(obj, line_no, has_probs) -> StepRecord:
     )
 
 
-def parse_trace(stream: bytes | IO[bytes] | Iterable[bytes], validate: bool = True) -> RoutingTrace:
-    """Parse a line-delimited trace, normalize record ordering, and validate.
-
-    Raises TraceError with the 1-based line number for structural problems and
-    with the collected violations for semantic ones. ``validate=False`` skips
-    the semantic pass so a structurally parseable trace can be handed to
-    :func:`validate_trace` for a full violation listing.
-    """
+def _parse_records(lines: Iterable[bytes]) -> tuple[TraceHeader, list[StepRecord]]:
+    """The per-line path: one StepRecord per record line, so the first line
+    that breaks a structural rule raises TraceError naming it."""
     header = None
     records: list[StepRecord] = []
-    line_no = 0
     peak_id, peak_line = 0, None  # largest segment id or step index, and its line
-    for raw in _iter_lines(stream):
-        line_no += 1
-        line = raw.decode("utf-8") if isinstance(raw, (bytes, bytearray)) else raw
-        line = line.strip()
-        if not line:
-            continue
-        try:
-            obj = json.loads(line)
-        except json.JSONDecodeError as e:
-            raise TraceError(f"malformed JSON ({e.msg})", line_no) from None
-        if not isinstance(obj, dict):
-            raise TraceError("each line must be a JSON object", line_no)
+    for line_no, obj in _objects(lines):
         if header is None:
             header = _parse_header(obj, line_no)
-        else:
-            rec = _parse_record(obj, line_no, header.has_probs)
-            records.append(rec)
-            if rec.segment_id > peak_id or rec.step_index > peak_id:
-                peak_id, peak_line = max(rec.segment_id, rec.step_index), line_no
+            continue
+        rec = _parse_record(obj, line_no, header.has_probs)
+        records.append(rec)
+        if rec.segment_id > peak_id or rec.step_index > peak_id:
+            peak_id, peak_line = max(rec.segment_id, rec.step_index), line_no
     if header is None:
         raise TraceError("empty input: missing header line", line_no=None)
     # A dense trace of R records has segment ids and step indices below R.
     # Ids up to R still parse, so validate can list a small gap; larger ones
-    # are refused here, before from_records sizes segment_lengths by them and
-    # the contiguity rule walks every missing step.
+    # are refused here, before segment_lengths is sized by them and the
+    # contiguity rule walks every missing step.
     if peak_id > len(records):
         raise TraceError(
             f"segment id or step index {peak_id} exceeds the record count {len(records)}",
             peak_line,
         )
-    trace = RoutingTrace.from_records(header, records)
+    return header, records
+
+
+def _violation_error(violations: list[Violation], n_records: int) -> TraceError:
+    return TraceError(f"{len(violations)} invariant violation(s); first: {violations[0]}",
+                      violations=violations, n_records=n_records)
+
+
+def parse_trace(stream: bytes | IO[bytes], validate: bool = True) -> RoutingTrace:
+    """Parse a line-delimited trace from bytes or a binary file, sort its
+    rows by key, and validate.
+
+    Raises TraceError with the 1-based line number for structural problems and
+    with the collected violations for semantic ones. ``validate=False`` skips
+    the semantic pass so a structurally parseable trace can be handed to
+    :func:`validate_trace` for a full violation listing. Records that parse
+    but that the arrays cannot hold (see the module docstring) raise with
+    their violations either way, since no trace can be built from them.
+    """
+    lines = _line_source(stream)
+    trace = _parse_arrays(lines())
+    if trace is None:
+        header, records = _parse_records(lines())  # raises unless no array holds a record
+        records.sort(key=attrgetter("key"))
+        violations: list[Violation] = []
+        for rec in records:
+            _validate_record(rec, header, violations)
+        _cross_record_violations(header, [r.key for r in records], None, violations)
+        raise _violation_error(violations, len(records))
     if validate:
         violations = validate_trace(trace)
         if violations:
-            raise TraceError(
-                f"{len(violations)} invariant violation(s); first: {violations[0]}",
-                violations=violations,
-            )
+            raise _violation_error(violations, trace.n_records)
     return trace
 
 
-def _format_record_line(rec: StepRecord) -> str:
-    topk = "[" + ",".join(str(e) for e in rec.topk_indices) + "]"
-    parts = [
-        f'"s":{rec.segment_id}',
-        f'"t":{rec.step_index}',
-        f'"l":{rec.layer_id}',
-        f'"b":{rec.batch_index}',
-        f'"topk":{topk}',
-    ]
-    if rec.probs is not None:
-        # 17 significant digits: exact float64 round-trip.
-        probs = "[" + ",".join(f"{p:.16e}" for p in rec.probs) + "]"
-        parts.append(f'"probs":{probs}')
-    return "{" + ",".join(parts) + "}"
+_PROB_FORMAT = "{:.16e}".format  # 17 significant digits: exact float64 round-trip
+
+
+def _record_lines(trace: RoutingTrace) -> Iterator[str]:
+    probs = repeat(None) if trace.probs is None else map(np.ndarray.tolist, trace.probs)
+    for (s, t, l, b), ids, p in zip(trace.keys.tolist(), trace.topk.tolist(), probs):
+        line = f'{{"s":{s},"t":{t},"l":{l},"b":{b},"topk":[{",".join(map(str, ids))}]'
+        if p is not None:
+            line += f',"probs":[{",".join(map(_PROB_FORMAT, p))}]'
+        yield line + "}"
 
 
 def write_trace(trace: RoutingTrace) -> bytes:
-    """Serialize a trace in canonical (sorted) record order."""
+    """Serialize a trace, one line per row in row order (sorted by key in a
+    parsed or generated trace)."""
     lines = [json.dumps({"type": "header", **asdict(trace.header)}, separators=(",", ":"))]
-    lines.extend(_format_record_line(r) for r in sorted(trace.records, key=lambda r: r.key))
+    lines.extend(_record_lines(trace))
     return ("\n".join(lines) + "\n").encode("utf-8")
 
 
@@ -434,60 +632,31 @@ def _validate_record(rec: StepRecord, header: TraceHeader, out: list[Violation])
         )
 
 
-_SCREEN_BLOCK = 512
-
-
-def _screen_block(
-    block: Sequence[StepRecord], keys: np.ndarray, header: TraceHeader
-) -> np.ndarray:
-    """Boolean mask over ``block``: True for every record that might break a
-    per-record rule of :func:`_validate_record`.
-
-    Whole-array tests over the block; anything they cannot represent (ragged
-    rows, non-integer ids, missing probs) flags the whole block.
-    """
-    every = np.ones(len(block), dtype=bool)
-    k, n = header.top_k, header.n_routed_experts
-    try:
-        ids = np.array([r.topk_indices for r in block])
-    except ValueError:  # ragged topk rows
-        return every
-    if ids.dtype.kind != "i" or ids.shape != (len(block), k):
-        return every
-    flags = (keys[:, 2] >= header.n_moe_layers) | (keys[:, 3] >= header.batch_size)
-    flags |= ((ids < 0) | (ids >= n)).any(axis=1)
+def _flagged_rows(trace: RoutingTrace) -> np.ndarray:
+    """The rows that might break a per-record rule of :func:`_validate_record`:
+    a superset of those it reports, found by whole-array tests."""
+    h = trace.header
+    keys, ids = trace.keys, trace.topk
+    flags = (keys[:, 2] >= h.n_moe_layers) | (keys[:, 3] >= h.batch_size)
+    flags |= ((ids < 0) | (ids >= h.n_routed_experts)).any(axis=1)
     ranked = np.sort(ids, axis=1)
     flags |= (ranked[:, 1:] == ranked[:, :-1]).any(axis=1)
-
-    rows = [r.probs for r in block]
-    if None in rows:
-        return flags if rows.count(None) == len(rows) and not header.has_probs else every
-    try:
-        probs = np.array(rows)
-    except ValueError:  # ragged probs rows
-        return every
-    if probs.dtype.kind not in "fi" or probs.shape != (len(block), n):
-        return every
-    probs = probs.astype(float, copy=False)
-    flags |= (~np.isfinite(probs) | (probs < 0)).any(axis=1)
-    # Half the tolerance: numpy's pairwise sum and the per-record left-to-right
-    # sum differ by far less than PROB_SUM_TOL / 2, so no reportable sum escapes.
-    # Rows with inf or huge entries are flagged above; their sums may warn.
-    with np.errstate(invalid="ignore", over="ignore"):
-        flags |= np.abs(probs.sum(axis=1) - 1.0) > PROB_SUM_TOL / 2
-    top = np.sort(topk_rows(probs, k), axis=1)
-    flags |= (top != ranked).any(axis=1)
-    return flags
+    probs = trace.probs
+    if probs is not None:
+        flags |= (~np.isfinite(probs) | (probs < 0)).any(axis=1)
+        # Half the tolerance: numpy's pairwise sum and the per-record left-to-right
+        # sum differ by far less than PROB_SUM_TOL / 2, so no reportable sum escapes.
+        # Rows with inf or huge entries are flagged above; their sums may warn.
+        with np.errstate(invalid="ignore", over="ignore"):
+            flags |= np.abs(probs.sum(axis=1) - 1.0) > PROB_SUM_TOL / 2
+        flags |= (np.sort(topk_rows(probs, h.top_k), axis=1) != ranked).any(axis=1)
+    return np.flatnonzero(flags)
 
 
-def _dense_keys(offsets: np.ndarray, start: int, count: int, header: TraceHeader) -> np.ndarray:
-    """Keys ``start .. start+count-1`` of the sorted dense (s, t, l, b) grid
-    whose segments begin at the global steps ``offsets``."""
-    idx = np.arange(start, start + count)
-    step = idx // (header.n_moe_layers * header.batch_size)
-    seg = np.searchsorted(offsets, step, side="right") - 1
-    layer = idx // header.batch_size % header.n_moe_layers
-    return np.stack([seg, step - offsets[seg], layer, idx % header.batch_size], axis=1)
+def _record(trace: RoutingTrace, i: int) -> StepRecord:
+    """Row ``i`` as the per-record rules read it."""
+    probs = None if trace.probs is None else tuple(trace.probs[i].tolist())
+    return StepRecord(*trace.keys[i].tolist(), tuple(trace.topk[i].tolist()), probs)
 
 
 def validate_trace(trace: RoutingTrace) -> list[Violation]:
@@ -496,39 +665,31 @@ def validate_trace(trace: RoutingTrace) -> list[Violation]:
     Violations are data, not exceptions: each one names the offending record
     coordinates and the rule it breaks.
 
-    Per-record rules are screened a block of records at a time with whole-array
-    tests (:func:`_screen_block`), and only flagged records are described by
-    :func:`_validate_record`. The screen must flag a superset of the records
-    ``_validate_record`` would report (it may flag more), so the violations and
-    their order are those of a full per-record pass. Cross-record rules are
-    checked in full unless every segment length is >= 1 and the record keys
-    are exactly the dense grid implied by ``segment_lengths``, which breaks none.
+    Per-record rules are screened over the whole arrays, and only flagged rows
+    are described by :func:`_validate_record`; the screen flags a superset of
+    the rows that break a rule, so the violations and their order are those of
+    a full per-record pass. Cross-record rules are checked in full unless
+    every segment length is >= 1 and the keys are exactly the dense grid
+    implied by ``segment_lengths``, which breaks none.
     """
     out: list[Violation] = []
     h = trace.header
-    records = trace.records
-    offsets = np.array(trace.segment_offsets)
-    dense = (
-        all(length >= 1 for length in trace.segment_lengths)
-        and len(records) == offsets[-1] * h.n_moe_layers * h.batch_size
-    )
-    for i0 in range(0, len(records), _SCREEN_BLOCK):
-        block = records[i0 : i0 + _SCREEN_BLOCK]
-        keys = np.array([r.key for r in block])
-        for i in np.flatnonzero(_screen_block(block, keys, h)):
-            _validate_record(block[i], h, out)
-        dense = dense and keys.dtype.kind == "i" and np.array_equal(
-            keys, _dense_keys(offsets, i0, len(block), h)
-        )
+    for i in _flagged_rows(trace).tolist():
+        _validate_record(_record(trace, i), h, out)
+    dense = (all(length >= 1 for length in trace.segment_lengths)
+             and np.array_equal(trace.keys, trace._grid))
     if not dense:
-        _cross_record_violations(trace, out)
+        keys = list(map(tuple, trace.keys.tolist()))
+        _cross_record_violations(h, keys, trace.segment_lengths, out)
     return out
 
 
-def _cross_record_violations(trace: RoutingTrace, out: list[Violation]) -> None:
-    """Ordering, duplicate, coverage and segment-structure rules."""
-    h = trace.header
-    keys = [r.key for r in trace.records]
+def _cross_record_violations(
+    h: TraceHeader, keys: list[tuple], declared: tuple[int, ...] | None, out: list[Violation]
+) -> None:
+    """Ordering, duplicate, coverage and segment-structure rules over the
+    record keys; ``declared`` segment lengths are compared with those the keys
+    imply unless None (lengths derived from the keys themselves)."""
     if keys != sorted(keys):
         out.append(Violation("ordering", "trace", "records not sorted by (s,t,l,b)"))
     seen: dict[tuple, int] = {}
@@ -571,12 +732,12 @@ def _cross_record_violations(trace: RoutingTrace, out: list[Violation]) -> None:
         )
     else:
         lengths = ()
-    if trace.segment_lengths != lengths:
+    if declared is not None and declared != lengths:
         out.append(
             Violation(
                 "segment_lengths",
                 "trace",
-                f"declared {trace.segment_lengths}, derived {lengths}",
+                f"declared {declared}, derived {lengths}",
             )
         )
 
@@ -653,43 +814,47 @@ def _sticky_set_stream(rng, n, k, p, steps) -> list[list[int]]:
     return sets
 
 
-def _probs_for_set(rng, n, members, concentration) -> tuple[float, ...]:
-    """A distribution whose Top-K is exactly ``members``: member scores are
-    lifted above 1 while non-members stay below 1."""
-    raw = rng.random(n)
+def _probs_for_sets(rng, n, sets: np.ndarray, concentration) -> np.ndarray:
+    """One distribution per row of ``sets`` whose Top-K is exactly that row:
+    member scores are lifted above 1 while non-members stay below 1. Draws
+    ``rng.random(n)`` once per row, in row order."""
+    raw = rng.random((len(sets), n))
     scores = raw.copy()
-    scores[members] = (1.0 + concentration) * (1.0 + raw[members])
-    scores /= scores.sum()
-    return tuple(float(x) for x in scores)
+    rows = np.arange(len(sets))[:, None]
+    scores[rows, sets] = (1.0 + concentration) * (1.0 + raw[rows, sets])
+    scores /= scores.sum(axis=1, keepdims=True)
+    return scores
 
 
 def synth_trace(cfg: SynthConfig) -> RoutingTrace:
-    """Deterministic synthetic routing trace with controllable locality."""
+    """Deterministic synthetic routing trace with controllable locality.
+
+    One set stream is drawn per (segment, layer) and, with
+    ``independent_batches``, per batch slot; the rows are then laid out in
+    (segment, step, layer, batch) order, a shared stream copied to every slot.
+    """
     rng = np.random.default_rng(cfg.seed)
     n, k = cfg.n_routed_experts, cfg.top_k
     n_streams = cfg.batch_size if cfg.independent_batches else 1
-    records: list[StepRecord] = []
-    for s in range(cfg.n_segments):
-        for l in range(cfg.n_moe_layers):
-            for stream in range(n_streams):
-                sets = _sticky_set_stream(rng, n, k, cfg.stickiness, cfg.steps_per_segment)
-                batches = [stream] if cfg.independent_batches else range(cfg.batch_size)
-                for t, members in enumerate(sets):
-                    probs = None
-                    order = tuple(members)
-                    if cfg.emit_probs:
-                        probs = _probs_for_set(rng, n, members, cfg.concentration)
-                        order = topk(probs, k)  # the members, most probable first
-                    for b in batches:
-                        records.append(
-                            StepRecord(
-                                segment_id=s,
-                                step_index=t,
-                                layer_id=l,
-                                batch_index=b,
-                                topk_indices=order,
-                                probs=probs,
-                            )
-                        )
-    return RoutingTrace.from_records(cfg.header, records)
+    sets: list[list[int]] = []  # in (segment, layer, stream, step) order
+    probs: list[np.ndarray] = []
+    for _ in range(cfg.n_segments * cfg.n_moe_layers * n_streams):
+        stream = _sticky_set_stream(rng, n, k, cfg.stickiness, cfg.steps_per_segment)
+        sets.extend(stream)
+        if cfg.emit_probs:
+            probs.append(_probs_for_sets(rng, n, np.array(stream), cfg.concentration))
 
+    def layout(rows: np.ndarray) -> np.ndarray:
+        rows = rows.reshape(cfg.n_segments, cfg.n_moe_layers, n_streams,
+                            cfg.steps_per_segment, -1).transpose(0, 3, 1, 2, 4)
+        rows = np.broadcast_to(rows, rows.shape[:3] + (cfg.batch_size, rows.shape[4]))
+        return np.ascontiguousarray(rows.reshape(-1, rows.shape[-1]))
+
+    order = np.array(sets, dtype=np.int64)
+    if cfg.emit_probs:
+        p = np.concatenate(probs)
+        order = topk_rows(p, k)  # the members, most probable first
+        probs = layout(p)
+    lengths = (cfg.steps_per_segment,) * cfg.n_segments
+    return RoutingTrace(cfg.header, _dense_keys(cfg.header, lengths), layout(order),
+                        probs if cfg.emit_probs else None, lengths)

@@ -21,12 +21,13 @@ from moe_locality.metrics import (
     normalized_entropy,
 )
 from moe_locality.trace import RoutingTrace
+from reference_trace import records
 
 
 def sequence_sets(trace: RoutingTrace) -> dict[tuple[int, int, int], list[frozenset[int]]]:
     """Expert-set streams keyed by (layer, batch, segment), in step order."""
     seqs: dict[tuple[int, int, int], list[frozenset[int]]] = {}
-    for rec in trace.records:  # records are sorted by (s, t, l, b)
+    for rec in records(trace):  # records are sorted by (s, t, l, b)
         seqs.setdefault((rec.layer_id, rec.batch_index, rec.segment_id), []).append(
             rec.expert_set
         )
@@ -84,7 +85,7 @@ def load_counts(trace: RoutingTrace) -> np.ndarray:
     """int[L, N]: how often each layer routed each expert, one slot at a time."""
     h = trace.header
     counts = np.zeros((h.n_moe_layers, h.n_routed_experts), dtype=np.int64)
-    for rec in trace.records:
+    for rec in records(trace):
         for e in rec.topk_indices:
             counts[rec.layer_id, e] += 1
     return counts
@@ -95,7 +96,7 @@ def compute_metrics(trace: RoutingTrace, pooled: bool = False) -> MetricsReport:
     eor_report = eor(trace, pooled=pooled)
     entropy_norm = None
     if h.has_probs:
-        vals = [normalized_entropy(r.probs) for r in trace.records if r.probs is not None]
+        vals = [normalized_entropy(r.probs) for r in records(trace) if r.probs is not None]
         entropy_norm = float(np.mean(vals)) if vals else None
     counts = load_counts(trace)
     cvs = [load_balance_cv(counts[layer]) for layer in range(h.n_moe_layers)]

@@ -35,11 +35,12 @@ from moe_locality.cache_sim import (
 )
 from moe_locality.gate import overlap_counts
 from moe_locality.trace import RoutingTrace, StepRecord, SynthConfig, TraceHeader, synth_trace
+from reference_trace import from_records, records
 
 
 def records_by_key(trace: RoutingTrace) -> dict:
     """(segment, step, layer, batch) -> record."""
-    return {r.key: r for r in trace.records}
+    return {r.key: r for r in records(trace)}
 
 
 def ordered_unique(xs):
@@ -462,7 +463,7 @@ def reference_simulate(trace: RoutingTrace, cfg: CacheConfig, record_events: boo
             batch_size=h.batch_size,
             has_probs=False,
         )
-        rerouted_trace = RoutingTrace.from_records(
+        rerouted_trace = from_records(
             rerouted_header,
             [StepRecord(r.segment_id, r.step_index, r.layer_id, r.batch_index, r.topk_indices)
              for r in rerouted_records],
@@ -487,12 +488,8 @@ def reference_slice_batch(trace: RoutingTrace, batch_index: int) -> RoutingTrace
     if not 0 <= batch_index < trace.header.batch_size:
         raise ValueError(f"batch_index {batch_index} out of range")
     header = replace(trace.header, batch_size=1)
-    records = [
-        replace(r, batch_index=0)
-        for r in trace.records
-        if r.batch_index == batch_index
-    ]
-    return RoutingTrace.from_records(header, records)
+    slot = [replace(r, batch_index=0) for r in records(trace) if r.batch_index == batch_index]
+    return from_records(header, slot)
 
 
 def reference_collect_step_records(

@@ -1,11 +1,18 @@
 """Per-record reference implementation of trace parsing and validation.
 
-Deliberately plain: every record goes through every per-field check and
-every per-record rule, and the cross-record rules always run in full. The
-package's ``validate_trace`` takes shortcuts (a whole-array screen before
-per-record descriptions, a dense-grid test before the cross-record rules); the
-differential tests require identical results from both. Used only as a test
-oracle.
+Deliberately plain: the oracle holds a trace as a :class:`RecordTrace`, one
+``StepRecord`` per record, every record goes through every per-field check
+and every per-record rule, and the cross-record rules always run in full. The
+package holds a trace as arrays, converts lines into them a block at a time
+and validates with whole-array screens; the differential tests require
+identical results from both. Used only as a test oracle.
+
+The bridges between the two forms live here too: ``records`` (a package
+trace's rows as records), ``from_records`` (records sorted by key into a
+package trace, segment lengths derived), and ``jsonl``, which writes records
+in the order given so that traces no array holds, or that break a rule,
+reach the package through its loader. ``load`` is the outcome the package's
+``parse_trace`` must give for a JSONL input.
 
 ``sticky_set_stream`` is the synthetic generator's per-slot loop: one scalar
 ``rng.random()`` per kept-or-dropped slot and a refill pool built as a list.
@@ -15,6 +22,7 @@ from __future__ import annotations
 
 import json
 import math
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -26,6 +34,82 @@ from moe_locality.trace import (
     TraceHeader,
     Violation,
 )
+
+
+@dataclass(frozen=True)
+class RecordTrace:
+    header: TraceHeader
+    records: tuple[StepRecord, ...]
+    segment_lengths: tuple[int, ...]
+
+
+def record_trace(header: TraceHeader, records) -> RecordTrace:
+    """Records sorted by key, with segment lengths derived from them."""
+    recs = tuple(sorted(records, key=lambda r: r.key))
+    seg_len: dict[int, int] = {}
+    for r in recs:
+        seg_len[r.segment_id] = max(seg_len.get(r.segment_id, 0), r.step_index + 1)
+    n_seg = max(seg_len) + 1 if seg_len else 0
+    return RecordTrace(header, recs, tuple(seg_len.get(s, 0) for s in range(n_seg)))
+
+
+def columnar(rt: RecordTrace) -> RoutingTrace:
+    """``rt`` as the package's arrays; ValueError, OverflowError or TypeError
+    when a record does not fit them."""
+    h, recs = rt.header, rt.records
+    keys = np.array([r.key for r in recs], dtype=np.int64).reshape(len(recs), 4)
+    topk = np.array([r.topk_indices for r in recs], dtype=np.int64).reshape(len(recs), h.top_k)
+    probs = None
+    if h.has_probs:
+        probs = np.array([r.probs for r in recs], dtype=np.float64)
+        probs = probs.reshape(len(recs), h.n_routed_experts)
+    return RoutingTrace(h, keys, topk, probs, rt.segment_lengths)
+
+
+def from_records(header: TraceHeader, records) -> RoutingTrace:
+    """A package trace of ``records`` sorted by key, segment lengths derived."""
+    return columnar(record_trace(header, records))
+
+
+def records(trace: RoutingTrace) -> tuple[StepRecord, ...]:
+    """The rows of a package trace as records, in row order."""
+    probs = [None] * trace.n_records if trace.probs is None else trace.probs.tolist()
+    return tuple(
+        StepRecord(*key, tuple(ids), None if p is None else tuple(p))
+        for key, ids, p in zip(trace.keys.tolist(), trace.topk.tolist(), probs)
+    )
+
+
+def jsonl(header: TraceHeader, recs) -> bytes:
+    """A JSONL trace of ``recs`` in the order given (floats round-trip exactly)."""
+    lines = [json.dumps({"type": "header", **asdict(header)})]
+    for r in recs:
+        obj = {"s": r.segment_id, "t": r.step_index, "l": r.layer_id, "b": r.batch_index,
+               "topk": list(r.topk_indices)}
+        if r.probs is not None:
+            obj["probs"] = list(r.probs)
+        lines.append(json.dumps(obj))
+    return ("\n".join(lines) + "\n").encode()
+
+
+def load(data: bytes, validate: bool = True):
+    """What the package's ``parse_trace(data, validate)`` must give: the trace
+    as arrays, or the ``(message, line_no, violations)`` of the TraceError it
+    raises. Records that no array holds always break a rule, and raise with
+    their violations even without ``validate``."""
+    try:
+        rt = parse_trace(data)
+    except TraceError as e:
+        return str(e), e.line_no, ()
+    try:
+        trace = columnar(rt)
+    except (ValueError, OverflowError, TypeError):
+        trace = None
+    if trace is None or validate:
+        violations = tuple(validate_trace(rt))
+        if violations:
+            return f"{len(violations)} invariant violation(s); first: {violations[0]}", None, violations
+    return trace
 
 
 def sticky_set_stream(rng, n, k, p, steps) -> list[list[int]]:
@@ -86,16 +170,21 @@ def parse_record(obj, line_no, has_probs) -> StepRecord:
     )
 
 
-def parse_trace(data: bytes) -> RoutingTrace:
+def parse_trace(data: bytes) -> RecordTrace:
     """Structural parse of a whole JSONL trace (no semantic validation)."""
     header = None
-    records = []
-    for line_no, raw in enumerate(data.splitlines(), start=1):
-        line = raw.decode("utf-8").strip()
+    records, record_lines = [], []
+    for line_no, raw in enumerate(data.split(b"\n"), start=1):
+        try:
+            line = raw.decode("utf-8").strip()
+        except UnicodeDecodeError as e:
+            raise TraceError(f"invalid UTF-8 at byte {e.start} ({e.reason})", line_no) from None
         if not line:
             continue
         try:
             obj = json.loads(line)
+        except RecursionError:
+            raise TraceError("malformed JSON (nested too deeply)", line_no) from None
         except json.JSONDecodeError as e:
             raise TraceError(f"malformed JSON ({e.msg})", line_no) from None
         if not isinstance(obj, dict):
@@ -112,9 +201,17 @@ def parse_trace(data: bytes) -> RoutingTrace:
             header = TraceHeader(*(obj[f] for f in fields), has_probs)
         else:
             records.append(parse_record(obj, line_no, header.has_probs))
+            record_lines.append(line_no)
     if header is None:
         raise TraceError("empty input: missing header line")
-    return RoutingTrace.from_records(header, records)
+    peak = max((max(r.segment_id, r.step_index) for r in records), default=0)
+    if peak > len(records):
+        line_no = next(n for n, r in zip(record_lines, records)
+                       if max(r.segment_id, r.step_index) == peak)
+        raise TraceError(
+            f"segment id or step index {peak} exceeds the record count {len(records)}", line_no
+        )
+    return record_trace(header, records)
 
 
 def validate_record(rec: StepRecord, header: TraceHeader, out: list) -> None:
@@ -162,7 +259,7 @@ def validate_record(rec: StepRecord, header: TraceHeader, out: list) -> None:
         )
 
 
-def validate_trace(trace: RoutingTrace) -> list:
+def validate_trace(trace: RecordTrace) -> list:
     out: list = []
     h = trace.header
     for rec in trace.records:

@@ -14,12 +14,14 @@ from moe_locality.bounds import (
 )
 from moe_locality.cache_sim import CacheConfig, FaultKind, FaultScenario, Policy, simulate
 from moe_locality.trace import (
-    RoutingTrace,
     SynthConfig,
+    TraceError,
     TraceHeader,
+    parse_trace,
     synth_trace,
     validate_trace,
 )
+from reference_trace import jsonl, records
 
 from reference_sim import (
     reference_campaign_configs,
@@ -85,16 +87,16 @@ class TestStepBound:
         sub = trace.batch_slot(2)
         assert sub.header.batch_size == 1
         assert validate_trace(sub) == []
-        assert all(r.batch_index == 0 for r in sub.records)
-        assert len(sub.records) == len(trace.records) // 3
+        assert all(r.batch_index == 0 for r in records(sub))
+        assert sub.n_records == trace.n_records // 3
 
     def test_duplicated_key_is_refused(self):
         # (0,0,0,1) replaced by a second (0,0,0,0): batch slot 1's stride
         # would serve batch 0's routing as its own.
         trace = synth_trace(SynthConfig(batch_size=2, seed=4, steps_per_segment=6))
-        records = list(trace.records)
-        records[1] = records[0]
-        bad = RoutingTrace.from_records(trace.header, records)
+        rows = list(records(trace))
+        rows[1] = rows[0]
+        bad = parse_trace(jsonl(trace.header, rows), validate=False)
         for check in (check_step_bound, check_working_set_bound):
             with pytest.raises(KeyError, match="not dense"):
                 check(bad, trace.header.top_k)
@@ -109,11 +111,9 @@ class TestStepBound:
     @pytest.mark.parametrize("sets", [[(0, 1), (0, 1, 2), (1, 2)], [(0, 1), (1, 2), ()]])
     def test_row_that_is_not_a_top_k_set_is_refused(self, sets):
         # A row of K+1 or of no experts is bad input, refused as such before
-        # any fetch is counted, even at C = K, which K+1 experts do not fit.
-        trace = seq_trace(sets, k=2, n=4)
-        for check in (check_step_bound, check_working_set_bound):
-            with pytest.raises(ValueError, match="layer 0, batch 0 must be a set of size K=2"):
-                check(trace, 2)
+        # any fetch is counted: the load refuses it, so no check receives it.
+        with pytest.raises(TraceError, match="arity.*expected K=2"):
+            seq_trace(sets, k=2, n=4)
 
 
 class TestWorkingSetBound:

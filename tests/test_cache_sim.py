@@ -21,7 +21,8 @@ from moe_locality.cache_sim import (
 )
 from moe_locality.gate import topk
 from moe_locality.metrics import eor
-from moe_locality.trace import RoutingTrace, StepRecord, SynthConfig, TraceHeader, synth_trace
+from moe_locality.trace import StepRecord, SynthConfig, TraceError, TraceHeader, synth_trace
+from reference_trace import from_records, records
 
 from reference_sim import naive_simulate, reference_simulate
 from test_trace import make_trace, record_at
@@ -89,7 +90,7 @@ class TestHandSimulations:
             assert st_.token_total >= st_.unique_total
 
     def test_empty_trace_yields_zero_report(self):
-        trace = RoutingTrace.from_records(TraceHeader(2, 8, 2, 1), [])
+        trace = from_records(TraceHeader(2, 8, 2, 1), [])
         report = simulate(trace, lru(4))
         assert report.overall.unique_total == 0
         assert report.overall.uhr == 0.0
@@ -102,7 +103,8 @@ def next_use_table(trace, layer, within_segment=True):
     from the occurrence index that Belady's victim choice searches (inf when
     the expert is not requested again in the same scope)."""
     steps = list(trace.iter_steps())
-    requests = _step_requests([trace.stream(layer, b) for b in range(trace.header.batch_size)])
+    requests = _step_requests(
+        [trace.topk[trace.stream(layer, b)] for b in range(trace.header.batch_size)])
     occ = _occurrence_index(steps, requests, within_segment)
     table = {}
     for ordinal, ((s, t), (_slots, uniq)) in enumerate(zip(steps, requests)):
@@ -281,12 +283,12 @@ class TestPolicies:
             SynthConfig(n_segments=3, steps_per_segment=10, seed=9, stickiness=0.5)
         )
         perm = [2, 0, 1]
-        shuffled = RoutingTrace.from_records(
+        shuffled = from_records(
             base.header,
             [
                 StepRecord(perm[r.segment_id], r.step_index, r.layer_id, r.batch_index,
                            r.topk_indices, r.probs)
-                for r in base.records
+                for r in records(base)
             ],
         )
         for policy in (Policy.LRU, Policy.LFU, Policy.FIFO, Policy.BELADY):
@@ -527,7 +529,12 @@ class TestLruFetchCounts:
 
     @pytest.mark.parametrize("row", [(0, 1, 2), (), (1, 1)])
     def test_refuses_a_row_that_is_not_a_top_k_set(self, row):
-        # The rows are checked before the stack pass counts any of them.
+        # The rows are checked before the stack pass counts any of them; a row
+        # of another length never gets that far, since the load refuses it.
+        if len(row) != 2:
+            with pytest.raises(TraceError, match="arity.*expected K=2"):
+                seq_trace([(0, 1), row, (2, 3)])
+            return
         trace = seq_trace([(0, 1), row, (2, 3)])
         with pytest.raises(ValueError, match="size K=2"):
             lru_fetch_counts(trace, (2, 4))

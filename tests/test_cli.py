@@ -126,6 +126,29 @@ class TestSynthValidate:
         assert run("validate", "--trace", str(path)) == 2
         assert "line 2: field 'probs' holds a number too large" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv", [
+        ("validate",), ("metrics", "--out", "m.csv"), ("simulate", "--capacity", "4",
+        "--out", "s.csv"), ("bound-check", "--capacity", "4", "--out", "b.json"),
+    ], ids=lambda argv: argv[0])
+    def test_deeply_nested_line_is_data_error(self, tmp_path, capsys, argv):
+        path = tmp_path / "deep.jsonl"
+        path.write_bytes(NAN_TRACE.split(b"\n")[0] + b"\n" + b"[" * 100_000 + b"\n")
+        argv = [a if a[:1] == "-" or "." not in a else str(tmp_path / a) for a in argv]
+        assert run(argv[0], "--trace", str(path), *argv[1:]) == 2
+        err = capsys.readouterr().err
+        assert err == "data error: line 2: malformed JSON (nested too deeply)\n"
+
+    def test_validate_lists_violations_of_a_row_no_array_holds(self, tmp_path, capsys):
+        path = tmp_path / "ragged.jsonl"
+        path.write_bytes(b'{"type":"header","n_moe_layers":1,"n_routed_experts":4,'
+                         b'"top_k":2,"batch_size":1,"has_probs":false}\n'
+                         b'{"s":0,"t":0,"l":0,"b":0,"topk":[0,1,2]}\n'
+                         b'{"s":0,"t":1,"l":0,"b":0,"topk":[0,1]}\n')
+        assert run("validate", "--trace", str(path)) == 2
+        assert capsys.readouterr().out == (
+            "[arity] (s=0,t=0,l=0,b=0): topk has 3 entries, expected K=2\n"
+            "1 violation(s) in 2 records\n")
+
 
 class TestMetricsCli:
     def test_csv_report(self, trace_path, tmp_path):

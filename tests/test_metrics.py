@@ -13,7 +13,8 @@ from moe_locality.metrics import (
     normalized_entropy,
     unique_experts_per_sequence,
 )
-from moe_locality.trace import RoutingTrace, StepRecord, SynthConfig, TraceHeader, synth_trace
+from moe_locality.trace import StepRecord, SynthConfig, TraceError, TraceHeader, synth_trace
+from reference_trace import from_records, records
 
 from test_trace import make_trace
 
@@ -31,8 +32,12 @@ class TestInstantaneousReuse:
         assert overlap_counts(np.array([[2, 3, 4], [1, 2, 3]])).tolist() == [2]
 
     def test_size_mismatch(self):
+        # A row of another length never reaches the arrays; a K-long row that
+        # is not a K-set does, and eor refuses it.
         header = TraceHeader(1, 8, 3, 1)
-        trace = make_trace(header, [(0, 0, 0, 0, (1, 2)), (0, 1, 0, 0, (1, 2, 3))])
+        with pytest.raises(TraceError, match="arity.*expected K=3"):
+            make_trace(header, [(0, 0, 0, 0, (1, 2)), (0, 1, 0, 0, (1, 2, 3))])
+        trace = make_trace(header, [(0, 0, 0, 0, (1, 2, 2)), (0, 1, 0, 0, (1, 2, 3))])
         with pytest.raises(ValueError, match="size K"):
             eor(trace)
 
@@ -109,7 +114,7 @@ class TestEor:
         # rather than through overlap_counts.
         trace = synth_trace(SynthConfig(seed=13, stickiness=0.4, steps_per_segment=50))
         k = trace.header.top_k
-        sets = [r.expert_set for r in trace.records]
+        sets = [r.expert_set for r in records(trace)]
         bounds = [k - len(sets[t] & sets[t - 1]) for t in range(1, len(sets))]
         assert eor(trace).overall == pytest.approx(1.0 - np.mean(bounds) / k, abs=1e-12)
 
@@ -232,8 +237,8 @@ class TestDensity:
         header = TraceHeader(1, 8, 2, 2)
         rows = [(0, t, 0, b, (0, 1)) for t in range(3) for b in range(2)]
         rows[-1] = (0, 1, 0, 1, (2, 3))
-        trace = RoutingTrace(header, tuple(
-            StepRecord(*r[:4], r[4]) for r in sorted(rows)), (3,))
+        trace = make_trace(header, rows)
+        assert trace.segment_lengths == (3,)
         with pytest.raises(KeyError, match="not dense"):
             eor(trace)
 
@@ -256,7 +261,7 @@ def dense_traces(draw):
     has_probs = draw(st.booleans()) and n >= 2
     sticky = draw(st.sampled_from([0.0, 0.5, 0.9]))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    records = []
+    rows = []
     for s, length in enumerate(lengths):
         for l in range(layers):
             for b in range(batch):
@@ -271,9 +276,9 @@ def dense_traces(draw):
                         weights = rng.random(n)
                         weights[members] += 2.0
                         probs = tuple((weights / weights.sum()).tolist())
-                    records.append(StepRecord(s, t, l, b, tuple(members.tolist()), probs))
+                    rows.append(StepRecord(s, t, l, b, tuple(members.tolist()), probs))
     header = TraceHeader(layers, n, k, batch, has_probs=has_probs)
-    return RoutingTrace.from_records(header, records)
+    return from_records(header, rows)
 
 
 @settings(max_examples=150, deadline=None, derandomize=True)

@@ -17,6 +17,7 @@ from moe_locality.trace import (
     SynthConfig,
     TraceError,
     TraceHeader,
+    load_trace,
     parse_trace,
     synth_trace,
     validate_trace,
@@ -27,20 +28,28 @@ from moe_locality.metrics import eor
 
 
 def make_trace(header, rows):
-    """rows: (s, t, l, b, topk[, probs])"""
+    """rows: (s, t, l, b, topk[, probs]), loaded through JSONL without validation."""
     records = [
         StepRecord(r[0], r[1], r[2], r[3], tuple(r[4]), tuple(r[5]) if len(r) > 5 else None)
         for r in rows
     ]
-    return RoutingTrace.from_records(header, records)
+    return parse_trace(reference_trace.jsonl(header, records), validate=False)
 
 
 def record_at(trace, segment, step, layer, batch):
     """The record keyed (segment, step, layer, batch), by linear search."""
-    found = [r for r in trace.records if r.key == (segment, step, layer, batch)]
+    found = [r for r in reference_trace.records(trace) if r.key == (segment, step, layer, batch)]
     if len(found) != 1:
         raise KeyError(f"{len(found)} records keyed {(segment, step, layer, batch)}")
     return found[0]
+
+
+def outcome(parse, data):
+    """``parse(data)``, or the (message, line_no, violations) of its TraceError."""
+    try:
+        return parse(data)
+    except TraceError as e:
+        return str(e), e.line_no, e.violations
 
 
 HEADER_LINE = (
@@ -69,7 +78,7 @@ class TestParse:
             ]
         )
         trace = parse_trace(data)
-        assert len(trace.records) == 2
+        assert trace.n_records == 2
         assert trace.segment_lengths == (2,)
 
     def test_expert_id_out_of_range(self):
@@ -120,18 +129,18 @@ class TestParse:
             ]
         )
         trace = parse_trace(data)
-        assert [r.step_index for r in trace.records] == [0, 1]
+        assert trace.keys[:, 1].tolist() == [0, 1]
 
     def test_accepts_file_object(self):
         data = HEADER_LINE + b'\n{"s":0,"t":0,"l":0,"b":0,"topk":[0,1]}\n'
         trace = parse_trace(io.BytesIO(data))
-        assert len(trace.records) == 1
+        assert trace.n_records == 1
 
 
 class TestWrite:
     def test_empty_trace_is_header_only(self):
         header = TraceHeader(1, 4, 2, 1)
-        trace = RoutingTrace.from_records(header, [])
+        trace = reference_trace.from_records(header, [])
         out = write_trace(trace)
         assert out.count(b"\n") == 1
         assert b'"type":"header"' in out
@@ -194,7 +203,7 @@ class TestValidate:
         cfg = SynthConfig(n_moe_layers=2, batch_size=3, n_segments=3, steps_per_segment=5,
                           seed=8, emit_probs=True)
         trace = synth_trace(cfg)
-        with mock.patch.object(trace_module, "_SCREEN_BLOCK", 7), mock.patch.object(
+        with mock.patch.object(
             trace_module, "_cross_record_violations", side_effect=AssertionError
         ):
             assert validate_trace(trace) == []
@@ -203,14 +212,15 @@ class TestValidate:
     @pytest.mark.parametrize("off", [-1e-12, 0.0, 1e-12])
     def test_sum_tolerance_edge_matches_reference(self, sign, off):
         trace = synth_trace(SynthConfig(emit_probs=True, seed=1, steps_per_segment=3))
-        records = list(trace.records)
+        records = list(reference_trace.records(trace))
         probs = list(records[1].probs)
         probs[3] += 1.0 + sign * (PROB_SUM_TOL + off) - sum(probs)
         records[1] = replace(records[1], probs=tuple(probs))
-        bad = RoutingTrace(trace.header, tuple(records), trace.segment_lengths)
-        expected = reference_trace.validate_trace(bad)
-        assert [v.rule for v in expected] == (["probs_sum"] if off >= 0 else [])
-        assert validate_trace(bad) == expected
+        payload = reference_trace.jsonl(trace.header, records)
+        expected = reference_trace.load(payload)
+        violations = expected[2] if isinstance(expected, tuple) else ()
+        assert [v.rule for v in violations] == (["probs_sum"] if off >= 0 else [])
+        assert outcome(parse_trace, payload) == expected
 
     def test_step_gap_is_contiguity_violation(self):
         header = TraceHeader(1, 4, 2, 1)
@@ -225,7 +235,7 @@ class TestSynth:
         assert eor(trace).overall == 1.0
         # one fixed set per segment
         sets = {}
-        for rec in trace.records:
+        for rec in reference_trace.records(trace):
             key = rec.segment_id
             sets.setdefault(key, set()).add(rec.expert_set)
         assert all(len(v) == 1 for v in sets.values())
@@ -246,7 +256,7 @@ class TestSynth:
         cfg = SynthConfig(seed=2, emit_probs=True, steps_per_segment=20)
         trace = synth_trace(cfg)
         k = trace.header.top_k
-        for rec in trace.records:
+        for rec in reference_trace.records(trace):
             assert frozenset(topk(rec.probs, k)) == rec.expert_set
             # storage order is descending probability
             probs = [rec.probs[e] for e in rec.topk_indices]
@@ -278,7 +288,7 @@ class TestSynth:
         )
         trace = synth_trace(cfg)
         streams = [
-            tuple(rec.expert_set for rec in trace.stream(0, b))
+            tuple(map(frozenset, trace.expert_rows(0, b).tolist()))
             for b in range(3)
         ]
         assert len(set(streams)) > 1
@@ -363,26 +373,28 @@ class TestRecordAt:
         cfg = SynthConfig(n_moe_layers=layers, batch_size=batch, n_segments=len(lengths),
                           steps_per_segment=max(lengths), seed=6, independent_batches=True)
         full = synth_trace(cfg)
-        trace = RoutingTrace.from_records(
-            full.header, [r for r in full.records if r.step_index < lengths[r.segment_id]]
+        trace = reference_trace.from_records(
+            full.header,
+            [r for r in reference_trace.records(full) if r.step_index < lengths[r.segment_id]],
         )
         assert trace.segment_lengths == lengths and validate_trace(trace) == []
+        records = reference_trace.records(trace)
         for l in range(layers):
             for b in range(batch):
-                stream = trace.stream(l, b)
-                assert len(stream) == sum(lengths)
-                for rec, (s, t) in zip(stream, trace.iter_steps()):
-                    assert rec is record_at(trace, s, t, l, b)
+                rows = range(trace.n_records)[trace.stream(l, b)]
+                assert len(rows) == sum(lengths)
+                for i, (s, t) in zip(rows, trace.iter_steps()):
+                    assert records[i] == record_at(trace, s, t, l, b)
 
     def test_empty_trace_has_empty_streams(self):
-        trace = RoutingTrace.from_records(TraceHeader(2, 8, 2, 3), [])
-        assert trace.stream(1, 2) == ()
+        trace = reference_trace.from_records(TraceHeader(2, 8, 2, 3), [])
+        assert trace.topk[trace.stream(1, 2)].shape == (0, 2)
 
     @pytest.mark.parametrize("mutate", ["drop", "duplicate", "gap"])
     def test_not_dense_raises_key_error(self, mutate):
         trace = synth_trace(SynthConfig(n_moe_layers=2, batch_size=2, n_segments=2,
                                         steps_per_segment=4, seed=3))
-        records = list(trace.records)
+        records = list(reference_trace.records(trace))
         slots = [(l, b) for l in range(2) for b in range(2)]
         if mutate == "drop":
             del records[5]
@@ -391,7 +403,7 @@ class TestRecordAt:
             slots = [(0, 1)]  # the other slots still hold their own records
         else:  # segment 1 loses its step 2, so its step 3 follows step 1
             records = [r for r in records if (r.segment_id, r.step_index) != (1, 2)]
-        bad = RoutingTrace.from_records(trace.header, records)
+        bad = parse_trace(reference_trace.jsonl(trace.header, records), validate=False)
         assert validate_trace(bad) != []
         for l, b in slots:
             with pytest.raises(KeyError, match="not dense"):
@@ -405,26 +417,33 @@ class TestRecordAt:
                 rows = trace.expert_rows(l, b)
                 assert rows.shape == (8, trace.header.top_k)
                 assert [tuple(r) for r in rows.tolist()] == [
-                    rec.topk_indices for rec in trace.stream(l, b)]
+                    record_at(trace, s, t, l, b).topk_indices for s, t in trace.iter_steps()]
 
     @pytest.mark.parametrize("topk", [(1, 1), (1, 8), (-1, 2), (1, 2, 3), (1,)])
     def test_expert_rows_refuse_a_row_that_is_not_a_k_set(self, topk):
+        # A row of another length never reaches the arrays: the load refuses it.
         header = TraceHeader(1, 8, 2, 1)
+        if len(topk) != 2:
+            with pytest.raises(TraceError, match="arity.*expected K=2"):
+                make_trace(header, [(0, 0, 0, 0, (0, 1)), (0, 1, 0, 0, topk)])
+            return
         trace = make_trace(header, [(0, 0, 0, 0, (0, 1)), (0, 1, 0, 0, topk)])
         with pytest.raises(ValueError, match="size K=2 of experts in \\[0, 8\\)"):
             trace.expert_rows(0, 0)
 
     def test_batch_slot_refuses_a_slot_that_is_not_dense(self):
         trace = synth_trace(SynthConfig(batch_size=2, seed=4, steps_per_segment=3))
-        records = list(trace.records)
+        records = list(reference_trace.records(trace))
         records[1] = records[0]
+        bad = parse_trace(reference_trace.jsonl(trace.header, records), validate=False)
         with pytest.raises(KeyError, match="not dense in batch slot 1"):
-            RoutingTrace.from_records(trace.header, records).batch_slot(1)
+            bad.batch_slot(1)
 
 
 # ---------------------------------------------------------------------------
-# Differential tests: the screened validate_trace and the one-test record parse
-# against the per-record reference in tests/reference_trace.py.
+# Differential tests: the block loader, the whole-array validate_trace and the
+# per-line error path against the per-record reference in
+# tests/reference_trace.py.
 # ---------------------------------------------------------------------------
 
 small_synth_configs = st.builds(
@@ -517,17 +536,23 @@ def test_validate_matches_reference(first, cfg, data):
     if first in PROBS_MUTATIONS:
         cfg = replace(cfg, emit_probs=True)
     base = synth_trace(cfg)
-    records = list(base.records)
+    records = list(reference_trace.records(base))
     for kind in [first] + data.draw(st.lists(st.sampled_from(MUTATIONS), max_size=2)):
         if records:
             _mutate(records, base.header, kind, data)
-    if data.draw(st.booleans()):
-        trace = RoutingTrace.from_records(base.header, records)
-    else:
-        trace = RoutingTrace(base.header, tuple(records), base.segment_lengths)
+    # Through the loader, lines in the mutated order, in blocks of 1 to 512 lines.
+    payload = reference_trace.jsonl(base.header, records)
     block = data.draw(st.sampled_from([1, 3, 8, 512]))
-    with mock.patch.object(trace_module, "_SCREEN_BLOCK", block):
-        assert validate_trace(trace) == reference_trace.validate_trace(trace)
+    with mock.patch.object(trace_module, "_BLOCK", block):
+        assert outcome(parse_trace, payload) == reference_trace.load(payload)
+    # The same rows in that order with the declared segment lengths, where the
+    # arrays hold them (so ordering and segment_lengths rules can fire).
+    declared = reference_trace.RecordTrace(base.header, tuple(records), base.segment_lengths)
+    try:
+        trace = reference_trace.columnar(declared)
+    except (ValueError, OverflowError, TypeError):
+        return
+    assert validate_trace(trace) == reference_trace.validate_trace(declared)
 
 
 DELETE = "<delete field>"
@@ -555,15 +580,9 @@ def test_parse_errors_match_reference(field, value, cfg, data):
     lines[line_no - 1] = json.dumps(obj).encode()
     payload = b"\n".join(lines)
 
-    def outcome(parse):
-        try:
-            return parse(payload)
-        except TraceError as e:
-            return str(e), e.line_no
-
-    expected = outcome(reference_trace.parse_trace)
-    assert outcome(lambda d: parse_trace(d, validate=False)) == expected
-    if isinstance(expected, tuple):
+    expected = reference_trace.load(payload, validate=False)
+    assert outcome(lambda d: parse_trace(d, validate=False), payload) == expected
+    if isinstance(expected, tuple) and not expected[2]:  # a structural error
         assert expected[1] == line_no
 
 
@@ -584,14 +603,110 @@ def test_header_has_probs_matches_reference(value, emit_probs):
         header["has_probs"] = value
     payload = b"\n".join([json.dumps(header).encode(), *lines[1:]])
 
-    def outcome(parse):
-        try:
-            return parse(payload)
-        except TraceError as e:
-            return str(e), e.line_no
-
-    expected = outcome(reference_trace.parse_trace)
-    assert outcome(lambda d: parse_trace(d, validate=False)) == expected
+    expected = reference_trace.load(payload, validate=False)
+    assert outcome(lambda d: parse_trace(d, validate=False), payload) == expected
     if type(value) is not bool and value != DELETE:
         assert expected == (f"line 1: header field 'has_probs' must be true or false, "
-                            f"got {value!r}", 1)
+                            f"got {value!r}", 1, ())
+
+
+# ---------------------------------------------------------------------------
+# The line rule and the per-line error path
+# ---------------------------------------------------------------------------
+
+RECORD_LINE = b'{"s":0,"t":0,"l":0,"b":0,"topk":[0,1]}'
+
+
+class TestLines:
+    def test_deep_nesting_is_a_trace_error_naming_the_line(self):
+        data = HEADER_LINE + b"\n" + RECORD_LINE + b"\n" + b"[" * 100_000 + b"\n"
+        with pytest.raises(TraceError, match=r"^line 3: malformed JSON \(nested too deeply\)$"):
+            parse_trace(data)
+
+    def test_invalid_utf8_names_the_line(self):
+        data = HEADER_LINE + b"\n" + RECORD_LINE[:-1] + b'\xff}\n'
+        with pytest.raises(TraceError, match=r"^line 2: invalid UTF-8 at byte 37 \(invalid start"):
+            parse_trace(data)
+
+    def test_only_newline_ends_a_line_in_bytes_and_files(self, tmp_path):
+        # bytes.splitlines would also split at "\r"; a file splits at "\n" only.
+        data = HEADER_LINE + b"\r" + RECORD_LINE + b"\r"
+        path = tmp_path / "sep.jsonl"
+        path.write_bytes(data)
+        for load in (lambda: parse_trace(data), lambda: parse_trace(io.BytesIO(data)),
+                     lambda: load_trace(path)):
+            with pytest.raises(TraceError, match=r"^line 1: malformed JSON \(Extra data\)$"):
+                load()
+
+
+LOADER_HEADER = (b'{"type":"header","n_moe_layers":1,"n_routed_experts":4,"top_k":2,'
+                 b'"batch_size":1,"has_probs":%s}')
+LOADER_RECORDS = (  # (keys and topk, probs): a valid three-record trace either way
+    (b'"s":0,"t":0,"l":0,"b":0,"topk":[0,1]', b"[0.4,0.3,0.2,0.1]"),
+    (b'"s":0,"t":1,"l":0,"b":0,"topk":[1,2]', b"[0.1,0.4,0.3,0.2]"),
+    (b'"s":1,"t":0,"l":0,"b":0,"topk":[3,2]', b"[0.1,0.2,0.3,0.4]"),
+)
+HUGE = b"1" + b"0" * 30
+# name -> (the header's has_probs it is for, or None for both; the second record
+# line, or a list of lines for it, where PROBS stands for that record's probs).
+LOADER_CASES = {
+    "valid": (None, None),
+    "line_merge_pair": (None, [b'{"s":0,"t":1,"l":0,"b":0,"topk":[1,2]PROBS,"q":"', b'"}']),
+    "blank_lines": (None, [b"", b'  {"s":0,"t":1,"l":0,"b":0,"topk":[1,2]PROBS}\t', b" "]),
+    "shuffled_keys": (False, b'{"topk":[1,2],"b":0,"l":0,"t":1,"s":0}'),
+    "extra_keys": (False, b'{"s":0,"t":1,"q":[1,{"x":null}],"l":0,"b":0,"topk":[1,2],"r":2}'),
+    "duplicate_keys": (False, b'{"s":5,"t":1,"l":0,"b":0,"topk":[0,3],"s":0,"topk":[1,2]}'),
+    "minus_zero_in_topk": (False, b'{"s":0,"t":1,"l":0,"b":0,"topk":[-0,2]}'),
+    "float_in_topk": (False, b'{"s":0,"t":1,"l":0,"b":0,"topk":[1.0,2]}'),
+    "true_in_topk": (False, b'{"s":0,"t":1,"l":0,"b":0,"topk":[true,2]}'),
+    "probs_null": (None, b'{"s":0,"t":1,"l":0,"b":0,"topk":[1,2],"probs":null}'),
+    "int_probs": (True, b'{"s":0,"t":1,"l":0,"b":0,"topk":[1,0],"probs":[0,1,0,0]}'),
+    "int_probs_bad_sum": (True, b'{"s":0,"t":1,"l":0,"b":0,"topk":[1,0],"probs":[1,1,0,0]}'),
+    "huge_layer": (None, b'{"s":0,"t":1,"l":%s,"b":0,"topk":[1,2]PROBS}' % HUGE),
+    "huge_step": (None, b'{"s":0,"t":%s,"l":0,"b":0,"topk":[1,2]PROBS}' % HUGE),
+    "huge_expert": (False, b'{"s":0,"t":1,"l":0,"b":0,"topk":[1,%s]}' % HUGE),
+    "huge_prob": (True, b'{"s":0,"t":1,"l":0,"b":0,"topk":[1,2],"probs":[1%s,0,0,0]}'
+                  % (b"0" * 400)),
+    "ragged_topk": (None, b'{"s":0,"t":1,"l":0,"b":0,"topk":[1,2,3]PROBS}'),
+    "empty_topk": (None, b'{"s":0,"t":1,"l":0,"b":0,"topk":[]PROBS}'),
+    "ragged_probs": (True, b'{"s":0,"t":1,"l":0,"b":0,"topk":[1,2],"probs":[0.5,0.5]}'),
+    "probs_on_one_record": (False, b'{"s":0,"t":1,"l":0,"b":0,"topk":[1,2],"probs":[0,1,0,0]}'),
+    "probs_missing_on_one": (True, b'{"s":0,"t":1,"l":0,"b":0,"topk":[1,2]}'),
+    "deep_nesting": (None, b"[" * 50_000),
+    "invalid_utf8": (None, b'{"s":0,"t":1,"l":0,"b":0,"topk":[1,2]PROBS}\xff'),
+    "not_an_object": (None, b"[1,2]"),
+}
+
+
+def _loader_payload(case, has_probs, sep):
+    second = LOADER_CASES[case][1]
+    lines = []
+    for i, (fields, probs) in enumerate(LOADER_RECORDS):
+        probs = b',"probs":' + probs if has_probs else b""
+        if i == 1 and second is not None:
+            lines.extend(line.replace(b"PROBS", probs)
+                         for line in (second if isinstance(second, list) else [second]))
+        else:
+            lines.append(b"{" + fields + probs + b"}")
+    header = LOADER_HEADER % (b"true" if has_probs else b"false")
+    return sep.join([header, *lines, b""])
+
+
+@pytest.mark.parametrize("case,has_probs", [
+    (case, has_probs) for case, (only, _) in LOADER_CASES.items()
+    for has_probs in (False, True) if only in (None, has_probs)
+])
+@pytest.mark.parametrize("sep", [b"\n", b"\r\n"])
+@pytest.mark.parametrize("block", [1, 2, 512])
+def test_jsonl_loader_matches_reference(case, has_probs, sep, block):
+    # The same trace arrays, or the same (message, line_no) and violations, as
+    # the per-record reference, from bytes and from a file, with and without
+    # validation, and with the blocks of lines cut anywhere.
+    payload = _loader_payload(case, has_probs, sep)
+    with mock.patch.object(trace_module, "_BLOCK", block):
+        for validate in (True, False):
+            expected = reference_trace.load(payload, validate)
+            assert outcome(lambda d: parse_trace(d, validate), payload) == expected
+            assert outcome(lambda d: parse_trace(io.BytesIO(d), validate), payload) == expected
+    if case == "valid":
+        assert isinstance(expected, RoutingTrace)
