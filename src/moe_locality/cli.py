@@ -49,6 +49,7 @@ from .trainer import (
     init_gate_matrix,
     synth_hidden_sequences,
     train,
+    train_grid,
 )
 
 GRADCHECK_TOL = 1e-5
@@ -480,15 +481,25 @@ def _config_fields(cls, section: str, values) -> dict:
     return kwargs
 
 
+def _config_object(cls, section: str, values, base=None):
+    """Dataclass ``cls`` built from one JSON config object, or ``base`` with
+    its fields overridden. A value the dataclass refuses raises TraceError
+    naming ``section.field``: each refusal message starts with the field name.
+    """
+    kwargs = _config_fields(cls, section, values)
+    try:
+        return cls(**kwargs) if base is None else dataclasses.replace(base, **kwargs)
+    except ValueError as e:
+        raise TraceError(f"config {section}.{e}") from None
+
+
 def _build_train_parts(config: dict):
     for key in config:
         if key not in _CONFIG_SECTIONS:
             raise TraceError(f"unknown config section {key!r}")
-    weights = LossWeights(**_config_fields(LossWeights, "weights", config.get("weights", {})))
-    tcfg = TrainConfig(**_config_fields(TrainConfig, "train", config.get("train", {})))
-    dcfg = SyntheticDataConfig(
-        **_config_fields(SyntheticDataConfig, "data", config.get("data", {}))
-    )
+    weights = _config_object(LossWeights, "weights", config.get("weights", {}))
+    tcfg = _config_object(TrainConfig, "train", config.get("train", {}))
+    dcfg = _config_object(SyntheticDataConfig, "data", config.get("data", {}))
     return weights, tcfg, dcfg
 
 
@@ -584,10 +595,13 @@ def _cmd_sweep(args) -> int:
     sequences = synth_hidden_sequences(dcfg)
     theta0 = init_gate_matrix(dcfg.hidden_dim, dcfg.n_experts, tcfg.seed)
 
+    points = [
+        _config_object(LossWeights, f"grid[{i}]", overrides, base=weights)
+        for i, overrides in enumerate(grid)
+    ]
+    results = train_grid(theta0, sequences, tcfg, points, dcfg.top_k)
     rows = []
-    for i, overrides in enumerate(grid):
-        w = dataclasses.replace(weights, **_config_fields(LossWeights, f"grid[{i}]", overrides))
-        result = train(theta0.copy(), sequences, tcfg, w, dcfg.top_k)
+    for i, (overrides, result) in enumerate(zip(grid, results)):
         last = result.log[-1]
         rows.append(
             {

@@ -58,14 +58,14 @@ def topk_rows(p_rows: np.ndarray, k: int) -> np.ndarray:
 
 
 def overlap_counts(rows: np.ndarray) -> np.ndarray:
-    """int[T-1]: how many members each row of a (T, K) array of distinct-id
-    Top-K rows shares with the row before it.
+    """int[..., T-1]: how many members each row of a (..., T, K) array of
+    distinct-id Top-K rows shares with the row before it.
 
     The package's one statement of step-to-step overlap |E_t ∩ E_{t-1}|: EOR
     (its mean over K), the fetch bound K - |E_t ∩ E_{t-1}| and the trainer's
     logged EOR are all read from here.
     """
-    return (rows[1:, :, None] == rows[:-1, None, :]).sum(axis=(1, 2))
+    return (rows[..., 1:, :, None] == rows[..., :-1, None, :]).sum(axis=(-2, -1))
 
 
 def topk(p, k: int) -> tuple[int, ...]:

@@ -11,12 +11,21 @@ the reference distributions throughout.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .gate import GateParams, kl_div, overlap_counts, topk_rows
-from .objective import LossWeights, routing_distributions, value_and_grad
+from .objective import (
+    LossWeights,
+    NonFiniteLogits,
+    _clamped_reference,
+    _evaluate,
+    _log_routing,
+    _sequence,
+    routing_distributions,
+)
 
 __all__ = [
     "TrainConfig",
@@ -30,6 +39,7 @@ __all__ = [
     "sequence_eor",
     "evaluate_gate",
     "train",
+    "train_grid",
 ]
 
 
@@ -53,10 +63,17 @@ class TrainConfig:
     def __post_init__(self):
         if self.steps < 1:
             raise ValueError("steps must be >= 1")
-        if self.lr <= 0:
-            raise ValueError("lr must be > 0")
+        if not self.lr > 0:
+            raise ValueError(f"lr must be > 0, got {self.lr!r}")
         if self.optimizer not in ("adam", "sgd"):
-            raise ValueError(f"unknown optimizer {self.optimizer!r}")
+            raise ValueError(f"optimizer must be 'adam' or 'sgd', got {self.optimizer!r}")
+        if not self.clip_norm >= 0:
+            raise ValueError(f"clip_norm must be >= 0, got {self.clip_norm!r}")
+        for name in ("beta1", "beta2"):
+            if not 0 <= getattr(self, name) < 1:
+                raise ValueError(f"{name} must be in [0, 1), got {getattr(self, name)!r}")
+        if not self.adam_eps > 0:
+            raise ValueError(f"adam_eps must be > 0, got {self.adam_eps!r}")
 
 
 @dataclass(frozen=True)
@@ -72,12 +89,14 @@ class SyntheticDataConfig:
     seed: int = 1
 
     def __post_init__(self):
-        if self.seq_len < 2 or self.n_sequences < 1:
-            raise ValueError("need n_sequences >= 1 and seq_len >= 2")
+        if self.n_sequences < 1:
+            raise ValueError("n_sequences must be >= 1")
+        if self.seq_len < 2:
+            raise ValueError("seq_len must be >= 2")
         if self.switch_period < 1:
             raise ValueError("switch_period must be >= 1")
         if not 1 <= self.top_k <= self.n_experts:
-            raise ValueError("need 1 <= top_k <= n_experts")
+            raise ValueError(f"top_k must be in [1, n_experts = {self.n_experts}]")
 
 
 def synth_hidden_sequences(cfg: SyntheticDataConfig) -> list[np.ndarray]:
@@ -100,10 +119,16 @@ def init_gate_matrix(hidden_dim: int, n_experts: int, seed: int) -> np.ndarray:
     return rng.standard_normal((hidden_dim, n_experts)) / np.sqrt(hidden_dim)
 
 
-def sequence_eor(theta, hiddens, top_k: int) -> float:
-    """EOR of the routing trajectory the gate induces on one sequence."""
-    rows = topk_rows(routing_distributions(theta, hiddens), top_k)
-    return float(np.mean(overlap_counts(rows) / top_k))
+def sequence_eor(theta, hiddens, top_k: int) -> float | np.ndarray:
+    """EOR of the routing trajectory the gate induces on one (T, d) sequence.
+
+    A stack [C, d, N] of gates gives one EOR per gate; a single gate a float.
+    """
+    theta = np.asarray(theta, dtype=float)
+    stack = theta if theta.ndim == 3 else theta[None]
+    rows = topk_rows(np.exp(_log_routing(stack, np.asarray(hiddens, dtype=float))), top_k)
+    eors = np.mean(overlap_counts(rows) / top_k, axis=-1)
+    return eors if theta.ndim == 3 else float(eors[0])
 
 
 @dataclass(frozen=True)
@@ -165,32 +190,121 @@ def train(
     """Round-robin over sequences, one gradient step per sequence visit.
 
     Deterministic for fixed inputs. ``theta0`` is snapshotted from
-    ``theta_init`` before the first update and never touched again.
+    ``theta_init`` before the first update and never touched again. This is
+    the one-config case of :func:`train_grid`.
+    """
+    return train_grid(theta_init, sequences, cfg, [weights], top_k)[0]
 
-    Each step takes the logged loss terms and the gradient from one fused
-    forward pass (:func:`value_and_grad`). The logged ``eor`` describes the
-    routing after the step's update, so it needs the updated ``theta`` and
-    runs a second, separate forward pass.
+
+def train_grid(
+    theta_init: np.ndarray,
+    sequences: list[np.ndarray],
+    cfg: TrainConfig,
+    weight_list,
+    top_k: int,
+) -> list[TrainResult]:
+    """One training run from ``theta_init`` per weight config, in grid order.
+
+    Result i is bitwise what ``train(theta_init, sequences, cfg,
+    weight_list[i], top_k)`` gives alone. Configs that agree in every field
+    but the ``lambda_*`` weights (:meth:`LossWeights.without_lambdas`) train
+    in lock-step on one stacked theta [C, d, N], one forward/backward pass per
+    step for all of them; other groups train one after another. Each step
+    takes the logged loss terms and the gradient from that pass, and the
+    logged ``eor``, which describes the routing after the step's update, from
+    a second one.
+
+    A config whose loss goes non-finite, or whose logits do, stops. The error
+    raised is that of the first config in grid order to fail, at its own step:
+    the one that running the configs one by one would raise.
     """
     if not sequences:
         raise ValueError("need at least one training sequence")
-    params = GateParams.snapshot(np.asarray(theta_init, dtype=float))
-    theta, theta0 = params.theta, params.theta0
+    weight_list = list(weight_list)
+    if not weight_list:
+        raise ValueError("need at least one weight config")
+    theta0 = GateParams.snapshot(np.asarray(theta_init, dtype=float)).theta0
+    eval_before = evaluate_gate(theta0, theta0, sequences, top_k)
 
+    groups: dict[LossWeights, list[int]] = {}
+    for i, w in enumerate(weight_list):
+        groups.setdefault(w.without_lambdas(), []).append(i)
+    thetas: list = [None] * len(weight_list)
+    logs: list = [None] * len(weight_list)
+    failed = len(weight_list), None  # (grid index, error) of the first failure
+    for members in groups.values():  # ordered by their first member
+        if members[0] > failed[0]:
+            continue
+        stack, group_logs, failure = _train_lockstep(
+            theta0, sequences, cfg, [weight_list[i] for i in members], top_k
+        )
+        for pos, i in enumerate(members[: len(stack)]):
+            thetas[i], logs[i] = stack[pos], tuple(group_logs[pos])
+        if failure is not None and members[failure[0]] < failed[0]:
+            failed = members[failure[0]], failure[1]
+
+    results = []
+    for i in range(len(weight_list)):
+        if i == failed[0]:
+            raise failed[1]
+        results.append(TrainResult(
+            params=GateParams(theta=thetas[i], theta0=theta0), log=logs[i],
+            eval_before=eval_before,
+            eval_after=evaluate_gate(thetas[i], theta0, sequences, top_k),
+        ))
+    return results
+
+
+def _train_lockstep(theta0, sequences, cfg: TrainConfig, weights, top_k: int):
+    """Train configs that differ only in ``lambda_*`` on one stacked theta.
+
+    Returns the final thetas [C', d, N], the per-config log rows and the
+    first failure as (position, error), or None. A config that fails drops
+    out with every config after it, since only the first failure in order is
+    ever raised, so the C' configs left are a prefix of ``weights``.
+    """
+    theta = np.repeat(theta0[None], len(weights), axis=0)
     m = np.zeros_like(theta)
     v = np.zeros_like(theta)
-    eval_before = evaluate_gate(theta, theta0, sequences, top_k)
+    logs: list[list[TrainLogRow]] = [[] for _ in weights]
+    failure = None
+    prepared = {}  # sequence index -> (hiddens, clamped reference)
 
-    log: list[TrainLogRow] = []
+    def routed(fn):
+        """``fn(theta)`` for the configs left; a config whose logits are not
+        finite fails, and the configs before it are retried."""
+        nonlocal theta, m, v, failure
+        while len(theta):
+            try:
+                return fn(theta)
+            except NonFiniteLogits as e:
+                theta, m, v = theta[: e.index], m[: e.index], v[: e.index]
+                failure = e.index, e
+        return None
+
     for step in range(cfg.steps):
-        h = sequences[step % len(sequences)]
-        breakdown, grad = value_and_grad(theta, theta0, h, weights, step, top_k)
-        if not np.isfinite(breakdown.total):
-            raise TrainingDiverged(step, breakdown.total)
+        i = step % len(sequences)
+        if i not in prepared:
+            h = _sequence(sequences[i])
+            prepared[i] = h, _clamped_reference(theta0, h)
+        h, ref = prepared[i]
+        logp = routed(lambda th: _log_routing(th, h))
+        if logp is None:
+            break
+        breakdowns, grad = _evaluate(logp, ref, h, weights[: len(theta)], step, top_k,
+                                     want_grad=True)
+        for c, bd in enumerate(breakdowns):
+            if not math.isfinite(bd.total):
+                theta, m, v, grad = theta[:c], m[:c], v[:c], grad[:c]
+                failure = c, TrainingDiverged(step, bd.total)
+                break
+        if not len(theta):
+            break
 
-        grad_norm = float(np.linalg.norm(grad))
-        if cfg.clip_norm > 0 and grad_norm > cfg.clip_norm:
-            grad = grad * (cfg.clip_norm / grad_norm)
+        norms = [float(np.linalg.norm(g)) for g in grad]
+        if cfg.clip_norm > 0 and any(x > cfg.clip_norm for x in norms):
+            scale = [cfg.clip_norm / x if x > cfg.clip_norm else 1.0 for x in norms]
+            grad = grad * np.array(scale)[:, None, None]
 
         if cfg.optimizer == "adam":
             m = cfg.beta1 * m + (1 - cfg.beta1) * grad
@@ -201,24 +315,22 @@ def train(
         else:
             theta -= cfg.lr * grad
 
-        log.append(
-            TrainLogRow(
+        eors = routed(lambda th: sequence_eor(th, h, top_k))
+        if eors is None:
+            break
+        for c, (bd, eor, norm) in enumerate(zip(breakdowns, eors.tolist(), norms)):
+            logs[c].append(TrainLogRow(
                 step=step,
-                total=breakdown.total,
-                trust_kl=breakdown.trust_kl,
-                reuse_rho=breakdown.reuse_rho,
-                reuse=breakdown.reuse_loss,
-                smooth=breakdown.smooth,
-                lag=breakdown.lag,
-                ws=breakdown.ws,
-                alpha_reuse=breakdown.alpha_reuse,
-                alpha_loc=breakdown.alpha_loc,
-                eor=sequence_eor(theta, h, top_k),
-                grad_norm=grad_norm,
-            )
-        )
-
-    eval_after = evaluate_gate(theta, theta0, sequences, top_k)
-    return TrainResult(
-        params=params, log=tuple(log), eval_before=eval_before, eval_after=eval_after
-    )
+                total=bd.total,
+                trust_kl=bd.trust_kl,
+                reuse_rho=bd.reuse_rho,
+                reuse=bd.reuse_loss,
+                smooth=bd.smooth,
+                lag=bd.lag,
+                ws=bd.ws,
+                alpha_reuse=bd.alpha_reuse,
+                alpha_loc=bd.alpha_loc,
+                eor=eor,
+                grad_norm=norm,
+            ))
+    return theta, logs, failure

@@ -27,13 +27,12 @@ import math
 import numpy as np
 
 from moe_locality import objective
-from moe_locality.gate import GateParams, kl_div, topk, topk_rows
+from moe_locality.gate import GateParams, kl_div, log_softmax, topk, topk_rows
 from moe_locality.objective import (
     _LOG_CLAMP,
     REUSE_EPS,
     LossBreakdown,
     LossWeights,
-    _forward,
     alpha_schedule,
     routing_distributions,
 )
@@ -151,6 +150,17 @@ def sets_from_rows(p_rows, k: int) -> list[tuple[int, ...]]:
 # ---------------------------------------------------------------------------
 # Fused evaluation with index arrays and np.add.at scatters
 # ---------------------------------------------------------------------------
+
+
+def _forward(theta, theta0, hiddens):
+    hiddens = np.asarray(hiddens, dtype=float)
+    if hiddens.ndim != 2:
+        raise ValueError("hiddens must be a T x d matrix")
+    if len(hiddens) < 2:
+        raise ValueError("objective needs a sequence of length >= 2")
+    logp = log_softmax(hiddens @ np.asarray(theta, dtype=float))
+    logref = log_softmax(hiddens @ np.asarray(theta0, dtype=float))
+    return hiddens, logp, np.exp(logp), logref
 
 
 def _pair_symkl(logp, p, idx_a, idx_b, want_grad):

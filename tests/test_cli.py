@@ -10,6 +10,8 @@ import pytest
 import moe_locality
 from moe_locality.cli import _json_bytes, dispatch, run_gradcheck
 from moe_locality.trace import load_trace, validate_trace
+from moe_locality.trainer import SyntheticDataConfig, evaluate_gate, synth_hidden_sequences
+from reference_gate import load_gate
 
 
 def run(*argv):
@@ -468,6 +470,14 @@ BAD_TRAIN_CONFIGS = [
     ({"data": {"n_sequences": 2.5}}, "data.n_sequences"),
     ({"weights": {"lag_set": 5}}, "weights.lag_set"),
     ({"weight": {}}, "'weight'"),
+    # Values of the right type that the dataclasses refuse.
+    ({"train": {"beta2": 1.5}}, "train.beta2"),
+    ({"train": {"beta1": -3.0}}, "train.beta1"),
+    ({"train": {"beta1": 1.0}}, "train.beta1"),
+    ({"train": {"clip_norm": -1.0}}, "train.clip_norm"),
+    ({"train": {"adam_eps": 0.0}}, "train.adam_eps"),
+    ({"weights": {"window": 0}}, "weights.window"),
+    ({"data": {"top_k": 99}}, "data.top_k"),
 ]
 
 
@@ -498,10 +508,25 @@ class TestSweepCli:
         cfg_train = tmp_path / "train.json"
         cfg_train.write_text(json.dumps(TRAIN_CONFIG))
         log = tmp_path / "log.csv"
-        run("train", "--config", str(cfg_train), "--out-theta", str(tmp_path / "t.bin"),
-            "--log", str(log))
+        assert run("train", "--config", str(cfg_train), "--out-theta", str(tmp_path / "t.bin"),
+                   "--log", str(log)) == 0
         last = list(csv.DictReader(log.open()))[-1]
-        assert float(row["total"]) == pytest.approx(float(last["total"]))
+        for field in ("total", "reuse", "smooth", "lag", "ws"):
+            assert row[field] == last[field], field
+        # The train run's gate, evaluated as the sweep evaluates its points.
+        gate = load_gate(tmp_path / "t.bin")
+        sequences = synth_hidden_sequences(SyntheticDataConfig(**TRAIN_CONFIG["data"]))
+        after = evaluate_gate(gate.theta, gate.theta0, sequences, TRAIN_CONFIG["data"]["top_k"])
+        for field in ("eor", "trust_kl", "reuse_rho"):
+            assert row[field] == str(getattr(after, field)), field
+
+    def test_refused_grid_override_names_the_point(self, tmp_path, capsys):
+        cfg_path = tmp_path / "sweep.json"
+        cfg_path.write_text(json.dumps({**TRAIN_CONFIG, "grid": [{}, {"lambda_kl": -1.0}]}))
+        assert run("sweep", "--config", str(cfg_path), "--out", str(tmp_path / "s.csv")) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("data error:") and "grid[1].lambda_kl" in err
+        assert not (tmp_path / "s.csv").exists()
 
     def test_kl_grid_direction(self, tmp_path):
         cfg = dict(TRAIN_CONFIG)

@@ -2,7 +2,8 @@
 
 Each numeric flag draws 0, -1, nan, inf or an ordinary value, plus a huge one
 where the command refuses it or stays cheap with it. Each path flag draws a
-good path, a directory or a path under a missing directory. Whatever the
+good path, a directory or a path under a missing directory. The optimizer
+fields of the train/sweep config file are drawn the same way. Whatever the
 draw, ``dispatch`` must return an exit code in {0, 1, 2, 3}, put a message
 (and never a traceback) on stderr for a usage or data error, raise no
 exception and emit no RuntimeWarning; a property command that exits 0 must
@@ -11,6 +12,7 @@ have checked at least one item. Counts stay small (``--trials``,
 draw starts a long run or many threads.
 """
 
+import hashlib
 import json
 import re
 import warnings
@@ -105,10 +107,29 @@ SPEC = {
 }
 
 
+# The optimizer fields of the ``train`` config section, drawn like numeric
+# flags and written into a copy of config.json.
+CONFIG_FIELDS = {
+    "beta1": (("0.9", "0"), BOUNDARY + ("1", "1.5")),
+    "beta2": (("0.999", "0"), BOUNDARY + ("1", "1.5")),
+    "adam_eps": (("1e-8",), BOUNDARY + (HUGE_FLOAT,)),
+    "clip_norm": (("1", "0.05"), BOUNDARY + (HUGE_FLOAT,)),
+}
+
+
+def _config_variant(files, train: dict) -> str:
+    """A copy of config.json with ``train`` as its train section."""
+    text = json.dumps({**TINY_CONFIG, "train": train}, sort_keys=True)
+    path = files / f"config-{hashlib.sha256(text.encode()).hexdigest()[:12]}.json"
+    path.write_text(text)
+    return str(path)
+
+
 @st.composite
 def argvs(draw, subcommand: str, files):
-    """One argv: at most one flag at a boundary value, every other flag good
-    or (if optional) absent, so each flag's own handling is what is tested."""
+    """One argv: at most one flag or config field at a boundary value, every
+    other flag good or (if optional) absent, so each one's own handling is
+    what is tested."""
     modes, optional, switches = SPEC[subcommand]
     required = draw(st.sampled_from(modes))
     values = {}
@@ -117,13 +138,22 @@ def argvs(draw, subcommand: str, files):
             good = str(files / spec)
             spec = (good,), (str(files / "adir"), str(files / "missing" / spec))
         values[flag] = spec
-    bad = draw(st.sampled_from([None, *values]))
+    fields = CONFIG_FIELDS if "--config" in required else {}
+    bad = draw(st.sampled_from([None, *values, *fields]))
     argv = [subcommand]
     for flag, (valid, boundary) in values.items():
         if flag == bad:
             argv += [flag, draw(st.sampled_from(boundary))]
         elif flag in required or draw(st.booleans()):
             argv += [flag, draw(st.sampled_from(valid))]
+    train = dict(TINY_CONFIG["train"])
+    for field, (valid, boundary) in fields.items():
+        if field == bad:
+            train[field] = float(draw(st.sampled_from(boundary)))
+        elif draw(st.booleans()):
+            train[field] = float(draw(st.sampled_from(valid)))
+    if train != TINY_CONFIG["train"] and bad != "--config":
+        argv[argv.index("--config") + 1] = _config_variant(files, train)
     return argv + [flag for flag in switches if draw(st.booleans())]
 
 

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import reference_objective
 from reference_objective import (
@@ -18,6 +18,7 @@ from reference_objective import (
     trust_loss,
     ws_loss,
 )
+from moe_locality import objective
 from moe_locality.gate import kl_div
 from moe_locality.objective import (
     LossWeights,
@@ -510,8 +511,25 @@ def objective_instances(draw):
     return theta, theta0, hiddens, weights, draw(st.integers(0, 1000)), k
 
 
+def fixed_instance(scale):
+    """One instance at a logit scale: 0.1 keeps every log-probability above
+    log(KL_EPS), 40 drives some below it."""
+    rng = np.random.default_rng(5)
+    theta = scale * rng.standard_normal((4, 10))
+    theta0 = theta + rng.standard_normal((4, 10))
+    hiddens = rng.standard_normal((24, 4))
+    weights = LossWeights(warm_reuse_steps=0, warm_loc_steps=0, lag_set=(1, 2, 5), window=6)
+    return theta, theta0, hiddens, weights, 10, 3
+
+
+UNCLAMPED = fixed_instance(0.1)
+CLAMPED = fixed_instance(40.0)
+
+
 @settings(max_examples=300, deadline=None, derandomize=True)
 @given(instance=objective_instances())
+@example(instance=UNCLAMPED)
+@example(instance=CLAMPED)
 def test_fused_pass_matches_reference_bitwise(instance):
     expected, expected_grad = reference_objective.evaluate(*instance, want_grad=True)
     breakdown, grad = value_and_grad(*instance)
@@ -540,3 +558,22 @@ def test_breakdown_matches_per_term_functions(instance):
     }
     for field, want in per_term.items():
         assert abs(getattr(bd, field) - want) <= 1e-12, field
+
+
+@pytest.mark.parametrize("instance, branch", [(UNCLAMPED, "_pair_symkl"),
+                                              (CLAMPED, "_pair_symkl_clamped")],
+                         ids=["unclamped", "clamped"])
+def test_each_pair_form_matches_reference_bitwise(monkeypatch, instance, branch):
+    # The symmetric-KL pairs of a step take one form: the unclamped one when
+    # every log-probability is above log(KL_EPS), the clamped one otherwise.
+    calls = {"_pair_symkl": 0, "_pair_symkl_clamped": 0}
+    for name in calls:
+        def counted(*args, _name=name, _fn=getattr(objective, name)):
+            calls[_name] += 1
+            return _fn(*args)
+        monkeypatch.setattr(objective, name, counted)
+    breakdown, grad = value_and_grad(*instance)
+    assert calls[branch] > 0 and sum(calls.values()) == calls[branch]
+    expected, expected_grad = reference_objective.evaluate(*instance, want_grad=True)
+    assert float_bits(breakdown) == float_bits(expected)
+    assert grad.tobytes() == expected_grad.tobytes()
