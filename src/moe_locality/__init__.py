@@ -5,7 +5,6 @@ analytic gradients."""
 
 from .trace import (
     RoutingTrace,
-    StepRecord,
     SynthConfig,
     TraceError,
     TraceHeader,

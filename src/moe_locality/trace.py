@@ -26,27 +26,31 @@ Lines end at ``\\n`` only, for bytes and files alike; whitespace around a line
 Probabilities are serialized with 17 significant digits so that
 ``parse_trace(write_trace(x)) == x`` holds bit-for-bit.
 
-:func:`parse_trace` scans each line as one JSON value and converts the records
-into the arrays a block of lines at a time, type-checking each block's fields
-as whole lists. Input the arrays cannot hold exactly is parsed again by the
-per-line path, one :class:`StepRecord` per line, which words its first error
-with the line number: a line that is not UTF-8 or not one JSON object (too
-deep a nesting included), a field that is missing or of another JSON type, a
-has_probs mismatch, a number too large for a float, or a segment id or step
-index beyond the record count. Records that parse but that no array holds (a
-topk not K long, probs not N long, an id beyond int64) always break a rule;
-they are reported as the violations of the per-record rules.
+:func:`parse_trace` reads the input once, a block of lines at a time: it
+scans each line as one JSON value, runs the field rules over the block's
+columns and converts the block into arrays. When a block breaks a rule, the
+same rules run again over its lines one at a time, so the error names the
+first line that breaks one: a line that is not UTF-8 or not one JSON object
+(too deep a nesting included), a field that is missing or of another JSON
+type, a has_probs mismatch, or a number too large for a float. A segment id
+or step index beyond the record count is refused, with its line, once every
+line is read. Records that parse but that no RoutingTrace holds (a topk not K
+long, probs not N long, an id beyond int64) get padded rows and always break
+a per-record rule, so they are reported as violations. Each per-record rule
+is stated once, as a row of the table that :func:`validate_trace` runs.
 """
 
 from __future__ import annotations
 
 import json
 import math
+from collections import Counter
+from contextlib import suppress
 from dataclasses import asdict, dataclass, replace
 from functools import cached_property
 from itertools import chain, compress, islice, repeat
-from operator import attrgetter, itemgetter
-from typing import IO, Callable, Iterable, Iterator
+from operator import itemgetter
+from typing import IO, Iterator, NamedTuple
 
 import numpy as np
 
@@ -59,7 +63,6 @@ __all__ = [
     "TraceError",
     "Violation",
     "TraceHeader",
-    "StepRecord",
     "RoutingTrace",
     "SynthConfig",
     "parse_trace",
@@ -101,6 +104,9 @@ class Violation:
         return f"[{self.rule}] {self.where}: {self.message}"
 
 
+_HEADER_FIELDS = ("n_moe_layers", "n_routed_experts", "top_k", "batch_size")
+
+
 @dataclass(frozen=True)
 class TraceHeader:
     n_moe_layers: int
@@ -110,7 +116,7 @@ class TraceHeader:
     has_probs: bool = False
 
     def __post_init__(self):
-        for name in ("n_moe_layers", "n_routed_experts", "top_k", "batch_size"):
+        for name in _HEADER_FIELDS:
             v = getattr(self, name)
             if not isinstance(v, int) or isinstance(v, bool) or v < 1:
                 raise ValueError(f"{name} must be a positive integer, got {v!r}")
@@ -118,27 +124,6 @@ class TraceHeader:
             raise ValueError(
                 f"top_k ({self.top_k}) exceeds n_routed_experts ({self.n_routed_experts})"
             )
-
-
-@dataclass(frozen=True)
-class StepRecord:
-    """One record line as the per-line parse path reads it, so that a record
-    no array holds (a ragged row, an id beyond int64) can still be diagnosed."""
-
-    segment_id: int
-    step_index: int
-    layer_id: int
-    batch_index: int
-    topk_indices: tuple[int, ...]
-    probs: tuple[float, ...] | None = None
-
-    @property
-    def key(self):
-        return (self.segment_id, self.step_index, self.layer_id, self.batch_index)
-
-    @property
-    def expert_set(self) -> frozenset[int]:
-        return frozenset(self.topk_indices)
 
 
 @dataclass(frozen=True, eq=False)
@@ -298,45 +283,34 @@ def _segment_lengths(keys: np.ndarray) -> tuple[int, ...]:
 # ---------------------------------------------------------------------------
 
 _scan_once = json.JSONDecoder().scan_once  # json.loads' scanner, without its wrappers
+_INTS = frozenset((int,))
+_NUMBERS = frozenset((int, float))
+_LISTS = frozenset((list,))
+_DICTS = frozenset((dict,))
+_BLOCK = 512  # lines read and converted into arrays at a time
+_CELLS = 1 << 16  # padded topk entries tested at a time in rows no RoutingTrace holds
+_KEY_FIELDS = itemgetter("s", "t", "l", "b")
+_TOPK_FIELD = itemgetter("topk")
 
 
-def _line_source(stream: bytes | IO[bytes]) -> Callable[[], Iterator[bytes]]:
-    """A function returning a fresh iterator over the input's lines, split at
-    ``\\n`` only, so that the per-line path can read them again."""
-    if isinstance(stream, bytearray):
-        stream = bytes(stream)
-    elif not isinstance(stream, bytes):
-        if stream.seekable():
-            start = stream.tell()
-
-            def reread():
-                stream.seek(start)
-                return iter(stream)
-
-            return reread
-        stream = stream.read()
-    return lambda: iter(stream.split(b"\n"))
-
-
-def _objects(lines: Iterable[bytes]) -> Iterator[tuple[int, dict]]:
-    """``(line_no, object)`` for every non-blank line; a line that is not one
-    UTF-8 JSON object raises TraceError naming it."""
-    for line_no, raw in enumerate(lines, 1):
-        try:
-            line = raw.decode("utf-8").strip()
-        except UnicodeDecodeError as e:
-            raise TraceError(f"invalid UTF-8 at byte {e.start} ({e.reason})", line_no) from None
-        if not line:
-            continue
-        try:
-            obj = json.loads(line)  # on a stripped line, the same test as _scan_block's
-        except RecursionError:
-            raise TraceError("malformed JSON (nested too deeply)", line_no) from None
-        except ValueError as e:  # a JSONDecodeError, or int's digit limit
-            raise TraceError(f"malformed JSON ({getattr(e, 'msg', e)})", line_no) from None
-        if type(obj) is not dict:
-            raise TraceError("each line must be a JSON object", line_no)
-        yield line_no, obj
+def _line_object(raw: bytes, line_no: int) -> dict | None:
+    """The JSON object on one line, None for a blank line; a line that is
+    not one UTF-8 JSON object raises TraceError naming it."""
+    try:
+        line = raw.decode("utf-8").strip()
+    except UnicodeDecodeError as e:
+        raise TraceError(f"invalid UTF-8 at byte {e.start} ({e.reason})", line_no) from None
+    if not line:
+        return None
+    try:
+        obj = json.loads(line)  # on a stripped line, the same test as _scan_block's
+    except RecursionError:
+        raise TraceError("malformed JSON (nested too deeply)", line_no) from None
+    except ValueError as e:  # a JSONDecodeError, or int's digit limit
+        raise TraceError(f"malformed JSON ({getattr(e, 'msg', e)})", line_no) from None
+    if type(obj) is not dict:
+        raise TraceError("each line must be a JSON object", line_no)
+    return obj
 
 
 def _parse_header(obj, line_no) -> TraceHeader:
@@ -347,69 +321,21 @@ def _parse_header(obj, line_no) -> TraceHeader:
         raise TraceError(f"header field 'has_probs' must be true or false, got {has_probs!r}",
                          line_no)
     try:
-        return TraceHeader(
-            n_moe_layers=obj["n_moe_layers"],
-            n_routed_experts=obj["n_routed_experts"],
-            top_k=obj["top_k"],
-            batch_size=obj["batch_size"],
-            has_probs=has_probs,
-        )
+        return TraceHeader(*map(obj.__getitem__, _HEADER_FIELDS), has_probs)
     except KeyError as e:
         raise TraceError(f"header missing field {e.args[0]!r}", line_no) from None
     except ValueError as e:
         raise TraceError(str(e), line_no) from None
 
 
-_INTS = frozenset((int,))
-_NUMBERS = frozenset((int, float))
-_LISTS = frozenset((list,))
-_DICTS = frozenset((dict,))
-_BLOCK = 512  # record lines converted into arrays at a time
-_KEY_FIELDS = itemgetter("s", "t", "l", "b")
-_TOPK_FIELD = itemgetter("topk")
-_PROBS_FIELD = itemgetter("probs")
-
-
-def _rows_of(values, length: int, types: frozenset) -> bool:
-    """Whether every value is a JSON list of ``length`` entries of ``types``."""
-    return (_LISTS.issuperset(map(type, values)) and set(map(len, values)) == {length}
-            and types.issuperset(map(type, chain.from_iterable(values))))
-
-
-def _block_arrays(objs: list[dict], header: TraceHeader):
-    """``(keys, topk, probs)`` arrays of a block of record objects, or None
-    when one of them is not a record the arrays hold exactly: a field missing
-    or of another JSON type, a negative key, a topk not K or probs not N long,
-    probs against the header, or a number beyond int64 or float64. json
-    yields exact types, so ``type(x) is int`` also refuses true and false."""
+def _scan_block(raws: list[bytes]) -> tuple[list[dict], list[int]] | None:
+    """The JSON objects of a block of lines and their offsets in it, blank
+    lines skipped, or None if a line is not one UTF-8 JSON object: the test
+    of :func:`_line_object` as C-level maps over the block."""
     try:
-        keys = list(map(_KEY_FIELDS, objs))
-        tops = list(map(_TOPK_FIELD, objs))
-        probs = list(map(_PROBS_FIELD, objs)) if header.has_probs else None
-    except KeyError:
-        return None
-    if header.has_probs:
-        probs_ok = _rows_of(probs, header.n_routed_experts, _NUMBERS)
-    else:
-        probs_ok = list(map(dict.get, objs, repeat("probs"))).count(None) == len(objs)
-    if not (probs_ok and _INTS.issuperset(map(type, chain.from_iterable(keys)))
-            and _rows_of(tops, header.top_k, _INTS)):
-        return None
-    try:
-        keys = np.array(keys, dtype=np.int64)
-        tops = np.array(tops, dtype=np.int64)
-        probs = None if probs is None else np.array(probs, dtype=np.float64)
-    except OverflowError:
-        return None
-    return None if (keys < 0).any() else (keys, tops, probs)
-
-
-def _scan_block(raws: list[bytes]) -> list[dict] | None:
-    """The JSON objects of a block of lines, blank lines skipped, or None if
-    a line is not one UTF-8 JSON object. The same tests as :func:`_objects`,
-    run as C-level maps over the block."""
-    try:
-        texts = list(filter(None, map(str.strip, map(bytes.decode, raws))))
+        texts = list(map(str.strip, map(bytes.decode, raws)))
+        at = list(compress(range(len(texts)), texts))
+        texts = list(filter(None, texts))
         scanned = list(map(_scan_once, texts, repeat(0)))
     except (UnicodeDecodeError, ValueError, RecursionError):
         return None
@@ -418,110 +344,138 @@ def _scan_block(raws: list[bytes]) -> list[dict] | None:
     if list(map(itemgetter(1), scanned)) != list(map(len, texts)):
         return None
     objs = list(map(itemgetter(0), scanned))
-    return objs if _DICTS.issuperset(map(type, objs)) else None
+    return (objs, at) if _DICTS.issuperset(map(type, objs)) else None
 
 
-def _parse_arrays(lines: Iterator[bytes]) -> RoutingTrace | None:
-    """The trace, its rows sorted by key, or None when the per-line path must
-    read the input: a line it would refuse, a record the arrays cannot hold,
-    or a segment id or step index beyond the record count."""
-    header = None
-    while block := list(islice(lines, _BLOCK)):
-        objs = _scan_block(block)
-        if objs is None:
-            return None
-        if header is None and objs:
-            try:
-                header = _parse_header(objs.pop(0), None)
-            except TraceError:
-                return None
-            n = header.n_routed_experts
-            blocks = [(np.empty((0, 4), np.int64), np.empty((0, header.top_k), np.int64),
-                       np.empty((0, n)) if header.has_probs else None)]
-        if objs:
-            arrays = _block_arrays(objs, header)
-            if arrays is None:
-                return None
-            blocks.append(arrays)
-    if header is None:
-        return None
-    keys, tops, probs = (None if c[0] is None else np.concatenate(c) for c in zip(*blocks))
-    if len(keys) and keys[:, :2].max() > len(keys):
-        return None
-    order = np.lexsort(keys.T[::-1])
-    if (np.diff(order) != 1).any():
-        keys, tops = keys[order], tops[order]
-        probs = None if probs is None else probs[order]
-    return RoutingTrace(header, keys, tops, probs, _segment_lengths(keys))
-
-
-def _parse_record(obj, line_no, has_probs) -> StepRecord:
-    """One record line's fields, each checked against its JSON type; json.loads
-    yields exact types, so ``type(x) is int`` also refuses true and false."""
+def _block_arrays(objs: list[dict], header: TraceHeader) -> tuple | str:
+    """The field rules over a block of record objects, in the order a record
+    is checked: the block's ``(keys, topk, probs)``, or the message of the
+    first rule a record breaks (for one record, its error). json yields exact
+    types, so ``type(x) is int`` also refuses true and false. topk and probs
+    stay lists if a row is not K or N long (or a topk id is beyond int64)."""
     try:
-        s, t, l, b = obj["s"], obj["t"], obj["l"], obj["b"]
-        topk = obj["topk"]
+        keys = list(map(_KEY_FIELDS, objs))
+        tops = list(map(_TOPK_FIELD, objs))
     except KeyError as e:
-        raise TraceError(f"record missing field {e.args[0]!r}", line_no) from None
-    for name, v in (("s", s), ("t", t), ("l", l), ("b", b)):
-        if type(v) is not int or v < 0:
-            raise TraceError(f"field {name!r} must be a non-negative integer, got {v!r}", line_no)
-    if type(topk) is not list or not _INTS.issuperset(map(type, topk)):
-        raise TraceError("field 'topk' must be a list of integers", line_no)
-    probs = obj.get("probs")
-    if (probs is not None) != has_probs:
-        if has_probs:
-            raise TraceError("header declares has_probs but record carries no 'probs'", line_no)
-        raise TraceError("record carries 'probs' but header declares has_probs=false", line_no)
-    if probs is not None:
-        if type(probs) is not list or not _NUMBERS.issuperset(map(type, probs)):
-            raise TraceError("field 'probs' must be a list of numbers", line_no)
+        return f"record missing field {e.args[0]!r}"
+    for name, column in zip("stlb", zip(*keys)):
+        if not (_INTS.issuperset(map(type, column)) and min(column) >= 0):
+            return f"field {name!r} must be a non-negative integer, got {column[0]!r}"
+    if not (_LISTS.issuperset(map(type, tops))
+            and _INTS.issuperset(map(type, chain.from_iterable(tops)))):
+        return "field 'topk' must be a list of integers"
+    probs = list(map(dict.get, objs, repeat("probs")))
+    if not header.has_probs:
+        if probs.count(None) < len(probs):
+            return "record carries 'probs' but header declares has_probs=false"
+        probs = None
+    elif None in probs:
+        return "header declares has_probs but record carries no 'probs'"
+    elif not (_LISTS.issuperset(map(type, probs))
+              and _NUMBERS.issuperset(map(type, chain.from_iterable(probs)))):
+        return "field 'probs' must be a list of numbers"
+    else:
+        n = header.n_routed_experts
         try:
-            probs = tuple(map(float, probs))
+            if set(map(len, probs)) <= {n}:
+                probs = np.array(probs, np.float64).reshape(len(probs), n)
+            else:
+                np.fromiter(chain.from_iterable(probs), np.float64)  # every entry must fit
         except OverflowError:
-            msg = "field 'probs' holds a number too large for a float"
-            raise TraceError(msg, line_no) from None
-    return StepRecord(
-        segment_id=s,
-        step_index=t,
-        layer_id=l,
-        batch_index=b,
-        topk_indices=tuple(topk),
-        probs=probs,
-    )
+            return "field 'probs' holds a number too large for a float"
+    if set(map(len, tops)) <= {header.top_k}:
+        with suppress(OverflowError):
+            tops = np.array(tops, np.int64).reshape(len(tops), header.top_k)
+    try:
+        keys = np.array(keys, np.int64).reshape(len(keys), 4)
+    except OverflowError:
+        keys = np.array(keys, object)
+    return keys, tops, probs
 
 
-def _parse_records(lines: Iterable[bytes]) -> tuple[TraceHeader, list[StepRecord]]:
-    """The per-line path: one StepRecord per record line, so the first line
-    that breaks a structural rule raises TraceError naming it."""
-    header = None
-    records: list[StepRecord] = []
-    peak_id, peak_line = 0, None  # largest segment id or step index, and its line
-    for line_no, obj in _objects(lines):
-        if header is None:
-            header = _parse_header(obj, line_no)
-            continue
-        rec = _parse_record(obj, line_no, header.has_probs)
-        records.append(rec)
-        if rec.segment_id > peak_id or rec.step_index > peak_id:
-            peak_id, peak_line = max(rec.segment_id, rec.step_index), line_no
-    if header is None:
-        raise TraceError("empty input: missing header line", line_no=None)
-    # A dense trace of R records has segment ids and step indices below R.
-    # Ids up to R still parse, so validate can list a small gap; larger ones
-    # are refused here, before segment_lengths is sized by them and the
-    # contiguity rule walks every missing step.
-    if peak_id > len(records):
-        raise TraceError(
-            f"segment id or step index {peak_id} exceeds the record count {len(records)}",
-            peak_line,
-        )
-    return header, records
+def _raise_line_error(raws: list[bytes], line_no: int, header: TraceHeader) -> None:
+    """Raise the error of the first line of a block, starting at ``line_no``,
+    that breaks a line or field rule, found by running the rules again over
+    one line at a time."""
+    for line_no, raw in enumerate(raws, line_no):
+        obj = _line_object(raw, line_no)
+        if obj is not None and type(message := _block_arrays([obj], header)) is str:
+            raise TraceError(message, line_no)
 
 
 def _violation_error(violations: list[Violation], n_records: int) -> TraceError:
     return TraceError(f"{len(violations)} invariant violation(s); first: {violations[0]}",
                       violations=violations, n_records=n_records)
+
+
+def _ragged_error(header: TraceHeader, keys: np.ndarray, tops, probs, order) -> TraceError:
+    """The violations of records no RoutingTrace holds, from the blocks'
+    ``tops`` and ``probs`` (arrays or lists) in key ``order``. The rules see
+    a run of rows at a time, topk padded with inf (which sorts after every id)
+    to the run's widest row in at most ``_CELLS`` entries or one row."""
+    def rows(blocks):  # one list per row, in key order
+        lists = chain.from_iterable(b if type(b) is list else b.tolist() for b in blocks)
+        return np.fromiter(lists, object, len(keys))[order]
+
+    tops = rows(tops)
+    r = _Rows(header, keys, tops, np.fromiter(map(len, tops), np.int64, len(tops)), None, None)
+    if header.has_probs:  # a row not N long is kept as zeros: only its length is read
+        n, probs = header.n_routed_experts, rows(probs)
+        r = r._replace(probs=np.array([p if len(p) == n else [0] * n for p in probs], np.float64),
+                       n_probs=np.fromiter(map(len, probs), np.int64, len(probs)))
+    out: list[Violation] = []
+    widths, start, widest = np.maximum(r.n_topk, header.top_k).tolist(), 0, 0
+    for end, width in enumerate(widths + [0]):
+        if end > start and (end == len(widths) or max(widest, width) * (end + 1 - start) > _CELLS):
+            topk = np.full((end - start, widest), math.inf, object)
+            for i, row in enumerate(tops[start:end]):
+                topk[i, :len(row)] = row
+            run = _Rows(header, *(None if a is None else a[start:end] for a in r[1:]))
+            out += _record_violations(run._replace(topk=topk))
+            start, widest = end, 0
+        widest = max(widest, width)
+    _cross_record_violations(header, list(map(tuple, keys.tolist())), out)
+    return _violation_error(out, len(keys))
+
+
+def _read(lines: Iterator[bytes]) -> RoutingTrace:
+    """The trace on ``lines``, its rows sorted by key (see :func:`parse_trace`)."""
+    for line_no, raw in enumerate(lines, 1):  # blank lines, then the header
+        if (obj := _line_object(raw, line_no)) is not None:
+            header = _parse_header(obj, line_no)
+            break
+    else:
+        raise TraceError("empty input: missing header line", line_no=None)
+    blocks = [_block_arrays([], header)]
+    peak, peak_line = 0, None  # the largest segment id or step index, and its line
+    while raws := list(islice(lines, _BLOCK)):
+        scanned = _scan_block(raws)
+        arrays = scanned and _block_arrays(scanned[0], header)
+        if type(arrays) is not tuple:  # None or a message: a line breaks a rule
+            _raise_line_error(raws, line_no + 1, header)
+        if at := scanned[1]:
+            top = arrays[0][:, :2].max(axis=1)
+            j = int(top.argmax())
+            if top[j] > peak:
+                peak, peak_line = int(top[j]), line_no + 1 + at[j]
+            blocks.append(arrays)
+        line_no += len(raws)
+    keys, tops, probs = zip(*blocks)
+    keys = np.concatenate(keys)
+    # A dense trace of R records has segment ids and step indices below R. Ids up
+    # to R still parse, so validate can list a small gap; larger ones are refused,
+    # before segment_lengths is sized by them and contiguity walks every gap.
+    if peak > len(keys):
+        raise TraceError(f"segment id or step index {peak} exceeds the record count "
+                         f"{len(keys)}", peak_line)
+    order = np.lexsort(keys.T[::-1])
+    if (np.diff(order) == 1).all():
+        order = slice(None)  # already sorted: index without a copy
+    keys = keys[order]
+    if keys.dtype == object or list in map(type, tops + probs):
+        raise _ragged_error(header, keys, tops, probs, order)
+    probs = None if probs[0] is None else np.concatenate(probs)[order]
+    return RoutingTrace(header, keys, np.concatenate(tops)[order], probs, _segment_lengths(keys))
 
 
 def parse_trace(stream: bytes | IO[bytes], validate: bool = True) -> RoutingTrace:
@@ -532,19 +486,12 @@ def parse_trace(stream: bytes | IO[bytes], validate: bool = True) -> RoutingTrac
     with the collected violations for semantic ones. ``validate=False`` skips
     the semantic pass so a structurally parseable trace can be handed to
     :func:`validate_trace` for a full violation listing. Records that parse
-    but that the arrays cannot hold (see the module docstring) raise with
+    but that no RoutingTrace holds (see the module docstring) raise with
     their violations either way, since no trace can be built from them.
     """
-    lines = _line_source(stream)
-    trace = _parse_arrays(lines())
-    if trace is None:
-        header, records = _parse_records(lines())  # raises unless no array holds a record
-        records.sort(key=attrgetter("key"))
-        violations: list[Violation] = []
-        for rec in records:
-            _validate_record(rec, header, violations)
-        _cross_record_violations(header, [r.key for r in records], None, violations)
-        raise _violation_error(violations, len(records))
+    if isinstance(stream, (bytes, bytearray)):
+        stream = bytes(stream).split(b"\n")
+    trace = _read(iter(stream))
     if validate:
         violations = validate_trace(trace)
         if violations:
@@ -587,114 +534,128 @@ def save_trace(trace: RoutingTrace, path) -> None:
 # ---------------------------------------------------------------------------
 
 
-def _validate_record(rec: StepRecord, header: TraceHeader, out: list[Violation]) -> None:
-    where = f"(s={rec.segment_id},t={rec.step_index},l={rec.layer_id},b={rec.batch_index})"
-    k, n = header.top_k, header.n_routed_experts
-    if rec.layer_id >= header.n_moe_layers:
-        out.append(Violation("range", where, f"layer_id {rec.layer_id} >= n_moe_layers"))
-    if rec.batch_index >= header.batch_size:
-        out.append(Violation("range", where, f"batch_index {rec.batch_index} >= batch_size"))
-    if len(rec.topk_indices) != k:
-        out.append(
-            Violation("arity", where, f"topk has {len(rec.topk_indices)} entries, expected K={k}")
-        )
-    if len(set(rec.topk_indices)) != len(rec.topk_indices):
-        out.append(Violation("distinctness", where, "duplicate expert id within topk"))
-    for e in rec.topk_indices:
-        if not (0 <= e < n):
-            out.append(Violation("range", where, f"expert id {e} out of range [0,{n})"))
-    if rec.probs is None:
-        if header.has_probs:
-            out.append(Violation("probs_missing", where, "has_probs header but record lacks probs"))
-        return
-    p = rec.probs
-    if len(p) != n:
-        out.append(Violation("probs_shape", where, f"probs length {len(p)}, expected N_r={n}"))
-        return
-    if not all(map(math.isfinite, p)):
-        out.append(Violation("probs_nonfinite", where, "NaN or infinite probability entry"))
-        return
-    if any(x < 0 for x in p):
-        out.append(Violation("probs_negative", where, "negative probability entry"))
-        return
-    total = sum(p)
-    if abs(total - 1.0) > PROB_SUM_TOL:
-        out.append(Violation("probs_sum", where, f"probs sum {total!r} not within {PROB_SUM_TOL} of 1"))
-        return
-    if len(rec.topk_indices) == k and frozenset(topk(p, k)) != rec.expert_set:
-        out.append(
-            Violation(
-                "probs_topk",
-                where,
-                f"topk {sorted(rec.topk_indices)} is not the Top-{k} of probs "
-                f"{sorted(topk(p, k))}",
-            )
-        )
+class _Rows(NamedTuple):
+    """A trace's rows as the per-record rules read them: a row holds the first
+    ``n_topk`` entries of ``topk``, and its probs unless ``n_probs`` is not N.
+    A length column of one entry stands for every row."""
+    header: TraceHeader
+    keys: np.ndarray
+    topk: np.ndarray
+    n_topk: np.ndarray
+    probs: np.ndarray | None
+    n_probs: np.ndarray | None
 
 
-def _flagged_rows(trace: RoutingTrace) -> np.ndarray:
-    """The rows that might break a per-record rule of :func:`_validate_record`:
-    a superset of those it reports, found by whole-array tests."""
-    h = trace.header
-    keys, ids = trace.keys, trace.topk
-    flags = (keys[:, 2] >= h.n_moe_layers) | (keys[:, 3] >= h.batch_size)
-    flags |= ((ids < 0) | (ids >= h.n_routed_experts)).any(axis=1)
-    ranked = np.sort(ids, axis=1)
-    flags |= (ranked[:, 1:] == ranked[:, :-1]).any(axis=1)
-    probs = trace.probs
-    if probs is not None:
-        flags |= (~np.isfinite(probs) | (probs < 0)).any(axis=1)
-        # Half the tolerance: numpy's pairwise sum and the per-record left-to-right
-        # sum differ by far less than PROB_SUM_TOL / 2, so no reportable sum escapes.
-        # Rows with inf or huge entries are flagged above; their sums may warn.
-        with np.errstate(invalid="ignore", over="ignore"):
-            flags |= np.abs(probs.sum(axis=1) - 1.0) > PROB_SUM_TOL / 2
-        flags |= (np.sort(topk_rows(probs, h.top_k), axis=1) != ranked).any(axis=1)
-    return np.flatnonzero(flags)
+def _held(r: _Rows) -> np.ndarray:
+    """bool[R, W]: the topk entries each row holds ([1, W] for one length)."""
+    return np.arange(r.topk.shape[1]) < r.n_topk[:, None]
 
 
-def _record(trace: RoutingTrace, i: int) -> StepRecord:
-    """Row ``i`` as the per-record rules read it."""
-    probs = None if trace.probs is None else tuple(trace.probs[i].tolist())
-    return StepRecord(*trace.keys[i].tolist(), tuple(trace.topk[i].tolist()), probs)
+def _repeated(r: _Rows) -> np.ndarray:
+    ranked = np.sort(r.topk, axis=1)  # a row's padding sorts after its ids
+    return ((ranked[:, 1:] == ranked[:, :-1]) & _held(r)[:, 1:]).any(axis=1)
+
+
+def _sum_off(r: _Rows) -> np.ndarray:
+    """Rows whose probs, added left to right by Python's ``sum``, are not
+    within PROB_SUM_TOL of 1. numpy's pairwise sum is within far less than
+    PROB_SUM_TOL / 2 of it, so it picks the rows to add up."""
+    off = np.zeros(len(r.probs), bool)
+    near = np.flatnonzero(np.abs(r.probs.sum(axis=1) - 1.0) > PROB_SUM_TOL / 2)
+    off[near] = [abs(sum(p) - 1.0) > PROB_SUM_TOL for p in r.probs[near].tolist()]
+    return off
+
+
+def _not_top(r: _Rows) -> np.ndarray:
+    ids, top = r.topk[:, :r.header.top_k], topk_rows(r.probs, r.header.top_k)
+    off = (ids != top).any(axis=1)  # rows stored in Top-K order need no sort
+    off[off] = (np.sort(ids[off], axis=1) != np.sort(top[off], axis=1)).any(axis=1)
+    return (r.n_topk == r.header.top_k) & off
+
+
+# The per-record rules in the order a record is checked, each stated once:
+# (rule, the rows that break it -- or the topk entries, for a rule worded
+# once per entry --, the messages for row i given its entry hits).
+_RECORD_RULES = (
+    ("range", lambda r: r.keys[:, 2] >= r.header.n_moe_layers,
+     lambda r, i, _: [f"layer_id {r.keys[i, 2]} >= n_moe_layers"]),
+    ("range", lambda r: r.keys[:, 3] >= r.header.batch_size,
+     lambda r, i, _: [f"batch_index {r.keys[i, 3]} >= batch_size"]),
+    ("arity", lambda r: r.n_topk != r.header.top_k,
+     lambda r, i, _: [f"topk has {r.n_topk[i]} entries, expected K={r.header.top_k}"]),
+    ("distinctness", _repeated, lambda r, i, _: ["duplicate expert id within topk"]),
+    ("range", lambda r: _held(r) & ((r.topk < 0) | (r.topk >= r.header.n_routed_experts)),
+     lambda r, i, hit: [f"expert id {e} out of range [0,{r.header.n_routed_experts})"
+                        for e in r.topk[i][hit].tolist()]),
+)
+# The probs rules, which a row's probs meet only up to the first it breaks.
+_PROBS_RULES = (
+    ("probs_shape", lambda r: r.n_probs != r.header.n_routed_experts,
+     lambda r, i, _: [f"probs length {r.n_probs[i]}, expected N_r={r.header.n_routed_experts}"]),
+    ("probs_nonfinite", lambda r: ~np.isfinite(r.probs).all(axis=1),
+     lambda r, i, _: ["NaN or infinite probability entry"]),
+    ("probs_negative", lambda r: (r.probs < 0).any(axis=1),
+     lambda r, i, _: ["negative probability entry"]),
+    ("probs_sum", _sum_off,
+     lambda r, i, _: [f"probs sum {sum(r.probs[i].tolist())!r} not within {PROB_SUM_TOL} of 1"]),
+    ("probs_topk", _not_top, lambda r, i, _: [
+        f"topk {sorted(r.topk[i, :r.header.top_k].tolist())} is not the Top-{r.header.top_k} "
+        f"of probs {sorted(topk(r.probs[i], r.header.top_k))}"]),
+)
+
+
+def _record_violations(r: _Rows) -> list[Violation]:
+    """Every row's breaches of the per-record rules, row by row and in rule
+    order within a row; each rule is tested over all rows at once."""
+    rules = _RECORD_RULES + (_PROBS_RULES if r.probs is not None else ())
+    hits, flags = [], np.empty((len(rules), len(r.keys)), bool)
+    going = np.ones(len(r.keys), bool)  # rows whose probs broke no probs rule yet
+    with np.errstate(invalid="ignore", over="ignore"):  # sums of inf or huge entries
+        for j, (_, test, _) in enumerate(rules):
+            hits.append(test(r))
+            flags[j] = (hits[j].any(axis=1) if hits[j].ndim == 2 else hits[j]) & going
+            if j >= len(_RECORD_RULES):
+                going &= ~flags[j]
+    flagged = np.flatnonzero(flags.any(axis=0))
+    out: list[Violation] = []
+    for i, key, row_flags in zip(flagged.tolist(), r.keys[flagged].tolist(),
+                                 flags[:, flagged].T.tolist()):
+        where = "(s={},t={},l={},b={})".format(*key)
+        for (rule, _, words), hit, flag in zip(rules, hits, row_flags):
+            if flag:
+                out.extend(Violation(rule, where, m) for m in words(r, i, hit[i]))
+    return out
 
 
 def validate_trace(trace: RoutingTrace) -> list[Violation]:
     """Check every invariant; returns an empty list iff the trace is well-formed.
 
     Violations are data, not exceptions: each one names the offending record
-    coordinates and the rule it breaks.
-
-    Per-record rules are screened over the whole arrays, and only flagged rows
-    are described by :func:`_validate_record`; the screen flags a superset of
-    the rows that break a rule, so the violations and their order are those of
-    a full per-record pass. Cross-record rules are checked in full unless
-    every segment length is >= 1 and the keys are exactly the dense grid
-    implied by ``segment_lengths``, which breaks none.
+    coordinates and the rule it breaks, row by row and in rule order within a
+    row. Cross-record rules are checked in full unless every segment length
+    is >= 1 and the keys are exactly the dense grid implied by
+    ``segment_lengths``, which breaks none.
     """
-    out: list[Violation] = []
     h = trace.header
-    for i in _flagged_rows(trace).tolist():
-        _validate_record(_record(trace, i), h, out)
+    n_probs = None if trace.probs is None else np.array([h.n_routed_experts])
+    out = _record_violations(_Rows(h, trace.keys, trace.topk, np.array([h.top_k]),
+                                   trace.probs, n_probs))
     dense = (all(length >= 1 for length in trace.segment_lengths)
              and np.array_equal(trace.keys, trace._grid))
     if not dense:
-        keys = list(map(tuple, trace.keys.tolist()))
-        _cross_record_violations(h, keys, trace.segment_lengths, out)
+        _cross_record_violations(h, list(map(tuple, trace.keys.tolist())), out)
+        derived = _segment_lengths(trace.keys)
+        if trace.segment_lengths != derived:
+            out.append(Violation("segment_lengths", "trace",
+                                 f"declared {trace.segment_lengths}, derived {derived}"))
     return out
 
 
-def _cross_record_violations(
-    h: TraceHeader, keys: list[tuple], declared: tuple[int, ...] | None, out: list[Violation]
-) -> None:
-    """Ordering, duplicate, coverage and segment-structure rules over the
-    record keys; ``declared`` segment lengths are compared with those the keys
-    imply unless None (lengths derived from the keys themselves)."""
+def _cross_record_violations(h: TraceHeader, keys: list[tuple], out: list[Violation]) -> None:
+    """Ordering, duplicate, coverage and segment-structure rules over the record keys."""
     if keys != sorted(keys):
         out.append(Violation("ordering", "trace", "records not sorted by (s,t,l,b)"))
-    seen: dict[tuple, int] = {}
-    for key in keys:
-        seen[key] = seen.get(key, 0) + 1
+    seen = Counter(keys)
     for key, count in seen.items():
         if count > 1:
             out.append(Violation("duplicate", str(key), f"record appears {count} times"))
@@ -705,41 +666,22 @@ def _cross_record_violations(
         steps.setdefault((s, t), set()).add((l, b))
     full = {(l, b) for l in range(h.n_moe_layers) for b in range(h.batch_size)}
     for (s, t), present in sorted(steps.items()):
-        missing = full - present
-        for l, b in sorted(missing):
-            out.append(
-                Violation("coverage", f"(s={s},t={t})", f"missing record for layer={l}, batch={b}")
-            )
+        for l, b in sorted(full - present):
+            out.append(Violation("coverage", f"(s={s},t={t})",
+                                 f"missing record for layer={l}, batch={b}"))
 
     # Segment structure: contiguous segment ids, contiguous step indices from 0.
     seg_steps: dict[int, set[int]] = {}
     for s, t in steps:
         seg_steps.setdefault(s, set()).add(t)
-    if seg_steps:
-        n_seg = max(seg_steps) + 1
-        for s in range(n_seg):
-            if s not in seg_steps:
-                out.append(Violation("segments", f"s={s}", "segment id gap"))
-                continue
-            t_max = max(seg_steps[s])
-            for t in range(t_max + 1):
-                if t not in seg_steps[s]:
-                    out.append(
-                        Violation("contiguity", f"(s={s},t={t})", "step index gap within segment")
-                    )
-        lengths = tuple(
-            max(seg_steps[s]) + 1 if s in seg_steps else 0 for s in range(n_seg)
-        )
-    else:
-        lengths = ()
-    if declared is not None and declared != lengths:
-        out.append(
-            Violation(
-                "segment_lengths",
-                "trace",
-                f"declared {declared}, derived {lengths}",
-            )
-        )
+    for s in range(max(seg_steps, default=-1) + 1):
+        if s not in seg_steps:
+            out.append(Violation("segments", f"s={s}", "segment id gap"))
+            continue
+        for t in range(max(seg_steps[s]) + 1):
+            if t not in seg_steps[s]:
+                out.append(Violation("contiguity", f"(s={s},t={t})",
+                                     "step index gap within segment"))
 
 
 # ---------------------------------------------------------------------------

@@ -89,12 +89,10 @@ class SyntheticDataConfig:
     seed: int = 1
 
     def __post_init__(self):
-        if self.n_sequences < 1:
-            raise ValueError("n_sequences must be >= 1")
-        if self.seq_len < 2:
-            raise ValueError("seq_len must be >= 2")
-        if self.switch_period < 1:
-            raise ValueError("switch_period must be >= 1")
+        for name, low in (("n_sequences", 1), ("seq_len", 2), ("switch_period", 1),
+                          ("hidden_dim", 1)):
+            if getattr(self, name) < low:
+                raise ValueError(f"{name} must be >= {low}")
         if not 1 <= self.top_k <= self.n_experts:
             raise ValueError(f"top_k must be in [1, n_experts = {self.n_experts}]")
 

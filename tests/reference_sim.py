@@ -34,8 +34,8 @@ from moe_locality.cache_sim import (
     simulate,
 )
 from moe_locality.gate import overlap_counts
-from moe_locality.trace import RoutingTrace, StepRecord, SynthConfig, TraceHeader, synth_trace
-from reference_trace import from_records, records
+from moe_locality.trace import RoutingTrace, SynthConfig, TraceHeader, synth_trace
+from reference_trace import StepRecord, from_records, records
 
 
 def records_by_key(trace: RoutingTrace) -> dict:

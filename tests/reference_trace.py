@@ -29,11 +29,30 @@ import numpy as np
 from moe_locality.trace import (
     PROB_SUM_TOL,
     RoutingTrace,
-    StepRecord,
     TraceError,
     TraceHeader,
     Violation,
 )
+
+
+@dataclass(frozen=True)
+class StepRecord:
+    """One record line as the oracle reads it."""
+
+    segment_id: int
+    step_index: int
+    layer_id: int
+    batch_index: int
+    topk_indices: tuple[int, ...]
+    probs: tuple[float, ...] | None = None
+
+    @property
+    def key(self):
+        return (self.segment_id, self.step_index, self.layer_id, self.batch_index)
+
+    @property
+    def expert_set(self) -> frozenset[int]:
+        return frozenset(self.topk_indices)
 
 
 @dataclass(frozen=True)

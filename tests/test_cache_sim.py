@@ -21,8 +21,8 @@ from moe_locality.cache_sim import (
 )
 from moe_locality.gate import topk
 from moe_locality.metrics import eor
-from moe_locality.trace import StepRecord, SynthConfig, TraceError, TraceHeader, synth_trace
-from reference_trace import from_records, records
+from moe_locality.trace import SynthConfig, TraceError, TraceHeader, synth_trace
+from reference_trace import StepRecord, from_records, records
 
 from reference_sim import naive_simulate, reference_simulate
 from test_trace import make_trace, record_at

@@ -478,6 +478,8 @@ BAD_TRAIN_CONFIGS = [
     ({"train": {"adam_eps": 0.0}}, "train.adam_eps"),
     ({"weights": {"window": 0}}, "weights.window"),
     ({"data": {"top_k": 99}}, "data.top_k"),
+    ({"data": {"hidden_dim": 0}}, "data.hidden_dim"),
+    ({"data": {"hidden_dim": -1}}, "data.hidden_dim"),
 ]
 
 

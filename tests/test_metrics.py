@@ -13,8 +13,8 @@ from moe_locality.metrics import (
     normalized_entropy,
     unique_experts_per_sequence,
 )
-from moe_locality.trace import StepRecord, SynthConfig, TraceError, TraceHeader, synth_trace
-from reference_trace import from_records, records
+from moe_locality.trace import SynthConfig, TraceError, TraceHeader, synth_trace
+from reference_trace import StepRecord, from_records, records
 
 from test_trace import make_trace
 

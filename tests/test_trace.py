@@ -9,11 +9,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import reference_trace
+from reference_trace import StepRecord
 from moe_locality import trace as trace_module
 from moe_locality.trace import (
     PROB_SUM_TOL,
     RoutingTrace,
-    StepRecord,
     SynthConfig,
     TraceError,
     TraceHeader,
@@ -710,3 +710,98 @@ def test_jsonl_loader_matches_reference(case, has_probs, sep, block):
             assert outcome(lambda d: parse_trace(io.BytesIO(d), validate), payload) == expected
     if case == "valid":
         assert isinstance(expected, RoutingTrace)
+
+
+class OneWayStream(io.BytesIO):
+    """A binary stream that cannot seek and counts the lines read from it."""
+
+    def __init__(self, data):
+        super().__init__(data)
+        self.lines_read = 0
+
+    def seekable(self):
+        return False
+
+    def seek(self, *args):
+        raise io.UnsupportedOperation("seek")
+
+    def tell(self):
+        raise io.UnsupportedOperation("tell")
+
+    def __next__(self):
+        line = super().__next__()
+        self.lines_read += 1
+        return line
+
+
+@pytest.mark.parametrize("bad_line", [
+    None,
+    b'{"s":0,"t":7,"l":0,"b":0,"topk":[0,1,2,true]}',
+    b'{"s":0,"t":7,"l":0,"b":0,"topk":[0,1,2,3]',
+    b'{"s":0,"t":7,"l":0,"b":0,"topk":[0,1,2,3],"probs":[1,0,0,0]}',
+])
+@pytest.mark.parametrize("validate", [True, False])
+def test_stream_that_cannot_seek_is_read_once(bad_line, validate):
+    # After the header, blocks of three lines are read: line 9 of 11 is in the
+    # third (lines 8-10), so the loader must give the reference's outcome
+    # without reading line 11.
+    lines = write_trace(synth_trace(SynthConfig(steps_per_segment=10))).splitlines()
+    if bad_line is not None:
+        lines[8] = bad_line
+    payload = b"\n".join(lines)
+    stream = OneWayStream(payload)
+    with mock.patch.object(trace_module, "_BLOCK", 3):
+        got = outcome(lambda d: parse_trace(d, validate), stream)
+    expected = reference_trace.load(payload, validate)
+    assert got == expected
+    if bad_line is None:
+        assert isinstance(got, RoutingTrace) and stream.lines_read == len(lines) == 11
+    else:
+        assert got[1] == 9 and stream.lines_read == 10
+
+
+@pytest.mark.parametrize("cells", [1, 7, 1 << 16])
+def test_rows_no_array_holds_are_padded_a_run_at_a_time(cells, monkeypatch):
+    # One long topk row must not pad every row to its length: the per-record
+    # rules see the rows in runs of at most `cells` padded entries (or one
+    # row), with the reference's outcome.
+    lines = write_trace(synth_trace(SynthConfig(steps_per_segment=200))).splitlines()
+    lines[3] = b'{"s":0,"t":2,"l":0,"b":0,"topk":[%s]}' % b",".join(b"%d" % (i % 20)
+                                                                   for i in range(1000))
+    lines[150] = b'{"s":0,"t":149,"l":0,"b":0,"topk":[1]}'
+    payload = b"\n".join(lines)
+    shapes = []
+    record_violations = trace_module._record_violations
+    monkeypatch.setattr(trace_module, "_CELLS", cells)
+    monkeypatch.setattr(trace_module, "_record_violations",
+                        lambda r: shapes.append(r.topk.shape) or record_violations(r))
+    assert outcome(parse_trace, payload) == reference_trace.load(payload)
+    assert sum(rows for rows, _ in shapes) == len(lines) - 1
+    assert max(rows * width for rows, width in shapes) <= max(cells, 1000)
+
+
+def test_id_beyond_record_count_names_its_first_line():
+    # Segment id 9 on lines 3 and 5, in different blocks of two lines: the
+    # error names line 3, as the reference does.
+    late = b'{"s":9,"t":%d,"l":0,"b":0,"topk":[0,1]}'
+    payload = b"\n".join([HEADER_LINE, RECORD_LINE, late % 0, RECORD_LINE, late % 1])
+    with mock.patch.object(trace_module, "_BLOCK", 2):
+        assert outcome(parse_trace, payload) == reference_trace.load(payload) == (
+            "line 3: segment id or step index 9 exceeds the record count 4", 3, ())
+
+
+def test_topk_stored_in_any_order_matches_reference():
+    # The Top-K rule compares sets: rows stored against the Top-K order are as
+    # valid as rows stored in it, and a wrong set among them is still found.
+    base = synth_trace(SynthConfig(seed=3, emit_probs=True, steps_per_segment=20))
+    recs = [replace(r, topk_indices=r.topk_indices[::-1]) for r in reference_trace.records(base)]
+    payload = reference_trace.jsonl(base.header, recs)
+    expected = reference_trace.load(payload)
+    assert isinstance(expected, RoutingTrace) and outcome(parse_trace, payload) == expected
+    outside = next(e for e in range(base.header.n_routed_experts)
+                   if e not in recs[5].topk_indices)
+    recs[5] = replace(recs[5], topk_indices=(outside,) + recs[5].topk_indices[1:])
+    payload = reference_trace.jsonl(base.header, recs)
+    expected = reference_trace.load(payload)
+    assert outcome(parse_trace, payload) == expected
+    assert [v.rule for v in expected[2]] == ["probs_topk"]
