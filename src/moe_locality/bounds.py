@@ -243,9 +243,7 @@ def _simulated_records(
     """Records of one B=1 trace whose fetches ``simulate`` counts under
     ``cfg``: the counter for faults and C < K, where the stack pass of
     :func:`lru_fetch_counts` does not apply."""
-    stats = simulate(trace, cfg).step_stats
-    n_fetch = np.array([s.unique_misses for s in stats], dtype=np.int64)
-    n_fetch = n_fetch.reshape(1, trace.header.n_moe_layers, -1)
+    n_fetch = simulate(trace, cfg).unique_misses[None]
     bounds = _slot_bounds(trace, (cfg.capacity,), working_set, n_fetch)
     return _collect_step_records(trace, cfg, 0, bounds)
 
@@ -326,11 +324,11 @@ def _constant_set_trace(n_experts: int, k: int, steps: int) -> RoutingTrace:
     return RoutingTrace(TraceHeader(1, n_experts, k, 1), keys, members, None, (steps,))
 
 
-# (name, assumption broken, K, injected fault, description); each runs a
-# constant request set over N=8 experts for 5 steps at C=4 under LRU with resets.
+# (name, assumption broken, K, injected fault or None, description); each runs
+# a constant request set over N=8 experts for 5 steps at C=4 under LRU with resets.
 _COUNTEREXAMPLES = (
     # Capacity below K: even perfect reuse leaves K - C experts missing.
-    ("under_capacity", "capacity (C >= K)", 6, FaultScenario(FaultKind.UNDER_CAPACITY),
+    ("under_capacity", "capacity (C >= K)", 6, None,
      "C=4 < K=6 with a constant request set: every step must "
      "refetch the experts shed for capacity, though IR = 1."),
     # Interference: outside traffic evicts a previous-step expert between steps.
@@ -350,8 +348,8 @@ def run_counterexamples() -> list[ScenarioResult]:
     """Demonstrate one constructed fetch-bound violation per failure mode.
 
     Each scenario repeats an identical request set, so every post-warmup step
-    has IR = 1 and a bound of zero fetches; the injected fault then forces at
-    least one fetch.
+    has IR = 1 and a bound of zero fetches; the injected fault, or C < K,
+    then forces at least one fetch.
     """
     results: list[ScenarioResult] = []
     for name, assumption, k, scenario, description in _COUNTEREXAMPLES:

@@ -26,6 +26,7 @@ import enum
 import math
 from bisect import bisect_right
 from dataclasses import dataclass, replace
+from functools import cached_property
 from heapq import nsmallest
 from itertools import count, filterfalse, islice, repeat
 
@@ -43,7 +44,6 @@ __all__ = [
     "FaultScenario",
     "CacheConfig",
     "IoModel",
-    "StepCacheStats",
     "LayerTotals",
     "StepEvent",
     "SimReport",
@@ -66,7 +66,6 @@ class Policy(str, enum.Enum):
 class FaultKind(str, enum.Enum):
     """Assumption-breaking injections for the fetch-bound failure modes."""
 
-    UNDER_CAPACITY = "under_capacity"  # no event; the config itself sets C < K
     INTERFERENCE = "interference"  # evict n random residents between steps
     PREFETCH = "prefetch"  # insert n non-requested experts between steps
 
@@ -82,7 +81,7 @@ class FaultScenario:
     seed: int = 0
 
     def __post_init__(self):
-        if self.kind != FaultKind.UNDER_CAPACITY and self.n < 1:
+        if self.n < 1:
             raise ValueError("injection scenarios need n >= 1")
 
 
@@ -114,25 +113,6 @@ class IoModel:
             value = getattr(self, name)
             if not (math.isfinite(value) and value > 0):
                 raise ValueError(f"IoModel {name} must be finite and positive, got {value}")
-
-
-@dataclass(frozen=True)
-class StepCacheStats:
-    segment: int
-    step: int
-    layer: int
-    unique_hits: int
-    unique_total: int
-    token_hits: int
-    token_total: int
-
-    @property
-    def unique_misses(self) -> int:
-        return self.unique_total - self.unique_hits
-
-    @property
-    def token_misses(self) -> int:
-        return self.token_total - self.token_hits
 
 
 @dataclass(frozen=True)
@@ -173,17 +153,51 @@ class StepEvent:
     evicted: tuple[int, ...]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SimReport:
+    """``step_counts`` is a read-only int64[L, steps, 4]: per layer and step
+    ordinal, the unique hits, distinct requests, token hits and routed slots.
+    Every other count is derived from it, summed through ``tolist`` so that
+    ratios are Python ``int / int``."""
+
     config: CacheConfig
-    per_layer: tuple[LayerTotals, ...]
-    overall: LayerTotals
-    step_stats: tuple[StepCacheStats, ...]
-    step_unique_miss_series: tuple[int, ...]  # cross-layer, one entry per (s, t)
-    miss_percentiles: dict[str, float]
+    step_counts: np.ndarray
     final_resident: tuple[tuple[int, ...], ...]  # sorted, per layer
     events: tuple[StepEvent, ...] = ()
     rerouted_trace: RoutingTrace | None = None
+
+    def __post_init__(self):
+        self.step_counts.flags.writeable = False
+
+    def __eq__(self, other):
+        if not isinstance(other, SimReport):
+            return NotImplemented
+        return np.array_equal(self.step_counts, other.step_counts) and (
+            self.config, self.final_resident, self.events, self.rerouted_trace
+        ) == (other.config, other.final_resident, other.events, other.rerouted_trace)
+
+    @cached_property
+    def unique_misses(self) -> np.ndarray:
+        """int64[L, steps]: the experts each layer fetched at each step."""
+        return self.step_counts[..., 1] - self.step_counts[..., 0]
+
+    @cached_property
+    def per_layer(self) -> tuple[LayerTotals, ...]:
+        sums = self.step_counts.sum(axis=1).tolist()
+        return tuple(LayerTotals(layer, *row) for layer, row in enumerate(sums))
+
+    @cached_property
+    def overall(self) -> LayerTotals:
+        return LayerTotals(None, *self.step_counts.sum(axis=(0, 1)).tolist())
+
+    @cached_property
+    def step_unique_miss_series(self) -> tuple[int, ...]:
+        """Cross-layer unique misses, one entry per (s, t)."""
+        return tuple(self.unique_misses.sum(axis=0).tolist())
+
+    @cached_property
+    def miss_percentiles(self) -> dict[str, float]:
+        return _percentile_summary(self.step_unique_miss_series)
 
 
 @dataclass(frozen=True)
@@ -326,7 +340,7 @@ def simulate(trace: RoutingTrace, cfg: CacheConfig, record_events: bool = False)
     built only with ``record_events``. The bound checks count fault-free LRU
     fetches with :func:`lru_fetch_counts` instead, at all their capacities in
     one pass, and call this function only where that pass does not apply:
-    they read ``step_stats`` for the faulted counterexamples, and they run an
+    they read ``unique_misses`` for the faulted counterexamples, and they run an
     event-recording simulation for the resident set before a step that breaks
     a bound. The run is deterministic, so it reproduces the counted one.
     """
@@ -346,12 +360,10 @@ def simulate(trace: RoutingTrace, cfg: CacheConfig, record_events: bool = False)
     tick = count(1).__next__  # LFU's recency clock
 
     steps = list(trace.iter_steps())
-    step_stats: list[StepCacheStats] = []
+    counts: list[tuple[int, int, int, int]] = []  # one per (layer, step), layer-major
     events: list[StepEvent] = []
     rerouted = np.empty_like(trace.topk) if reroute else None
     final_resident: list[tuple[int, ...]] = []
-    per_layer: list[LayerTotals] = []
-    cross_step_miss = [0] * len(steps)
 
     for layer in range(h.n_moe_layers):
         columns = [trace.stream(layer, b) for b in range(h.batch_size)]
@@ -362,7 +374,6 @@ def simulate(trace: RoutingTrace, cfg: CacheConfig, record_events: bool = False)
         resident: dict = {}
         prev_unique: dict | None = None
         prev_segment: int | None = None
-        u_hits_sum = u_total_sum = t_hits_sum = t_total_sum = 0
 
         for ordinal, (s, t) in enumerate(steps):
             if cfg.reset_each_segment and s != prev_segment:
@@ -431,14 +442,7 @@ def simulate(trace: RoutingTrace, cfg: CacheConfig, record_events: bool = False)
                 for e in evicted:
                     del resident[e]
 
-            step_stats.append(
-                StepCacheStats(s, t, layer, unique_hits, n_unique, token_hits, n_slots)
-            )
-            cross_step_miss[ordinal] += n_unique - unique_hits
-            u_hits_sum += unique_hits
-            u_total_sum += n_unique
-            t_hits_sum += token_hits
-            t_total_sum += n_slots
+            counts.append((unique_hits, n_unique, token_hits, n_slots))
             if record_events:
                 events.append(
                     StepEvent(s, t, layer, resident_before, tuple(uniq), fetched, tuple(evicted))
@@ -446,18 +450,6 @@ def simulate(trace: RoutingTrace, cfg: CacheConfig, record_events: bool = False)
             prev_unique = uniq
 
         final_resident.append(tuple(sorted(resident)))
-        per_layer.append(
-            LayerTotals(layer, u_hits_sum, u_total_sum, t_hits_sum, t_total_sum)
-        )
-
-    overall = LayerTotals(
-        layer=None,
-        unique_hits=sum(lt.unique_hits for lt in per_layer),
-        unique_total=sum(lt.unique_total for lt in per_layer),
-        token_hits=sum(lt.token_hits for lt in per_layer),
-        token_total=sum(lt.token_total for lt in per_layer),
-    )
-    miss_series = tuple(cross_step_miss)
 
     rerouted_trace = None
     if reroute:
@@ -467,11 +459,7 @@ def simulate(trace: RoutingTrace, cfg: CacheConfig, record_events: bool = False)
 
     return SimReport(
         config=cfg,
-        per_layer=tuple(per_layer),
-        overall=overall,
-        step_stats=tuple(step_stats),
-        step_unique_miss_series=miss_series,
-        miss_percentiles=_percentile_summary(miss_series),
+        step_counts=np.array(counts, dtype=np.int64).reshape(h.n_moe_layers, len(steps), 4),
         final_resident=tuple(final_resident),
         events=tuple(events),
         rerouted_trace=rerouted_trace,
@@ -482,16 +470,16 @@ def lru_fetch_counts(trace: RoutingTrace, capacities) -> np.ndarray:
     """Per-step unique misses of fault-free LRU with request-level resets, at
     every capacity C >= K, in one pass over a B=1 trace.
 
-    Returns ``int[len(capacities), L, steps]``; entry ``[c, l, i]`` equals the
-    ``unique_misses`` of ``simulate`` at ``capacities[c]`` with
-    ``reset_each_segment`` for layer ``l`` and step ordinal ``i``. Under
-    serve-and-admit LRU with C >= K, the resident set after every step is the
-    top C of the recency stack (inclusion; Mattson et al., 1970), so an expert
-    misses at C exactly when its stack depth before the step is >= C. Each
-    layer keeps one stack, most recent first, emptied at every segment start;
-    a step's Top-K row is served in order, so its last member is the most
-    recent. The stack is cut at the largest capacity (at most N), since deeper
-    experts miss at every capacity.
+    Returns ``int[len(capacities), L, steps]``; entry ``[c, l, i]`` equals
+    ``simulate(...).unique_misses[l, i]`` at ``capacities[c]`` with
+    ``reset_each_segment``. Under serve-and-admit LRU with C >= K, the
+    resident set after every step is the top C of the recency stack
+    (inclusion; Mattson et al., 1970), so an expert misses at C exactly when
+    its stack depth before the step is >= C. Each layer keeps one stack, most
+    recent first, emptied at every segment start; a step's Top-K row is
+    served in order, so its last member is the most recent. The stack is cut
+    at the largest capacity (at most N), since deeper experts miss at every
+    capacity.
 
     Raises ValueError for a trace with B > 1 (count each ``batch_slot``), for
     no capacity or one below K, where inclusion does not hold and ``simulate``

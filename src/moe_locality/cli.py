@@ -25,6 +25,7 @@ import os
 import sys
 import tempfile
 import time
+from pathlib import Path
 
 import numpy as np
 
@@ -132,7 +133,7 @@ def _append_manifest(subcommand: str, config: dict, inputs: list[str], outputs: 
         "config": config,
         "inputs": inputs,
         "outputs": [
-            {"path": p, "sha256": hashlib.sha256(open(p, "rb").read()).hexdigest()}
+            {"path": p, "sha256": hashlib.sha256(Path(p).read_bytes()).hexdigest()}
             for p in outputs
             if os.path.exists(p)
         ],

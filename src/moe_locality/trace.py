@@ -32,9 +32,10 @@ columns and converts the block into arrays. When a block breaks a rule, the
 same rules run again over its lines one at a time, so the error names the
 first line that breaks one: a line that is not UTF-8 or not one JSON object
 (too deep a nesting included), a field that is missing or of another JSON
-type, a has_probs mismatch, or a number too large for a float. A segment id
-or step index beyond the record count is refused, with its line, once every
-line is read. Records that parse but that no RoutingTrace holds (a topk not K
+type, a has_probs mismatch, or a number too large for a float. Once every
+line is read, a segment id or step index beyond the record count is refused
+with its line, and so is a header whose n_moe_layers x batch_size over the
+steps present asks for more than twice the records given. Records that parse but that no RoutingTrace holds (a topk not K
 long, probs not N long, an id beyond int64) get padded rows and always break
 a per-record rule, so they are reported as violations. Each per-record rule
 is stated once, as a row of the table that :func:`validate_trace` runs.
@@ -169,10 +170,6 @@ class RoutingTrace:
     def n_records(self) -> int:
         return len(self.keys)
 
-    @property
-    def n_segments(self) -> int:
-        return len(self.segment_lengths)
-
     @cached_property
     def segment_offsets(self) -> tuple[int, ...]:
         """First global step index of each segment, plus the total step count."""
@@ -182,9 +179,14 @@ class RoutingTrace:
         return tuple(offsets)
 
     @cached_property
-    def _grid(self) -> np.ndarray:
-        """The keys of the dense sorted trace with these segment lengths."""
-        return _dense_keys(self.header, self.segment_lengths)
+    def _grid(self) -> np.ndarray | None:
+        """The keys of the dense sorted trace with these segment lengths, or
+        None when that trace would not have ``n_records`` rows: the sizes are
+        compared first, so a header-sized grid is never built."""
+        h = self.header
+        if self.segment_offsets[-1] * h.n_moe_layers * h.batch_size != len(self.keys):
+            return None
+        return _dense_keys(h, self.segment_lengths)
 
     def stream(self, layer: int, batch: int) -> slice:
         """The rows of one (layer, batch) slot, one per step in trace order.
@@ -196,7 +198,7 @@ class RoutingTrace:
         """
         h = self.header
         grid = self._grid
-        if len(self.keys) != len(grid):
+        if grid is None:
             raise KeyError(
                 f"trace is not dense: {len(self.keys)} records for {self.segment_offsets[-1]} "
                 f"steps x {h.n_moe_layers} layers x {h.batch_size} batch items"
@@ -442,7 +444,7 @@ def _read(lines: Iterator[bytes]) -> RoutingTrace:
     """The trace on ``lines``, its rows sorted by key (see :func:`parse_trace`)."""
     for line_no, raw in enumerate(lines, 1):  # blank lines, then the header
         if (obj := _line_object(raw, line_no)) is not None:
-            header = _parse_header(obj, line_no)
+            header, header_line = _parse_header(obj, line_no), line_no
             break
     else:
         raise TraceError("empty input: missing header line", line_no=None)
@@ -472,6 +474,13 @@ def _read(lines: Iterator[bytes]) -> RoutingTrace:
     if (np.diff(order) == 1).all():
         order = slice(None)  # already sorted: index without a copy
     keys = keys[order]
+    # The coverage rule lists each (layer, batch) pair a present step lacks;
+    # more missing records than given means a header far larger than its trace.
+    n_steps = len(keys) and 1 + int((keys[1:, :2] != keys[:-1, :2]).any(axis=1).sum())
+    if n_steps * header.n_moe_layers * header.batch_size > 2 * len(keys):
+        raise TraceError(f"n_moe_layers={header.n_moe_layers} x batch_size={header.batch_size} "
+                         f"over the {n_steps} steps present asks for more than twice the "
+                         f"{len(keys)} records given", header_line)
     if keys.dtype == object or list in map(type, tops + probs):
         raise _ragged_error(header, keys, tops, probs, order)
     probs = None if probs[0] is None else np.concatenate(probs)[order]
@@ -641,7 +650,7 @@ def validate_trace(trace: RoutingTrace) -> list[Violation]:
     out = _record_violations(_Rows(h, trace.keys, trace.topk, np.array([h.top_k]),
                                    trace.probs, n_probs))
     dense = (all(length >= 1 for length in trace.segment_lengths)
-             and np.array_equal(trace.keys, trace._grid))
+             and trace._grid is not None and np.array_equal(trace.keys, trace._grid))
     if not dense:
         _cross_record_violations(h, list(map(tuple, trace.keys.tolist())), out)
         derived = _segment_lengths(trace.keys)

@@ -85,7 +85,6 @@ class SyntheticDataConfig:
     top_k: int = 4
     switch_period: int = 8
     noise: float = 0.9
-    mean_scale: float = 1.0
     seed: int = 1
 
     def __post_init__(self):
@@ -106,7 +105,7 @@ def synth_hidden_sequences(cfg: SyntheticDataConfig) -> list[np.ndarray]:
         mean = None
         for t in range(cfg.seq_len):
             if t % cfg.switch_period == 0:
-                mean = cfg.mean_scale * rng.standard_normal(cfg.hidden_dim)
+                mean = rng.standard_normal(cfg.hidden_dim)
             rows[t] = mean + cfg.noise * rng.standard_normal(cfg.hidden_dim)
         sequences.append(rows)
     return sequences

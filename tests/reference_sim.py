@@ -27,7 +27,6 @@ from moe_locality.cache_sim import (
     LayerTotals,
     Policy,
     SimReport,
-    StepCacheStats,
     StepEvent,
     _percentile_summary,
     reroute_topk,
@@ -298,8 +297,29 @@ def _apply_fault(state: LayerCacheState, scenario: FaultScenario, rng, n_experts
                 state.drop(state.pick_victim(state.resident, next_use=lambda e: math.inf))
 
 
+def step_rows(trace: RoutingTrace, report: SimReport) -> list[tuple[int, ...]]:
+    """(layer, segment, step, unique_hits, unique_total, token_hits,
+    token_total) per layer and step, layer-major: ``report.step_counts`` as
+    labelled rows."""
+    steps = list(trace.iter_steps())
+    return [
+        (layer, s, t, *counts)
+        for layer, rows in enumerate(report.step_counts.tolist())
+        for (s, t), counts in zip(steps, rows)
+    ]
+
+
 def reference_simulate(trace: RoutingTrace, cfg: CacheConfig, record_events: bool = False) -> SimReport:
     """The per-step keyed-lookup simulator: same contract as ``simulate``."""
+    return reference_simulate_with_totals(trace, cfg, record_events)[0]
+
+
+def reference_simulate_with_totals(
+    trace: RoutingTrace, cfg: CacheConfig, record_events: bool = False
+) -> tuple[SimReport, dict]:
+    """:func:`reference_simulate`'s report, and the values ``SimReport``
+    derives from its counts (``per_layer``, ``overall``,
+    ``step_unique_miss_series``, ``miss_percentiles``) summed here on their own."""
     h = trace.header
     if cfg.reroute_beta is not None and not h.has_probs:
         raise ValueError("rerouting requires a trace with routing distributions")
@@ -322,7 +342,7 @@ def reference_simulate(trace: RoutingTrace, cfg: CacheConfig, record_events: boo
             for layer, reqs in layer_requests.items()
         }
 
-    step_stats: list[StepCacheStats] = []
+    counted: list[tuple[int, ...]] = []  # (layer, s, t, uh, ut, th, tt)
     events: list[StepEvent] = []
     rerouted_records: list[StepRecord] = []
     final_resident: list[tuple[int, ...]] = []
@@ -405,17 +425,7 @@ def reference_simulate(trace: RoutingTrace, cfg: CacheConfig, record_events: boo
                 state.drop(victim)
                 evicted.append(victim)
 
-            step_stats.append(
-                StepCacheStats(
-                    segment=s,
-                    step=t,
-                    layer=layer,
-                    unique_hits=unique_hits,
-                    unique_total=len(uniq),
-                    token_hits=token_hits,
-                    token_total=len(slots),
-                )
-            )
+            counted.append((layer, s, t, unique_hits, len(uniq), token_hits, len(slots)))
             cross_step_miss[(s, t)] += len(uniq) - unique_hits
             if record_events:
                 events.append(
@@ -435,14 +445,14 @@ def reference_simulate(trace: RoutingTrace, cfg: CacheConfig, record_events: boo
 
     per_layer = []
     for layer in range(h.n_moe_layers):
-        stats = [st for st in step_stats if st.layer == layer]
+        rows = [row for row in counted if row[0] == layer]
         per_layer.append(
             LayerTotals(
                 layer=layer,
-                unique_hits=sum(st.unique_hits for st in stats),
-                unique_total=sum(st.unique_total for st in stats),
-                token_hits=sum(st.token_hits for st in stats),
-                token_total=sum(st.token_total for st in stats),
+                unique_hits=sum(row[3] for row in rows),
+                unique_total=sum(row[4] for row in rows),
+                token_hits=sum(row[5] for row in rows),
+                token_total=sum(row[6] for row in rows),
             )
         )
     overall = LayerTotals(
@@ -469,17 +479,21 @@ def reference_simulate(trace: RoutingTrace, cfg: CacheConfig, record_events: boo
              for r in rerouted_records],
         )
 
-    return SimReport(
+    counts = np.array([row[3:] for row in counted], dtype=np.int64)
+    report = SimReport(
         config=cfg,
-        per_layer=tuple(per_layer),
-        overall=overall,
-        step_stats=tuple(step_stats),
-        step_unique_miss_series=miss_series,
-        miss_percentiles=_percentile_summary(miss_series),
+        step_counts=counts.reshape(h.n_moe_layers, len(miss_series), 4),
         final_resident=tuple(final_resident),
         events=tuple(events),
         rerouted_trace=rerouted_trace,
     )
+    totals = {
+        "per_layer": tuple(per_layer),
+        "overall": overall,
+        "step_unique_miss_series": miss_series,
+        "miss_percentiles": _percentile_summary(miss_series),
+    }
+    return report, totals
 
 
 def reference_slice_batch(trace: RoutingTrace, batch_index: int) -> RoutingTrace:
@@ -502,7 +516,7 @@ def reference_collect_step_records(
     report = reference_simulate(trace, cfg, record_events=True)
     by_key = {(ev.layer, ev.segment, ev.step): ev for ev in report.events}
     fetch = {
-        (st.layer, st.segment, st.step): st.unique_misses for st in report.step_stats
+        (layer, s, t): ut - uh for layer, s, t, uh, ut, _th, _tt in step_rows(trace, report)
     }
 
     step_records: list[StepBoundRecord] = []
@@ -569,7 +583,7 @@ def reference_collect_step_records(
 # The bound checks as they were with one ``simulate`` per capacity, kept as
 # the oracle for ``moe_locality.bounds``'s single stack pass over all
 # capacities: the package's previous ``_collect_step_records`` (fetch counts
-# from ``simulate(...).step_stats``), ``_check`` per capacity and the
+# from ``simulate(...).unique_misses``), ``_check`` per capacity and the
 # per-capacity campaign loop.
 # ---------------------------------------------------------------------------
 
@@ -578,10 +592,10 @@ def simulate_collect_step_records(
     trace: RoutingTrace, cfg: CacheConfig, working_set: bool, batch: int = 0
 ) -> tuple[list[StepBoundRecord], list[SequenceBound]]:
     """Per-step fetch counts vs. bounds for one B=1 trace under ``cfg``,
-    counted by ``simulate`` and read from ``step_stats`` by position."""
+    counted by ``simulate`` and read from ``unique_misses`` by position."""
     h = trace.header
     k = h.top_k
-    stats = simulate(trace, cfg).step_stats
+    misses = simulate(trace, cfg).unique_misses.ravel().tolist()
     offsets = trace.segment_offsets
     n_steps = offsets[-1]
 
@@ -600,7 +614,7 @@ def simulate_collect_step_records(
             for t in range(1, length):
                 bound = pair_bounds[start + t - 1]
                 ordinal = layer * n_steps + start + t
-                n_fetch = stats[ordinal].unique_misses
+                n_fetch = misses[ordinal]
                 violated = n_fetch > bound
                 ws_horizon = ws_bound = ws_violated = None
                 if working_set:

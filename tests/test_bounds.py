@@ -30,6 +30,7 @@ from reference_sim import (
     reference_run_campaign,
     reference_tally,
     simulate_collect_step_records,
+    step_rows,
 )
 from test_trace import make_trace
 
@@ -203,9 +204,8 @@ class TestAdmissionProperty:
             lt.unique_misses for lt in report.per_layer
         )
         per_step = {}
-        for st_ in report.step_stats:
-            key = (st_.segment, st_.step)
-            per_step[key] = per_step.get(key, 0) + st_.unique_misses
+        for _layer, s, t, uh, ut, _th, _tt in step_rows(trace, report):
+            per_step[(s, t)] = per_step.get((s, t), 0) + ut - uh
         for i, (s, t) in enumerate(trace.iter_steps()):
             assert report.step_unique_miss_series[i] == per_step[(s, t)]
 

@@ -24,7 +24,7 @@ from moe_locality.metrics import eor
 from moe_locality.trace import SynthConfig, TraceError, TraceHeader, synth_trace
 from reference_trace import StepRecord, from_records, records
 
-from reference_sim import naive_simulate, reference_simulate
+from reference_sim import naive_simulate, reference_simulate_with_totals, step_rows
 from test_trace import make_trace, record_at
 
 
@@ -48,7 +48,7 @@ class TestHandSimulations:
         # N_r=4, K=2, C=2, sets {0,1},{1,2},{0,1}: misses 2,1,1 -> uHR = 2/6.
         trace = seq_trace([(0, 1), (1, 2), (0, 1)], k=2, n=4)
         report = simulate(trace, lru(2), record_events=True)
-        assert [s.unique_misses for s in report.step_stats] == [2, 1, 1]
+        assert report.unique_misses.tolist() == [[2, 1, 1]]
         assert report.overall.unique_misses == 4
         assert report.overall.uhr == pytest.approx(2 / 6)
         # step 2 evicts expert 0 (least recent), step 3 evicts expert 2
@@ -60,8 +60,7 @@ class TestHandSimulations:
         sets = [(0, 1)] * 5 + [(2, 3)] * 5
         trace = seq_trace(sets, k=2, n=4, segment_starts={5})
         report = simulate(trace, lru(4))
-        misses = [s.unique_misses for s in report.step_stats]
-        assert misses == [2, 0, 0, 0, 0, 2, 0, 0, 0, 0]
+        assert report.unique_misses.tolist() == [[2, 0, 0, 0, 0, 2, 0, 0, 0, 0]]
         assert report.overall.uhr == pytest.approx(1 - 2 / (2 * 5))
 
     def test_capacity_at_nr_only_compulsory_misses(self):
@@ -73,9 +72,9 @@ class TestHandSimulations:
             report = simulate(trace, cfg)
             # Oracle: per segment, compulsory misses = |union of requested sets|.
             expected = 0
-            for s in range(trace.n_segments):
+            for s, length in enumerate(trace.segment_lengths):
                 union = set()
-                for t in range(trace.segment_lengths[s]):
+                for t in range(length):
                     union |= record_at(trace, s, t, 0, 0).expert_set
                 expected += len(union)
             assert report.overall.unique_misses == expected
@@ -84,10 +83,10 @@ class TestHandSimulations:
         cfg = SynthConfig(batch_size=3, top_k=2, seed=6, steps_per_segment=4)
         trace = synth_trace(cfg)
         report = simulate(trace, lru(4))
-        for st_ in report.step_stats:
-            assert st_.token_total == 3 * 2
-            assert st_.token_hits >= st_.unique_hits
-            assert st_.token_total >= st_.unique_total
+        for _layer, _s, _t, uh, ut, th, tt in step_rows(trace, report):
+            assert tt == 3 * 2
+            assert th >= uh
+            assert tt >= ut
 
     def test_empty_trace_yields_zero_report(self):
         trace = from_records(TraceHeader(2, 8, 2, 1), [])
@@ -137,8 +136,7 @@ class TestBeladyNextUse:
             SynthConfig(n_routed_experts=6, top_k=2, n_segments=2, steps_per_segment=9, seed=8)
         )
         table = next_use_table(trace, 0)
-        for s in range(trace.n_segments):
-            length = trace.segment_lengths[s]
+        for s, length in enumerate(trace.segment_lengths):
             for t in range(length):
                 for e in record_at(trace, s, t, 0, 0).topk_indices:
                     expected = math.inf
@@ -223,7 +221,7 @@ class TestReroute:
         trace = synth_trace(SynthConfig(seed=5, emit_probs=True, steps_per_segment=30))
         base = simulate(trace, lru(4))
         rer = simulate(trace, lru(4, reroute_beta=0.0))
-        assert rer.step_stats == base.step_stats
+        assert np.array_equal(rer.step_counts, base.step_counts)
         assert rer.step_unique_miss_series == base.step_unique_miss_series
         assert rer.final_resident == base.final_resident
         assert rer.rerouted_trace is not None
@@ -297,10 +295,10 @@ class TestPolicies:
             b = simulate(shuffled, cfg)
             per_seg_a = {}
             per_seg_b = {}
-            for st_ in a.step_stats:
-                per_seg_a[st_.segment] = per_seg_a.get(st_.segment, 0) + st_.unique_misses
-            for st_ in b.step_stats:
-                per_seg_b[st_.segment] = per_seg_b.get(st_.segment, 0) + st_.unique_misses
+            for _layer, s, _t, uh, ut, _th, _tt in step_rows(base, a):
+                per_seg_a[s] = per_seg_a.get(s, 0) + ut - uh
+            for _layer, s, _t, uh, ut, _th, _tt in step_rows(shuffled, b):
+                per_seg_b[s] = per_seg_b.get(s, 0) + ut - uh
             for s_orig, s_new in enumerate(perm):
                 assert per_seg_a[s_orig] == per_seg_b[s_new]
 
@@ -368,11 +366,7 @@ class TestNaiveReferenceEquivalence:
             report = simulate(trace, sim_cfg, record_events=True)
             stats, events, final_resident = naive_simulate(trace, capacity, policy, reset)
 
-            got = [
-                (s.layer, s.segment, s.step, s.unique_hits, s.unique_total,
-                 s.token_hits, s.token_total)
-                for s in report.step_stats
-            ]
+            got = step_rows(trace, report)
             want = [
                 (s["layer"], s["segment"], s["step"], s["unique_hits"], s["unique_total"],
                  s["token_hits"], s["token_total"])
@@ -384,6 +378,12 @@ class TestNaiveReferenceEquivalence:
                 e["resident_before"] for e in events
             ]
             assert list(report.final_resident) == final_resident
+
+
+@pytest.mark.parametrize("kind", list(FaultKind))
+def test_fault_scenario_injects_at_least_one(kind):
+    with pytest.raises(ValueError, match="n >= 1"):
+        FaultScenario(kind, n=0)
 
 
 miss_trace_configs = st.builds(
@@ -412,12 +412,10 @@ def test_accounting_identities(cfg, capacity, policy, reset):
         trace, CacheConfig(capacity=capacity, policy=policy, reset_each_segment=reset)
     )
     b, k = cfg.batch_size, cfg.top_k
-    for st_ in report.step_stats:
-        assert st_.unique_misses == st_.unique_total - st_.unique_hits
-        assert st_.token_misses == st_.token_total - st_.token_hits
-        assert st_.token_total == b * k
-        assert st_.unique_total <= min(b * k, cfg.n_routed_experts)
-        assert st_.token_hits >= st_.unique_hits
+    for _layer, _s, _t, uh, ut, th, tt in step_rows(trace, report):
+        assert tt == b * k
+        assert ut <= min(b * k, cfg.n_routed_experts)
+        assert th >= uh
     assert sum(report.step_unique_miss_series) == report.overall.unique_misses
     assert report.overall.unique_misses == sum(lt.unique_misses for lt in report.per_layer)
 
@@ -459,12 +457,14 @@ def sim_cases(draw):
 @settings(max_examples=300, deadline=None, derandomize=True)
 @given(case=sim_cases())
 def test_simulate_matches_reference_report(case):
-    # The whole report: stats, totals, percentiles, final sets, events and
-    # the rerouted trace.
+    # The whole report: counts, final sets, events and the rerouted trace,
+    # then the totals, miss series and percentiles derived from the counts
+    # against the reference's own sums.
     trace, cache, record_events = case
-    assert simulate(trace, cache, record_events) == reference_simulate(
-        trace, cache, record_events
-    )
+    got = simulate(trace, cache, record_events)
+    want, totals = reference_simulate_with_totals(trace, cache, record_events)
+    assert got == want
+    assert {name: getattr(got, name) for name in totals} == totals
 
 
 @st.composite
@@ -499,9 +499,8 @@ class TestLruFetchCounts:
             counts = lru_fetch_counts(slot, capacities)
             assert counts.shape == (len(capacities), h.n_moe_layers, slot.segment_offsets[-1])
             for c, capacity in enumerate(capacities):
-                stats = simulate(slot, lru(capacity)).step_stats
-                expected = [st_.unique_misses for st_ in stats]
-                assert counts[c].ravel().tolist() == expected, capacity
+                expected = simulate(slot, lru(capacity)).unique_misses
+                assert np.array_equal(counts[c], expected), capacity
 
     @settings(max_examples=60, deadline=None, derandomize=True)
     @given(case=stack_cases())

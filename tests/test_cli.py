@@ -18,6 +18,11 @@ def run(*argv):
     return dispatch(list(argv))
 
 
+def csv_rows(path):
+    with open(path) as f:
+        return list(csv.DictReader(f))
+
+
 def run_module(*argv, **kwargs):
     """``python -m moe_locality.cli`` in a subprocess that imports the package
     under test, installed or not."""
@@ -26,6 +31,11 @@ def run_module(*argv, **kwargs):
     return subprocess.run([sys.executable, "-m", "moe_locality.cli", *argv],
                           capture_output=True, text=True,
                           env={**os.environ, "PYTHONPATH": path}, **kwargs)
+
+
+def cap_memory():
+    """A 1 GiB address-space cap for a subprocess (its ``preexec_fn``)."""
+    resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
 
 
 @pytest.fixture()
@@ -105,14 +115,29 @@ class TestSynthValidate:
         path.write_bytes(b'{"type":"header","n_moe_layers":1,"n_routed_experts":4,'
                          b'"top_k":2,"batch_size":1,"has_probs":false}\n'
                          + json.dumps(record).encode() + b"\n")
-
-        def cap_memory():
-            resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
-
         proc = run_module("validate", "--trace", str(path), timeout=60, preexec_fn=cap_memory)
         assert proc.returncode == 2
         assert proc.stderr.startswith(f"data error: line 2: segment id or step index {10**30}")
         assert "Traceback" not in proc.stderr
+
+    @pytest.mark.parametrize("field", ["n_moe_layers", "batch_size"])
+    @pytest.mark.parametrize("argv", [("validate",), ("metrics", "--out", "m.csv")],
+                             ids=lambda argv: argv[0])
+    def test_huge_header_dimension_is_data_error(self, tmp_path, field, argv):
+        # The header asks for 10**12 records per step and one is given. Capped
+        # as above, so that a structure sized by the header fails this test.
+        header = {"type": "header", "n_moe_layers": 1, "n_routed_experts": 4, "top_k": 2,
+                  "batch_size": 1, "has_probs": False, field: 10**12}
+        path = tmp_path / "huge_header.jsonl"
+        path.write_bytes(json.dumps(header).encode()
+                         + b'\n{"s":0,"t":0,"l":0,"b":0,"topk":[0,1]}\n')
+        proc = run_module(*argv, "--trace", str(path), cwd=tmp_path, timeout=60,
+                          preexec_fn=cap_memory)
+        assert proc.returncode == 2
+        assert proc.stderr.startswith("data error: line 1: ")
+        assert f"{field}={10**12}" in proc.stderr and "batch_size" in proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert not (tmp_path / "m.csv").exists()
 
     @pytest.mark.parametrize("value", ["nan", "inf"])
     def test_non_finite_concentration_is_data_error(self, tmp_path, capsys, value):
@@ -157,7 +182,7 @@ class TestMetricsCli:
         out = tmp_path / "metrics.csv"
         assert run("metrics", "--trace", str(trace_path), "--per-layer",
                    "--out", str(out)) == 0
-        rows = list(csv.DictReader(out.open()))
+        rows = csv_rows(out)
         metrics = {r["metric"] for r in rows}
         assert {"eor", "entropy_norm", "load_cv", "unique_experts_per_sequence"} <= metrics
         eor_all = [r for r in rows if r["metric"] == "eor" and r["layer"] == "all"]
@@ -196,9 +221,9 @@ class TestSimulateCli:
         out = tmp_path / "sim.csv"
         assert run("simulate", "--trace", str(trace_path), "--capacity", "4",
                    "--policy", "lru", "--reset-each-segment", "--out", str(out)) == 0
-        rows = list(csv.DictReader(out.open()))
+        rows = csv_rows(out)
         assert rows[-1]["layer"] == "all"
-        steps = list(csv.DictReader((tmp_path / "sim_steps.csv").open()))
+        steps = csv_rows(tmp_path / "sim_steps.csv")
         assert len(steps) == 40  # 2 segments x 20 steps
         assert "uMiss" in steps[0]
 
@@ -207,7 +232,7 @@ class TestSimulateCli:
         assert run("simulate", "--trace", str(trace_path), "--capacity", "4",
                    "--expert-bytes", "1e6", "--bandwidth-gbps", "4", "--compute-ms", "5",
                    "--out", str(out)) == 0
-        steps = list(csv.DictReader((tmp_path / "sim_steps.csv").open()))
+        steps = csv_rows(tmp_path / "sim_steps.csv")
         assert "tpot_ms" in steps[0] and "io_ms" in steps[0]
 
     def test_partial_io_model_is_usage_error(self, trace_path, tmp_path):
@@ -438,7 +463,7 @@ class TestTrainCli:
         log = tmp_path / "log.csv"
         assert run("train", "--config", str(cfg), "--out-theta", str(theta),
                    "--log", str(log)) == 0
-        rows = list(csv.DictReader(log.open()))
+        rows = csv_rows(log)
         assert len(rows) == 25
         assert set(rows[0]) == {
             "step", "total", "trust_kl", "reuse_rho", "reuse", "smooth", "lag", "ws",
@@ -480,6 +505,7 @@ BAD_TRAIN_CONFIGS = [
     ({"data": {"top_k": 99}}, "data.top_k"),
     ({"data": {"hidden_dim": 0}}, "data.hidden_dim"),
     ({"data": {"hidden_dim": -1}}, "data.hidden_dim"),
+    ({"data": {"mean_scale": 2.0}}, "data.mean_scale"),
 ]
 
 
@@ -505,14 +531,14 @@ class TestSweepCli:
         cfg_path.write_text(json.dumps(cfg))
         out = tmp_path / "sweep.csv"
         assert run("sweep", "--config", str(cfg_path), "--out", str(out)) == 0
-        row = list(csv.DictReader(out.open()))[0]
+        row = csv_rows(out)[0]
 
         cfg_train = tmp_path / "train.json"
         cfg_train.write_text(json.dumps(TRAIN_CONFIG))
         log = tmp_path / "log.csv"
         assert run("train", "--config", str(cfg_train), "--out-theta", str(tmp_path / "t.bin"),
                    "--log", str(log)) == 0
-        last = list(csv.DictReader(log.open()))[-1]
+        last = csv_rows(log)[-1]
         for field in ("total", "reuse", "smooth", "lag", "ws"):
             assert row[field] == last[field], field
         # The train run's gate, evaluated as the sweep evaluates its points.
@@ -538,7 +564,7 @@ class TestSweepCli:
         cfg_path.write_text(json.dumps(cfg))
         out = tmp_path / "sweep.csv"
         assert run("sweep", "--config", str(cfg_path), "--out", str(out)) == 0
-        trust = [float(r["trust_kl"]) for r in csv.DictReader(out.open())]
+        trust = [float(r["trust_kl"]) for r in csv_rows(out)]
         assert trust[0] > trust[1] > trust[2]
 
     def test_bad_grid_override_is_data_error_naming_the_key(self, tmp_path, capsys):

@@ -120,6 +120,25 @@ class TestParse:
         with pytest.raises(TraceError, match="coverage|missing record"):
             parse_trace(data)
 
+    @pytest.mark.parametrize("field", ["n_moe_layers", "batch_size"])
+    def test_header_asking_for_over_twice_the_records_is_refused(self, field):
+        # One step present: a 2-slot header lacks one record, a coverage
+        # violation; a 3-slot header lacks more records than it is given.
+        record = b'\n{"s":0,"t":0,"l":0,"b":0,"topk":[0,1]}'
+        for slots in (2, 3):
+            data = HEADER_LINE.replace(f'"{field}":1'.encode(), f'"{field}":{slots}'.encode())
+            if slots == 2:
+                assert parse_trace(data + record, validate=False).n_records == 1
+                continue
+            with pytest.raises(TraceError, match=f"^line 1: .*{field}=3 .*1 records given"):
+                parse_trace(data + record, validate=False)
+
+    def test_stream_compares_sizes_before_building_the_grid(self):
+        keys = np.zeros((1, 4), dtype=np.int64)
+        trace = RoutingTrace(TraceHeader(10**12, 4, 2, 1), keys, np.array([[0, 1]]), None, (1,))
+        with pytest.raises(KeyError, match="not dense: 1 records for 1 steps"):
+            trace.stream(0, 0)
+
     def test_unsorted_input_is_normalized(self):
         data = b"\n".join(
             [
