@@ -26,25 +26,32 @@ Lines end at ``\\n`` only, for bytes and files alike; whitespace around a line
 Probabilities are serialized with 17 significant digits so that
 ``parse_trace(write_trace(x)) == x`` holds bit-for-bit.
 
-:func:`parse_trace` reads the input once, a block of lines at a time: it
-scans each line as one JSON value, runs the field rules over the block's
-columns and converts the block into arrays. When a block breaks a rule, the
-same rules run again over its lines one at a time, so the error names the
-first line that breaks one: a line that is not UTF-8 or not one JSON object
-(too deep a nesting included), a field that is missing or of another JSON
-type, a has_probs mismatch, or a number too large for a float. Once every
-line is read, a segment id or step index beyond the record count is refused
-with its line, and so is a header whose n_moe_layers x batch_size over the
-steps present asks for more than twice the records given. Records that parse but that no RoutingTrace holds (a topk not K
-long, probs not N long, an id beyond int64) get padded rows and always break
-a per-record rule, so they are reported as violations. Each per-record rule
-is stated once, as a row of the table that :func:`validate_trace` runs.
+:func:`parse_trace` reads the input once, a block of lines at a time. In an
+index-only trace, a block whose every line is a record exactly as
+:func:`write_trace` emits it (ids of at most 18 digits) has its integers
+converted into arrays at once, with no JSON scan. Any other block takes the
+JSON path, which alone decides errors: it scans each line as one JSON value,
+runs the field rules over the block's columns and converts the block into
+arrays. When a block breaks a rule, the same rules run again over its lines
+one at a time, so the error names the first line that breaks one: a line
+that is not UTF-8 or not one JSON object (too deep a nesting included), a
+field that is missing or of another JSON type, a has_probs mismatch, or a
+number too large for a float. Once every line is read, a segment id or step
+index beyond the record count is refused with its line, and so is a header
+whose n_moe_layers x batch_size over the steps present asks for more than
+twice the records given. Records that parse but that no RoutingTrace holds
+(a topk not K long, probs not N long, an id beyond int64) get padded rows and
+always break a per-record rule, so they are reported as violations. Each
+per-record rule is stated once, as a row of the table that
+:func:`validate_trace` runs.
 """
 
 from __future__ import annotations
 
+import io
 import json
 import math
+import re
 from collections import Counter
 from contextlib import suppress
 from dataclasses import asdict, dataclass, replace
@@ -293,6 +300,11 @@ _BLOCK = 512  # lines read and converted into arrays at a time
 _CELLS = 1 << 16  # padded topk entries tested at a time in rows no RoutingTrace holds
 _KEY_FIELDS = itemgetter("s", "t", "l", "b")
 _TOPK_FIELD = itemgetter("topk")
+# A record line as write_trace emits it for an index-only trace, where I is a
+# JSON integer of at most 18 digits, so that every id fits int64.
+_RECORD_LINE = rb'\{"s":I,"t":I,"l":I,"b":I,"topk":\[I(?:,I){%d}\]\}\n?'.replace(
+    b"I", rb"(?:0|[1-9][0-9]{0,17})")
+_DIGITS_ONLY = bytes(c if 0x30 <= c <= 0x39 else 0x20 for c in range(256))  # others to spaces
 
 
 def _line_object(raw: bytes, line_no: int) -> dict | None:
@@ -395,6 +407,16 @@ def _block_arrays(objs: list[dict], header: TraceHeader) -> tuple | str:
     return keys, tops, probs
 
 
+def _record_grammar(header: TraceHeader) -> re.Pattern | None:
+    """The one form of a record line whose block converts without a JSON
+    scan, or None for a probs trace (decoding its floats costs a scan's time
+    anyway) and for a K beyond re's largest repeat count."""
+    if not header.has_probs:
+        with suppress(OverflowError):
+            return re.compile(_RECORD_LINE % (header.top_k - 1))
+    return None
+
+
 def _raise_line_error(raws: list[bytes], line_no: int, header: TraceHeader) -> None:
     """Raise the error of the first line of a block, starting at ``line_no``,
     that breaks a line or field rule, found by running the rules again over
@@ -450,12 +472,19 @@ def _read(lines: Iterator[bytes]) -> RoutingTrace:
         raise TraceError("empty input: missing header line", line_no=None)
     blocks = [_block_arrays([], header)]
     peak, peak_line = 0, None  # the largest segment id or step index, and its line
+    grammar = _record_grammar(header)
     while raws := list(islice(lines, _BLOCK)):
-        scanned = _scan_block(raws)
-        arrays = scanned and _block_arrays(scanned[0], header)
-        if type(arrays) is not tuple:  # None or a message: a line breaks a rule
-            _raise_line_error(raws, line_no + 1, header)
-        if at := scanned[1]:
+        if grammar and all(map(grammar.fullmatch, raws)):  # one record a line, no blanks
+            ints = np.fromstring(b"".join(raws).translate(_DIGITS_ONLY), np.int64, sep=" ")
+            ints = ints.reshape(len(raws), 4 + header.top_k)
+            arrays, at = (ints[:, :4], ints[:, 4:], None), range(len(raws))
+        else:  # the JSON path, the only one that names a line's error
+            scanned = _scan_block(raws)
+            arrays = scanned and _block_arrays(scanned[0], header)
+            if type(arrays) is not tuple:  # None or a message: a line breaks a rule
+                _raise_line_error(raws, line_no + 1, header)
+            at = scanned[1]
+        if at:
             top = arrays[0][:, :2].max(axis=1)
             j = int(top.argmax())
             if top[j] > peak:
@@ -499,7 +528,7 @@ def parse_trace(stream: bytes | IO[bytes], validate: bool = True) -> RoutingTrac
     their violations either way, since no trace can be built from them.
     """
     if isinstance(stream, (bytes, bytearray)):
-        stream = bytes(stream).split(b"\n")
+        stream = io.BytesIO(stream)  # lines end at "\n" only, as in a file
     trace = _read(iter(stream))
     if validate:
         violations = validate_trace(trace)
@@ -755,10 +784,12 @@ def _sticky_set_stream(rng, n, k, p, steps) -> list[list[int]]:
         # k draws in slot order, the same stream as one rng.random() per slot.
         kept = list(compress(cur, (rng.random(k) < p).tolist()))
         if len(kept) < k:
-            unchosen = np.ones(n, dtype=bool)
-            unchosen[kept] = False
-            fill = rng.choice(np.flatnonzero(unchosen), size=k - len(kept), replace=False)
-            cur = kept + fill.tolist()
+            pool = list(range(n))  # the experts not kept, in id order
+            for e in sorted(kept, reverse=True):
+                del pool[e]
+            # The draws and generator state of rng.choice(pool, ...), without the array.
+            cur = kept + [pool[i] for i in
+                          rng.choice(len(pool), k - len(kept), replace=False).tolist()]
         else:
             cur = kept
         sets.append(cur)

@@ -694,6 +694,15 @@ LOADER_CASES = {
     "deep_nesting": (None, b"[" * 50_000),
     "invalid_utf8": (None, b'{"s":0,"t":1,"l":0,"b":0,"topk":[1,2]PROBS}\xff'),
     "not_an_object": (None, b"[1,2]"),
+    # Lines an index-only record grammar must leave to the JSON path.
+    "two_records_one_line": (None, [b'{"s":0,"t":1,"l":0,"b":0,"topk":[1,2]PROBS}'
+                                    b'{"s":0,"t":2,"l":0,"b":0,"topk":[1,2]PROBS}', b""]),
+    "leading_zero": (None, b'{"s":0,"t":01,"l":0,"b":0,"topk":[1,2]PROBS}'),
+    "id_18_digits": (None, b'{"s":0,"t":%d,"l":0,"b":0,"topk":[1,2]PROBS}' % (10**18 - 1)),
+    "id_19_digits": (None, b'{"s":0,"t":1,"l":0,"b":0,"topk":[1,%d]PROBS}' % 10**18),
+    "id_2_63": (None, b'{"s":0,"t":1,"l":%d,"b":0,"topk":[1,2]PROBS}' % 2**63),
+    "cr_line_end": (None, b'{"s":0,"t":1,"l":0,"b":0,"topk":[1,2]PROBS}\r'),
+    "trailing_space": (False, b'{"s":0,"t":1,"l":0,"b":0,"topk":[1,2]} '),
 }
 
 
@@ -729,6 +738,26 @@ def test_jsonl_loader_matches_reference(case, has_probs, sep, block):
             assert outcome(lambda d: parse_trace(io.BytesIO(d), validate), payload) == expected
     if case == "valid":
         assert isinstance(expected, RoutingTrace)
+
+
+class TestRecordGrammar:
+    @pytest.mark.parametrize("cut", [0, 1])  # the last line with and without its "\n"
+    def test_written_index_only_trace_skips_the_json_scan(self, tmp_path, cut):
+        trace = synth_trace(SynthConfig(n_moe_layers=2, n_routed_experts=8, top_k=3,
+                                        batch_size=2, n_segments=3, steps_per_segment=5))
+        data = write_trace(trace)
+        data = data[:len(data) - cut]
+        path = tmp_path / "trace.jsonl"
+        path.write_bytes(data)
+        with mock.patch.object(trace_module, "_scan_block", side_effect=AssertionError("scan")), \
+                mock.patch.object(trace_module, "_BLOCK", 7):
+            assert parse_trace(data) == trace
+            assert load_trace(path) == trace
+
+    def test_no_grammar_for_probs_or_a_k_beyond_re(self):
+        assert trace_module._record_grammar(TraceHeader(1, 4, 2, 1, has_probs=True)) is None
+        assert trace_module._record_grammar(TraceHeader(1, 2**32, 2**32, 1)) is None
+        assert trace_module._record_grammar(TraceHeader(1, 4, 2, 1)) is not None
 
 
 class OneWayStream(io.BytesIO):
