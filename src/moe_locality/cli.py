@@ -6,10 +6,14 @@ gradcheck, sweep. Exit codes: 0 success, 1 usage error, 2 data error,
 mode).
 
 Reports are written atomically (temp file + rename) and are byte-identical
-for identical argv and seed. Every run that writes reports also appends one
-line to ``<out>.manifest.jsonl`` recording the resolved configuration, a
-deterministic manifest id, output hashes, and the wall-clock duration; JSON
-reports embed the same manifest id.
+for identical argv and seed. Each subcommand that writes files declares them
+up front in one ``_Run``. When the command ends cleanly, the run appends one
+line to ``<first output>.manifest.jsonl`` with the resolved configuration, a
+deterministic manifest id, the sha256 of every declared output, and
+``duration_s``: the wall-clock time of the whole command from the moment
+``dispatch`` hands it the parsed arguments, trace load and config build
+included. metrics and simulate JSON reports embed the same manifest id. A
+bound-check report printed to stdout writes no manifest line.
 """
 
 from __future__ import annotations
@@ -105,45 +109,44 @@ def _json_bytes(obj) -> bytes:
     return (json.dumps(obj, indent=2, sort_keys=True, allow_nan=False) + "\n").encode("utf-8")
 
 
-def _manifest_id(subcommand: str, config: dict, inputs: list[str], outputs: list[str],
-                 seed) -> str:
-    payload = json.dumps(
-        {
-            "subcommand": subcommand,
-            "config": config,
-            "inputs": inputs,
-            "outputs": outputs,
-            "seed": seed,
-            "version": __version__,
-        },
-        sort_keys=True,
-    )
-    return hashlib.sha256(payload.encode("utf-8")).hexdigest()[:16]
+class _Run:
+    """The files one command writes and the manifest line that records them.
 
+    ``id`` hashes the subcommand, config, inputs, declared outputs, seed and
+    version, so a JSON report can embed it before it is written. Leaving the
+    ``with`` block cleanly appends one line to ``<outputs[0]>.manifest.jsonl``
+    holding the sha256 of every declared output (a missing one is an error)
+    and the seconds since ``dispatch`` started the command.
+    """
 
-def _append_manifest(subcommand: str, config: dict, inputs: list[str], outputs: list[str],
-                     seed, started: float) -> str:
-    """Append-only run log next to the primary output; returns the manifest id."""
-    mid = _manifest_id(subcommand, config, inputs, outputs, seed)
-    if not outputs:
-        return mid
-    record = {
-        "manifest_id": mid,
-        "subcommand": subcommand,
-        "config": config,
-        "inputs": inputs,
-        "outputs": [
-            {"path": p, "sha256": hashlib.sha256(Path(p).read_bytes()).hexdigest()}
-            for p in outputs
-            if os.path.exists(p)
-        ],
-        "seed": seed,
-        "version": __version__,
-        "duration_s": round(time.monotonic() - started, 6),
-    }
-    with open(outputs[0] + ".manifest.jsonl", "a", encoding="utf-8") as f:
-        f.write(json.dumps(record, sort_keys=True) + "\n")
-    return mid
+    def __init__(self, args, subcommand: str, config: dict, inputs: list[str],
+                 outputs: list[str], seed=None):
+        self.elapsed = args.elapsed
+        self.fields = {"subcommand": subcommand, "config": config, "inputs": inputs,
+                       "outputs": outputs, "seed": seed, "version": __version__}
+        payload = json.dumps(self.fields, sort_keys=True).encode("utf-8")
+        self.id = hashlib.sha256(payload).hexdigest()[:16]
+
+    def write(self, path: str, data: bytes) -> None:
+        assert path in self.fields["outputs"], path
+        _atomic_write(path, data)
+
+    def __enter__(self) -> _Run:
+        return self
+
+    def __exit__(self, exc_type, *_) -> None:
+        if exc_type is not None:
+            return
+        outputs = self.fields["outputs"]
+        record = {
+            **self.fields,
+            "manifest_id": self.id,
+            "outputs": [{"path": p, "sha256": hashlib.sha256(Path(p).read_bytes()).hexdigest()}
+                        for p in outputs],
+            "duration_s": round(self.elapsed(), 6),
+        }
+        with open(outputs[0] + ".manifest.jsonl", "a", encoding="utf-8") as f:
+            f.write(json.dumps(record, sort_keys=True) + "\n")
 
 
 def _config_dict(obj) -> dict:
@@ -173,10 +176,9 @@ def _cmd_synth(args) -> int:
         emit_probs=args.emit_probs,
         concentration=args.concentration,
     )
-    started = time.monotonic()
-    trace = synth_trace(cfg)
-    save_trace(trace, args.out)
-    _append_manifest("synth", _config_dict(cfg), [], [args.out], args.seed, started)
+    with _Run(args, "synth", _config_dict(cfg), [], [args.out], args.seed):
+        trace = synth_trace(cfg)
+        save_trace(trace, args.out)
     print(f"wrote {trace.n_records} records to {args.out}")
     return 0
 
@@ -199,7 +201,6 @@ def _cmd_validate(args) -> int:
 
 def _cmd_metrics(args) -> int:
     trace = load_trace(args.trace)
-    started = time.monotonic()
     report = compute_metrics(trace, pooled=args.pooled)
     rows = [
         {"metric": "eor", "layer": "all", "value": report.eor},
@@ -219,20 +220,19 @@ def _cmd_metrics(args) -> int:
         for layer, value in enumerate(report.mean_ir_per_layer):
             rows.append({"metric": "eor", "layer": layer, "value": value})
     config = {"trace": args.trace, "per_layer": args.per_layer, "pooled": args.pooled}
-    mid = _manifest_id("metrics", config, [args.trace], [args.out], None)
-    if args.out.endswith(".json"):
-        payload = {
-            "manifest_id": mid,
-            "eor": report.eor,
-            "mean_ir_per_layer": list(report.mean_ir_per_layer),
-            "entropy_norm": report.entropy_norm,
-            "load_cv": report.load_cv,
-            "unique_experts_per_sequence": report.unique_experts_per_sequence,
-        }
-        _atomic_write(args.out, _json_bytes(payload))
-    else:
-        _atomic_write(args.out, _csv_bytes(rows, ["metric", "layer", "value"]))
-    _append_manifest("metrics", config, [args.trace], [args.out], None, started)
+    with _Run(args, "metrics", config, [args.trace], [args.out]) as run:
+        if args.out.endswith(".json"):
+            payload = {
+                "manifest_id": run.id,
+                "eor": report.eor,
+                "mean_ir_per_layer": list(report.mean_ir_per_layer),
+                "entropy_norm": report.entropy_norm,
+                "load_cv": report.load_cv,
+                "unique_experts_per_sequence": report.unique_experts_per_sequence,
+            }
+            run.write(args.out, _json_bytes(payload))
+        else:
+            run.write(args.out, _csv_bytes(rows, ["metric", "layer", "value"]))
     print(f"wrote {args.out}")
     return 0
 
@@ -244,7 +244,6 @@ def _steps_stem(path: str) -> str:
 
 def _cmd_simulate(args) -> int:
     trace = load_trace(args.trace)
-    started = time.monotonic()
     cfg = CacheConfig(
         capacity=args.capacity,
         policy=Policy(args.policy),
@@ -291,28 +290,26 @@ def _cmd_simulate(args) -> int:
     eors = None  # (original, rerouted)
     if report.rerouted_trace is not None:
         eors = (eor(trace).overall, eor(report.rerouted_trace).overall)
-    outputs = [args.out]
-    mid = _manifest_id("simulate", config, [args.trace], [args.out], None)
-    if args.out.endswith(".json"):
-        payload = {
-            "manifest_id": mid,
-            "layers": layer_rows,
-            "miss_percentiles": report.miss_percentiles,
-            "step_unique_miss_series": list(report.step_unique_miss_series),
-        }
-        if tpot is not None:
-            payload["tpot_percentiles"] = tpot.percentiles
-            payload["tpot_ms"] = list(tpot.tpot_ms)
-        if eors is not None:
-            payload["original_eor"], payload["rerouted_eor"] = eors
-        _atomic_write(args.out, _json_bytes(payload))
-    else:
-        _atomic_write(args.out, _csv_bytes(layer_rows, ["layer", "uHR", "tHR", "uMiss", "tMiss"]))
-        steps_path = _steps_stem(args.out)
-        cols = ["segment", "step", "uMiss"] + (["io_ms", "tpot_ms"] if tpot else [])
-        _atomic_write(steps_path, _csv_bytes(step_rows, cols))
-        outputs.append(steps_path)
-    _append_manifest("simulate", config, [args.trace], outputs, None, started)
+    as_json = args.out.endswith(".json")
+    outputs = [args.out] if as_json else [args.out, _steps_stem(args.out)]
+    with _Run(args, "simulate", config, [args.trace], outputs) as run:
+        if as_json:
+            payload = {
+                "manifest_id": run.id,
+                "layers": layer_rows,
+                "miss_percentiles": report.miss_percentiles,
+                "step_unique_miss_series": list(report.step_unique_miss_series),
+            }
+            if tpot is not None:
+                payload["tpot_percentiles"] = tpot.percentiles
+                payload["tpot_ms"] = list(tpot.tpot_ms)
+            if eors is not None:
+                payload["original_eor"], payload["rerouted_eor"] = eors
+            run.write(args.out, _json_bytes(payload))
+        else:
+            run.write(args.out, _csv_bytes(layer_rows, ["layer", "uHR", "tHR", "uMiss", "tMiss"]))
+            cols = ["segment", "step", "uMiss"] + (["io_ms", "tpot_ms"] if tpot else [])
+            run.write(outputs[1], _csv_bytes(step_rows, cols))
     summary = f"uHR={report.overall.uhr:.4f} uMiss={report.overall.unique_misses}"
     if eors is not None:
         summary += f" eor={eors[0]:.4f} rerouted_eor={eors[1]:.4f}"
@@ -325,20 +322,9 @@ def _require_at_least(flag: str, value: int, low: int) -> None:
         raise UsageError(f"{flag} must be an integer >= {low}, got {value}")
 
 
-def _emit_bound_report(out, payload, config: dict, inputs: list[str], seed,
-                       started: float) -> None:
-    """Print a bound-check report to stdout when ``out`` is absent or "-";
-    otherwise write it atomically and append its manifest line."""
-    data = _json_bytes(payload)
-    if not out or out == "-":
-        sys.stdout.write(data.decode("utf-8"))
-    else:
-        _atomic_write(out, data)
-        _append_manifest("bound-check", config, inputs, [out], seed, started)
-
-
 def _cmd_bound_check(args) -> int:
-    started = time.monotonic()
+    """Check the mode's flags, run it, and print its report to stdout when
+    ``--out`` is absent or "-", otherwise write it and its manifest line."""
     if args.threads is not None:
         _require_at_least("--threads", args.threads, 1)
     if args.campaign is not None:
@@ -357,6 +343,7 @@ def _cmd_bound_check(args) -> int:
     ) if given and modes and modes[0] not in owners]
     if stray:
         raise UsageError(f"bound-check {modes[0]} does not take {' or '.join(stray)}")
+    inputs, seed = [], None
     if args.counterexamples:
         results = run_counterexamples()
         payload = {
@@ -374,44 +361,50 @@ def _cmd_bound_check(args) -> int:
                 for r in results
             ],
         }
-        ok = all(r.n_violations >= 1 for r in results)
-        _emit_bound_report(args.out, payload, {"mode": "counterexamples"}, [], None, started)
+        config = {"mode": "counterexamples"}
         # Violations are the expected outcome here; missing ones are the failure.
-        return 0 if ok else 3
-
-    if args.campaign is not None:
+        failed = not all(r.n_violations >= 1 for r in results)
+    elif args.campaign is not None:
         seed = 0 if args.seed is None else args.seed
-        summary = run_campaign(
+        payload = run_campaign(
             n_traces=args.campaign,
             seed=seed,
             working_set=args.working_set,
             threads=1 if args.threads is None else args.threads,
         )
         config = {"campaign": args.campaign, "working_set": args.working_set}
-        _emit_bound_report(args.out, summary, config, [], seed, started)
-        return 0 if summary["violations"] == 0 else 3
+        failed = payload["violations"] != 0
+    else:
+        if not args.trace:
+            raise UsageError("bound-check needs --trace, --campaign, or --counterexamples")
+        if args.capacity is None:
+            raise UsageError("bound-check --trace needs --capacity")
+        trace = load_trace(args.trace)
+        check = check_working_set_bound if args.working_set else check_step_bound
+        report = check(trace, args.capacity)
+        payload = {
+            "mode": report.kind,
+            "capacity": report.capacity,
+            "n_step_violations": report.n_step_violations,
+            "n_avg_violations": report.n_avg_violations,
+            "violations": [
+                dataclasses.asdict(r)
+                for r in report.step_records
+                if r.violated or (r.ws_violated or False)
+            ],
+        }
+        config = {"trace": args.trace, "capacity": args.capacity,
+                  "working_set": args.working_set}
+        inputs = [args.trace]
+        failed = report.n_violations != 0
 
-    if not args.trace:
-        raise UsageError("bound-check needs --trace, --campaign, or --counterexamples")
-    if args.capacity is None:
-        raise UsageError("bound-check --trace needs --capacity")
-    trace = load_trace(args.trace)
-    check = check_working_set_bound if args.working_set else check_step_bound
-    report = check(trace, args.capacity)
-    payload = {
-        "mode": report.kind,
-        "capacity": report.capacity,
-        "n_step_violations": report.n_step_violations,
-        "n_avg_violations": report.n_avg_violations,
-        "violations": [
-            dataclasses.asdict(r)
-            for r in report.step_records
-            if r.violated or (r.ws_violated or False)
-        ],
-    }
-    config = {"trace": args.trace, "capacity": args.capacity, "working_set": args.working_set}
-    _emit_bound_report(args.out, payload, config, [args.trace], None, started)
-    return 0 if report.n_violations == 0 else 3
+    data = _json_bytes(payload)
+    if not args.out or args.out == "-":
+        sys.stdout.write(data.decode("utf-8"))
+    else:
+        with _Run(args, "bound-check", config, inputs, [args.out], seed) as run:
+            run.write(args.out, data)
+    return 3 if failed else 0
 
 
 def _cmd_router(args) -> int:
@@ -513,22 +506,17 @@ _LOG_COLUMNS = [
 def _cmd_train(args) -> int:
     config = _load_json_config(args.config)
     weights, tcfg, dcfg = _build_train_parts(config)
-    started = time.monotonic()
     sequences = synth_hidden_sequences(dcfg)
     theta0 = init_gate_matrix(dcfg.hidden_dim, dcfg.n_experts, tcfg.seed)
     result = train(theta0, sequences, tcfg, weights, dcfg.top_k)
 
-    save_gate(result.params, args.out_theta)
-    rows = [dataclasses.asdict(r) for r in result.log]
-    _atomic_write(args.log, _csv_bytes(rows, _LOG_COLUMNS))
-    _append_manifest(
-        "train",
-        {"weights": _config_dict(weights), "train": _config_dict(tcfg), "data": _config_dict(dcfg)},
-        [args.config],
-        [args.log, args.out_theta],
-        tcfg.seed,
-        started,
-    )
+    resolved = {"weights": _config_dict(weights), "train": _config_dict(tcfg),
+                "data": _config_dict(dcfg)}
+    with _Run(args, "train", resolved, [args.config], [args.log, args.out_theta],
+              tcfg.seed) as run:
+        save_gate(result.params, args.out_theta)
+        rows = [dataclasses.asdict(r) for r in result.log]
+        run.write(args.log, _csv_bytes(rows, _LOG_COLUMNS))
     print(
         f"eor {result.eval_before.eor:.4f} -> {result.eval_after.eor:.4f}, "
         f"trust_kl {result.eval_after.trust_kl:.4f}; log: {args.log}"
@@ -592,7 +580,6 @@ def _cmd_sweep(args) -> int:
     if not grid or not isinstance(grid, list):
         raise TraceError("sweep config needs a non-empty 'grid' list")
     weights, tcfg, dcfg = _build_train_parts(config)
-    started = time.monotonic()
     sequences = synth_hidden_sequences(dcfg)
     theta0 = init_gate_matrix(dcfg.hidden_dim, dcfg.n_experts, tcfg.seed)
 
@@ -620,8 +607,8 @@ def _cmd_sweep(args) -> int:
         )
     columns = ["point", "overrides", "eor", "trust_kl", "reuse_rho", "total",
                "reuse", "smooth", "lag", "ws"]
-    _atomic_write(args.out, _csv_bytes(rows, columns))
-    _append_manifest("sweep", config, [args.config], [args.out], tcfg.seed, started)
+    with _Run(args, "sweep", config, [args.config], [args.out], tcfg.seed) as run:
+        run.write(args.out, _csv_bytes(rows, columns))
     print(f"wrote {len(rows)} sweep rows to {args.out}")
     return 0
 
@@ -721,6 +708,8 @@ def dispatch(argv: list[str]) -> int:
     except UsageError as e:
         print(f"usage error: {e}", file=sys.stderr)
         return 1
+    started = time.monotonic()  # the one clock: a manifest's duration_s runs from here
+    args.elapsed = lambda: time.monotonic() - started
     try:
         return args.func(args)
     except UsageError as e:

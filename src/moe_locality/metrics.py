@@ -19,6 +19,10 @@ import numpy as np
 from .gate import overlap_counts
 from .trace import RoutingTrace
 
+# compute_metrics counts each layer's routed slots in a dense [L, N] matrix
+# when it has at most this many cells, or no more than the trace has slots.
+_DENSE_COUNTS = 1 << 16
+
 __all__ = [
     "MetricsReport",
     "EorReport",
@@ -124,6 +128,16 @@ def load_balance_cv(selection_counts) -> float:
     return float(np.sqrt(np.mean((counts - mean) ** 2)) / mean)
 
 
+def _sparse_cv(ids: np.ndarray, n: int) -> float:
+    """:func:`load_balance_cv` of the per-expert counts of ``ids`` over ``n``
+    experts, in closed form over the ids present: the n - m absent experts
+    each add mean**2 to the squared deviations. Equal to it up to rounding."""
+    counts = np.unique(ids, return_counts=True)[1]
+    mean = counts.sum() / n
+    squares = float(np.sum((counts - mean) ** 2)) + (n - len(counts)) * mean**2
+    return math.sqrt(squares / n) / mean
+
+
 def unique_experts_per_sequence(trace: RoutingTrace) -> float:
     """Mean |union of routed sets| across (layer, batch, segment) sequences."""
     offsets = trace.segment_offsets
@@ -154,10 +168,14 @@ def compute_metrics(trace: RoutingTrace, pooled: bool = False) -> MetricsReport:
         vals = [normalized_entropy(row) for row in trace.probs]
         entropy_norm = float(np.mean(vals)) if vals else None
 
-    counts = np.zeros((h.n_moe_layers, h.n_routed_experts), dtype=np.int64)
-    for layer, _batch, rows in _slot_rows(trace):
-        counts[layer] += np.bincount(rows.ravel(), minlength=h.n_routed_experts)
-    cvs = [load_balance_cv(counts[layer]) for layer in range(h.n_moe_layers)]
+    if h.n_moe_layers * h.n_routed_experts <= max(trace.topk.size, _DENSE_COUNTS):
+        counts = np.zeros((h.n_moe_layers, h.n_routed_experts), dtype=np.int64)
+        for layer, _batch, rows in _slot_rows(trace):
+            counts[layer] += np.bincount(rows.ravel(), minlength=h.n_routed_experts)
+        cvs = [load_balance_cv(counts[layer]) for layer in range(h.n_moe_layers)]
+    else:  # the header's N, not the trace, would size the count matrix
+        cvs = [_sparse_cv(trace.topk[trace.keys[:, 2] == layer], h.n_routed_experts)
+               for layer in range(h.n_moe_layers)]
 
     return MetricsReport(
         eor=eor_report.overall,

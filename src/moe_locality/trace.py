@@ -435,27 +435,40 @@ def _violation_error(violations: list[Violation], n_records: int) -> TraceError:
 def _ragged_error(header: TraceHeader, keys: np.ndarray, tops, probs, order) -> TraceError:
     """The violations of records no RoutingTrace holds, from the blocks'
     ``tops`` and ``probs`` (arrays or lists) in key ``order``. The rules see
-    a run of rows at a time, topk padded with inf (which sorts after every id)
-    to the run's widest row in at most ``_CELLS`` entries or one row."""
+    a run of rows at a time, in at most ``_CELLS`` entries or one row, sized
+    by the rows stored and never by the header: topk padded with inf (which
+    sorts after every id) to the run's widest row, and probs N wide if some
+    row of the run is N long, else empty. A row not N long is kept as zeros:
+    only its length is read."""
     def rows(blocks):  # one list per row, in key order
         lists = chain.from_iterable(b if type(b) is list else b.tolist() for b in blocks)
         return np.fromiter(lists, object, len(keys))[order]
 
+    def lengths(lists):
+        return np.fromiter(map(len, lists), np.int64, len(lists))
+
     tops = rows(tops)
-    r = _Rows(header, keys, tops, np.fromiter(map(len, tops), np.int64, len(tops)), None, None)
-    if header.has_probs:  # a row not N long is kept as zeros: only its length is read
-        n, probs = header.n_routed_experts, rows(probs)
-        r = r._replace(probs=np.array([p if len(p) == n else [0] * n for p in probs], np.float64),
-                       n_probs=np.fromiter(map(len, probs), np.int64, len(probs)))
+    r = _Rows(header, keys, tops, lengths(tops), None, None)
+    if header.has_probs:
+        probs = rows(probs)
+        r = r._replace(probs=probs, n_probs=lengths(probs))
     out: list[Violation] = []
-    widths, start, widest = np.maximum(r.n_topk, header.top_k).tolist(), 0, 0
+    widths = (r.n_topk if r.probs is None else np.maximum(r.n_topk, r.n_probs)).tolist()
+    start, widest = 0, 0
     for end, width in enumerate(widths + [0]):
         if end > start and (end == len(widths) or max(widest, width) * (end + 1 - start) > _CELLS):
-            topk = np.full((end - start, widest), math.inf, object)
-            for i, row in enumerate(tops[start:end]):
-                topk[i, :len(row)] = row
             run = _Rows(header, *(None if a is None else a[start:end] for a in r[1:]))
-            out += _record_violations(run._replace(topk=topk))
+            topk = np.full((end - start, run.n_topk.max()), math.inf, object)
+            for i, row in enumerate(run.topk):
+                topk[i, :len(row)] = row
+            run = run._replace(topk=topk)
+            if run.probs is not None:
+                whole = np.flatnonzero(run.n_probs == header.n_routed_experts)
+                padded = np.zeros((end - start, header.n_routed_experts if len(whole) else 0))
+                for i in whole.tolist():
+                    padded[i] = run.probs[i]
+                run = run._replace(probs=padded)
+            out += _record_violations(run)
             start, widest = end, 0
         widest = max(widest, width)
     _cross_record_violations(header, list(map(tuple, keys.tolist())), out)
@@ -605,10 +618,16 @@ def _sum_off(r: _Rows) -> np.ndarray:
 
 
 def _not_top(r: _Rows) -> np.ndarray:
+    """Rows K and N long whose topk is not the Top-K of their probs. Any
+    other row breaks the arity or probs_shape rule first; with none K and N
+    long, the padded arrays may be narrower than K or N and are not read."""
+    whole = (r.n_topk == r.header.top_k) & (r.n_probs == r.header.n_routed_experts)
+    if not whole.any():
+        return whole
     ids, top = r.topk[:, :r.header.top_k], topk_rows(r.probs, r.header.top_k)
     off = (ids != top).any(axis=1)  # rows stored in Top-K order need no sort
     off[off] = (np.sort(ids[off], axis=1) != np.sort(top[off], axis=1)).any(axis=1)
-    return (r.n_topk == r.header.top_k) & off
+    return whole & off
 
 
 # The per-record rules in the order a record is checked, each stated once:

@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import json
 import os
 import resource
@@ -23,14 +24,18 @@ def csv_rows(path):
         return list(csv.DictReader(f))
 
 
-def run_module(*argv, **kwargs):
-    """``python -m moe_locality.cli`` in a subprocess that imports the package
-    under test, installed or not."""
+def run_python(*argv, **kwargs):
+    """``python *argv`` in a subprocess that imports the package under test,
+    installed or not."""
     root = os.path.dirname(os.path.dirname(moe_locality.__file__))
     path = os.pathsep.join(filter(None, (root, os.environ.get("PYTHONPATH"))))
-    return subprocess.run([sys.executable, "-m", "moe_locality.cli", *argv],
-                          capture_output=True, text=True,
+    return subprocess.run([sys.executable, *argv], capture_output=True, text=True,
                           env={**os.environ, "PYTHONPATH": path}, **kwargs)
+
+
+def run_module(*argv, **kwargs):
+    """``python -m moe_locality.cli`` in a subprocess (see :func:`run_python`)."""
+    return run_python("-m", "moe_locality.cli", *argv, **kwargs)
 
 
 def cap_memory():
@@ -139,6 +144,51 @@ class TestSynthValidate:
         assert "Traceback" not in proc.stderr
         assert not (tmp_path / "m.csv").exists()
 
+    def test_huge_expert_count_or_top_k_sizes_no_allocation(self, tmp_path):
+        # Every trace-reading subcommand on a valid two-record trace, or on one
+        # whose records are short of K ids or N probs, run in one capped
+        # process: a structure sized by the header's N or K fails this test.
+        script = (
+            "import contextlib, io, json, sys, traceback\n"
+            "from moe_locality.cli import dispatch\n"
+            "for argv in json.loads(sys.argv[1]):\n"
+            "    err = io.StringIO()\n"
+            "    try:\n"
+            "        with contextlib.redirect_stdout(io.StringIO()), "
+            "contextlib.redirect_stderr(err):\n"
+            "            code = dispatch(argv)\n"
+            "    except Exception:\n"
+            "        code, err = None, io.StringIO(traceback.format_exc())\n"
+            "    print(json.dumps([argv, code, err.getvalue()]))\n"
+        )
+        commands = [("validate",), ("metrics", "--out", "m.csv"),
+                    ("simulate", "--capacity", "4", "--out", "s.csv"),
+                    ("simulate", "--capacity", "4", "--policy", "belady", "--out", "s.json"),
+                    ("bound-check", "--capacity", "4", "--out", "b.json"),
+                    ("bound-check", "--capacity", "4", "--working-set", "--out", "w.json")]
+        cases = []
+        for has_probs in (False, True):
+            for field in ("n_routed_experts", "top_k"):
+                for value in (2**31, 10**12):
+                    # top_k may not exceed n_routed_experts, so it raises both.
+                    header = {"type": "header", "n_moe_layers": 1, "n_routed_experts": value,
+                              "top_k": value if field == "top_k" else 2, "batch_size": 1,
+                              "has_probs": has_probs}
+                    records = [{"s": 0, "t": t, "l": 0, "b": 0, "topk": [0, 1]}
+                               for t in range(2)]
+                    for record in records if has_probs else ():
+                        record["probs"] = [0.75, 0.25]
+                    path = tmp_path / f"{field}_{value}_{has_probs}.jsonl"
+                    path.write_text("".join(json.dumps(o) + "\n" for o in [header, *records]))
+                    cases += [[c[0], "--trace", path.name, *c[1:]] for c in commands]
+        proc = run_python("-c", script, json.dumps(cases), cwd=tmp_path, timeout=120,
+                          preexec_fn=cap_memory)
+        assert proc.returncode == 0, proc.stderr
+        results = [json.loads(line) for line in proc.stdout.splitlines()]
+        assert [argv for argv, _, _ in results] == cases
+        for argv, code, err in results:
+            assert code in (0, 2) and "Traceback" not in err, (argv, err)
+
     @pytest.mark.parametrize("value", ["nan", "inf"])
     def test_non_finite_concentration_is_data_error(self, tmp_path, capsys, value):
         out = tmp_path / "c.jsonl"
@@ -175,6 +225,19 @@ class TestSynthValidate:
         assert capsys.readouterr().out == (
             "[arity] (s=0,t=0,l=0,b=0): topk has 3 entries, expected K=2\n"
             "1 violation(s) in 2 records\n")
+
+    def test_validate_lists_arity_when_no_row_is_k_long(self, tmp_path, capsys):
+        # Rows N long but none K long: the probs_topk rule has no row to read.
+        path = tmp_path / "short.jsonl"
+        path.write_bytes(b'{"type":"header","n_moe_layers":1,"n_routed_experts":4,'
+                         b'"top_k":3,"batch_size":1,"has_probs":true}\n'
+                         b'{"s":0,"t":0,"l":0,"b":0,"topk":[0,1],"probs":[0.4,0.3,0.2,0.1]}\n'
+                         b'{"s":0,"t":1,"l":0,"b":0,"topk":[1],"probs":[0.1,0.7,0.1,0.1]}\n')
+        assert run("validate", "--trace", str(path)) == 2
+        assert capsys.readouterr().out == (
+            "[arity] (s=0,t=0,l=0,b=0): topk has 2 entries, expected K=3\n"
+            "[arity] (s=0,t=1,l=0,b=0): topk has 1 entries, expected K=3\n"
+            "2 violation(s) in 2 records\n")
 
 
 class TestMetricsCli:
@@ -583,6 +646,58 @@ class TestSweepCli:
         assert run("sweep", "--config", str(cfg_path), "--out", str(tmp_path / "s.csv")) == 2
 
 
+# Every file-writing subcommand, run from one working directory with relative
+# names (a manifest id hashes the config's paths): argv, the declared outputs
+# (the first names the manifest), and the manifest id.
+MANIFEST_RUNS = [
+    (("synth", "--experts", "16", "--top-k", "4", "--segments", "2", "--steps", "20",
+      "--seed", "3", "--emit-probs", "--out", "t.jsonl"), ("t.jsonl",), "152fc3c6159eafe0"),
+    (("metrics", "--trace", "t.jsonl", "--per-layer", "--out", "m.csv"), ("m.csv",),
+     "fb47ba8fa9eb215c"),
+    (("metrics", "--trace", "t.jsonl", "--pooled", "--out", "m.json"), ("m.json",),
+     "cfdd170330d132c4"),
+    (("simulate", "--trace", "t.jsonl", "--capacity", "6", "--expert-bytes", "1e6",
+      "--bandwidth-gbps", "10", "--compute-ms", "1", "--out", "s.csv"),
+     ("s.csv", "s_steps.csv"), "4c5789d0d92e9aef"),
+    (("simulate", "--trace", "t.jsonl", "--capacity", "6", "--beta", "1",
+      "--reset-each-segment", "--out", "s.json"), ("s.json",), "db930c6a24b16e19"),
+    (("bound-check", "--trace", "t.jsonl", "--capacity", "4", "--out", "b.json"),
+     ("b.json",), "cdb6d7cc7c9bb0b0"),
+    (("bound-check", "--trace", "t.jsonl", "--capacity", "8", "--working-set",
+      "--out", "w.json"), ("w.json",), "1b1193d123731124"),
+    (("bound-check", "--campaign", "5", "--seed", "1", "--out", "c.json"), ("c.json",),
+     "ae959b297fa8984c"),
+    (("bound-check", "--counterexamples", "--out", "x.json"), ("x.json",),
+     "fb54b0c282a839b5"),
+    (("train", "--config", "train.json", "--out-theta", "theta.bin", "--log", "log.csv"),
+     ("log.csv", "theta.bin"), "69c82e50bb8ddfb7"),
+    (("sweep", "--config", "sweep.json", "--out", "sweep.csv"), ("sweep.csv",), "b7fb76d5bd0a2bfe"),
+]
+
+
+def test_manifest_lines_are_pinned(tmp_path, monkeypatch):
+    """One manifest line per run: its pinned id, exactly the declared outputs
+    with their sha256, and the same id inside a metrics or simulate JSON report."""
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "train.json").write_text(json.dumps(TRAIN_CONFIG))
+    (tmp_path / "sweep.json").write_text(
+        json.dumps({**TRAIN_CONFIG, "grid": [{}, {"lambda_kl": 0.5}]}))
+    for argv, outputs, manifest_id in MANIFEST_RUNS:
+        assert run(*argv) == 0, argv
+        lines = (tmp_path / f"{outputs[0]}.manifest.jsonl").read_text().splitlines()
+        assert len(lines) == 1, argv
+        line = json.loads(lines[0])
+        assert line["manifest_id"] == manifest_id, argv
+        assert line["outputs"] == [
+            {"path": p, "sha256": hashlib.sha256((tmp_path / p).read_bytes()).hexdigest()}
+            for p in outputs
+        ], argv
+        if outputs[0].endswith(".json"):  # bound-check reports carry no id
+            report = json.loads((tmp_path / outputs[0]).read_text())
+            embedded = manifest_id if argv[0] in ("metrics", "simulate") else None
+            assert report.get("manifest_id") == embedded, argv
+
+
 class TestDispatch:
     def test_unknown_subcommand_usage_error(self):
         assert run("frobnicate") == 1
@@ -606,6 +721,42 @@ class TestDispatch:
         assert run("metrics", "--trace", str(trace_path), "--out", str(out)) == 2
         err = capsys.readouterr().err
         assert err.startswith("data error:") and str(out) in err
+
+    @pytest.mark.parametrize("argv", [
+        pytest.param(("synth", "--out", "{out}"), id="synth"),
+        pytest.param(("metrics", "--trace", "{trace}", "--out", "{out}"), id="metrics"),
+        pytest.param(("simulate", "--trace", "{trace}", "--capacity", "4", "--out", "{out}"),
+                     id="simulate"),
+        pytest.param(("bound-check", "--counterexamples", "--out", "{out}"), id="bound-check"),
+        pytest.param(("train", "--config", "{config}", "--out-theta", "{dir}/t.bin",
+                      "--log", "{out}"), id="train"),
+        pytest.param(("sweep", "--config", "{config}", "--out", "{out}"), id="sweep"),
+    ])
+    def test_failed_write_leaves_no_temp_file_and_no_manifest(self, trace_path, tmp_path,
+                                                              capsys, argv):
+        out_dir = tmp_path / "reports"
+        out_dir.mkdir()
+        out = out_dir / "report.csv"
+        out.mkdir()
+        config = tmp_path / "cfg.json"
+        config.write_text(json.dumps({**TRAIN_CONFIG, "grid": [{}]}))
+        argv = [a.format(trace=trace_path, out=out, config=config, dir=out_dir) for a in argv]
+        assert run(*argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("data error:") and str(out) in err
+        names = [p.name for p in out_dir.iterdir()]  # train writes its gate first
+        assert not [n for n in names if n.startswith(".tmp-") or n.endswith(".manifest.jsonl")]
+
+    def test_failed_steps_write_appends_no_manifest(self, trace_path, tmp_path, capsys):
+        out = tmp_path / "s.csv"
+        (tmp_path / "s_steps.csv").mkdir()
+        assert run("simulate", "--trace", str(trace_path), "--capacity", "4",
+                   "--out", str(out)) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("data error:") and str(tmp_path / "s_steps.csv") in err
+        assert csv_rows(out)[-1]["layer"] == "all"  # the layer report was written
+        assert not list(tmp_path.glob(".tmp-*"))
+        assert not (tmp_path / "s.csv.manifest.jsonl").exists()
 
     @pytest.mark.parametrize("argv", [
         pytest.param(("metrics", "--trace", "{trace}"), id="metrics"),

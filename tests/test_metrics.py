@@ -7,6 +7,8 @@ from hypothesis import given, settings, strategies as st
 import reference_metrics
 from moe_locality.gate import overlap_counts
 from moe_locality.metrics import (
+    _DENSE_COUNTS,
+    _sparse_cv,
     compute_metrics,
     eor,
     load_balance_cv,
@@ -171,6 +173,25 @@ class TestLoadBalanceCv:
         assert load_balance_cv(counts) == pytest.approx(
             load_balance_cv([10 * c for c in counts])
         )
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_sparse_form_matches_dense_counts(self, seed):
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(2, 200))
+        ids = rng.integers(0, int(rng.integers(1, n + 1)), int(rng.integers(1, 500)))
+        assert _sparse_cv(ids, n) == pytest.approx(
+            load_balance_cv(np.bincount(ids, minlength=n)), rel=1e-12)
+
+    def test_report_beyond_the_dense_counts_matches_the_reference(self):
+        # 3 x 2**15 expert counts exceed both the dense limit and the trace's
+        # routed slots, so each layer's CV takes the closed form.
+        cfg = SynthConfig(n_moe_layers=3, n_routed_experts=2**15, top_k=4, seed=4)
+        trace = synth_trace(cfg)
+        assert 3 * 2**15 > max(trace.topk.size, _DENSE_COUNTS)
+        report, expected = compute_metrics(trace), reference_metrics.compute_metrics(trace)
+        assert report.load_cv == pytest.approx(expected.load_cv, rel=1e-12)
+        assert (report.eor, report.unique_experts_per_sequence) == (
+            expected.eor, expected.unique_experts_per_sequence)
 
 
 class TestUniqueExperts:
