@@ -176,9 +176,9 @@ def _cmd_synth(args) -> int:
         emit_probs=args.emit_probs,
         concentration=args.concentration,
     )
-    with _Run(args, "synth", _config_dict(cfg), [], [args.out], args.seed):
+    with _Run(args, "synth", _config_dict(cfg), [], [args.out], args.seed) as run:
         trace = synth_trace(cfg)
-        save_trace(trace, args.out)
+        save_trace(trace, args.out, run.write)
     print(f"wrote {trace.n_records} records to {args.out}")
     return 0
 
@@ -514,9 +514,10 @@ def _cmd_train(args) -> int:
                 "data": _config_dict(dcfg)}
     with _Run(args, "train", resolved, [args.config], [args.log, args.out_theta],
               tcfg.seed) as run:
-        save_gate(result.params, args.out_theta)
         rows = [dataclasses.asdict(r) for r in result.log]
         run.write(args.log, _csv_bytes(rows, _LOG_COLUMNS))
+        # Not run.write: the gate's .json sidecar is written too, and is no declared output.
+        save_gate(result.params, args.out_theta, _atomic_write)
     print(
         f"eor {result.eval_before.eor:.4f} -> {result.eval_after.eor:.4f}, "
         f"trust_kl {result.eval_after.trust_kl:.4f}; log: {args.log}"

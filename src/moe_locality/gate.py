@@ -14,6 +14,7 @@ from __future__ import annotations
 import json
 import struct
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 
@@ -257,15 +258,12 @@ _MAGIC = b"GATE"
 _LITTLE = 0  # byte-order tag
 
 
-def save_gate(params: GateParams, path) -> None:
+def save_gate(params: GateParams, path, write=None) -> None:
     """Flat binary layout: magic, endianness tag, d, N_r, theta, theta0
-    (float64 each), plus a JSON sidecar describing the layout."""
+    (float64 each), plus a JSON sidecar describing the layout at
+    ``<path>.json``. ``write(path, data)`` writes each file when given (the
+    CLI passes its atomic writer), else they are written in place."""
     d, n = params.theta.shape
-    with open(path, "wb") as f:
-        f.write(_MAGIC)
-        f.write(struct.pack("<BII", _LITTLE, d, n))
-        f.write(np.ascontiguousarray(params.theta, dtype="<f8").tobytes())
-        f.write(np.ascontiguousarray(params.theta0, dtype="<f8").tobytes())
     sidecar = {
         "format": "gate-params-v1",
         "d": d,
@@ -274,6 +272,14 @@ def save_gate(params: GateParams, path) -> None:
         "byte_order": "little",
         "arrays": ["theta", "theta0"],
     }
-    with open(str(path) + ".json", "w", encoding="utf-8") as f:
-        json.dump(sidecar, f, indent=2, sort_keys=True)
-        f.write("\n")
+    files = {
+        path: b"".join([_MAGIC, struct.pack("<BII", _LITTLE, d, n),
+                        np.ascontiguousarray(params.theta, dtype="<f8").tobytes(),
+                        np.ascontiguousarray(params.theta0, dtype="<f8").tobytes()]),
+        str(path) + ".json": (json.dumps(sidecar, indent=2, sort_keys=True) + "\n").encode(),
+    }
+    for file, data in files.items():
+        if write is None:
+            Path(file).write_bytes(data)
+        else:
+            write(file, data)

@@ -26,15 +26,17 @@ Lines end at ``\\n`` only, for bytes and files alike; whitespace around a line
 Probabilities are serialized with 17 significant digits so that
 ``parse_trace(write_trace(x)) == x`` holds bit-for-bit.
 
-:func:`parse_trace` reads the input once, a block of lines at a time. In an
-index-only trace, a block whose every line is a record exactly as
-:func:`write_trace` emits it (ids of at most 18 digits) has its integers
-converted into arrays at once, with no JSON scan. Any other block takes the
-JSON path, which alone decides errors: it scans each line as one JSON value,
-runs the field rules over the block's columns and converts the block into
-arrays. When a block breaks a rule, the same rules run again over its lines
-one at a time, so the error names the first line that breaks one: a line
-that is not UTF-8 or not one JSON object (too deep a nesting included), a
+:func:`parse_trace` reads the input once, a block of lines at a time. A
+block whose every line is a record exactly as :func:`write_trace` emits it
+(ids of at most 18 digits, and in a probs trace N fixed-width
+``D.DDDDDDDDDDDDDDDDe±DD`` probabilities) is converted into arrays at once,
+with no JSON scan: its integers in one pass, its probabilities by an exact
+vectorized decoder that gives the bits ``float`` gives. Any other block
+takes the JSON path, which alone decides errors: it scans each line as one
+JSON value, runs the field rules over the block's columns and converts the
+block into arrays. When a block breaks a rule, the same rules run again
+over its lines one at a time, so the error names the first line that breaks
+one: a line that is not UTF-8 or not one JSON object (too deep a nesting included), a
 field that is missing or of another JSON type, a has_probs mismatch, or a
 number too large for a float. Once every line is read, a segment id or step
 index beyond the record count is refused with its line, and so is a header
@@ -52,12 +54,14 @@ import io
 import json
 import math
 import re
+import sys
 from collections import Counter
 from contextlib import suppress
 from dataclasses import asdict, dataclass, replace
 from functools import cached_property
 from itertools import chain, compress, islice, repeat
 from operator import itemgetter
+from pathlib import Path
 from typing import IO, Iterator, NamedTuple
 
 import numpy as np
@@ -300,11 +304,23 @@ _BLOCK = 512  # lines read and converted into arrays at a time
 _CELLS = 1 << 16  # padded topk entries tested at a time in rows no RoutingTrace holds
 _KEY_FIELDS = itemgetter("s", "t", "l", "b")
 _TOPK_FIELD = itemgetter("topk")
-# A record line as write_trace emits it for an index-only trace, where I is a
-# JSON integer of at most 18 digits, so that every id fits int64.
-_RECORD_LINE = rb'\{"s":I,"t":I,"l":I,"b":I,"topk":\[I(?:,I){%d}\]\}\n?'.replace(
+# A record line as write_trace emits it up to its probs, where I is a JSON
+# integer of at most 18 digits, so that every id fits int64.
+_RECORD_HEAD = rb'\{"s":I,"t":I,"l":I,"b":I,"topk":\[I(?:,I){%d}\]'.replace(
     b"I", rb"(?:0|[1-9][0-9]{0,17})")
 _DIGITS_ONLY = bytes(c if 0x30 <= c <= 0x39 else 0x20 for c in range(256))  # others to spaces
+# A written probability (_PROB_FORMAT, D.DDDDDDDDDDDDDDDDe±DD) and the "," or "]"
+# after it. _FIELD_SHAPE maps every digit to "0" and "-" to "+", which leaves
+# exactly _FIELD of a well-formed one.
+_FIELD = b"0.0000000000000000e+00,"
+_FIELD_SHAPE = bytes(0x30 if 0x30 <= c <= 0x39 else 0x2B if c == 0x2D else c for c in range(256))
+_PROBS_ENDS = frozenset((b"}", b"}\n"))
+# 10^(16 - e) for the exponents e in [-99, 16], at e + 99: the field with digits
+# M and exponent e is M / 10^(16 - e). Each power is the long double nearest it.
+_POW10 = np.array([f"1e{16 - e}" for e in range(-99, 17)]).astype(np.longdouble)
+# The x87 80-bit long double, whose 64-bit significand is its first 8 bytes.
+_EXTENDED = (np.finfo(np.longdouble).nmant == 63 and np.dtype(np.longdouble).itemsize == 16
+             and sys.byteorder == "little")
 
 
 def _line_object(raw: bytes, line_no: int) -> dict | None:
@@ -409,12 +425,92 @@ def _block_arrays(objs: list[dict], header: TraceHeader) -> tuple | str:
 
 def _record_grammar(header: TraceHeader) -> re.Pattern | None:
     """The one form of a record line whose block converts without a JSON
-    scan, or None for a probs trace (decoding its floats costs a scan's time
-    anyway) and for a K beyond re's largest repeat count."""
-    if not header.has_probs:
-        with suppress(OverflowError):
-            return re.compile(_RECORD_LINE % (header.top_k - 1))
+    scan, or None for a K beyond re's largest repeat count. It is the whole
+    line of an index-only trace, and of a probs trace the line up to its
+    probs, which :func:`_written_block` reads as N fixed-width fields."""
+    tail = rb',"probs":\[' if header.has_probs else rb'\}\n?'
+    with suppress(OverflowError):
+        return re.compile(_RECORD_HEAD % (header.top_k - 1) + tail)
     return None
+
+
+def _mantissas(fields: np.ndarray) -> np.ndarray:
+    """The 17 digits of each uint8 row D.DDDDDDDDDDDDDDDD... as one uint64.
+    Digits 2-9 and 10-17 are read as two little-endian words of eight ASCII
+    digits, each combined by three multiplies (Lemire, "Number Parsing at a
+    Gigabyte per Second", 2021)."""
+    words = fields[:, 2:18].copy().view("<u8")
+    for mask, scale, shift in ((0x0F0F0F0F0F0F0F0F, 2561, 8),
+                               (0x00FF00FF00FF00FF, 6553601, 16),
+                               (0x0000FFFF0000FFFF, 42949672960001, 32)):
+        words &= mask
+        words *= scale
+        words >>= shift
+    m = words[:, 0] * 10**8
+    m += words[:, 1]
+    m += (fields[:, 0] & 0x0F) * np.uint64(10**16)
+    return m
+
+
+def _fixed_floats(runs: bytes) -> np.ndarray:
+    """float64 of each _FIELD-wide probability in ``runs``, whose shape the
+    caller has checked, bit-identical to ``float`` of its text.
+
+    A field is M / 10^k, with M its 17 digits and k = 16 - e. With both M
+    and the power held in a long double of 64 significant bits (the power
+    within half a unit of the last place, ulp64), the one rounded division
+    lands within 2 ulp64 of the true quotient. Rounding it to float64 drops
+    the low 11 bits of its significand, so it rounds the true quotient the
+    same way unless those bits are within a few units of the half-way point
+    0x400. Such fields, those whose k has no power in the table, and every
+    field where the long double is not the x87 format go through ``float``.
+    """
+    fields = np.frombuffer(runs, np.uint8).reshape(-1, len(_FIELD))
+    at = (fields[:, 20] & 0x0F) * 10 + (fields[:, 21] & 0x0F)  # |e|, then e + 99
+    at = np.where(fields[:, 19] == 0x2D, 99 - at, 99 + at)
+    slow = at >= len(_POW10)
+    if _EXTENDED:
+        q = _mantissas(fields).astype(np.longdouble)
+        q /= _POW10[np.minimum(at, len(_POW10) - 1)]
+        out = q.astype(np.float64)
+        low = q.view(np.uint64)[::2] & 0x7FF
+        low -= 0x3FC  # wraps below 0x3FC, so only bits within 4 of 0x400 stay <= 8
+        slow |= low <= 8
+    else:
+        out, slow = np.empty(len(fields)), np.ones(len(fields), bool)
+    slow = np.flatnonzero(slow)
+    starts = (slow * len(_FIELD)).tolist()
+    out[slow] = [float(runs[i:i + len(_FIELD) - 1]) for i in starts]
+    return out
+
+
+def _written_block(grammar: re.Pattern, raws: list[bytes], header: TraceHeader) -> tuple | None:
+    """The block's ``(keys, topk, probs)`` if its every line is a record
+    exactly as :func:`write_trace` emits it, converted with no JSON scan;
+    else None. Such a line holds only what the JSON path would accept, and
+    both give the same arrays for it."""
+    probs = None
+    if not header.has_probs:
+        if not all(map(grammar.fullmatch, raws)):
+            return None
+        heads = raws
+    else:  # the head, N fields, then "]}" and an optional "\n"
+        if not all(matches := list(map(grammar.match, raws))):
+            return None
+        ends = list(map(re.Match.end, matches))
+        width = len(_FIELD) * header.n_routed_experts
+        if not {raw[e + width:] for raw, e in zip(raws, ends)} <= _PROBS_ENDS:
+            return None
+        runs = [raw[e:e + width] for raw, e in zip(raws, ends)]
+        row = (_FIELD * header.n_routed_experts)[:-1] + b"]"
+        if not all(map(row.__eq__, map(bytes.translate, runs, repeat(_FIELD_SHAPE)))):
+            return None
+        runs = b"".join(runs)  # drops the per-line copies before decoding
+        probs = _fixed_floats(runs).reshape(len(raws), header.n_routed_experts)
+        heads = [raw[:e] for raw, e in zip(raws, ends)]
+    ints = np.fromstring(b"".join(heads).translate(_DIGITS_ONLY), np.int64, sep=" ")
+    ints = ints.reshape(len(raws), 4 + header.top_k)
+    return ints[:, :4], ints[:, 4:], probs
 
 
 def _raise_line_error(raws: list[bytes], line_no: int, header: TraceHeader) -> None:
@@ -487,10 +583,8 @@ def _read(lines: Iterator[bytes]) -> RoutingTrace:
     peak, peak_line = 0, None  # the largest segment id or step index, and its line
     grammar = _record_grammar(header)
     while raws := list(islice(lines, _BLOCK)):
-        if grammar and all(map(grammar.fullmatch, raws)):  # one record a line, no blanks
-            ints = np.fromstring(b"".join(raws).translate(_DIGITS_ONLY), np.int64, sep=" ")
-            ints = ints.reshape(len(raws), 4 + header.top_k)
-            arrays, at = (ints[:, :4], ints[:, 4:], None), range(len(raws))
+        if grammar and (arrays := _written_block(grammar, raws, header)):
+            at = range(len(raws))  # one record a line, no blanks
         else:  # the JSON path, the only one that names a line's error
             scanned = _scan_block(raws)
             arrays = scanned and _block_arrays(scanned[0], header)
@@ -575,9 +669,14 @@ def load_trace(path) -> RoutingTrace:
         return parse_trace(f)
 
 
-def save_trace(trace: RoutingTrace, path) -> None:
-    with open(path, "wb") as f:
-        f.write(write_trace(trace))
+def save_trace(trace: RoutingTrace, path, write=None) -> None:
+    """Write ``write_trace(trace)`` to ``path``, through ``write(path, data)``
+    when given (the CLI passes its atomic writer), else in place."""
+    data = write_trace(trace)
+    if write is None:
+        Path(path).write_bytes(data)
+    else:
+        write(path, data)
 
 
 # ---------------------------------------------------------------------------
@@ -618,16 +717,35 @@ def _sum_off(r: _Rows) -> np.ndarray:
 
 
 def _not_top(r: _Rows) -> np.ndarray:
-    """Rows K and N long whose topk is not the Top-K of their probs. Any
-    other row breaks the arity or probs_shape rule first; with none K and N
-    long, the padded arrays may be narrower than K or N and are not read."""
-    whole = (r.n_topk == r.header.top_k) & (r.n_probs == r.header.n_routed_experts)
+    """Rows K and N long whose topk is not the Top-K of their probs under
+    :func:`topk_rows`'s tie rule. Any other row breaks the arity or
+    probs_shape rule first; with none K and N long, the padded arrays may be
+    narrower than K or N and are not read. A row with a NaN breaks
+    probs_nonfinite first, so its answer is not read either.
+
+    K distinct ids in [0, N) are the Top-K iff no outsider beats the weakest
+    member, and an outsider that ties it has a higher index than every
+    member of that value; no row is sorted.
+    """
+    k, n = r.header.top_k, r.header.n_routed_experts
+    whole = (r.n_topk == k) & (r.n_probs == n)
     if not whole.any():
         return whole
-    ids, top = r.topk[:, :r.header.top_k], topk_rows(r.probs, r.header.top_k)
-    off = (ids != top).any(axis=1)  # rows stored in Top-K order need no sort
-    off[off] = (np.sort(ids[off], axis=1) != np.sort(top[off], axis=1)).any(axis=1)
-    return whole & off
+    ids = r.topk[:, :k]
+    held = ((ids >= 0) & (ids < n)).all(axis=1)
+    member = np.zeros(r.probs.shape, bool)
+    np.put_along_axis(member, np.where(held[:, None], ids, 0).astype(np.int64), True, axis=1)
+    weakest = np.where(member, r.probs, np.inf).min(axis=1)
+    strongest = np.where(member, -np.inf, r.probs).max(axis=1)
+    top = held & (member.sum(axis=1) == k) & (weakest >= strongest)
+    tied = np.flatnonzero(top & (weakest == strongest))
+    if len(tied):
+        value = r.probs[tied] == weakest[tied, None]
+        inside = member[tied]
+        # A member of that value after an outsider of it breaks the tie rule.
+        late = np.logical_or.accumulate(value & ~inside, axis=1) & value & inside
+        top[tied] = ~late.any(axis=1)
+    return whole & ~top
 
 
 # The per-record rules in the order a record is checked, each stated once:

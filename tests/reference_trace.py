@@ -14,6 +14,9 @@ in the order given so that traces no array holds, or that break a rule,
 reach the package through its loader. ``load`` is the outcome the package's
 ``parse_trace`` must give for a JSONL input.
 
+``not_top_by_sort`` is the probs_topk screen by a full stable sort of every
+row, the oracle of the package's membership test.
+
 ``sticky_set_stream`` is the synthetic generator's per-slot loop: one scalar
 ``rng.random()`` per kept-or-dropped slot and a refill pool built as a list.
 """
@@ -149,6 +152,19 @@ def sticky_set_stream(rng, n, k, p, steps) -> list[list[int]]:
 def topk_set(p, k: int) -> list[int]:
     """Sorted ids of the k largest entries of p, ties to the lowest id."""
     return sorted(sorted(range(len(p)), key=lambda e: (-p[e], e))[:k])
+
+
+def not_top_by_sort(r) -> np.ndarray:
+    """The package's ``trace._not_top`` over the same ``_Rows``, by a full
+    stable sort of every row: rows K and N long whose topk, as a multiset, is
+    not the first K of the row's ids ranked by (-p, id)."""
+    k, n = r.header.top_k, r.header.n_routed_experts
+    whole = (r.n_topk == k) & (r.n_probs == n)
+    if not whole.any():
+        return whole
+    top = np.argsort(-r.probs, axis=1, kind="stable")[:, :k]
+    ids = r.topk[:, :k]
+    return whole & (np.sort(ids, axis=1) != np.sort(top, axis=1)).any(axis=1)
 
 
 def parse_record(obj, line_no, has_probs) -> StepRecord:

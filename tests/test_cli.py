@@ -744,8 +744,9 @@ class TestDispatch:
         assert run(*argv) == 2
         err = capsys.readouterr().err
         assert err.startswith("data error:") and str(out) in err
-        names = [p.name for p in out_dir.iterdir()]  # train writes its gate first
+        names = [p.name for p in out_dir.iterdir()]
         assert not [n for n in names if n.startswith(".tmp-") or n.endswith(".manifest.jsonl")]
+        assert not {"t.bin", "t.bin.json"} & set(names)  # train writes its log first
 
     def test_failed_steps_write_appends_no_manifest(self, trace_path, tmp_path, capsys):
         out = tmp_path / "s.csv"

@@ -1,7 +1,9 @@
+import functools
 import io
 import json
 import math
 from dataclasses import replace
+from fractions import Fraction
 from unittest import mock
 
 import numpy as np
@@ -660,11 +662,20 @@ class TestLines:
 
 LOADER_HEADER = (b'{"type":"header","n_moe_layers":1,"n_routed_experts":4,"top_k":2,'
                  b'"batch_size":1,"has_probs":%s}')
+
+
+def fixed(*values) -> bytes:
+    """A probs list as write_trace writes it, in fixed-width fields."""
+    return b"[%s]" % b",".join(b"%.16e" % v for v in values)
+
+
 LOADER_RECORDS = (  # (keys and topk, probs): a valid three-record trace either way
-    (b'"s":0,"t":0,"l":0,"b":0,"topk":[0,1]', b"[0.4,0.3,0.2,0.1]"),
-    (b'"s":0,"t":1,"l":0,"b":0,"topk":[1,2]', b"[0.1,0.4,0.3,0.2]"),
-    (b'"s":1,"t":0,"l":0,"b":0,"topk":[3,2]', b"[0.1,0.2,0.3,0.4]"),
+    (b'"s":0,"t":0,"l":0,"b":0,"topk":[0,1]', fixed(0.4, 0.3, 0.2, 0.1)),
+    (b'"s":0,"t":1,"l":0,"b":0,"topk":[1,2]', fixed(0.1, 0.4, 0.3, 0.2)),
+    (b'"s":1,"t":0,"l":0,"b":0,"topk":[3,2]', fixed(0.1, 0.2, 0.3, 0.4)),
 )
+SECOND = b'{"s":0,"t":1,"l":0,"b":0,"topk":[1,2],"probs":%s}'
+SECOND_PROBS = fixed(0.1, 0.4, 0.3, 0.2)
 HUGE = b"1" + b"0" * 30
 # name -> (the header's has_probs it is for, or None for both; the second record
 # line, or a list of lines for it, where PROBS stands for that record's probs).
@@ -703,6 +714,23 @@ LOADER_CASES = {
     "id_2_63": (None, b'{"s":0,"t":1,"l":%d,"b":0,"topk":[1,2]PROBS}' % 2**63),
     "cr_line_end": (None, b'{"s":0,"t":1,"l":0,"b":0,"topk":[1,2]PROBS}\r'),
     "trailing_space": (False, b'{"s":0,"t":1,"l":0,"b":0,"topk":[1,2]} '),
+    # Lines a fixed-width probs grammar must leave to the JSON path, and two it takes.
+    "fixed_minus_value": (True, SECOND % fixed(0.1, 0.4, 0.3, -0.2)),
+    "fixed_minus_for_digit": (True, SECOND % SECOND_PROBS.replace(b"e-01", b"e-0-", 1)),
+    "fixed_3_digit_exponent": (True, SECOND % fixed(0.1, 0.4, 0.5, 1e-100)),
+    "fixed_capital_e": (True, SECOND % SECOND_PROBS.replace(b"e", b"E", 1)),
+    "fixed_one_field_short": (True, SECOND % fixed(0.1, 0.4, 0.5)),
+    "fixed_one_field_long": (True, SECOND % fixed(0.1, 0.4, 0.3, 0.2, 0.0)),
+    "fixed_probs_twice": (True, b'{"s":0,"t":1,"l":0,"b":0,"topk":[1,2],"probs":%s,"probs":%s}'
+                          % (fixed(0.4, 0.3, 0.2, 0.1), SECOND_PROBS)),
+    "fixed_field_after_probs": (True, SECOND.replace(b"}", b',"q":0}') % SECOND_PROBS),
+    "fixed_space_after_comma": (True, SECOND % SECOND_PROBS.replace(b",", b", ", 1)),
+    "fixed_space_for_digit": (True, SECOND % SECOND_PROBS.replace(b"00", b"0 ", 1)),
+    "fixed_bracket_for_comma": (True, SECOND % SECOND_PROBS.replace(b",", b"]", 1)),
+    "fixed_zeros": (True, SECOND % fixed(0.0, 0.5, 0.5, 0.0)),
+    "fixed_leading_zero_digits": (True, SECOND % b"[0.1000000000000000e+00,0.4000000000000000e+00,"
+                                  b"0.3000000000000000e+00,0.2000000000000000e+00]"),
+    "fixed_probs_on_index_only": (False, SECOND % SECOND_PROBS),
 }
 
 
@@ -740,24 +768,34 @@ def test_jsonl_loader_matches_reference(case, has_probs, sep, block):
         assert isinstance(expected, RoutingTrace)
 
 
+def _loads_without_a_json_scan(tmp_path, cut, emit_probs):
+    trace = synth_trace(SynthConfig(n_moe_layers=2, n_routed_experts=8, top_k=3, batch_size=2,
+                                    n_segments=3, steps_per_segment=5, emit_probs=emit_probs))
+    data = write_trace(trace)
+    data = data[:len(data) - cut]
+    path = tmp_path / "trace.jsonl"
+    path.write_bytes(data)
+    with mock.patch.object(trace_module, "_scan_block", side_effect=AssertionError("scan")), \
+            mock.patch.object(trace_module, "_BLOCK", 7):
+        assert parse_trace(data) == trace
+        assert load_trace(path) == trace
+
+
 class TestRecordGrammar:
     @pytest.mark.parametrize("cut", [0, 1])  # the last line with and without its "\n"
     def test_written_index_only_trace_skips_the_json_scan(self, tmp_path, cut):
-        trace = synth_trace(SynthConfig(n_moe_layers=2, n_routed_experts=8, top_k=3,
-                                        batch_size=2, n_segments=3, steps_per_segment=5))
-        data = write_trace(trace)
-        data = data[:len(data) - cut]
-        path = tmp_path / "trace.jsonl"
-        path.write_bytes(data)
-        with mock.patch.object(trace_module, "_scan_block", side_effect=AssertionError("scan")), \
-                mock.patch.object(trace_module, "_BLOCK", 7):
-            assert parse_trace(data) == trace
-            assert load_trace(path) == trace
+        _loads_without_a_json_scan(tmp_path, cut, emit_probs=False)
 
-    def test_no_grammar_for_probs_or_a_k_beyond_re(self):
-        assert trace_module._record_grammar(TraceHeader(1, 4, 2, 1, has_probs=True)) is None
-        assert trace_module._record_grammar(TraceHeader(1, 2**32, 2**32, 1)) is None
+    @pytest.mark.parametrize("cut", [0, 1])
+    def test_written_probs_trace_skips_the_json_scan(self, tmp_path, cut):
+        _loads_without_a_json_scan(tmp_path, cut, emit_probs=True)
+
+    def test_grammar_covers_probs_but_not_a_k_beyond_re(self):
+        assert trace_module._record_grammar(TraceHeader(1, 4, 2, 1, has_probs=True)) is not None
         assert trace_module._record_grammar(TraceHeader(1, 4, 2, 1)) is not None
+        for has_probs in (False, True):
+            header = TraceHeader(1, 2**32, 2**32, 1, has_probs)
+            assert trace_module._record_grammar(header) is None
 
 
 class OneWayStream(io.BytesIO):
@@ -853,3 +891,186 @@ def test_topk_stored_in_any_order_matches_reference():
     expected = reference_trace.load(payload)
     assert outcome(parse_trace, payload) == expected
     assert [v.rule for v in expected[2]] == ["probs_topk"]
+
+
+# ---------------------------------------------------------------------------
+# Fixed-width probabilities: the decoder against float()
+# ---------------------------------------------------------------------------
+
+# Between these (and at 0), a written float64 has a 2-digit exponent.
+SMALLEST_2_DIGIT = 1e-99
+LARGEST_2_DIGIT = 9.999999999999998e99
+# Texts whose exact value lies within 2 ulp64 of a midpoint between two
+# float64s, so that their long-double quotient lands in the guard band: the
+# first three are exact midpoints (2^53 + 1, 2^53 + 3 and 2^54 + 2).
+GUARD_BAND_TEXTS = (
+    "9.0071992547409930e+15", "9.0071992547409950e+15", "1.8014398509481986e+16",
+    "1.7852171833757359e-01", "7.2479866563421530e-01", "5.4866004398677920e-01",
+    "5.8643716816596177e-04", "9.1001705631555660e-04", "3.8808194742263763e-04",
+    "8.4087117980363524e-21", "4.2573984257289803e-21", "9.9612418274673640e-21",
+    "6.0967534069620277e-91", "8.4832365798697312e-91", "9.9653863483046827e-91",
+)
+ZERO_LEAD_TEXTS = (
+    "0.0000000000000000e+00", "0.0000000000000000e-99", "0.0000000000000000e+99",
+    "0.0000000000000001e+00", "0.0000000000000001e-99", "0.1234567890123456e-05",
+    "0.9999999999999999e+16", "0.5000000000000000e+00", "0.0000000000000003e+16",
+)
+
+
+def decode_bits(texts) -> np.ndarray:
+    """The decoder's float64 bits of the fixed-width texts, one field each."""
+    runs = (",".join(texts) + "]").encode()
+    return trace_module._fixed_floats(runs).view(np.int64)
+
+
+def float_bits(texts) -> np.ndarray:
+    return np.array([float(t) for t in texts]).view(np.int64)
+
+
+def midpoint_distance(text) -> Fraction:
+    """How far the exact value of ``text`` lies from the nearest midpoint
+    between two float64s, in units of 2^-63 of its binade (ulp64)."""
+    x = Fraction(text)
+    e = x.numerator.bit_length() - x.denominator.bit_length()
+    e -= Fraction(2) ** e > x  # now 2^e <= x < 2^(e+1)
+    low = (x / Fraction(2) ** (e - 63)) % 2048  # the 11 bits below float64's 53
+    return abs(low - 1024)
+
+
+@pytest.fixture(params=[True, False], ids=["extended", "float"])
+def extended(request):
+    """The decoder with its long-double path on, and forced off so that
+    every field goes through float()."""
+    if request.param and not trace_module._EXTENDED:
+        pytest.skip("long double is not the x87 format here")
+    with mock.patch.object(trace_module, "_EXTENDED", request.param):
+        yield request.param
+
+
+def test_power_table_is_within_half_an_ulp():
+    # The exactness argument takes each power 10^(16-e) within half an ulp
+    # of its long double: a relative error of at most 2^-(nmant+1).
+    half_ulp = Fraction(1, 2 ** (np.finfo(np.longdouble).nmant + 1))
+    for e, power in zip(range(-99, 17), trace_module._POW10):
+        exact = 10 ** (16 - e)
+        assert abs(Fraction(*power.as_integer_ratio()) - exact) <= exact * half_ulp
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(bits=st.lists(st.integers(int(np.float64(SMALLEST_2_DIGIT).view(np.int64)),
+                                 int(np.float64(LARGEST_2_DIGIT).view(np.int64))),
+                     min_size=1, max_size=64))
+def test_decoder_matches_float_on_bit_patterns(bits):
+    texts = list(map(trace_module._PROB_FORMAT, np.array(bits, np.int64).view(np.float64)))
+    for extended in ([True, False] if trace_module._EXTENDED else [False]):
+        with mock.patch.object(trace_module, "_EXTENDED", extended):
+            assert np.array_equal(decode_bits(texts), float_bits(texts))
+
+
+@functools.cache
+def bulk_sweep() -> tuple[bytes, np.ndarray]:
+    """10^6 fixed-width fields joined as in a record, and float()'s bits of
+    each: 800,000 of random digits and exponents (a leading 0 included), then
+    float64 bit patterns uniform over every 2-digit exponent and
+    probabilities, as write_trace formats them."""
+    rng = np.random.default_rng(20261019)
+    fields = np.tile(np.frombuffer(b"0.0000000000000000e+00,", np.uint8), (800_000, 1))
+    fields[:, [0, *range(2, 18), 20, 21]] = rng.integers(0x30, 0x3A, (len(fields), 19), np.uint8)
+    fields[:, 19] = rng.choice(np.frombuffer(b"+-", np.uint8), len(fields))
+    lo, hi = np.array([SMALLEST_2_DIGIT, LARGEST_2_DIGIT]).view(np.int64)
+    values = np.concatenate([rng.integers(lo, hi, 100_000, endpoint=True).view(np.float64),
+                             rng.dirichlet(np.full(64, 0.3), 1_600).ravel()])
+    values = values[values >= SMALLEST_2_DIGIT].tolist()  # tiny Dirichlet entries need 3 digits
+    runs = fields.tobytes() + (("%.16e," * len(values)) % tuple(values)).encode()
+    texts = runs[:-1].split(b",")
+    assert len(texts) >= 10**6 and {len(t) for t in texts} == {22}
+    return runs[:-1] + b"]", np.array(list(map(float, texts))).view(np.int64)
+
+
+def test_decoder_matches_float_in_a_bulk_sweep(extended):
+    runs, expected = bulk_sweep()
+    assert np.array_equal(trace_module._fixed_floats(runs).view(np.int64), expected)
+
+
+def test_decoder_sends_guard_band_texts_to_float(extended):
+    assert all(midpoint_distance(t) <= 2 for t in GUARD_BAND_TEXTS)
+    with mock.patch.object(trace_module, "float", wraps=float, create=True) as slow:
+        got = decode_bits(GUARD_BAND_TEXTS)
+    assert np.array_equal(got, float_bits(GUARD_BAND_TEXTS))
+    assert [c.args[0].decode() for c in slow.call_args_list] == list(GUARD_BAND_TEXTS)
+    # The exact midpoints round to even.
+    assert float("9.0071992547409930e+15") == 2**53
+    assert float("9.0071992547409950e+15") == 2**53 + 4
+
+
+def test_decoder_reads_zero_and_a_leading_zero_digit(extended):
+    assert np.array_equal(decode_bits(ZERO_LEAD_TEXTS), float_bits(ZERO_LEAD_TEXTS))
+    assert decode_bits(["0.0000000000000000e+00"])[0] == 0  # +0.0, never -0.0
+
+
+def test_probs_loaded_either_way_are_the_json_paths(extended):
+    trace = synth_trace(SynthConfig(n_moe_layers=2, n_routed_experts=16, top_k=4, batch_size=2,
+                                    n_segments=2, steps_per_segment=20, emit_probs=True,
+                                    concentration=50.0))
+    data = write_trace(trace)
+    loaded = parse_trace(data)
+    assert np.array_equal(loaded.probs.view(np.int64), trace.probs.view(np.int64))
+    reference = reference_trace.load(data)
+    assert np.array_equal(loaded.probs.view(np.int64), reference.probs.view(np.int64))
+
+
+# ---------------------------------------------------------------------------
+# The probs_topk screen against a full sort of each row
+# ---------------------------------------------------------------------------
+
+
+def _top_rows(probs, topk, k):
+    r, n = probs.shape
+    header = TraceHeader(1, n, k, 1, has_probs=True)
+    return trace_module._Rows(header, np.zeros((r, 4), np.int64), topk, np.array([k]),
+                              probs, np.array([n]))
+
+
+@pytest.mark.parametrize("n,k", [(8, 1), (16, 4), (64, 6), (5, 5)])
+def test_top_k_membership_matches_a_full_sort(n, k):
+    rng = np.random.default_rng(n * 100 + k)
+    rows = 3_000
+    probs = rng.random((rows, n))
+    topk = np.argsort(-probs, axis=1, kind="stable")[:, :k].copy()
+    rng.permuted(topk, axis=1, out=topk)  # any stored order is the same set
+    for i in range(0, rows, 7):  # every 7th row made wrong, five ways
+        way = (i // 7) % 5
+        if way == 0 and k < n:  # a member swapped for an outsider
+            outside = np.setdiff1d(np.arange(n), topk[i])
+            topk[i, rng.integers(k)] = rng.choice(outside)
+        elif way == 1 and k > 1:  # a repeated id
+            topk[i, 0] = topk[i, 1]
+        elif way == 2:  # an id below or beyond the experts
+            topk[i, rng.integers(k)] = rng.choice([-1, n, 2**62])
+        elif k < n:  # the weakest member and the strongest outsider tie
+            order = np.argsort(-probs[i], kind="stable")
+            probs[i, order[k]] = probs[i, order[k - 1]]
+            if way == 4:  # and the stored set keeps the higher index of the two
+                lo, hi = sorted(order[k - 1:k + 1])
+                topk[i] = np.argsort(-probs[i], kind="stable")[:k]
+                topk[i, topk[i] == lo] = hi
+    r = _top_rows(probs, topk, k)
+    expected = reference_trace.not_top_by_sort(r)
+    assert expected.any() and not expected.all()
+    assert np.array_equal(trace_module._not_top(r), expected)
+
+
+@pytest.mark.parametrize("n,k", [(8, 3), (16, 4), (64, 6)])
+def test_top_k_membership_matches_a_full_sort_under_many_ties(n, k):
+    # Few distinct values (0.0 and -0.0 among them, which tie) and random
+    # K-sets: most rows have ties across the weakest member.
+    rng = np.random.default_rng(n + k)
+    rows = 4_000
+    probs = rng.choice(np.array([0.0, -0.0, 0.25, 0.5, 1.0]), (rows, n), p=[.2, .2, .3, .2, .1])
+    topk = np.array([rng.choice(n, k, replace=False) for _ in range(rows)])
+    right = np.argsort(-probs, axis=1, kind="stable")[:, :k]
+    topk[::3] = right[::3]
+    r = _top_rows(probs, topk, k)
+    expected = reference_trace.not_top_by_sort(r)
+    assert expected.any() and not expected.all()
+    assert np.array_equal(trace_module._not_top(r), expected)
