@@ -321,7 +321,7 @@ def _constant_set_trace(n_experts: int, k: int, steps: int) -> RoutingTrace:
     keys = np.zeros((steps, 4), dtype=np.int64)
     keys[:, 1] = np.arange(steps)
     members = np.tile(np.arange(k, dtype=np.int64), (steps, 1))
-    return RoutingTrace(TraceHeader(1, n_experts, k, 1), keys, members, None, (steps,))
+    return RoutingTrace(TraceHeader(1, n_experts, k, 1), keys, members, None)
 
 
 # (name, assumption broken, K, injected fault or None, description); each runs

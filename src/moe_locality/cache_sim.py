@@ -454,8 +454,7 @@ def simulate(trace: RoutingTrace, cfg: CacheConfig, record_events: bool = False)
     rerouted_trace = None
     if reroute:
         # Every row was rerouted: each stream check above passed, so the keys are dense.
-        rerouted_trace = RoutingTrace(replace(h, has_probs=False), trace.keys, rerouted, None,
-                                      trace.segment_lengths)
+        rerouted_trace = RoutingTrace(replace(h, has_probs=False), trace.keys, rerouted, None)
 
     return SimReport(
         config=cfg,

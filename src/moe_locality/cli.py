@@ -149,15 +149,6 @@ class _Run:
             f.write(json.dumps(record, sort_keys=True) + "\n")
 
 
-def _config_dict(obj) -> dict:
-    if dataclasses.is_dataclass(obj):
-        out = {}
-        for k, v in dataclasses.asdict(obj).items():
-            out[k] = v.value if hasattr(v, "value") else v
-        return out
-    return dict(obj)
-
-
 # ---------------------------------------------------------------------------
 # Subcommands
 # ---------------------------------------------------------------------------
@@ -176,7 +167,7 @@ def _cmd_synth(args) -> int:
         emit_probs=args.emit_probs,
         concentration=args.concentration,
     )
-    with _Run(args, "synth", _config_dict(cfg), [], [args.out], args.seed) as run:
+    with _Run(args, "synth", dataclasses.asdict(cfg), [], [args.out], args.seed) as run:
         trace = synth_trace(cfg)
         save_trace(trace, args.out, run.write)
     print(f"wrote {trace.n_records} records to {args.out}")
@@ -285,7 +276,7 @@ def _cmd_simulate(args) -> int:
         "policy": args.policy,
         "reset_each_segment": args.reset_each_segment,
         "beta": args.beta,
-        "io": _config_dict(io_model) if io_model else None,
+        "io": dataclasses.asdict(io_model) if io_model else None,
     }
     eors = None  # (original, rerouted)
     if report.rerouted_trace is not None:
@@ -510,8 +501,8 @@ def _cmd_train(args) -> int:
     theta0 = init_gate_matrix(dcfg.hidden_dim, dcfg.n_experts, tcfg.seed)
     result = train(theta0, sequences, tcfg, weights, dcfg.top_k)
 
-    resolved = {"weights": _config_dict(weights), "train": _config_dict(tcfg),
-                "data": _config_dict(dcfg)}
+    resolved = {"weights": dataclasses.asdict(weights), "train": dataclasses.asdict(tcfg),
+                "data": dataclasses.asdict(dcfg)}
     with _Run(args, "train", resolved, [args.config], [args.log, args.out_theta],
               tcfg.seed) as run:
         rows = [dataclasses.asdict(r) for r in result.log]

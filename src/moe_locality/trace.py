@@ -12,8 +12,9 @@ though much of the literature indexes experts from 1.
 
 In memory a trace is columnar, one row per record (:class:`RoutingTrace`):
 ``keys`` int64[R, 4] holds the (s, t, l, b) keys sorted, ``topk`` int64[R, K]
-the Top-K ids in stored order, ``probs`` float64[R, N] the distributions (None
-for an index-only trace) and ``segment_lengths`` the steps of each segment.
+the Top-K ids in stored order and ``probs`` float64[R, N] the distributions
+(None for an index-only trace). The steps of each segment are derived from
+the keys, never stored beside them.
 
 On-disk format (UTF-8, one JSON object per line):
 
@@ -151,7 +152,6 @@ class RoutingTrace:
     keys: np.ndarray
     topk: np.ndarray
     probs: np.ndarray | None
-    segment_lengths: tuple[int, ...]
 
     def __post_init__(self):
         h, r = self.header, len(self.keys)
@@ -172,7 +172,6 @@ class RoutingTrace:
             return NotImplemented
         return (
             self.header == other.header
-            and self.segment_lengths == other.segment_lengths
             and all(map(np.array_equal, (self.keys, self.topk, self.probs),
                         (other.keys, other.topk, other.probs)))
         )
@@ -180,6 +179,16 @@ class RoutingTrace:
     @property
     def n_records(self) -> int:
         return len(self.keys)
+
+    @cached_property
+    def segment_lengths(self) -> tuple[int, ...]:
+        """One past the largest step index of each segment id up to the largest
+        (0 for an absent id), from the (s, t) columns of ``keys``."""
+        if not len(self.keys):
+            return ()
+        lengths = np.zeros(int(self.keys[:, 0].max()) + 1, dtype=np.int64)
+        np.maximum.at(lengths, self.keys[:, 0], self.keys[:, 1] + 1)
+        return tuple(lengths.tolist())
 
     @cached_property
     def segment_offsets(self) -> tuple[int, ...]:
@@ -255,8 +264,7 @@ class RoutingTrace:
             raise KeyError(f"trace is not dense in batch slot {batch}")
         keys[:, 3] = 0
         probs = None if self.probs is None else self.probs[rows]
-        return RoutingTrace(replace(h, batch_size=1), keys, self.topk[rows], probs,
-                            self.segment_lengths)
+        return RoutingTrace(replace(h, batch_size=1), keys, self.topk[rows], probs)
 
     def iter_steps(self) -> Iterator[tuple[int, int]]:
         """All (segment, step) pairs in order."""
@@ -279,16 +287,6 @@ def _dense_keys(header: TraceHeader, lengths) -> np.ndarray:
         np.tile(slot // header.batch_size, len(seg)),
         np.tile(slot % header.batch_size, len(seg)),
     ], axis=1)
-
-
-def _segment_lengths(keys: np.ndarray) -> tuple[int, ...]:
-    """One past the largest step index of each segment id up to the largest
-    (0 for an absent id), from the (s, t) columns of ``keys``."""
-    if not len(keys):
-        return ()
-    lengths = np.zeros(int(keys[:, 0].max()) + 1, dtype=np.int64)
-    np.maximum.at(lengths, keys[:, 0], keys[:, 1] + 1)
-    return tuple(lengths.tolist())
 
 
 # ---------------------------------------------------------------------------
@@ -602,7 +600,7 @@ def _read(lines: Iterator[bytes]) -> RoutingTrace:
     keys = np.concatenate(keys)
     # A dense trace of R records has segment ids and step indices below R. Ids up
     # to R still parse, so validate can list a small gap; larger ones are refused,
-    # before segment_lengths is sized by them and contiguity walks every gap.
+    # before the derived segment_lengths is sized by them and contiguity walks every gap.
     if peak > len(keys):
         raise TraceError(f"segment id or step index {peak} exceeds the record count "
                          f"{len(keys)}", peak_line)
@@ -620,7 +618,7 @@ def _read(lines: Iterator[bytes]) -> RoutingTrace:
     if keys.dtype == object or list in map(type, tops + probs):
         raise _ragged_error(header, keys, tops, probs, order)
     probs = None if probs[0] is None else np.concatenate(probs)[order]
-    return RoutingTrace(header, keys, np.concatenate(tops)[order], probs, _segment_lengths(keys))
+    return RoutingTrace(header, keys, np.concatenate(tops)[order], probs)
 
 
 def parse_trace(stream: bytes | IO[bytes], validate: bool = True) -> RoutingTrace:
@@ -647,21 +645,22 @@ def parse_trace(stream: bytes | IO[bytes], validate: bool = True) -> RoutingTrac
 _PROB_FORMAT = "{:.16e}".format  # 17 significant digits: exact float64 round-trip
 
 
-def _record_lines(trace: RoutingTrace) -> Iterator[str]:
+def _record_lines(trace: RoutingTrace) -> Iterator[bytes]:
+    """Each row as its UTF-8 line, "\\n" included."""
     probs = repeat(None) if trace.probs is None else map(np.ndarray.tolist, trace.probs)
     for (s, t, l, b), ids, p in zip(trace.keys.tolist(), trace.topk.tolist(), probs):
         line = f'{{"s":{s},"t":{t},"l":{l},"b":{b},"topk":[{",".join(map(str, ids))}]'
         if p is not None:
             line += f',"probs":[{",".join(map(_PROB_FORMAT, p))}]'
-        yield line + "}"
+        yield (line + "}\n").encode("utf-8")
 
 
 def write_trace(trace: RoutingTrace) -> bytes:
     """Serialize a trace, one line per row in row order (sorted by key in a
-    parsed or generated trace)."""
-    lines = [json.dumps({"type": "header", **asdict(trace.header)}, separators=(",", ":"))]
-    lines.extend(_record_lines(trace))
-    return ("\n".join(lines) + "\n").encode("utf-8")
+    parsed or generated trace). Each line is encoded once and the bytes are
+    joined once, so the output is held at most about twice."""
+    header = json.dumps({"type": "header", **asdict(trace.header)}, separators=(",", ":"))
+    return b"".join(chain(((header + "\n").encode("utf-8"),), _record_lines(trace)))
 
 
 def load_trace(path) -> RoutingTrace:
@@ -808,8 +807,8 @@ def validate_trace(trace: RoutingTrace) -> list[Violation]:
     Violations are data, not exceptions: each one names the offending record
     coordinates and the rule it breaks, row by row and in rule order within a
     row. Cross-record rules are checked in full unless every segment length
-    is >= 1 and the keys are exactly the dense grid implied by
-    ``segment_lengths``, which breaks none.
+    is >= 1 and the keys are exactly the dense grid of the segment lengths
+    they imply, which breaks none.
     """
     h = trace.header
     n_probs = None if trace.probs is None else np.array([h.n_routed_experts])
@@ -819,10 +818,6 @@ def validate_trace(trace: RoutingTrace) -> list[Violation]:
              and trace._grid is not None and np.array_equal(trace.keys, trace._grid))
     if not dense:
         _cross_record_violations(h, list(map(tuple, trace.keys.tolist())), out)
-        derived = _segment_lengths(trace.keys)
-        if trace.segment_lengths != derived:
-            out.append(Violation("segment_lengths", "trace",
-                                 f"declared {trace.segment_lengths}, derived {derived}"))
     return out
 
 
@@ -910,6 +905,17 @@ class SynthConfig:
         )
 
 
+def _refill(rng, n: int, kept: list[int], k: int) -> list[int]:
+    """``kept`` and then k - len(kept) distinct experts drawn uniformly from
+    the others: the draws and generator state of ``rng.choice`` over the ids
+    not kept, in id order, without building them. The i-th of those ids is i
+    shifted past every kept id at or below it, so the cost is independent of n."""
+    fill = rng.choice(n - len(kept), k - len(kept), replace=False).tolist()
+    for e in sorted(kept):
+        fill = [i + (i >= e) for i in fill]
+    return kept + fill
+
+
 def _sticky_set_stream(rng, n, k, p, steps) -> list[list[int]]:
     """One segment's expert-set sequence: keep each previous expert with
     probability p, refill the open slots uniformly from experts not yet chosen
@@ -920,15 +926,7 @@ def _sticky_set_stream(rng, n, k, p, steps) -> list[list[int]]:
     for _ in range(1, steps):
         # k draws in slot order, the same stream as one rng.random() per slot.
         kept = list(compress(cur, (rng.random(k) < p).tolist()))
-        if len(kept) < k:
-            pool = list(range(n))  # the experts not kept, in id order
-            for e in sorted(kept, reverse=True):
-                del pool[e]
-            # The draws and generator state of rng.choice(pool, ...), without the array.
-            cur = kept + [pool[i] for i in
-                          rng.choice(len(pool), k - len(kept), replace=False).tolist()]
-        else:
-            cur = kept
+        cur = _refill(rng, n, kept, k) if len(kept) < k else kept
         sets.append(cur)
     return sets
 
@@ -976,4 +974,4 @@ def synth_trace(cfg: SynthConfig) -> RoutingTrace:
         probs = layout(p)
     lengths = (cfg.steps_per_segment,) * cfg.n_segments
     return RoutingTrace(cfg.header, _dense_keys(cfg.header, lengths), layout(order),
-                        probs if cfg.emit_probs else None, lengths)
+                        probs if cfg.emit_probs else None)

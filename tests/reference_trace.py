@@ -9,7 +9,7 @@ identical results from both. Used only as a test oracle.
 
 The bridges between the two forms live here too: ``records`` (a package
 trace's rows as records), ``from_records`` (records sorted by key into a
-package trace, segment lengths derived), and ``jsonl``, which writes records
+package trace), and ``jsonl``, which writes records
 in the order given so that traces no array holds, or that break a rule,
 reach the package through its loader. ``load`` is the outcome the package's
 ``parse_trace`` must give for a JSONL input.
@@ -18,7 +18,9 @@ reach the package through its loader. ``load`` is the outcome the package's
 row, the oracle of the package's membership test.
 
 ``sticky_set_stream`` is the synthetic generator's per-slot loop: one scalar
-``rng.random()`` per kept-or-dropped slot and a refill pool built as a list.
+``rng.random()`` per kept-or-dropped slot and a refill pool built as an
+array. ``refill_from_pool`` is one refill drawn from the not-kept ids built
+as a list, the oracle of the generator's pool-free refill.
 """
 
 from __future__ import annotations
@@ -62,17 +64,11 @@ class StepRecord:
 class RecordTrace:
     header: TraceHeader
     records: tuple[StepRecord, ...]
-    segment_lengths: tuple[int, ...]
 
 
 def record_trace(header: TraceHeader, records) -> RecordTrace:
-    """Records sorted by key, with segment lengths derived from them."""
-    recs = tuple(sorted(records, key=lambda r: r.key))
-    seg_len: dict[int, int] = {}
-    for r in recs:
-        seg_len[r.segment_id] = max(seg_len.get(r.segment_id, 0), r.step_index + 1)
-    n_seg = max(seg_len) + 1 if seg_len else 0
-    return RecordTrace(header, recs, tuple(seg_len.get(s, 0) for s in range(n_seg)))
+    """Records sorted by key."""
+    return RecordTrace(header, tuple(sorted(records, key=lambda r: r.key)))
 
 
 def columnar(rt: RecordTrace) -> RoutingTrace:
@@ -85,11 +81,11 @@ def columnar(rt: RecordTrace) -> RoutingTrace:
     if h.has_probs:
         probs = np.array([r.probs for r in recs], dtype=np.float64)
         probs = probs.reshape(len(recs), h.n_routed_experts)
-    return RoutingTrace(h, keys, topk, probs, rt.segment_lengths)
+    return RoutingTrace(h, keys, topk, probs)
 
 
 def from_records(header: TraceHeader, records) -> RoutingTrace:
-    """A package trace of ``records`` sorted by key, segment lengths derived."""
+    """A package trace of ``records`` sorted by key."""
     return columnar(record_trace(header, records))
 
 
@@ -147,6 +143,15 @@ def sticky_set_stream(rng, n, k, p, steps) -> list[list[int]]:
         cur = kept + [int(e) for e in fill]
         sets.append(cur)
     return sets
+
+
+def refill_from_pool(rng, n, kept, k) -> list[int]:
+    """``kept`` and then k - len(kept) experts drawn by ``rng.choice`` over a
+    list of the ids not kept, in id order."""
+    pool = list(range(n))
+    for e in sorted(kept, reverse=True):
+        del pool[e]
+    return kept + [pool[i] for i in rng.choice(len(pool), k - len(kept), replace=False).tolist()]
 
 
 def topk_set(p, k: int) -> list[int]:
@@ -323,25 +328,13 @@ def validate_trace(trace: RecordTrace) -> list:
     seg_steps: dict = {}
     for s, t in steps:
         seg_steps.setdefault(s, set()).add(t)
-    lengths: tuple = ()
-    if seg_steps:
-        n_seg = max(seg_steps) + 1
-        for s in range(n_seg):
-            if s not in seg_steps:
-                out.append(Violation("segments", f"s={s}", "segment id gap"))
-                continue
-            for t in range(max(seg_steps[s]) + 1):
-                if t not in seg_steps[s]:
-                    out.append(
-                        Violation("contiguity", f"(s={s},t={t})", "step index gap within segment")
-                    )
-        lengths = tuple(max(seg_steps[s]) + 1 if s in seg_steps else 0 for s in range(n_seg))
-    if trace.segment_lengths != lengths:
-        out.append(
-            Violation(
-                "segment_lengths",
-                "trace",
-                f"declared {trace.segment_lengths}, derived {lengths}",
-            )
-        )
+    for s in range(max(seg_steps, default=-1) + 1):
+        if s not in seg_steps:
+            out.append(Violation("segments", f"s={s}", "segment id gap"))
+            continue
+        for t in range(max(seg_steps[s]) + 1):
+            if t not in seg_steps[s]:
+                out.append(
+                    Violation("contiguity", f"(s={s},t={t})", "step index gap within segment")
+                )
     return out

@@ -76,6 +76,12 @@ class TestSynthValidate:
         assert validate_trace(trace) == []
         assert run("validate", "--trace", str(trace_path)) == 0
 
+    def test_synth_with_a_huge_expert_count_exits_zero(self, tmp_path):
+        out = tmp_path / "t.jsonl"
+        assert run("synth", "--experts", str(10**12), "--top-k", "4", "--steps", "64",
+                   "--out", str(out)) == 0
+        assert load_trace(out).n_records == 64
+
     def test_synth_deterministic(self, tmp_path):
         a, b = tmp_path / "a.jsonl", tmp_path / "b.jsonl"
         args = ["synth", "--seed", "9", "--emit-probs"]

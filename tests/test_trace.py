@@ -2,6 +2,7 @@ import functools
 import io
 import json
 import math
+import tracemalloc
 from dataclasses import replace
 from fractions import Fraction
 from unittest import mock
@@ -44,6 +45,15 @@ def record_at(trace, segment, step, layer, batch):
     if len(found) != 1:
         raise KeyError(f"{len(found)} records keyed {(segment, step, layer, batch)}")
     return found[0]
+
+
+def traced_peak(fn):
+    """``fn()`` and the peak bytes tracemalloc saw it allocate."""
+    tracemalloc.start()
+    try:
+        return fn(), tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 def outcome(parse, data):
@@ -137,7 +147,7 @@ class TestParse:
 
     def test_stream_compares_sizes_before_building_the_grid(self):
         keys = np.zeros((1, 4), dtype=np.int64)
-        trace = RoutingTrace(TraceHeader(10**12, 4, 2, 1), keys, np.array([[0, 1]]), None, (1,))
+        trace = RoutingTrace(TraceHeader(10**12, 4, 2, 1), keys, np.array([[0, 1]]), None)
         with pytest.raises(KeyError, match="not dense: 1 records for 1 steps"):
             trace.stream(0, 0)
 
@@ -194,6 +204,15 @@ class TestWrite:
         back = parse_trace(write_trace(trace))
         assert back.segment_lengths == (2, 1)
         assert back == trace
+
+    def test_holds_about_twice_its_output(self):
+        # The encoded lines and their one join; a str copy of the lines, or a
+        # copy to append the last newline, would take it past 3x.
+        cfg = SynthConfig(n_moe_layers=2, n_routed_experts=64, top_k=4, batch_size=4,
+                          n_segments=2, steps_per_segment=16, emit_probs=True)
+        trace = synth_trace(cfg)
+        out, peak = traced_peak(lambda: write_trace(trace))
+        assert out == write_trace(trace) and peak <= 2.2 * len(out)
 
 
 class TestValidate:
@@ -303,6 +322,14 @@ class TestSynth:
             sets = {record_at(trace, s, t, 0, b).expert_set for b in range(3)}
             assert len(sets) == 1
 
+    def test_huge_expert_count_costs_no_more_than_its_output(self):
+        # An index-only trace's size does not depend on N, nor may its generation.
+        cfg = SynthConfig(n_routed_experts=10**12, top_k=4, steps_per_segment=64, seed=2)
+        trace, peak = traced_peak(lambda: synth_trace(cfg))
+        assert peak < 1 << 20
+        assert trace.probs is None and trace.n_records == 64
+        assert validate_trace(trace) == []
+
     def test_independent_batch_streams_differ(self):
         cfg = SynthConfig(
             batch_size=3, seed=4, steps_per_segment=12, independent_batches=True
@@ -330,6 +357,21 @@ def test_sticky_stream_matches_per_slot_draws(n, data, p, steps, seed):
     sets = trace_module._sticky_set_stream(fast, n, k, p, steps)
     assert sets == reference_trace.sticky_set_stream(slow, n, k, p, steps)
     assert all(type(e) is int for members in sets for e in members)
+    assert fast.random() == slow.random()
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(n=st.integers(1, 2000), data=st.data(), seed=st.integers(0, 2**63 - 1))
+def test_refill_matches_a_list_pool(n, data, seed):
+    # Kept ids at both ends of the id range, in slot order (unsorted): a drawn
+    # index shifts past every low kept id, and near n past the high ones too.
+    k = data.draw(st.integers(1, min(n, 8)))
+    ends = sorted({*range(k), *range(n - k, n)})
+    kept = data.draw(st.lists(st.sampled_from(ends), max_size=k - 1, unique=True))
+    fast, slow = np.random.default_rng(seed), np.random.default_rng(seed)
+    refill = trace_module._refill(fast, n, kept, k)
+    assert refill == reference_trace.refill_from_pool(slow, n, kept, k)
+    assert all(type(e) is int for e in refill)
     assert fast.random() == slow.random()
 
 
@@ -566,9 +608,9 @@ def test_validate_matches_reference(first, cfg, data):
     block = data.draw(st.sampled_from([1, 3, 8, 512]))
     with mock.patch.object(trace_module, "_BLOCK", block):
         assert outcome(parse_trace, payload) == reference_trace.load(payload)
-    # The same rows in that order with the declared segment lengths, where the
-    # arrays hold them (so ordering and segment_lengths rules can fire).
-    declared = reference_trace.RecordTrace(base.header, tuple(records), base.segment_lengths)
+    # The same rows in that order, where the arrays hold them (so the ordering
+    # rule can fire).
+    declared = reference_trace.RecordTrace(base.header, tuple(records))
     try:
         trace = reference_trace.columnar(declared)
     except (ValueError, OverflowError, TypeError):
