@@ -29,7 +29,7 @@ import os
 import sys
 import tempfile
 import time
-from pathlib import Path
+from typing import Iterable
 
 import numpy as np
 
@@ -77,15 +77,16 @@ class _Parser(argparse.ArgumentParser):
 # ---------------------------------------------------------------------------
 
 
-def _atomic_write(path: str, data: bytes) -> None:
-    """Write through a temp file in the same directory, then rename. An
-    OSError names ``path``, never the temp file's random name."""
+def _atomic_write(path: str, chunks: Iterable[bytes]) -> None:
+    """Write ``chunks`` one after another through a temp file in the same
+    directory, then rename. An OSError names ``path``, never the temp file's
+    random name."""
     directory = os.path.dirname(os.path.abspath(path)) or "."
     tmp = None
     try:
         fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", suffix=os.path.basename(path))
         with os.fdopen(fd, "wb") as f:
-            f.write(data)
+            f.writelines(chunks)
         os.replace(tmp, path)
     except BaseException as e:
         if tmp is not None and os.path.exists(tmp):
@@ -109,6 +110,11 @@ def _json_bytes(obj) -> bytes:
     return (json.dumps(obj, indent=2, sort_keys=True, allow_nan=False) + "\n").encode("utf-8")
 
 
+def _sha256(path: str) -> str:
+    with open(path, "rb") as f:
+        return hashlib.file_digest(f, "sha256").hexdigest()
+
+
 class _Run:
     """The files one command writes and the manifest line that records them.
 
@@ -127,9 +133,9 @@ class _Run:
         payload = json.dumps(self.fields, sort_keys=True).encode("utf-8")
         self.id = hashlib.sha256(payload).hexdigest()[:16]
 
-    def write(self, path: str, data: bytes) -> None:
+    def write(self, path: str, chunks: Iterable[bytes]) -> None:
         assert path in self.fields["outputs"], path
-        _atomic_write(path, data)
+        _atomic_write(path, chunks)
 
     def __enter__(self) -> _Run:
         return self
@@ -141,8 +147,7 @@ class _Run:
         record = {
             **self.fields,
             "manifest_id": self.id,
-            "outputs": [{"path": p, "sha256": hashlib.sha256(Path(p).read_bytes()).hexdigest()}
-                        for p in outputs],
+            "outputs": [{"path": p, "sha256": _sha256(p)} for p in outputs],
             "duration_s": round(self.elapsed(), 6),
         }
         with open(outputs[0] + ".manifest.jsonl", "a", encoding="utf-8") as f:
@@ -221,9 +226,9 @@ def _cmd_metrics(args) -> int:
                 "load_cv": report.load_cv,
                 "unique_experts_per_sequence": report.unique_experts_per_sequence,
             }
-            run.write(args.out, _json_bytes(payload))
+            run.write(args.out, [_json_bytes(payload)])
         else:
-            run.write(args.out, _csv_bytes(rows, ["metric", "layer", "value"]))
+            run.write(args.out, [_csv_bytes(rows, ["metric", "layer", "value"])])
     print(f"wrote {args.out}")
     return 0
 
@@ -296,11 +301,11 @@ def _cmd_simulate(args) -> int:
                 payload["tpot_ms"] = list(tpot.tpot_ms)
             if eors is not None:
                 payload["original_eor"], payload["rerouted_eor"] = eors
-            run.write(args.out, _json_bytes(payload))
+            run.write(args.out, [_json_bytes(payload)])
         else:
-            run.write(args.out, _csv_bytes(layer_rows, ["layer", "uHR", "tHR", "uMiss", "tMiss"]))
+            run.write(args.out, [_csv_bytes(layer_rows, ["layer", "uHR", "tHR", "uMiss", "tMiss"])])
             cols = ["segment", "step", "uMiss"] + (["io_ms", "tpot_ms"] if tpot else [])
-            run.write(outputs[1], _csv_bytes(step_rows, cols))
+            run.write(outputs[1], [_csv_bytes(step_rows, cols)])
     summary = f"uHR={report.overall.uhr:.4f} uMiss={report.overall.unique_misses}"
     if eors is not None:
         summary += f" eor={eors[0]:.4f} rerouted_eor={eors[1]:.4f}"
@@ -394,7 +399,7 @@ def _cmd_bound_check(args) -> int:
         sys.stdout.write(data.decode("utf-8"))
     else:
         with _Run(args, "bound-check", config, inputs, [args.out], seed) as run:
-            run.write(args.out, data)
+            run.write(args.out, [data])
     return 3 if failed else 0
 
 
@@ -506,7 +511,7 @@ def _cmd_train(args) -> int:
     with _Run(args, "train", resolved, [args.config], [args.log, args.out_theta],
               tcfg.seed) as run:
         rows = [dataclasses.asdict(r) for r in result.log]
-        run.write(args.log, _csv_bytes(rows, _LOG_COLUMNS))
+        run.write(args.log, [_csv_bytes(rows, _LOG_COLUMNS)])
         # Not run.write: the gate's .json sidecar is written too, and is no declared output.
         save_gate(result.params, args.out_theta, _atomic_write)
     print(
@@ -600,7 +605,7 @@ def _cmd_sweep(args) -> int:
     columns = ["point", "overrides", "eor", "trust_kl", "reuse_rho", "total",
                "reuse", "smooth", "lag", "ws"]
     with _Run(args, "sweep", config, [args.config], [args.out], tcfg.seed) as run:
-        run.write(args.out, _csv_bytes(rows, columns))
+        run.write(args.out, [_csv_bytes(rows, columns)])
     print(f"wrote {len(rows)} sweep rows to {args.out}")
     return 0
 

@@ -261,8 +261,9 @@ _LITTLE = 0  # byte-order tag
 def save_gate(params: GateParams, path, write=None) -> None:
     """Flat binary layout: magic, endianness tag, d, N_r, theta, theta0
     (float64 each), plus a JSON sidecar describing the layout at
-    ``<path>.json``. ``write(path, data)`` writes each file when given (the
-    CLI passes its atomic writer), else they are written in place."""
+    ``<path>.json``. ``write(path, chunks)`` writes each file, as one chunk,
+    when given (the CLI passes its atomic writer), else they are written in
+    place."""
     d, n = params.theta.shape
     sidecar = {
         "format": "gate-params-v1",
@@ -282,4 +283,4 @@ def save_gate(params: GateParams, path, write=None) -> None:
         if write is None:
             Path(file).write_bytes(data)
         else:
-            write(file, data)
+            write(file, [data])

@@ -25,7 +25,11 @@ On-disk format (UTF-8, one JSON object per line):
 Lines end at ``\\n`` only, for bytes and files alike; whitespace around a line
 (the ``\\r`` of ``\\r\\n`` included) is ignored and blank lines are skipped.
 Probabilities are serialized with 17 significant digits so that
-``parse_trace(write_trace(x)) == x`` holds bit-for-bit.
+``parse_trace(write_trace(x)) == x`` holds bit-for-bit. They are encoded a
+block of rows at a time into fixed-width fields by the exact inverse of the
+parser's decoder, with the bytes of formatting each one by itself:
+:func:`save_trace` writes one block at a time and never holds the whole
+output, and :func:`write_trace` joins the same blocks.
 
 :func:`parse_trace` reads the input once, a block of lines at a time. A
 block whose every line is a record exactly as :func:`write_trace` emits it
@@ -62,7 +66,6 @@ from dataclasses import asdict, dataclass, replace
 from functools import cached_property
 from itertools import chain, compress, islice, repeat
 from operator import itemgetter
-from pathlib import Path
 from typing import IO, Iterator, NamedTuple
 
 import numpy as np
@@ -643,24 +646,149 @@ def parse_trace(stream: bytes | IO[bytes], validate: bool = True) -> RoutingTrac
 
 
 _PROB_FORMAT = "{:.16e}".format  # 17 significant digits: exact float64 round-trip
+_ENCODE_FIELDS = 1 << 12  # probabilities encoded into one block of lines at a time
+
+
+def _digit_pairs() -> np.ndarray:
+    """The two ASCII digits of each integer below 100 as one little-endian
+    uint32 (its high half zero)."""
+    i = np.arange(100, dtype=np.uint32)
+    return (i // 10 | i % 10 << 8) + 0x3030
+
+
+# The four digits of each integer i below 10^4 (those of i // 100, then of
+# i % 100), and "e±DD" of each exponent e of _POW10 at e + 99, each as one
+# little-endian word.
+_QUADS = (_digit_pairs()[:, None] | _digit_pairs() << 16).ravel()
+_EXPONENTS = (np.where(np.arange(len(_POW10)) < 99, ord("e") | ord("-") << 8,
+                       ord("e") | ord("+") << 8).astype(np.uint32)
+              | _digit_pairs()[abs(np.arange(len(_POW10)) - 99)] << 16)
+
+
+def _decimals(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The decimal form of each float64 of ``x`` in its _PROB_FORMAT text:
+    the exponent e (as e + 99, an index of _POW10), the 17-digit mantissa M
+    (uint64), and bool: both are exact. The inverse of
+    :func:`_fixed_floats`, and as exact.
+
+    A positive x is written as M = round(y), ties to even, with y = x * 10^k,
+    k = 16 - e, and M in [10^16, 10^17). e = floor(log10(x)) is a guess that
+    M checks: taken one too high, y < 10^16 and so M <= 10^16; one too low,
+    y >= 10^17 and M >= 10^17. M strictly between the two proves e right.
+    q is x times the table's power 10^k, with the power and the one rounded
+    product each within half a unit of the last place of a long double of
+    64 significant bits, so q is within about q * 2^-63 of y. rint(q) is
+    then round(y) unless q lies within twice that, about M * 2^-62, of a
+    half-integer. Such fields (exact ties included), those whose M or e is
+    out of range, zero, negative, subnormal and non-finite ones, and every
+    field where the long double is not the x87 format are not exact here.
+    """
+    with np.errstate(divide="ignore", invalid="ignore"):
+        e = np.log10(x)
+        np.floor(e, out=e)
+        exact = (e >= -99) & (e < len(_POW10) - 99)
+        e[~exact] = 0
+        e += 99
+        at = e.astype(np.intp)
+        if not _EXTENDED:
+            return at, np.zeros(len(x), np.uint64), np.zeros(len(x), bool)
+        q = x.astype(np.longdouble)
+        q *= _POW10[at]
+        m = np.rint(q)
+        q -= m  # exact, and so is its float64: a multiple of q's ulp, at most 1/2
+        off = np.abs(q.astype(np.float64))
+        off -= 0.5
+        m = m.astype(np.uint64)
+        exact &= (np.abs(off) > m * 2.0**-62) & (m > 10**16) & (m < 10**17)
+    return at, m, exact
+
+
+def _digit_quads(m: np.ndarray) -> np.ndarray:
+    """uint32[len(m), 4]: the 16 digits of each M after its first, as four
+    numbers below 10^4."""
+    quads = np.empty((len(m), 4), np.uint32)
+    for i, half in enumerate(np.divmod(m % np.uint64(10**16), np.uint64(10**8))):
+        quads[:, 2 * i], quads[:, 2 * i + 1] = np.divmod(half.astype(np.uint32), 10**4)
+    return quads
+
+
+def _fixed_texts(p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Each float64 of ``p`` (float[rows, N]) as its _PROB_FORMAT text in a
+    _FIELD, as uint8[rows, N, 23] with "]" after a row's last field, and
+    bool[rows]: the rows holding a text that is not _FIELD wide (a sign, a
+    3-digit exponent, inf or nan), whose fields the caller formats itself.
+    A field whose decimal form :func:`_decimals` does not settle goes
+    through _PROB_FORMAT alone."""
+    x = p.ravel()
+    at, m, exact = _decimals(x)
+    out = np.empty((len(x), len(_FIELD)), np.uint8)
+    out[:, 0] = m // np.uint64(10**16)
+    out[:, 0] |= 0x30
+    out[:, 1] = ord(".")
+    out[:, 2:18] = _QUADS[_digit_quads(m)].view(np.uint8)
+    out[:, 18:22] = _EXPONENTS[at, None].view(np.uint8)
+    out[:, 22] = ord(",")
+    slow = np.flatnonzero(~exact)
+    texts = list(map(_PROB_FORMAT, x[slow].tolist()))
+    wide = np.fromiter(map(len, texts), np.int64, len(texts)) == len(_FIELD) - 1
+    fixed = "".join(compress(texts, wide.tolist())).encode()
+    out[slow[wide], :-1] = np.frombuffer(fixed, np.uint8).reshape(-1, len(_FIELD) - 1)
+    uneven = np.zeros(len(p), bool)
+    uneven[slow[~wide] // p.shape[1]] = True
+    out = out.reshape(*p.shape, len(_FIELD))
+    out[:, -1, -1] = ord("]")
+    return out, uneven
+
+
+def _heads(keys: np.ndarray, topk: np.ndarray) -> Iterator[str]:
+    """Each row's line up to and including its topk list."""
+    for (s, t, l, b), ids in zip(keys.tolist(), topk.tolist()):
+        yield f'{{"s":{s},"t":{t},"l":{l},"b":{b},"topk":[{",".join(map(str, ids))}]'
 
 
 def _record_lines(trace: RoutingTrace) -> Iterator[bytes]:
-    """Each row as its UTF-8 line, "\\n" included."""
-    probs = repeat(None) if trace.probs is None else map(np.ndarray.tolist, trace.probs)
-    for (s, t, l, b), ids, p in zip(trace.keys.tolist(), trace.topk.tolist(), probs):
-        line = f'{{"s":{s},"t":{t},"l":{l},"b":{b},"topk":[{",".join(map(str, ids))}]'
-        if p is not None:
-            line += f',"probs":[{",".join(map(_PROB_FORMAT, p))}]'
-        yield (line + "}\n").encode("utf-8")
+    """The rows as UTF-8 lines, "\\n" included: one line at a time in an
+    index-only trace, a block of lines at a time in a probs trace."""
+    if trace.probs is None:
+        for head in _heads(trace.keys, trace.topk):
+            yield (head + "}\n").encode("utf-8")
+        return
+    rows = max(1, _ENCODE_FIELDS // trace.header.n_routed_experts)
+    for start in range(0, trace.n_records, rows):
+        block = slice(start, start + rows)
+        yield _probs_lines(trace.keys[block], trace.topk[block], trace.probs[block])
+
+
+def _probs_lines(keys: np.ndarray, topk: np.ndarray, probs: np.ndarray) -> bytes:
+    """The lines of rows of a probs trace, their texts read in place from
+    the block :func:`_fixed_texts` writes."""
+    texts, uneven = _fixed_texts(probs)
+    width = texts[0].size
+    texts = memoryview(texts.reshape(-1))
+    parts = []
+    for i, head, p, other_width in zip(range(0, len(texts), width), _heads(keys, topk),
+                                       probs, uneven.tolist()):
+        if other_width:  # a text not _FIELD wide: the row field by field
+            row = (",".join(map(_PROB_FORMAT, p.tolist())) + "]").encode("utf-8")
+        else:
+            row = texts[i:i + width]
+        parts += ((head + ',"probs":[').encode("utf-8"), row, b"}\n")
+    return b"".join(parts)
+
+
+def _written(trace: RoutingTrace) -> Iterator[bytes]:
+    """The header line, then :func:`_record_lines`."""
+    header = json.dumps({"type": "header", **asdict(trace.header)}, separators=(",", ":"))
+    yield (header + "\n").encode("utf-8")
+    yield from _record_lines(trace)
 
 
 def write_trace(trace: RoutingTrace) -> bytes:
     """Serialize a trace, one line per row in row order (sorted by key in a
-    parsed or generated trace). Each line is encoded once and the bytes are
-    joined once, so the output is held at most about twice."""
-    header = json.dumps({"type": "header", **asdict(trace.header)}, separators=(",", ":"))
-    return b"".join(chain(((header + "\n").encode("utf-8"),), _record_lines(trace)))
+    parsed or generated trace): the join of the blocks :func:`save_trace`
+    writes one at a time, so the output is held about twice here (the
+    blocks and their join) and never whole there."""
+    return b"".join(_written(trace))
 
 
 def load_trace(path) -> RoutingTrace:
@@ -669,13 +797,15 @@ def load_trace(path) -> RoutingTrace:
 
 
 def save_trace(trace: RoutingTrace, path, write=None) -> None:
-    """Write ``write_trace(trace)`` to ``path``, through ``write(path, data)``
-    when given (the CLI passes its atomic writer), else in place."""
-    data = write_trace(trace)
+    """Write ``write_trace(trace)`` to ``path`` a chunk at a time, through
+    ``write(path, chunks)`` when given (the CLI passes its atomic writer),
+    else in place: the whole output is never held."""
+    chunks = _written(trace)
     if write is None:
-        Path(path).write_bytes(data)
+        with open(path, "wb") as f:
+            f.writelines(chunks)
     else:
-        write(path, data)
+        write(path, chunks)
 
 
 # ---------------------------------------------------------------------------

@@ -14,6 +14,10 @@ in the order given so that traces no array holds, or that break a rule,
 reach the package through its loader. ``load`` is the outcome the package's
 ``parse_trace`` must give for a JSONL input.
 
+``write`` is the per-field writer: each row formatted as one line, each
+probability by ``PROB_FORMAT`` alone, the oracle of the package's block
+encoder.
+
 ``not_top_by_sort`` is the probs_topk screen by a full stable sort of every
 row, the oracle of the package's membership test.
 
@@ -108,6 +112,23 @@ def jsonl(header: TraceHeader, recs) -> bytes:
             obj["probs"] = list(r.probs)
         lines.append(json.dumps(obj))
     return ("\n".join(lines) + "\n").encode()
+
+
+PROB_FORMAT = "{:.16e}".format  # 17 significant digits: exact float64 round-trip
+
+
+def write(trace: RoutingTrace) -> bytes:
+    """A package trace as ``write_trace`` must write it: the header line,
+    then one line per row in row order, each probability formatted alone."""
+    header = json.dumps({"type": "header", **asdict(trace.header)}, separators=(",", ":"))
+    lines = [header]
+    probs = [None] * trace.n_records if trace.probs is None else trace.probs.tolist()
+    for (s, t, l, b), ids, p in zip(trace.keys.tolist(), trace.topk.tolist(), probs):
+        line = f'{{"s":{s},"t":{t},"l":{l},"b":{b},"topk":[{",".join(map(str, ids))}]'
+        if p is not None:
+            line += f',"probs":[{",".join(map(PROB_FORMAT, p))}]'
+        lines.append(line + "}")
+    return ("\n".join(lines) + "\n").encode("utf-8")
 
 
 def load(data: bytes, validate: bool = True):

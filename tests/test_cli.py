@@ -5,12 +5,16 @@ import os
 import resource
 import subprocess
 import sys
+import tracemalloc
 
+import numpy as np
 import pytest
 
 import moe_locality
-from moe_locality.cli import _json_bytes, dispatch, run_gradcheck
-from moe_locality.trace import load_trace, validate_trace
+import reference_trace
+from moe_locality.cli import _atomic_write, _json_bytes, dispatch, run_gradcheck
+from moe_locality.trace import (SynthConfig, load_trace, save_trace, synth_trace, validate_trace,
+                                write_trace)
 from moe_locality.trainer import SyntheticDataConfig, evaluate_gate, synth_hidden_sequences
 from reference_gate import load_gate
 
@@ -244,6 +248,41 @@ class TestSynthValidate:
             "[arity] (s=0,t=0,l=0,b=0): topk has 2 entries, expected K=3\n"
             "[arity] (s=0,t=1,l=0,b=0): topk has 1 entries, expected K=3\n"
             "2 violation(s) in 2 records\n")
+
+
+    @pytest.mark.parametrize("concentration", ["1e100", "1e12"])
+    def test_synth_writes_fields_off_the_fixed_width_as_the_reference(self, tmp_path,
+                                                                      extended, concentration):
+        # 1e100 puts every non-member below 1e-99 (a 3-digit exponent), 1e12
+        # below 1e-11 (powers of ten a long double holds only rounded).
+        out = tmp_path / "t.jsonl"
+        assert run("synth", "--layers", "2", "--experts", "16", "--top-k", "4", "--batch", "2",
+                   "--segments", "2", "--steps", "20", "--seed", "5", "--emit-probs",
+                   "--concentration", concentration, "--out", str(out)) == 0
+        trace = synth_trace(SynthConfig(n_moe_layers=2, n_routed_experts=16, top_k=4,
+                                        batch_size=2, n_segments=2, steps_per_segment=20,
+                                        seed=5, emit_probs=True,
+                                        concentration=float(concentration)))
+        assert trace.probs.min() < (1e-99 if concentration == "1e100" else 1e-11)
+        assert out.read_bytes() == reference_trace.write(trace)
+        assert run("validate", "--trace", str(out)) == 0
+        assert np.array_equal(load_trace(out).probs.view(np.int64), trace.probs.view(np.int64))
+
+    def test_saving_a_probs_trace_holds_one_block_at_a_time(self, tmp_path):
+        # 1,024 rows of 64 probabilities: 16 blocks and 1.57 MB written. The
+        # joined output held before its write would take it past 2x.
+        trace = synth_trace(SynthConfig(n_moe_layers=2, n_routed_experts=64, top_k=4,
+                                        batch_size=4, n_segments=2, steps_per_segment=64,
+                                        emit_probs=True))
+        out = tmp_path / "t.jsonl"
+        tracemalloc.start()
+        try:
+            save_trace(trace, str(out), _atomic_write)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert out.read_bytes() == write_trace(trace)
+        assert peak <= 1.2 * out.stat().st_size
 
 
 class TestMetricsCli:

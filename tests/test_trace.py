@@ -9,7 +9,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 import reference_trace
 from reference_trace import StepRecord
@@ -979,16 +979,6 @@ def midpoint_distance(text) -> Fraction:
     return abs(low - 1024)
 
 
-@pytest.fixture(params=[True, False], ids=["extended", "float"])
-def extended(request):
-    """The decoder with its long-double path on, and forced off so that
-    every field goes through float()."""
-    if request.param and not trace_module._EXTENDED:
-        pytest.skip("long double is not the x87 format here")
-    with mock.patch.object(trace_module, "_EXTENDED", request.param):
-        yield request.param
-
-
 def test_power_table_is_within_half_an_ulp():
     # The exactness argument takes each power 10^(16-e) within half an ulp
     # of its long double: a relative error of at most 2^-(nmant+1).
@@ -1003,7 +993,7 @@ def test_power_table_is_within_half_an_ulp():
                                  int(np.float64(LARGEST_2_DIGIT).view(np.int64))),
                      min_size=1, max_size=64))
 def test_decoder_matches_float_on_bit_patterns(bits):
-    texts = list(map(trace_module._PROB_FORMAT, np.array(bits, np.int64).view(np.float64)))
+    texts = list(map(reference_trace.PROB_FORMAT, np.array(bits, np.int64).view(np.float64)))
     for extended in ([True, False] if trace_module._EXTENDED else [False]):
         with mock.patch.object(trace_module, "_EXTENDED", extended):
             assert np.array_equal(decode_bits(texts), float_bits(texts))
@@ -1059,6 +1049,112 @@ def test_probs_loaded_either_way_are_the_json_paths(extended):
     assert np.array_equal(loaded.probs.view(np.int64), trace.probs.view(np.int64))
     reference = reference_trace.load(data)
     assert np.array_equal(loaded.probs.view(np.int64), reference.probs.view(np.int64))
+
+
+# ---------------------------------------------------------------------------
+# Fixed-width probabilities: the encoder against the per-field writer
+# ---------------------------------------------------------------------------
+
+
+def probs_trace(values, n=8) -> RoutingTrace:
+    """A trace whose probs are the float64s ``values``, n to a row (the last
+    row padded with 0.5), whatever they sum to: writing reads no rule."""
+    values = np.asarray(values, np.float64)
+    probs = np.concatenate([values, np.full(-len(values) % n, 0.5)]).reshape(-1, n)
+    keys = np.zeros((len(probs), 4), np.int64)
+    keys[:, 1] = np.arange(len(probs))
+    header = TraceHeader(1, n, 1, 1, has_probs=True)
+    return RoutingTrace(header, keys, np.zeros((len(probs), 1), np.int64), probs)
+
+
+def assert_written_as_reference(values, n=8):
+    trace = probs_trace(values, n)
+    assert write_trace(trace) == reference_trace.write(trace)
+
+
+def exact_ties() -> list[float]:
+    """float64s exactly half-way between two 17-digit texts: i / 2^j with i
+    odd and i * 5^j of 18 digits, so that the exact decimal value ends in a
+    5 at the 18th digit. They span the exponents -8 to 15."""
+    rng = np.random.default_rng(7)
+    ties = []
+    for j in range(2, 26):
+        lo, hi = -(-10**17 // 5**j), min(10**18 // 5**j, 2**53)
+        ties += [float(i | 1) / 2**j for i in rng.integers(lo, hi - 1, 8).tolist()]
+    return ties
+
+
+@settings(max_examples=100, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(bits=st.lists(st.integers(int(np.float64(SMALLEST_2_DIGIT).view(np.int64)),
+                                 int(np.float64(LARGEST_2_DIGIT).view(np.int64))),
+                     min_size=1, max_size=64))
+def test_encoder_matches_the_per_field_writer_on_bit_patterns(extended, bits):
+    assert_written_as_reference(np.array(bits, np.int64).view(np.float64))
+
+
+def test_encoder_sends_ties_and_guard_band_values_to_the_per_field_writer(extended):
+    ties = np.array(exact_ties())
+    for x in ties.tolist():
+        e = int(reference_trace.PROB_FORMAT(x)[-3:])
+        assert (Fraction(x) * Fraction(10) ** (16 - e)).denominator == 2
+    assert not trace_module._decimals(ties)[2].any()
+    assert_written_as_reference(np.concatenate([ties, np.nextafter(ties, 0),
+                                                np.nextafter(ties, np.inf)]))
+    assert_written_as_reference([float(t) for t in GUARD_BAND_TEXTS])
+    # Ties round to even.
+    assert reference_trace.PROB_FORMAT(1e15 + 0.25) == "1.0000000000000002e+15"
+    assert reference_trace.PROB_FORMAT(1e15 + 0.75) == "1.0000000000000008e+15"
+    assert_written_as_reference([1e15 + 0.25, 1e15 + 0.75])
+
+
+def test_encoder_writes_powers_of_ten_and_the_doubles_beside_them(extended):
+    powers = np.array([float(Fraction(10) ** e) for e in range(-100, 19)])
+    below, above = np.nextafter(powers, 0), np.nextafter(powers, np.inf)
+    # Some powers of ten round below themselves yet write as 1.0...0e+XX:
+    # the 17-digit rounding carries them into the next decade.
+    carried = [e for e, x in zip(range(-100, 19), powers.tolist())
+               if Fraction(x) < Fraction(10) ** e
+               and reference_trace.PROB_FORMAT(x).startswith("1.0000000000000000e")]
+    assert carried
+    assert_written_as_reference(np.concatenate([powers, below, above]))
+
+
+@pytest.mark.parametrize("shift", [-1, 1])
+def test_encoder_checks_its_exponent_guess(extended, shift):
+    # A floor(log10(x)) one off either way gives a mantissa out of range
+    # (10^17 exactly for 1.0 guessed one too low), never a wrong text.
+    values = np.array([1.0, 0.5, 0.1, 2.0**-10, 9.5e-7, 0.3, 1e-99, 1e15 + 0.25, 1e16])
+    log10 = np.log10
+    with mock.patch.object(np, "log10", lambda x: log10(x) + shift):
+        assert not trace_module._decimals(values)[2].any()
+        assert_written_as_reference(values, n=9)
+
+
+def test_encoder_writes_zero_subnormal_negative_and_non_finite_values(extended):
+    specials = [0.0, -0.0, 5e-324, 2.2250738585072014e-308, 1e-100, 9.999999999999999e-100,
+                1e-300, -0.25, -1e-5, -5e-324, math.inf, -math.inf, math.nan, 1e100, 1e300]
+    # Each in a row of ordinary probabilities, between whole rows of them.
+    rows = [[0.125, 0.25, x, 0.375, 0.5, 0.0625, 0.03125, 0.1] for x in specials]
+    ordinary = [0.3, 0.2, 0.1, 0.05, 0.15, 0.07, 0.08, 0.05]
+    assert_written_as_reference([v for row in rows for v in ordinary + row])
+    assert_written_as_reference([0.0, 0.5, 0.25, 0.0, 0.125, 0.0625, 0.0, 0.0625])
+
+
+def test_encoder_matches_the_per_field_writer_in_a_bulk_sweep(extended):
+    values = bulk_sweep()[1].view(np.float64)
+    assert_written_as_reference(values[:len(values) // 64 * 64], n=64)
+
+
+def test_encoder_writes_synthesized_traces_as_the_per_field_writer(extended):
+    for cfg in (SynthConfig(n_moe_layers=2, n_routed_experts=64, top_k=6, batch_size=3,
+                            n_segments=2, steps_per_segment=50, emit_probs=True),
+                SynthConfig(n_routed_experts=5000, top_k=2, steps_per_segment=3,
+                            emit_probs=True, concentration=1e12),
+                SynthConfig(n_routed_experts=3, top_k=1, steps_per_segment=3000,
+                            emit_probs=True, concentration=0.0)):
+        trace = synth_trace(cfg)
+        assert write_trace(trace) == reference_trace.write(trace)
 
 
 # ---------------------------------------------------------------------------
