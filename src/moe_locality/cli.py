@@ -160,6 +160,7 @@ class _Run:
 
 
 def _cmd_synth(args) -> int:
+    _require_at_least("--seed", args.seed, 0)
     cfg = SynthConfig(
         n_moe_layers=args.layers,
         n_routed_experts=args.experts,
@@ -323,6 +324,8 @@ def _cmd_bound_check(args) -> int:
     ``--out`` is absent or "-", otherwise write it and its manifest line."""
     if args.threads is not None:
         _require_at_least("--threads", args.threads, 1)
+    if args.seed is not None:
+        _require_at_least("--seed", args.seed, 0)
     if args.campaign is not None:
         _require_at_least("--campaign", args.campaign, 1)
     modes = [flag for flag, given in (("--trace", args.trace is not None),
@@ -406,6 +409,7 @@ def _cmd_bound_check(args) -> int:
 def _cmd_router(args) -> int:
     _require_at_least("--trials", args.trials, 1)
     _require_at_least("--experts", args.experts, 2)
+    _require_at_least("--seed", args.seed, 0)
     if args.check == "stability":
         if not 1 <= args.top_k < args.experts:
             raise UsageError(f"--top-k must be in [1, {args.experts}) for "
@@ -566,6 +570,7 @@ def run_gradcheck(instances: int, seed: int) -> float:
 
 def _cmd_gradcheck(args) -> int:
     _require_at_least("--instances", args.instances, 1)
+    _require_at_least("--seed", args.seed, 0)
     worst = run_gradcheck(args.instances, args.seed)
     print(f"max relative error over {args.instances} instances: {worst:.3e}")
     return 0 if worst < GRADCHECK_TOL else 3

@@ -25,9 +25,11 @@ On-disk format (UTF-8, one JSON object per line):
 Lines end at ``\\n`` only, for bytes and files alike; whitespace around a line
 (the ``\\r`` of ``\\r\\n`` included) is ignored and blank lines are skipped.
 Probabilities are serialized with 17 significant digits so that
-``parse_trace(write_trace(x)) == x`` holds bit-for-bit. They are encoded a
-block of rows at a time into fixed-width fields by the exact inverse of the
-parser's decoder, with the bytes of formatting each one by itself:
+``parse_trace(write_trace(x)) == x`` holds bit-for-bit; a non-finite one is
+written ``NaN``, ``Infinity`` or ``-Infinity``, which the loader reads back
+(and validation refuses). They are encoded a block of rows at a time into
+fixed-width fields by the exact inverse of the parser's decoder, with the
+bytes of formatting each one by itself:
 :func:`save_trace` writes one block at a time and never holds the whole
 output, and :func:`write_trace` joins the same blocks.
 
@@ -646,6 +648,7 @@ def parse_trace(stream: bytes | IO[bytes], validate: bool = True) -> RoutingTrac
 
 
 _PROB_FORMAT = "{:.16e}".format  # 17 significant digits: exact float64 round-trip
+_NON_FINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}  # JSON's spelling
 _ENCODE_FIELDS = 1 << 12  # probabilities encoded into one block of lines at a time
 
 
@@ -740,6 +743,13 @@ def _fixed_texts(p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return out, uneven
 
 
+def _prob_text(x: float) -> str:
+    """One probability as _PROB_FORMAT writes it, a non-finite one as the
+    loader reads it back."""
+    text = _PROB_FORMAT(x)
+    return _NON_FINITE.get(text, text)
+
+
 def _heads(keys: np.ndarray, topk: np.ndarray) -> Iterator[str]:
     """Each row's line up to and including its topk list."""
     for (s, t, l, b), ids in zip(keys.tolist(), topk.tolist()):
@@ -769,7 +779,7 @@ def _probs_lines(keys: np.ndarray, topk: np.ndarray, probs: np.ndarray) -> bytes
     for i, head, p, other_width in zip(range(0, len(texts), width), _heads(keys, topk),
                                        probs, uneven.tolist()):
         if other_width:  # a text not _FIELD wide: the row field by field
-            row = (",".join(map(_PROB_FORMAT, p.tolist())) + "]").encode("utf-8")
+            row = (",".join(map(_prob_text, p.tolist())) + "]").encode("utf-8")
         else:
             row = texts[i:i + width]
         parts += ((head + ',"probs":[').encode("utf-8"), row, b"}\n")
@@ -996,7 +1006,8 @@ class SynthConfig:
     ``stickiness`` is the per-slot probability of keeping a previous-step
     expert, so it dials step-to-step overlap from fully random (0.0) to a
     frozen working set (1.0). With ``independent_batches`` off, all batch
-    slots share one expert-set stream.
+    slots share one expert-set stream. ``seed`` seeds numpy's
+    ``default_rng``, whose Generator calls :func:`synth_trace` replays.
     """
 
     n_moe_layers: int = 1
@@ -1035,37 +1046,164 @@ class SynthConfig:
         )
 
 
-def _refill(rng, n: int, kept: list[int], k: int) -> list[int]:
+class _Draws:
+    """A draw cursor over the raw 64-bit words of a fresh
+    ``np.random.default_rng(seed)``, giving bit for bit what that
+    Generator's calls would return, with no per-call numpy overhead. The
+    words are read a chunk at a time through ``random_raw``, so the
+    generator is left past the last word used: nothing may read it after.
+
+    Why each draw is exact (PCG64 under numpy's Generator):
+
+    * ``random(...)`` turns a word w into the double (w >> 11) * 2^-53, so
+      ``random() < p`` is (w >> 11) < p * 2^53: both sides are the double
+      scaled by 2^53, exactly.
+    * A 32-bit draw is the low half of a fresh word, and then its high half,
+      kept for the next 32-bit draw (PCG64's ``has_uint32``); 64-bit draws
+      take whole words and leave a kept half in place.
+    * An integer in [0, j] is numpy's unmasked bounded draw: none for j = 0;
+      a bare 32-bit draw for j = 2^32 - 1; Lemire's multiply-and-reject
+      (Lemire, ACM TOMACS 2019) on 32-bit draws below that and on words
+      above it, rejection loop included.
+    * ``choice(m, s, replace=False)`` is Floyd's sampling (Bentley & Floyd,
+      CACM 1987) over j = m - s ... m - 1, then a Fisher-Yates pass over
+      positions s - 1 ... 1; past m > 10000 and s > m // 50 numpy instead
+      shuffles the tail of range(m), which :meth:`choice` replays with
+      sparse swaps.
+    """
+
+    __slots__ = ("_bits", "_raw", "_words", "_at", "_half")
+    _CHUNK = 512
+
+    def __init__(self, seed):
+        self._bits = np.random.default_rng(seed).bit_generator
+        self._raw = np.empty(0, np.uint64)
+        self._words: list[int] = []  # self._raw as ints
+        self._at = 0  # the next unread word
+        self._half = None  # the kept high half of the last 32-bit draw's word
+
+    def _ensure(self, count: int) -> None:
+        """Hold at least ``count`` unread words."""
+        if len(self._words) - self._at < count:
+            raw = np.concatenate((self._raw[self._at:],
+                                  self._bits.random_raw(max(count, self._CHUNK))))
+            self._raw, self._words, self._at = raw, raw.tolist(), 0
+
+    def _word(self) -> int:
+        if self._at == len(self._words):
+            self._ensure(1)
+        self._at += 1
+        return self._words[self._at - 1]
+
+    def _u32(self) -> int:
+        half = self._half
+        if half is not None:
+            self._half = None
+            return half
+        w = self._word()
+        self._half = w >> 32
+        return w & 0xFFFFFFFF
+
+    def below(self, j: int) -> int:
+        """An integer uniform in [0, j], for j >= 0, drawn as ``choice`` draws it."""
+        if j == 0:
+            return 0
+        if j < 0xFFFFFFFF:
+            r = j + 1
+            m = self._u32() * r
+            if m & 0xFFFFFFFF < r:
+                cut = (0x100000000 - r) % r
+                while m & 0xFFFFFFFF < cut:
+                    m = self._u32() * r
+            return m >> 32
+        if j == 0xFFFFFFFF:
+            return self._u32()
+        r = j + 1
+        m = self._word() * r
+        if m & 0xFFFFFFFFFFFFFFFF < r:
+            cut = (0x10000000000000000 - r) % r
+            while m & 0xFFFFFFFFFFFFFFFF < cut:
+                m = self._word() * r
+        return m >> 64
+
+    def kept(self, k: int, p: float) -> list[bool]:
+        """``(rng.random(k) < p).tolist()``."""
+        self._ensure(k)
+        at = self._at
+        self._at = at + k
+        cut = p * 2.0**53
+        return [w >> 11 < cut for w in self._words[at:at + k]]
+
+    def choice(self, m: int, s: int) -> list[int]:
+        """``rng.choice(m, s, replace=False).tolist()`` for 0 <= s <= m."""
+        below = self.below
+        if m > 10000 and s > m // 50:  # numpy's tail shuffle of range(m)
+            moved: dict[int, int] = {}  # the positions a swap has written
+            for i in range(m - 1, max(m - s, 1) - 1, -1):
+                j = below(i)
+                moved[i], moved[j] = moved.get(j, j), moved.get(i, i)
+            return [moved.get(i, i) for i in range(m - s, m)]
+        out, seen = [], set()
+        for j in range(m - s, m):
+            v = below(j)
+            if v in seen:
+                v = j
+            seen.add(v)
+            out.append(v)
+        for i in range(s - 1, 0, -1):
+            j = below(i)
+            out[i], out[j] = out[j], out[i]
+        return out
+
+    def random(self, shape: tuple[int, ...]) -> np.ndarray:
+        """``rng.random(shape)``. The words stay an array: a list of ints
+        would take about five times their memory."""
+        count = math.prod(shape)
+        at, held = self._at, len(self._words) - self._at
+        if count <= held:
+            words = self._raw[at:at + count]
+            self._at = at + count
+        else:
+            words = np.concatenate((self._raw[at:], self._bits.random_raw(count - held)))
+            self._at = len(self._words)
+        return ((words >> 11) * 2.0**-53).reshape(shape)
+
+
+def _refill(draws: _Draws, n: int, kept: list[int], k: int) -> list[int]:
     """``kept`` and then k - len(kept) distinct experts drawn uniformly from
-    the others: the draws and generator state of ``rng.choice`` over the ids
-    not kept, in id order, without building them. The i-th of those ids is i
-    shifted past every kept id at or below it, so the cost is independent of n."""
-    fill = rng.choice(n - len(kept), k - len(kept), replace=False).tolist()
-    for e in sorted(kept):
-        fill = [i + (i >= e) for i in fill]
+    the others: the draws of ``rng.choice`` over the ids not kept, in id
+    order, without building them. The i-th of those ids is i shifted past
+    every kept id at or below it, so the cost is independent of n."""
+    fill = draws.choice(n - len(kept), k - len(kept))
+    ends = sorted(kept)
+    for at, i in enumerate(fill):
+        for e in ends:
+            if i < e:
+                break
+            i += 1
+        fill[at] = i
     return kept + fill
 
 
-def _sticky_set_stream(rng, n, k, p, steps) -> list[list[int]]:
+def _sticky_set_stream(draws: _Draws, n, k, p, steps) -> list[list[int]]:
     """One segment's expert-set sequence: keep each previous expert with
     probability p, refill the open slots uniformly from experts not yet chosen
     for the current step."""
     sets: list[list[int]] = []
-    cur = [int(e) for e in rng.choice(n, size=k, replace=False)]
+    cur = draws.choice(n, k)
     sets.append(cur)
     for _ in range(1, steps):
-        # k draws in slot order, the same stream as one rng.random() per slot.
-        kept = list(compress(cur, (rng.random(k) < p).tolist()))
-        cur = _refill(rng, n, kept, k) if len(kept) < k else kept
+        kept = list(compress(cur, draws.kept(k, p)))
+        cur = _refill(draws, n, kept, k) if len(kept) < k else kept
         sets.append(cur)
     return sets
 
 
-def _probs_for_sets(rng, n, sets: np.ndarray, concentration) -> np.ndarray:
+def _probs_for_sets(draws: _Draws, n, sets: np.ndarray, concentration) -> np.ndarray:
     """One distribution per row of ``sets`` whose Top-K is exactly that row:
     member scores are lifted above 1 while non-members stay below 1. Draws
     ``rng.random(n)`` once per row, in row order."""
-    raw = rng.random((len(sets), n))
+    raw = draws.random((len(sets), n))
     scores = raw.copy()
     rows = np.arange(len(sets))[:, None]
     scores[rows, sets] = (1.0 + concentration) * (1.0 + raw[rows, sets])
@@ -1079,17 +1217,24 @@ def synth_trace(cfg: SynthConfig) -> RoutingTrace:
     One set stream is drawn per (segment, layer) and, with
     ``independent_batches``, per batch slot; the rows are then laid out in
     (segment, step, layer, batch) order, a shared stream copied to every slot.
+
+    A stream is ``rng.choice(N, K, replace=False)``, then per step one
+    ``rng.random(K) < stickiness`` keep test and, when a slot opens, a
+    ``rng.choice`` over the experts not kept; with ``emit_probs`` the
+    stream's ``rng.random((steps, N))`` follows it. Here ``rng`` is
+    ``default_rng(cfg.seed)``, and every call is replayed exactly from its
+    raw words by :class:`_Draws` (its docstring says why each is exact).
     """
-    rng = np.random.default_rng(cfg.seed)
+    draws = _Draws(cfg.seed)
     n, k = cfg.n_routed_experts, cfg.top_k
     n_streams = cfg.batch_size if cfg.independent_batches else 1
     sets: list[list[int]] = []  # in (segment, layer, stream, step) order
     probs: list[np.ndarray] = []
     for _ in range(cfg.n_segments * cfg.n_moe_layers * n_streams):
-        stream = _sticky_set_stream(rng, n, k, cfg.stickiness, cfg.steps_per_segment)
+        stream = _sticky_set_stream(draws, n, k, cfg.stickiness, cfg.steps_per_segment)
         sets.extend(stream)
         if cfg.emit_probs:
-            probs.append(_probs_for_sets(rng, n, np.array(stream), cfg.concentration))
+            probs.append(_probs_for_sets(draws, n, np.array(stream), cfg.concentration))
 
     def layout(rows: np.ndarray) -> np.ndarray:
         rows = rows.reshape(cfg.n_segments, cfg.n_moe_layers, n_streams,

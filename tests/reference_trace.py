@@ -24,7 +24,14 @@ row, the oracle of the package's membership test.
 ``sticky_set_stream`` is the synthetic generator's per-slot loop: one scalar
 ``rng.random()`` per kept-or-dropped slot and a refill pool built as an
 array. ``refill_from_pool`` is one refill drawn from the not-kept ids built
-as a list, the oracle of the generator's pool-free refill.
+as a list, the oracle of the generator's pool-free refill. Both build all N
+ids, so they are only for small N.
+
+``synth`` is the synthetic generator drawing from a numpy Generator, one
+``rng.choice`` or ``rng.random`` call per draw, with the rows laid out by
+key one record at a time: the oracle of the package's ``synth_trace``, which
+replays those draws from the generator's raw words. Its set stream
+(``generator_set_stream``, ``generator_refill``) never builds the N ids.
 """
 
 from __future__ import annotations
@@ -32,6 +39,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import asdict, dataclass
+from itertools import compress
 
 import numpy as np
 
@@ -117,16 +125,22 @@ def jsonl(header: TraceHeader, recs) -> bytes:
 PROB_FORMAT = "{:.16e}".format  # 17 significant digits: exact float64 round-trip
 
 
+def prob_text(x: float) -> str:
+    """One probability: PROB_FORMAT's text, or JSON's for a non-finite one."""
+    return PROB_FORMAT(x) if math.isfinite(x) else json.dumps(x)
+
+
 def write(trace: RoutingTrace) -> bytes:
     """A package trace as ``write_trace`` must write it: the header line,
-    then one line per row in row order, each probability formatted alone."""
+    then one line per row in row order, each probability formatted alone
+    by ``prob_text``."""
     header = json.dumps({"type": "header", **asdict(trace.header)}, separators=(",", ":"))
     lines = [header]
     probs = [None] * trace.n_records if trace.probs is None else trace.probs.tolist()
     for (s, t, l, b), ids, p in zip(trace.keys.tolist(), trace.topk.tolist(), probs):
         line = f'{{"s":{s},"t":{t},"l":{l},"b":{b},"topk":[{",".join(map(str, ids))}]'
         if p is not None:
-            line += f',"probs":[{",".join(map(PROB_FORMAT, p))}]'
+            line += f',"probs":[{",".join(map(prob_text, p))}]'
         lines.append(line + "}")
     return ("\n".join(lines) + "\n").encode("utf-8")
 
@@ -173,6 +187,76 @@ def refill_from_pool(rng, n, kept, k) -> list[int]:
     for e in sorted(kept, reverse=True):
         del pool[e]
     return kept + [pool[i] for i in rng.choice(len(pool), k - len(kept), replace=False).tolist()]
+
+
+def generator_refill(rng, n: int, kept: list[int], k: int) -> list[int]:
+    """``kept`` and then k - len(kept) distinct experts drawn uniformly from
+    the others: the draws and generator state of ``rng.choice`` over the ids
+    not kept, in id order, without building them. The i-th of those ids is i
+    shifted past every kept id at or below it, so the cost is independent of n."""
+    fill = rng.choice(n - len(kept), k - len(kept), replace=False).tolist()
+    for e in sorted(kept):
+        fill = [i + (i >= e) for i in fill]
+    return kept + fill
+
+
+def generator_set_stream(rng, n, k, p, steps) -> list[list[int]]:
+    """One segment's expert-set sequence: keep each previous expert with
+    probability p, refill the open slots uniformly from experts not yet chosen
+    for the current step."""
+    sets: list[list[int]] = []
+    cur = [int(e) for e in rng.choice(n, size=k, replace=False)]
+    sets.append(cur)
+    for _ in range(1, steps):
+        # k draws in slot order, the same stream as one rng.random() per slot.
+        kept = list(compress(cur, (rng.random(k) < p).tolist()))
+        cur = generator_refill(rng, n, kept, k) if len(kept) < k else kept
+        sets.append(cur)
+    return sets
+
+
+def generator_probs(rng, n, sets: np.ndarray, concentration) -> np.ndarray:
+    """One distribution per row of ``sets`` whose Top-K is exactly that row:
+    member scores are lifted above 1 while non-members stay below 1. Draws
+    ``rng.random(n)`` once per row, in row order."""
+    raw = rng.random((len(sets), n))
+    scores = raw.copy()
+    rows = np.arange(len(sets))[:, None]
+    scores[rows, sets] = (1.0 + concentration) * (1.0 + raw[rows, sets])
+    scores /= scores.sum(axis=1, keepdims=True)
+    return scores
+
+
+def synth(cfg) -> RoutingTrace:
+    """What ``synth_trace(cfg)`` must give: one set stream, and with probs
+    its distributions, per (segment, layer[, batch slot]) in that order from
+    one ``default_rng(cfg.seed)``, then one record per (s, t, l, b). A probs
+    record lists its Top-K most probable first, ties to the lowest id."""
+    rng = np.random.default_rng(cfg.seed)
+    n, k = cfg.n_routed_experts, cfg.top_k
+    n_streams = cfg.batch_size if cfg.independent_batches else 1
+    streams = {}
+    for s in range(cfg.n_segments):
+        for l in range(cfg.n_moe_layers):
+            for b in range(n_streams):
+                sets = generator_set_stream(rng, n, k, cfg.stickiness, cfg.steps_per_segment)
+                probs = None
+                if cfg.emit_probs:
+                    probs = generator_probs(rng, n, np.array(sets), cfg.concentration).tolist()
+                streams[s, l, b] = sets, probs
+    recs = []
+    for s in range(cfg.n_segments):
+        for t in range(cfg.steps_per_segment):
+            for l in range(cfg.n_moe_layers):
+                for b in range(cfg.batch_size):
+                    sets, probs = streams[s, l, b if cfg.independent_batches else 0]
+                    if probs is None:
+                        recs.append(StepRecord(s, t, l, b, tuple(sets[t])))
+                    else:
+                        p = probs[t]
+                        ids = sorted(range(n), key=lambda e: (-p[e], e))[:k]
+                        recs.append(StepRecord(s, t, l, b, tuple(ids), tuple(p)))
+    return from_records(cfg.header, recs)
 
 
 def topk_set(p, k: int) -> list[int]:

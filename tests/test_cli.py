@@ -86,6 +86,21 @@ class TestSynthValidate:
                    "--out", str(out)) == 0
         assert load_trace(out).n_records == 64
 
+    @pytest.mark.parametrize("argv", [
+        # 500 of 20,000 experts: numpy's tail shuffle draws the first set.
+        ("--experts", "20000", "--top-k", "500", "--steps", "3"),
+        # 3 * 2**30 experts: one 32-bit draw in four is rejected and redrawn.
+        ("--experts", str(3 * 2**30), "--top-k", "5"),
+    ], ids=["tail-shuffle", "rejections"])
+    def test_synth_writes_the_generator_draws(self, tmp_path, argv):
+        out = tmp_path / "t.jsonl"
+        assert run("synth", *argv, "--out", str(out)) == 0
+        flags = dict(zip(argv[::2], map(int, argv[1::2])))
+        cfg = SynthConfig(n_routed_experts=flags["--experts"], top_k=flags["--top-k"],
+                          steps_per_segment=flags.get("--steps", 32))
+        assert out.read_bytes() == reference_trace.write(reference_trace.synth(cfg))
+        assert run("validate", "--trace", str(out)) == 0
+
     def test_synth_deterministic(self, tmp_path):
         a, b = tmp_path / "a.jsonl", tmp_path / "b.jsonl"
         args = ["synth", "--seed", "9", "--emit-probs"]
@@ -509,6 +524,21 @@ class TestBoundCheckCli:
         manifests = [json.loads((tmp_path / f"{name}.json.manifest.jsonl").read_text())
                      for name in ("plain", "given")]
         assert manifests[0]["seed"] == manifests[1]["seed"] == 0
+
+
+@pytest.mark.parametrize("argv", [
+    ("synth", "--out", "{out}"),
+    ("bound-check", "--campaign", "2", "--out", "{out}"),
+    ("router", "--check", "stability", "--trials", "1"),
+    ("router", "--check", "pinsker", "--trials", "1"),
+    ("gradcheck", "--instances", "1"),
+], ids=["synth", "campaign", "stability", "pinsker", "gradcheck"])
+def test_negative_seed_is_a_usage_error(tmp_path, capsys, argv):
+    out = tmp_path / "out"
+    argv = [a.format(out=out) for a in argv]
+    assert run(*argv, "--seed", "-1") == 1
+    assert capsys.readouterr().err == "usage error: --seed must be an integer >= 0, got -1\n"
+    assert not out.exists()
 
 
 class TestRouterCli:

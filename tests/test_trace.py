@@ -351,13 +351,13 @@ class TestSynth:
     seed=st.integers(0, 2**63 - 1),
 )
 def test_sticky_stream_matches_per_slot_draws(n, data, p, steps, seed):
-    # Same sets from the same seed, and the generator left in the same state.
+    # Same sets from the same seed, and the draws after them the same too.
     k = data.draw(st.integers(1, n))
-    fast, slow = np.random.default_rng(seed), np.random.default_rng(seed)
+    fast, slow = trace_module._Draws(seed), np.random.default_rng(seed)
     sets = trace_module._sticky_set_stream(fast, n, k, p, steps)
     assert sets == reference_trace.sticky_set_stream(slow, n, k, p, steps)
     assert all(type(e) is int for members in sets for e in members)
-    assert fast.random() == slow.random()
+    assert_same_draws_follow(fast, slow, n, k)
 
 
 @settings(max_examples=300, deadline=None, derandomize=True)
@@ -368,11 +368,108 @@ def test_refill_matches_a_list_pool(n, data, seed):
     k = data.draw(st.integers(1, min(n, 8)))
     ends = sorted({*range(k), *range(n - k, n)})
     kept = data.draw(st.lists(st.sampled_from(ends), max_size=k - 1, unique=True))
-    fast, slow = np.random.default_rng(seed), np.random.default_rng(seed)
+    fast, slow = trace_module._Draws(seed), np.random.default_rng(seed)
     refill = trace_module._refill(fast, n, kept, k)
     assert refill == reference_trace.refill_from_pool(slow, n, kept, k)
     assert all(type(e) is int for e in refill)
-    assert fast.random() == slow.random()
+    assert_same_draws_follow(fast, slow, n, k)
+
+
+def assert_same_draws_follow(draws, rng, m, s):
+    """One more ``choice`` (which reads a kept 32-bit half), then one
+    ``random()``, agree between the cursor and the Generator."""
+    assert draws.choice(m, s) == rng.choice(m, s, replace=False).tolist()
+    assert draws.random((1,)).tolist() == [rng.random()]
+
+
+@st.composite
+def replay_configs(draw):
+    """Synth configs from one step to several segments, layers and slots, with
+    p at 0 and 1, K up to N, and probabilities on and off."""
+    n = draw(st.integers(1, 40))
+    return SynthConfig(
+        n_moe_layers=draw(st.integers(1, 3)),
+        n_routed_experts=n,
+        top_k=draw(st.integers(1, n)),
+        batch_size=draw(st.integers(1, 3)),
+        n_segments=draw(st.integers(1, 3)),
+        steps_per_segment=draw(st.integers(1, 12)),
+        stickiness=draw(st.sampled_from([0.0, 1.0]) | st.floats(0.0, 1.0)),
+        seed=draw(st.integers(0, 2**63 - 1)),
+        emit_probs=draw(st.booleans()),
+        concentration=draw(st.floats(0.0, 50.0)),
+        independent_batches=draw(st.booleans()),
+    )
+
+
+# Bounds at the 32/64-bit edge, and 3 * 2**30 and 3 * 2**61, where a 32-bit
+# and a 64-bit draw are rejected one time in four.
+WIDE = [2**32 - 1, 2**32, 2**32 + 1, 3 * 2**30, 10**12, 3 * 2**61]
+
+# Runs of (method, args) calls on the cursor: small choices, choices at the
+# Floyd/tail-shuffle edge and wide ones, keep tests and blocks of doubles.
+draw_calls = st.lists(st.one_of(
+    st.tuples(st.just("choice"), st.one_of(
+        st.integers(1, 60).flatmap(lambda m: st.tuples(st.just(m), st.integers(0, m))),
+        st.integers(10001, 12000).flatmap(
+            lambda m: st.tuples(st.just(m), st.integers(m // 50 - 2, m // 50 + 2))),
+        st.tuples(st.sampled_from(WIDE), st.integers(1, 6)),
+    )),
+    st.tuples(st.just("kept"), st.tuples(st.integers(1, 8),
+                                         st.sampled_from([0.0, 1.0]) | st.floats(0.0, 1.0))),
+    st.tuples(st.just("random"), st.tuples(st.tuples(st.integers(1, 3), st.integers(1, 5)))),
+), min_size=1, max_size=12)
+
+
+class TestDraws:
+    """The synthetic generator's draw cursor against numpy's Generator calls
+    it replays, and ``synth_trace`` against ``reference_trace.synth``."""
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(calls=draw_calls, seed=st.integers(0, 2**63 - 1))
+    def test_replays_generator_calls(self, calls, seed):
+        draws, rng = trace_module._Draws(seed), np.random.default_rng(seed)
+        replayed = {
+            "choice": lambda m, s: rng.choice(m, s, replace=False).tolist(),
+            "kept": lambda k, p: (rng.random(k) < p).tolist(),
+            "random": rng.random,
+        }
+        for name, args in calls:
+            got, want = getattr(draws, name)(*args), replayed[name](*args)
+            assert np.array_equal(got, want), (name, args)
+
+    @pytest.mark.parametrize("seed", [0, 3])
+    def test_keep_test_is_strict_at_the_drawn_double(self, seed):
+        # p equal to the double drawn keeps nothing; the next double up keeps.
+        p = np.random.default_rng(seed).random()
+        for q, kept in ((p, False), (np.nextafter(p, 1.0), True)):
+            draws, rng = trace_module._Draws(seed), np.random.default_rng(seed)
+            assert draws.kept(1, q) == (rng.random(1) < q).tolist() == [kept]
+
+    @pytest.mark.parametrize("m,s", [(10000, 9000), (10001, 200), (10001, 201),
+                                     (10001, 10001), (10001, 1), (1, 1), (5, 0)])
+    @pytest.mark.parametrize("seed", [0, 1, 2**63 - 1])
+    def test_choice_at_the_branch_edges(self, m, s, seed):
+        # m > 10000 with s > m // 50 is numpy's tail shuffle, Floyd's
+        # sampling otherwise; s = 0 draws nothing.
+        draws, rng = trace_module._Draws(seed), np.random.default_rng(seed)
+        assert draws.choice(m, s) == rng.choice(m, s, replace=False).tolist()
+        assert_same_draws_follow(draws, rng, m, min(s + 1, m))
+
+    @pytest.mark.parametrize("n", WIDE)
+    @pytest.mark.parametrize("seed", [0, 7])
+    def test_wide_expert_counts(self, n, seed):
+        # The oracle's set stream never builds the n ids.
+        cfg = SynthConfig(n_routed_experts=n, top_k=5, n_moe_layers=2, n_segments=2,
+                          steps_per_segment=40, stickiness=0.3, seed=seed)
+        assert synth_trace(cfg) == reference_trace.synth(cfg)
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(cfg=replay_configs())
+    def test_synth_replays_the_generator(self, cfg):
+        # Several streams per trace, so a kept 32-bit half crosses from one
+        # stream (and its probabilities) into the next.
+        assert synth_trace(cfg) == reference_trace.synth(cfg)
 
 
 def _rank(values):
@@ -1139,6 +1236,25 @@ def test_encoder_writes_zero_subnormal_negative_and_non_finite_values(extended):
     ordinary = [0.3, 0.2, 0.1, 0.05, 0.15, 0.07, 0.08, 0.05]
     assert_written_as_reference([v for row in rows for v in ordinary + row])
     assert_written_as_reference([0.0, 0.5, 0.25, 0.0, 0.125, 0.0625, 0.0, 0.0625])
+
+
+@pytest.mark.parametrize("value,text", [(math.nan, b"NaN"), (math.inf, b"Infinity"),
+                                        (-math.inf, b"-Infinity")])
+def test_non_finite_probabilities_round_trip_to_their_violation(value, text, extended):
+    # Written as JSON's NaN/Infinity/-Infinity, so the package reads its own
+    # output back: the rows as written, or the probs_nonfinite violation.
+    header = TraceHeader(1, 4, 2, 1, has_probs=True)
+    probs = np.array([[0.5, value, 0.25, 0.25]])
+    trace = RoutingTrace(header, np.zeros((1, 4), np.int64), np.array([[0, 2]]), probs)
+    data = write_trace(trace)
+    assert data == reference_trace.write(trace)
+    assert b"," + text + b"," in data.splitlines()[1]
+    back = parse_trace(data, validate=False)
+    assert np.array_equal(back.keys, trace.keys) and np.array_equal(back.topk, trace.topk)
+    assert np.array_equal(back.probs, probs, equal_nan=True)
+    with pytest.raises(TraceError) as e:
+        parse_trace(data)
+    assert [v.rule for v in e.value.violations] == ["probs_nonfinite"]
 
 
 def test_encoder_matches_the_per_field_writer_in_a_bulk_sweep(extended):
