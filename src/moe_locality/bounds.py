@@ -17,17 +17,18 @@ this module also constructs the three documented counterexamples (capacity
 below K, inter-step interference, inter-step prefetch insertion) and shows one
 bound violation for each.
 
-Checks run on B=1 sequences; multi-batch traces are reduced per batch index.
-Fetch counts come from one LRU recency-stack pass per batch slot
-(``cache_sim.lru_fetch_counts``), which is exact at every C >= K by the
-inclusion property, so a campaign checks {K, K+2, 2K} from one pass per
-trace and tallies its checks and violations from the count and bound arrays.
+Each batch slot is checked as its own B=1 sequence with its own cache.
+Fetch counts come from one LRU recency-stack pass over every (layer, slot)
+stream of the trace's ``routes`` (``cache_sim.lru_fetch_counts``), which is
+exact at every C >= K by the inclusion property, so a campaign checks
+{K, K+2, 2K} from one pass per trace and tallies its checks and violations
+from the count and bound arrays.
 The fault-free checks thus verify the bounds against that stack model of LRU,
 not against ``simulate``, whose serve-and-admit check runs in none of them;
 the differential tests of ``lru_fetch_counts`` tie the model to ``simulate``'s
 per-step misses. ``simulate`` counts the fetches of the faulted
-counterexamples, and replays a checked slot with events only to snapshot the
-resident set before a step that breaks a bound.
+counterexamples, and replays a checked slot, as a B=1 trace, with events only
+to snapshot the resident set before a step that breaks a bound.
 """
 
 from __future__ import annotations
@@ -35,7 +36,7 @@ from __future__ import annotations
 from bisect import bisect_right
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
-from typing import Iterable, Iterator, NamedTuple
+from typing import NamedTuple
 
 import numpy as np
 
@@ -106,59 +107,59 @@ class ScenarioResult:
     description: str
 
 
-class _SlotBounds(NamedTuple):
-    """One B=1 slot's fetch counts and bounds, indexed by layer and step
-    ordinal; the leading axis of the capacity-dependent arrays is the
+class _Bounds(NamedTuple):
+    """A trace's fetch counts and bounds, indexed by layer, batch slot and
+    step ordinal; the leading axis of the capacity-dependent arrays is the
     capacity. A segment's first step has no bound and is never read."""
 
-    n_fetch: np.ndarray  # int[C, L, steps], unique misses
-    overlap_bound: np.ndarray  # int[L, steps], K - |E_t ∩ E_{t-1}|
-    ws_horizon: np.ndarray | None  # int[C, L, steps], L_t (working-set checks only)
-    ws_bound: np.ndarray | None  # int[C, L, steps], K - |E_t ∩ U_{t, L_t}|
+    n_fetch: np.ndarray  # int[C, L, B, steps], unique misses
+    overlap_bound: np.ndarray  # int[L, B, steps], K - |E_t ∩ E_{t-1}|
+    ws_horizon: np.ndarray | None  # int[C, L, B, steps], L_t (working-set checks only)
+    ws_bound: np.ndarray | None  # int[C, L, B, steps], K - |E_t ∩ U_{t, L_t}|
 
 
-def _slot_bounds(
+def _bounds(
     trace: RoutingTrace, capacities: tuple[int, ...], working_set: bool, n_fetch: np.ndarray
-) -> _SlotBounds:
-    """The bounds of one B=1 trace at every capacity, next to its fetch
-    counts ``n_fetch``. Each layer's rows, overlaps and working-set sets are
-    built once; only the working-set horizon depends on the capacity."""
+) -> _Bounds:
+    """The bounds of every slot of ``trace`` at every capacity, next to its
+    fetch counts ``n_fetch``. The overlaps are counted over all slots at
+    once; each slot's working-set sets are built once, and only the
+    working-set horizon depends on the capacity."""
     h = trace.header
     k = h.top_k
     offsets = trace.segment_offsets
     n_steps = offsets[-1]
-    overlap = np.zeros((h.n_moe_layers, n_steps), dtype=np.int64)
-    ws_horizon = ws_bound = None
-    if working_set:
-        ws_horizon = np.zeros((len(capacities), h.n_moe_layers, n_steps), dtype=np.int64)
-        ws_bound = np.zeros_like(ws_horizon)
+    sets = trace.route_sets
+    overlap = np.zeros((h.n_moe_layers, h.batch_size, n_steps), dtype=np.int64)
+    # Exact integer form of K * (1 - IR_t); a pair across segments is never read.
+    overlap[..., 1:] = k - overlap_counts(np.moveaxis(sets, 0, 2))
+    if not working_set:
+        return _Bounds(n_fetch, overlap, None, None)
+    ws_horizon = np.zeros((len(capacities),) + overlap.shape, dtype=np.int64)
+    ws_bound = np.zeros_like(ws_horizon)
     deepest = max(capacities)
     for layer in range(h.n_moe_layers):
-        rows = trace.expert_rows(layer, 0)
-        # Exact integer form of K * (1 - IR_t); a pair across segments is never read.
-        overlap[layer, 1:] = k - overlap_counts(rows)
-        if not working_set:
-            continue
-        sets = [frozenset(row) for row in rows.tolist()]
-        for segment, length in enumerate(trace.segment_lengths):
-            start = offsets[segment]
-            for i in range(start + 1, start + length):
-                # Grow the union back from E_{t-1}; its size never shrinks, so
-                # the horizon L_t at C is the number of unions that fit in C.
-                sizes: list[int] = []
-                shared: list[int] = []
-                union: set[int] = set()
-                for back in range(i - 1, start - 1, -1):
-                    union |= sets[back]
-                    if len(union) > deepest:
-                        break
-                    sizes.append(len(union))
-                    shared.append(len(sets[i] & union))
-                for c, capacity in enumerate(capacities):
-                    horizon = bisect_right(sizes, capacity)
-                    ws_horizon[c, layer, i] = horizon
-                    ws_bound[c, layer, i] = k - (shared[horizon - 1] if horizon else 0)
-    return _SlotBounds(n_fetch, overlap, ws_horizon, ws_bound)
+        for batch in range(h.batch_size):
+            row_sets = [frozenset(row) for row in sets[:, layer, batch].tolist()]
+            for segment, length in enumerate(trace.segment_lengths):
+                start = offsets[segment]
+                for i in range(start + 1, start + length):
+                    # Grow the union back from E_{t-1}; its size never shrinks,
+                    # so the horizon L_t at C is the number of unions that fit in C.
+                    sizes: list[int] = []
+                    shared: list[int] = []
+                    union: set[int] = set()
+                    for back in range(i - 1, start - 1, -1):
+                        union |= row_sets[back]
+                        if len(union) > deepest:
+                            break
+                        sizes.append(len(union))
+                        shared.append(len(row_sets[i] & union))
+                    for c, capacity in enumerate(capacities):
+                        horizon = bisect_right(sizes, capacity)
+                        ws_horizon[c, layer, batch, i] = horizon
+                        ws_bound[c, layer, batch, i] = k - (shared[horizon - 1] if horizon else 0)
+    return _Bounds(n_fetch, overlap, ws_horizon, ws_bound)
 
 
 def _segment_sums(x: np.ndarray, offsets: np.ndarray) -> np.ndarray:
@@ -168,14 +169,14 @@ def _segment_sums(x: np.ndarray, offsets: np.ndarray) -> np.ndarray:
     return cs[..., offsets[1:]] - cs[..., offsets[:-1]]
 
 
-def _verdicts(trace: RoutingTrace, bounds: _SlotBounds):
+def _verdicts(trace: RoutingTrace, bounds: _Bounds):
     """The one statement of which checks ``bounds`` (of ``trace``) makes and
     which fail. Returns the steps that have a bound (bool[steps]: the previous
     step is in their segment); the step verdicts against the overlap and the
-    working-set bound (bool[C, L, steps], True only on those steps; the latter
-    None without working-set bounds); and each segment's fetch total
-    (int[C, L, segments]), bound total (int[L, segments]) and verdict
-    (bool[C, L, segments])."""
+    working-set bound (bool[C, L, B, steps], True only on those steps; the
+    latter None without working-set bounds); and each segment's fetch total
+    (int[C, L, B, segments]), bound total (int[L, B, segments]) and verdict
+    (bool[C, L, B, segments])."""
     offsets = np.array(trace.segment_offsets)
     pairs = np.ones(offsets[-1], dtype=bool)
     pairs[offsets[:-1][np.diff(offsets) > 0]] = False
@@ -189,51 +190,65 @@ def _verdicts(trace: RoutingTrace, bounds: _SlotBounds):
             (totals, total_bounds, totals > total_bounds))
 
 
+def _slot_trace(trace: RoutingTrace, batch: int) -> RoutingTrace:
+    """Batch slot ``batch`` of ``trace`` as a B=1 index-only trace, in the
+    layout of :attr:`RoutingTrace.routes`."""
+    h = trace.header
+    if h.batch_size == 1:
+        return trace
+    routes = trace.routes
+    keys = trace.keys.reshape(*routes.shape[:3], 4)[:, :, batch].reshape(-1, 4).copy()
+    keys[:, 3] = 0
+    return RoutingTrace(replace(h, batch_size=1, has_probs=False), keys,
+                        routes[:, :, batch].reshape(-1, h.top_k), None)
+
+
 def _collect_step_records(
-    trace: RoutingTrace, cfg: CacheConfig, batch: int, bounds: _SlotBounds
+    trace: RoutingTrace, cfg: CacheConfig, bounds: _Bounds
 ) -> tuple[list[StepBoundRecord], list[SequenceBound]]:
-    """Per-step fetch counts vs. bounds for one B=1 trace, from ``bounds`` at
-    one capacity, ``cfg.capacity``; the records carry ``batch``, the slot the
-    trace was taken from.
+    """Per-step fetch counts vs. bounds for every slot of ``trace``, slot by
+    slot, from ``bounds`` at one capacity, ``cfg.capacity``.
 
     The resident set before a flagged step comes from an event-recording
-    simulation under ``cfg``, which runs only when some step is flagged.
+    simulation of its slot's B=1 trace under ``cfg``, which runs only for a
+    slot with a flagged step.
     """
     offsets = trace.segment_offsets
     n_steps = offsets[-1]
     _pairs, violated, ws_violated, (totals, total_bounds, seq_violated) = _verdicts(trace, bounds)
     per_step: list[StepBoundRecord] = []
     per_sequence: list[SequenceBound] = []
-    flagged: list[tuple[int, int]] = []  # (index in per_step, layer-major step ordinal)
-    for layer in range(trace.header.n_moe_layers):
-        # The StepBoundRecord fields from n_fetch on, per step ordinal.
-        columns = [bounds.n_fetch[0, layer], bounds.overlap_bound[layer], violated[0, layer]]
-        if ws_violated is not None:
-            columns += [bounds.ws_horizon[0, layer], bounds.ws_bound[0, layer],
-                        ws_violated[0, layer]]
-        steps = list(zip(*(column.tolist() for column in columns)))
-        fetch_totals = totals[0, layer].tolist()
-        bound_totals = total_bounds[layer].tolist()
-        seq_flags = seq_violated[0, layer].tolist()
-        for segment, length in enumerate(trace.segment_lengths):
-            start = offsets[segment]  # the segment's first step ordinal
-            for i in range(start + 1, start + length):
-                record = StepBoundRecord(layer, batch, segment, i - start, *steps[i])
-                if record.violated or record.ws_violated:
-                    flagged.append((len(per_step), layer * n_steps + i))
-                per_step.append(record)
-            if length >= 2:
-                per_sequence.append(SequenceBound(
-                    layer=layer, batch=batch, segment=segment, n_steps=length - 1,
-                    total_fetch=fetch_totals[segment], total_bound=bound_totals[segment],
-                    violated=seq_flags[segment],
-                ))
-    if flagged:
-        events = simulate(trace, cfg, record_events=True).events
-        for i, ordinal in flagged:
-            per_step[i] = replace(
-                per_step[i], resident_before=events[ordinal].resident_before
-            )
+    for batch in range(trace.header.batch_size):
+        flagged: list[tuple[int, int]] = []  # (index in per_step, layer-major step ordinal)
+        for layer in range(trace.header.n_moe_layers):
+            at = (0, layer, batch)  # the slot at the one capacity; at[1:] without it
+            # The StepBoundRecord fields from n_fetch on, per step ordinal.
+            columns = [bounds.n_fetch[at], bounds.overlap_bound[at[1:]], violated[at]]
+            if ws_violated is not None:
+                columns += [bounds.ws_horizon[at], bounds.ws_bound[at], ws_violated[at]]
+            steps = list(zip(*(column.tolist() for column in columns)))
+            fetch_totals = totals[at].tolist()
+            bound_totals = total_bounds[at[1:]].tolist()
+            seq_flags = seq_violated[at].tolist()
+            for segment, length in enumerate(trace.segment_lengths):
+                start = offsets[segment]  # the segment's first step ordinal
+                for i in range(start + 1, start + length):
+                    record = StepBoundRecord(layer, batch, segment, i - start, *steps[i])
+                    if record.violated or record.ws_violated:
+                        flagged.append((len(per_step), layer * n_steps + i))
+                    per_step.append(record)
+                if length >= 2:
+                    per_sequence.append(SequenceBound(
+                        layer=layer, batch=batch, segment=segment, n_steps=length - 1,
+                        total_fetch=fetch_totals[segment], total_bound=bound_totals[segment],
+                        violated=seq_flags[segment],
+                    ))
+        if flagged:
+            events = simulate(_slot_trace(trace, batch), cfg, record_events=True).events
+            for i, ordinal in flagged:
+                per_step[i] = replace(
+                    per_step[i], resident_before=events[ordinal].resident_before
+                )
     return per_step, per_sequence
 
 
@@ -243,34 +258,24 @@ def _simulated_records(
     """Records of one B=1 trace whose fetches ``simulate`` counts under
     ``cfg``: the counter for faults and C < K, where the stack pass of
     :func:`lru_fetch_counts` does not apply."""
-    n_fetch = simulate(trace, cfg).unique_misses[None]
-    bounds = _slot_bounds(trace, (cfg.capacity,), working_set, n_fetch)
-    return _collect_step_records(trace, cfg, 0, bounds)
+    n_fetch = simulate(trace, cfg).unique_misses[None, :, None]
+    bounds = _bounds(trace, (cfg.capacity,), working_set, n_fetch)
+    return _collect_step_records(trace, cfg, bounds)
 
 
-def _check(
-    trace: RoutingTrace, capacities: tuple[int, ...], working_set: bool
-) -> Iterator[tuple[RoutingTrace, _SlotBounds]]:
-    """Each batch slot in turn as a B=1 trace with its fetch counts and
-    bounds at every capacity; one stack pass counts the fetches at all of
-    them. Slots are yielded one at a time, so only one slot's copy is alive."""
+def _check(trace: RoutingTrace, capacities: tuple[int, ...], working_set: bool) -> _Bounds:
+    """The fetch counts and bounds of every slot at every capacity; one stack
+    pass counts the fetches at all of them."""
     k = trace.header.top_k
     if min(capacities) < k:
         raise ValueError(f"bound checks require C >= K (got C={min(capacities)}, K={k})")
-    for b in range(trace.header.batch_size):
-        slot = trace.batch_slot(b)
-        n_fetch = lru_fetch_counts(slot, capacities)
-        yield slot, _slot_bounds(slot, capacities, working_set, n_fetch)
+    return _bounds(trace, capacities, working_set, lru_fetch_counts(trace, capacities))
 
 
 def _bound_report(trace: RoutingTrace, capacity: int, working_set: bool) -> BoundReport:
     cfg = CacheConfig(capacity=capacity, policy=Policy.LRU, reset_each_segment=True)
-    step_records: list[StepBoundRecord] = []
-    seq_records: list[SequenceBound] = []
-    for b, (slot, bounds) in enumerate(_check(trace, (capacity,), working_set)):
-        steps, seqs = _collect_step_records(slot, cfg, b, bounds)
-        step_records.extend(steps)
-        seq_records.extend(seqs)
+    step_records, seq_records = _collect_step_records(
+        trace, cfg, _check(trace, (capacity,), working_set))
     n_step = sum(1 for r in step_records if (r.ws_violated if working_set else r.violated))
     return BoundReport(
         kind="working_set" if working_set else "step",
@@ -282,19 +287,16 @@ def _bound_report(trace: RoutingTrace, capacity: int, working_set: bool) -> Boun
     )
 
 
-def _tally(trace: RoutingTrace, slots: Iterable[tuple[RoutingTrace, _SlotBounds]]) -> tuple[int, int]:
+def _tally(trace: RoutingTrace, bounds: _Bounds) -> tuple[int, int]:
     """(checks, violations) summed over the capacities and slots of
-    :func:`_check`, counted from the verdicts the reports are built from,
-    without building them: a campaign reads only these two numbers, and one
-    record per step and capacity would cost it more than its stack passes save."""
+    ``bounds``, counted from the verdicts the reports are built from, without
+    building them: a campaign reads only these two numbers, and one record
+    per step and capacity would cost it more than its stack pass saves."""
     n_sequences = sum(length >= 2 for length in trace.segment_lengths)
-    checks = violations = 0
-    for slot, bounds in slots:
-        pairs, violated, ws_violated, (_, _, seq_violated) = _verdicts(slot, bounds)
-        checks += bounds.n_fetch[..., 0].size * (int(pairs.sum()) + n_sequences)
-        violations += int((violated if ws_violated is None else ws_violated).sum())
-        violations += int(seq_violated.sum())
-    return checks, violations
+    pairs, violated, ws_violated, (_, _, seq_violated) = _verdicts(trace, bounds)
+    checks = bounds.n_fetch[..., :1].size * (int(pairs.sum()) + n_sequences)
+    violations = int((violated if ws_violated is None else ws_violated).sum())
+    return checks, violations + int(seq_violated.sum())
 
 
 def check_step_bound(trace: RoutingTrace, capacity: int) -> BoundReport:

@@ -248,11 +248,11 @@ def reroute_topk(probs, resident, beta: float, k: int) -> tuple[int, ...]:
 # ---------------------------------------------------------------------------
 
 
-def _step_requests(columns: list[np.ndarray]) -> list[tuple[list[int], dict]]:
+def _step_requests(rows: np.ndarray) -> list[tuple[list[int], dict]]:
     """Per step ordinal: the token slots (batch items in order) and the
     distinct set U, a dict whose keys are the slots in first-request order.
-    ``columns`` holds each batch slot's Top-K rows."""
-    slot_rows = np.concatenate(columns, axis=1).tolist()
+    ``rows`` is one layer's int[steps, B, K] routes."""
+    slot_rows = rows.reshape(len(rows), math.prod(rows.shape[1:])).tolist()
     return [(slots, dict.fromkeys(slots)) for slots in slot_rows]
 
 
@@ -359,15 +359,17 @@ def simulate(trace: RoutingTrace, cfg: CacheConfig, record_events: bool = False)
     reroute = cfg.reroute_beta is not None
     tick = count(1).__next__  # LFU's recency clock
 
-    steps = list(trace.iter_steps())
+    routes = trace.routes
+    steps = trace.step_keys.tolist()
     counts: list[tuple[int, int, int, int]] = []  # one per (layer, step), layer-major
     events: list[StepEvent] = []
-    rerouted = np.empty_like(trace.topk) if reroute else None
+    if reroute:
+        probs = trace.probs.reshape(*routes.shape[:3], h.n_routed_experts)
+        rerouted = np.empty_like(routes)
     final_resident: list[tuple[int, ...]] = []
 
     for layer in range(h.n_moe_layers):
-        columns = [trace.stream(layer, b) for b in range(h.batch_size)]
-        requests = None if reroute else _step_requests([trace.topk[c] for c in columns])
+        requests = None if reroute else _step_requests(routes[:, layer])
         occ = None
         if policy == Policy.BELADY:
             occ = _occurrence_index(steps, requests, within_segment=cfg.reset_each_segment)
@@ -385,11 +387,10 @@ def simulate(trace: RoutingTrace, cfg: CacheConfig, record_events: bool = False)
 
             if reroute:
                 slots = ()
-                for column in columns:
-                    row = column.start + ordinal * column.step
-                    new_topk = reroute_topk(trace.probs[row], resident, cfg.reroute_beta, h.top_k)
+                for b, p in enumerate(probs[ordinal, layer]):
+                    new_topk = reroute_topk(p, resident, cfg.reroute_beta, h.top_k)
                     slots += new_topk
-                    rerouted[row] = new_topk
+                    rerouted[ordinal, layer, b] = new_topk
                 uniq = dict.fromkeys(slots)
             else:
                 slots, uniq = requests[ordinal]
@@ -453,8 +454,9 @@ def simulate(trace: RoutingTrace, cfg: CacheConfig, record_events: bool = False)
 
     rerouted_trace = None
     if reroute:
-        # Every row was rerouted: each stream check above passed, so the keys are dense.
-        rerouted_trace = RoutingTrace(replace(h, has_probs=False), trace.keys, rerouted, None)
+        # Every row was rerouted: routes read the keys as dense.
+        rerouted_trace = RoutingTrace(replace(h, has_probs=False), trace.keys,
+                                      rerouted.reshape(trace.topk.shape), None)
 
     return SimReport(
         config=cfg,
@@ -467,26 +469,25 @@ def simulate(trace: RoutingTrace, cfg: CacheConfig, record_events: bool = False)
 
 def lru_fetch_counts(trace: RoutingTrace, capacities) -> np.ndarray:
     """Per-step unique misses of fault-free LRU with request-level resets, at
-    every capacity C >= K, in one pass over a B=1 trace.
+    every capacity C >= K, in one pass over each (layer, batch slot) stream.
 
-    Returns ``int[len(capacities), L, steps]``; entry ``[c, l, i]`` equals
-    ``simulate(...).unique_misses[l, i]`` at ``capacities[c]`` with
-    ``reset_each_segment``. Under serve-and-admit LRU with C >= K, the
-    resident set after every step is the top C of the recency stack
-    (inclusion; Mattson et al., 1970), so an expert misses at C exactly when
-    its stack depth before the step is >= C. Each layer keeps one stack, most
-    recent first, emptied at every segment start; a step's Top-K row is
-    served in order, so its last member is the most recent. The stack is cut
-    at the largest capacity (at most N), since deeper experts miss at every
-    capacity.
+    Returns ``int[len(capacities), L, B, steps]``; entry ``[c, l, b, i]``
+    equals ``simulate(...).unique_misses[l, i]`` at ``capacities[c]`` with
+    ``reset_each_segment`` on the B=1 trace of slot b alone: each slot is its
+    own cache, as the bound checks model it. Under serve-and-admit LRU with
+    C >= K, the resident set after every step is the top C of the recency
+    stack (inclusion; Mattson et al., 1970), so an expert misses at C exactly
+    when its stack depth before the step is >= C. Each stream keeps one
+    stack, most recent first, emptied at every segment start; a step's Top-K
+    row is served in order, so its last member is the most recent. The stack
+    is cut at the largest capacity (at most N), since deeper experts miss at
+    every capacity.
 
-    Raises ValueError for a trace with B > 1 (count each ``batch_slot``), for
-    no capacity or one below K, where inclusion does not hold and ``simulate``
-    is the counter, and for a row that :meth:`RoutingTrace.expert_rows` refuses.
+    Raises ValueError for no capacity or one below K, where inclusion does
+    not hold and ``simulate`` is the counter, and for a row that
+    :attr:`RoutingTrace.route_sets` refuses.
     """
     h = trace.header
-    if h.batch_size != 1:
-        raise ValueError(f"lru_fetch_counts counts one batch slot, got B={h.batch_size}")
     if not capacities or min(capacities) < h.top_k:
         raise ValueError(
             f"stack-distance counts need capacities >= K={h.top_k}, got {tuple(capacities)}"
@@ -495,21 +496,20 @@ def lru_fetch_counts(trace: RoutingTrace, capacities) -> np.ndarray:
     effective = np.array([min(c, h.n_routed_experts) for c in capacities], dtype=np.int64)
     cut = int(effective.max())
     firsts = set(trace.segment_offsets[:-1])
-    n_steps = trace.segment_offsets[-1]
-    counts = np.empty((len(effective), h.n_moe_layers, n_steps), dtype=np.int64)
+    sets = trace.route_sets
+    counts = np.empty((len(effective),) + sets.shape[1:3] + (len(sets),), dtype=np.int64)
     for layer in range(h.n_moe_layers):
-        rows = trace.expert_rows(layer, 0).tolist()
-        depths: list[int] = []  # stack depth of each requested expert, step by step
-        stack: list[int] = []
-        for i, row in enumerate(rows):
-            if i in firsts:
-                stack = []
-            depth = {e: d for d, e in enumerate(stack)}
-            depths.extend(map(depth.get, row, repeat(cut)))
-            stack = [*reversed(row), *filterfalse(set(row).__contains__, stack)]
-            del stack[cut:]
-        depth_rows = np.array(depths, dtype=np.int64).reshape(n_steps, h.top_k)
-        counts[:, layer] = (depth_rows >= effective[:, None, None]).sum(axis=-1)
+        for batch in range(h.batch_size):
+            depths: list[int] = []  # stack depth of each requested expert, step by step
+            for i, row in enumerate(sets[:, layer, batch].tolist()):
+                if i in firsts:
+                    stack: list[int] = []
+                depth = {e: d for d, e in enumerate(stack)}
+                depths.extend(map(depth.get, row, repeat(cut)))
+                stack = [*reversed(row), *filterfalse(set(row).__contains__, stack)]
+                del stack[cut:]
+            depth_rows = np.array(depths, dtype=np.int64).reshape(len(sets), h.top_k)
+            counts[:, layer, batch] = (depth_rows >= effective[:, None, None]).sum(axis=-1)
     return counts
 
 

@@ -269,7 +269,7 @@ def _cmd_simulate(args) -> int:
             }
         )
     step_rows = []
-    for i, (s, t) in enumerate(trace.iter_steps()):
+    for i, (s, t) in enumerate(trace.step_keys.tolist()):
         row = {"segment": s, "step": t, "uMiss": report.step_unique_miss_series[i]}
         if tpot is not None:
             row["io_ms"] = tpot.io_ms[i]

@@ -4,9 +4,10 @@ The step-to-step overlap |E_t ∩ E_{t-1}| / K is the instantaneous reuse, with
 the overlap counted by :func:`moe_locality.gate.overlap_counts`; its mean over
 a decoding sequence is the expert overlap ratio (EOR), the headline locality
 statistic. One *sequence* is the set stream of a fixed (layer, batch,
-segment) triple, read through ``RoutingTrace.expert_rows``, so a trace that
-is not dense raises KeyError. Also provided: normalized routing entropy,
-load-balance coefficient of variation, and unique experts per sequence.
+segment) triple, read from ``RoutingTrace.route_sets``, so a trace that is
+not dense raises KeyError and a row that is not a set of K experts raises
+ValueError. Also provided: normalized routing entropy, load-balance
+coefficient of variation, and unique experts per sequence.
 """
 
 from __future__ import annotations
@@ -19,8 +20,8 @@ import numpy as np
 from .gate import overlap_counts
 from .trace import RoutingTrace
 
-# compute_metrics counts each layer's routed slots in a dense [L, N] matrix
-# when it has at most this many cells, or no more than the trace has slots.
+# compute_metrics counts each layer's routed slots in a dense length-N array
+# when L x N is at most this many cells, or no more than the trace has slots.
 _DENSE_COUNTS = 1 << 16
 
 __all__ = [
@@ -60,13 +61,6 @@ class MetricsReport:
     unique_experts_per_sequence: float
 
 
-def _slot_rows(trace: RoutingTrace):
-    """``(layer, batch, RoutingTrace.expert_rows(layer, batch))`` per slot."""
-    for layer in range(trace.header.n_moe_layers):
-        for batch in range(trace.header.batch_size):
-            yield layer, batch, trace.expert_rows(layer, batch)
-
-
 def eor(trace: RoutingTrace, pooled: bool = False) -> EorReport:
     """Mean instantaneous reuse per sequence, per layer, and overall.
 
@@ -75,17 +69,19 @@ def eor(trace: RoutingTrace, pooled: bool = False) -> EorReport:
     whole trace. Length-1 segments contribute nothing; a trace with no pair
     at all is an error.
     """
-    k = trace.header.top_k
+    h = trace.header
     offsets = trace.segment_offsets
+    # [l, b, i] pairs steps i and i+1 of slot (l, b)
+    reuse = overlap_counts(np.moveaxis(trace.route_sets, 0, 2)) / h.top_k
     per_sequence: list[SequenceEor] = []
-    for layer, batch, rows in _slot_rows(trace):
-        reuse = overlap_counts(rows) / k  # entry i pairs steps i and i+1 of the stream
-        for segment, length in enumerate(trace.segment_lengths):
-            if length >= 2:
-                irs = reuse[offsets[segment] : offsets[segment] + length - 1]
-                per_sequence.append(
-                    SequenceEor(layer, batch, segment, float(np.mean(irs)), length - 1)
-                )
+    for layer in range(h.n_moe_layers):
+        for batch in range(h.batch_size):
+            for segment, length in enumerate(trace.segment_lengths):
+                if length >= 2:
+                    irs = reuse[layer, batch, offsets[segment] : offsets[segment] + length - 1]
+                    per_sequence.append(
+                        SequenceEor(layer, batch, segment, float(np.mean(irs)), length - 1)
+                    )
     if not per_sequence:
         raise ValueError("EOR undefined: no sequence has length >= 2")
     layers = sorted({s.layer for s in per_sequence})
@@ -141,9 +137,11 @@ def _sparse_cv(ids: np.ndarray, n: int) -> float:
 def unique_experts_per_sequence(trace: RoutingTrace) -> float:
     """Mean |union of routed sets| across (layer, batch, segment) sequences."""
     offsets = trace.segment_offsets
+    sets = trace.route_sets
     sizes = [
-        len(set(rows[offsets[segment] : offsets[segment + 1]].ravel().tolist()))
-        for _layer, _batch, rows in _slot_rows(trace)
+        len(set(sets[offsets[segment] : offsets[segment + 1], layer, batch].ravel().tolist()))
+        for layer in range(trace.header.n_moe_layers)
+        for batch in range(trace.header.batch_size)
         for segment, length in enumerate(trace.segment_lengths)
         if length >= 1
     ]
@@ -168,14 +166,12 @@ def compute_metrics(trace: RoutingTrace, pooled: bool = False) -> MetricsReport:
         vals = [normalized_entropy(row) for row in trace.probs]
         entropy_norm = float(np.mean(vals)) if vals else None
 
+    sets = trace.route_sets
     if h.n_moe_layers * h.n_routed_experts <= max(trace.topk.size, _DENSE_COUNTS):
-        counts = np.zeros((h.n_moe_layers, h.n_routed_experts), dtype=np.int64)
-        for layer, _batch, rows in _slot_rows(trace):
-            counts[layer] += np.bincount(rows.ravel(), minlength=h.n_routed_experts)
-        cvs = [load_balance_cv(counts[layer]) for layer in range(h.n_moe_layers)]
-    else:  # the header's N, not the trace, would size the count matrix
-        cvs = [_sparse_cv(trace.topk[trace.keys[:, 2] == layer], h.n_routed_experts)
+        cvs = [load_balance_cv(np.bincount(sets[:, layer].ravel(), minlength=h.n_routed_experts))
                for layer in range(h.n_moe_layers)]
+    else:  # the header's N, not the trace, would size the count matrix
+        cvs = [_sparse_cv(sets[:, layer], h.n_routed_experts) for layer in range(h.n_moe_layers)]
 
     return MetricsReport(
         eor=eor_report.overall,

@@ -14,7 +14,8 @@ In memory a trace is columnar, one row per record (:class:`RoutingTrace`):
 ``keys`` int64[R, 4] holds the (s, t, l, b) keys sorted, ``topk`` int64[R, K]
 the Top-K ids in stored order and ``probs`` float64[R, N] the distributions
 (None for an index-only trace). The steps of each segment are derived from
-the keys, never stored beside them.
+the keys, never stored beside them, and so is ``routes``, the one checked
+view of a dense trace's Top-K rows as int[steps, L, B, K].
 
 On-disk format (UTF-8, one JSON object per line):
 
@@ -64,7 +65,7 @@ import re
 import sys
 from collections import Counter
 from contextlib import suppress
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass
 from functools import cached_property
 from itertools import chain, compress, islice, repeat
 from operator import itemgetter
@@ -204,78 +205,54 @@ class RoutingTrace:
         return tuple(offsets)
 
     @cached_property
-    def _grid(self) -> np.ndarray | None:
-        """The keys of the dense sorted trace with these segment lengths, or
-        None when that trace would not have ``n_records`` rows: the sizes are
-        compared first, so a header-sized grid is never built."""
-        h = self.header
-        if self.segment_offsets[-1] * h.n_moe_layers * h.batch_size != len(self.keys):
-            return None
-        return _dense_keys(h, self.segment_lengths)
+    def routes(self) -> np.ndarray:
+        """The Top-K rows of a dense trace as one read-only int[steps, L, B, K]
+        view: ``routes[i, l, b]`` is the set of slot (l, b) at the i-th step,
+        in trace order, whose (s, t) is ``step_keys[i]``.
 
-    def stream(self, layer: int, batch: int) -> slice:
-        """The rows of one (layer, batch) slot, one per step in trace order.
-
-        A dense sorted trace keeps them at ``layer*B + batch :: L*B``; this is
-        the one place that reads that layout. The rows' keys are compared with
-        the steps they stand for in one array test, so a trace that is not
-        dense (a key missing, repeated or out of place) raises KeyError.
+        Rows sorted by key sit in exactly that layout; this is the one place
+        that reads it. The keys are compared with the dense grid of the
+        segment lengths once per trace, the sizes first, so a header-sized
+        grid is never built: a trace that is not dense (a key missing,
+        repeated or out of place) raises KeyError.
         """
         h = self.header
-        grid = self._grid
-        if grid is None:
+        steps = self.segment_offsets[-1]
+        if steps * h.n_moe_layers * h.batch_size != len(self.keys):
             raise KeyError(
-                f"trace is not dense: {len(self.keys)} records for {self.segment_offsets[-1]} "
+                f"trace is not dense: {len(self.keys)} records for {steps} "
                 f"steps x {h.n_moe_layers} layers x {h.batch_size} batch items"
             )
-        rows = slice(layer * h.batch_size + batch, None, h.n_moe_layers * h.batch_size)
-        bad = np.flatnonzero((self.keys[rows] != grid[rows]).any(axis=1))
+        grid = _dense_keys(h, self.segment_lengths)
+        bad = np.flatnonzero((self.keys != grid).any(axis=1))
         if len(bad):
-            s, t = grid[rows][bad[0], :2].tolist()
-            raise KeyError(f"trace is not dense at {(s, t, layer, batch)}")
-        return rows
+            raise KeyError(f"trace is not dense at {tuple(grid[bad[0]].tolist())}")
+        return self.topk.reshape(steps, h.n_moe_layers, h.batch_size, h.top_k)
 
-    def expert_rows(self, layer: int, batch: int) -> np.ndarray:
-        """The Top-K rows of :meth:`stream` as one int[steps, K] array.
+    @property
+    def step_keys(self) -> np.ndarray:
+        """int[steps, 2]: the (s, t) of each step of :attr:`routes`."""
+        return self.keys.reshape(*self.routes.shape[:3], 4)[:, 0, 0, :2]
 
-        Raises ValueError unless every row holds K distinct experts in
-        [0, N), so that overlaps counted over the rows are set intersections.
-        """
+    @cached_property
+    def route_sets(self) -> np.ndarray:
+        """:attr:`routes`, once every row is checked to hold K distinct experts
+        in [0, N), so that overlaps counted over the rows are set
+        intersections; raises ValueError naming the first slot that does not."""
         h = self.header
-        rows = self.topk[self.stream(layer, batch)]
+        routes = self.routes
         # Sorted, a set of K experts in [0, N) rises strictly from >= 0 to < N.
-        ranked = np.sort(rows, axis=1)
-        if (not (ranked[:, 1:] > ranked[:, :-1]).all() or not (ranked[:, :1] >= 0).all()
-                or not (ranked[:, -1:] < h.n_routed_experts).all()):
+        ranked = np.sort(routes, axis=-1)
+        sets = ((ranked[..., 1:] > ranked[..., :-1]).all(axis=-1) & (ranked[..., 0] >= 0)
+                & (ranked[..., -1] < h.n_routed_experts))
+        bad = np.argwhere(~sets.all(axis=0))
+        if len(bad):
+            layer, batch = bad[0].tolist()
             raise ValueError(
                 f"every Top-K set of layer {layer}, batch {batch} must be a set of "
                 f"size K={h.top_k} of experts in [0, {h.n_routed_experts})"
             )
-        return rows
-
-    def batch_slot(self, batch: int) -> "RoutingTrace":
-        """Batch slot ``batch`` of a dense sorted trace as a standalone B=1 trace.
-
-        The slot's rows are ``batch::B``; a row of another slot among them
-        means the trace is not dense (a key missing or repeated), so it raises
-        KeyError rather than check one slot's routing as another's.
-        """
-        h = self.header
-        if h.batch_size == 1:
-            return self
-        rows = slice(batch, None, h.batch_size)
-        keys = self.keys[rows].copy()
-        if (keys[:, 3] != batch).any():
-            raise KeyError(f"trace is not dense in batch slot {batch}")
-        keys[:, 3] = 0
-        probs = None if self.probs is None else self.probs[rows]
-        return RoutingTrace(replace(h, batch_size=1), keys, self.topk[rows], probs)
-
-    def iter_steps(self) -> Iterator[tuple[int, int]]:
-        """All (segment, step) pairs in order."""
-        for s, length in enumerate(self.segment_lengths):
-            for t in range(length):
-                yield s, t
+        return routes
 
 
 def _dense_keys(header: TraceHeader, lengths) -> np.ndarray:
@@ -947,15 +924,19 @@ def validate_trace(trace: RoutingTrace) -> list[Violation]:
     Violations are data, not exceptions: each one names the offending record
     coordinates and the rule it breaks, row by row and in rule order within a
     row. Cross-record rules are checked in full unless every segment length
-    is >= 1 and the keys are exactly the dense grid of the segment lengths
-    they imply, which breaks none.
+    is >= 1 and :attr:`RoutingTrace.routes` reads the keys as the dense grid
+    of the segment lengths they imply, which breaks none.
     """
     h = trace.header
     n_probs = None if trace.probs is None else np.array([h.n_routed_experts])
     out = _record_violations(_Rows(h, trace.keys, trace.topk, np.array([h.top_k]),
                                    trace.probs, n_probs))
-    dense = (all(length >= 1 for length in trace.segment_lengths)
-             and trace._grid is not None and np.array_equal(trace.keys, trace._grid))
+    try:
+        trace.routes
+    except KeyError:
+        dense = False
+    else:
+        dense = min(trace.segment_lengths, default=1) >= 1
     if not dense:
         _cross_record_violations(h, list(map(tuple, trace.keys.tolist())), out)
     return out

@@ -74,6 +74,8 @@ class TrainConfig:
                 raise ValueError(f"{name} must be in [0, 1), got {getattr(self, name)!r}")
         if not self.adam_eps > 0:
             raise ValueError(f"adam_eps must be > 0, got {self.adam_eps!r}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed!r}")
 
 
 @dataclass(frozen=True)
@@ -94,6 +96,8 @@ class SyntheticDataConfig:
                 raise ValueError(f"{name} must be >= {low}")
         if not 1 <= self.top_k <= self.n_experts:
             raise ValueError(f"top_k must be in [1, n_experts = {self.n_experts}]")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed!r}")
 
 
 def synth_hidden_sequences(cfg: SyntheticDataConfig) -> list[np.ndarray]:

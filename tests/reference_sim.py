@@ -8,7 +8,8 @@ raw future request list. Used only as a test oracle on tiny traces.
 Below it is the package's previous simulator (per-expert timestamp state,
 one keyed record lookup per step and batch item), the oracle for
 whole-report equality. Both find records by key in a dict of their own
-(``records_by_key``), not through the package's dense-layout reader.
+(``reference_trace.records_by_key``) and walk the steps of
+``reference_trace.iter_steps``, not the package's ``RoutingTrace.routes``.
 """
 
 from __future__ import annotations
@@ -34,12 +35,7 @@ from moe_locality.cache_sim import (
 )
 from moe_locality.gate import overlap_counts
 from moe_locality.trace import RoutingTrace, SynthConfig, TraceHeader, synth_trace
-from reference_trace import StepRecord, from_records, records
-
-
-def records_by_key(trace: RoutingTrace) -> dict:
-    """(segment, step, layer, batch) -> record."""
-    return {r.key: r for r in records(trace)}
+from reference_trace import StepRecord, from_records, iter_steps, records, records_by_key
 
 
 def ordered_unique(xs):
@@ -126,7 +122,7 @@ def naive_simulate(trace, capacity, policy, reset_each_segment):
     for layer in range(header.n_moe_layers):
         sim = NaiveLayerSim(capacity, policy)
         steps = []
-        for s, t in trace.iter_steps():
+        for s, t in iter_steps(trace):
             slots = []
             for b in range(header.batch_size):
                 slots.extend(by_key[(s, t, layer, b)].topk_indices)
@@ -172,8 +168,8 @@ def naive_simulate(trace, capacity, policy, reset_each_segment):
 
 # ---------------------------------------------------------------------------
 # The keyed-lookup simulator and bound-check collection, kept as a
-# differential oracle for ``moe_locality.cache_sim.simulate``, the bound
-# checks' per-slot records and ``RoutingTrace.batch_slot``.
+# differential oracle for ``moe_locality.cache_sim.simulate`` and the bound
+# checks' per-slot records.
 # ``LayerCacheState`` keeps timestamps and counters per resident expert and
 # every victim is a ``min`` over the candidates; requests are read with one
 # keyed lookup per (step, batch item). It returns the package's own report
@@ -262,7 +258,7 @@ def _layer_requests(trace: RoutingTrace, layer: int) -> list[tuple[int, int, lis
     h = trace.header
     by_key = records_by_key(trace)
     out = []
-    for s, t in trace.iter_steps():
+    for s, t in iter_steps(trace):
         slots: list[int] = []
         for b in range(h.batch_size):
             slots.extend(by_key[(s, t, layer, b)].topk_indices)
@@ -301,7 +297,7 @@ def step_rows(trace: RoutingTrace, report: SimReport) -> list[tuple[int, ...]]:
     """(layer, segment, step, unique_hits, unique_total, token_hits,
     token_total) per layer and step, layer-major: ``report.step_counts`` as
     labelled rows."""
-    steps = list(trace.iter_steps())
+    steps = iter_steps(trace)
     return [
         (layer, s, t, *counts)
         for layer, rows in enumerate(report.step_counts.tolist())
@@ -346,7 +342,7 @@ def reference_simulate_with_totals(
     events: list[StepEvent] = []
     rerouted_records: list[StepRecord] = []
     final_resident: list[tuple[int, ...]] = []
-    cross_step_miss: dict[tuple[int, int], int] = {(s, t): 0 for s, t in trace.iter_steps()}
+    cross_step_miss: dict[tuple[int, int], int] = {(s, t): 0 for s, t in iter_steps(trace)}
 
     for layer in range(h.n_moe_layers):
         state = LayerCacheState(cfg.capacity, cfg.policy)
@@ -462,7 +458,7 @@ def reference_simulate_with_totals(
         token_hits=sum(lt.token_hits for lt in per_layer),
         token_total=sum(lt.token_total for lt in per_layer),
     )
-    miss_series = tuple(cross_step_miss[(s, t)] for s, t in trace.iter_steps())
+    miss_series = tuple(cross_step_miss[(s, t)] for s, t in iter_steps(trace))
 
     rerouted_trace = None
     if reroute:
@@ -598,12 +594,15 @@ def simulate_collect_step_records(
     misses = simulate(trace, cfg).unique_misses.ravel().tolist()
     offsets = trace.segment_offsets
     n_steps = offsets[-1]
+    by_key = records_by_key(trace)
+    steps = iter_steps(trace)
 
     per_step: list[StepBoundRecord] = []
     per_sequence: list[SequenceBound] = []
     flagged: list[tuple[int, int]] = []
     for layer in range(h.n_moe_layers):
-        rows = trace.expert_rows(layer, 0)
+        rows = np.array([by_key[(s, t, layer, 0)].topk_indices for s, t in steps],
+                        dtype=np.int64).reshape(n_steps, k)
         pair_bounds = (k - overlap_counts(rows)).tolist()
         for segment, length in enumerate(trace.segment_lengths):
             start = offsets[segment]

@@ -8,7 +8,9 @@ and validates with whole-array screens; the differential tests require
 identical results from both. Used only as a test oracle.
 
 The bridges between the two forms live here too: ``records`` (a package
-trace's rows as records), ``from_records`` (records sorted by key into a
+trace's rows as records), ``records_by_key`` and ``iter_steps`` (the keyed
+lookups the oracles read a trace through, never the package's dense
+``RoutingTrace.routes``), ``from_records`` (records sorted by key into a
 package trace), and ``jsonl``, which writes records
 in the order given so that traces no array holds, or that break a rule,
 reach the package through its loader. ``load`` is the outcome the package's
@@ -108,6 +110,16 @@ def records(trace: RoutingTrace) -> tuple[StepRecord, ...]:
         StepRecord(*key, tuple(ids), None if p is None else tuple(p))
         for key, ids, p in zip(trace.keys.tolist(), trace.topk.tolist(), probs)
     )
+
+
+def records_by_key(trace: RoutingTrace) -> dict:
+    """(segment, step, layer, batch) -> record."""
+    return {r.key: r for r in records(trace)}
+
+
+def iter_steps(trace: RoutingTrace) -> list[tuple[int, int]]:
+    """Every (segment, step) pair some record carries, in key order."""
+    return sorted({r.key[:2] for r in records(trace)})
 
 
 def jsonl(header: TraceHeader, recs) -> bytes:

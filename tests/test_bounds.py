@@ -21,13 +21,14 @@ from moe_locality.trace import (
     synth_trace,
     validate_trace,
 )
-from reference_trace import jsonl, records
+from reference_trace import iter_steps, jsonl, records
 
 from reference_sim import (
     reference_campaign_configs,
     reference_check,
     reference_collect_step_records,
     reference_run_campaign,
+    reference_slice_batch,
     reference_tally,
     simulate_collect_step_records,
     step_rows,
@@ -84,12 +85,13 @@ class TestStepBound:
         assert {r.batch for r in report.step_records} == {0, 1, 2}
 
     def test_batch_slot_reindexes_to_single_batch(self):
-        trace = synth_trace(SynthConfig(batch_size=3, seed=9, independent_batches=True))
-        sub = trace.batch_slot(2)
+        # The B=1 trace a flagged slot is replayed as.
+        trace = synth_trace(SynthConfig(n_moe_layers=2, n_segments=2, batch_size=3, seed=9,
+                                        independent_batches=True))
+        sub = bounds._slot_trace(trace, 2)
         assert sub.header.batch_size == 1
         assert validate_trace(sub) == []
-        assert all(r.batch_index == 0 for r in records(sub))
-        assert sub.n_records == trace.n_records // 3
+        assert sub == reference_slice_batch(trace, 2)
 
     def test_duplicated_key_is_refused(self):
         # (0,0,0,1) replaced by a second (0,0,0,0): batch slot 1's stride
@@ -206,7 +208,7 @@ class TestAdmissionProperty:
         per_step = {}
         for _layer, s, t, uh, ut, _th, _tt in step_rows(trace, report):
             per_step[(s, t)] = per_step.get((s, t), 0) + ut - uh
-        for i, (s, t) in enumerate(trace.iter_steps()):
+        for i, (s, t) in enumerate(iter_steps(trace)):
             assert report.step_unique_miss_series[i] == per_step[(s, t)]
 
 
@@ -295,24 +297,21 @@ class TestCampaignEquivalence:
         trace = synth_trace(cfg)
         caps = tuple(cfg.top_k + e for e in extras)
         noise = np.random.default_rng(noise_seed)
-        slots = [
-            (slot, b._replace(n_fetch=b.n_fetch + noise.integers(-1, 3, b.n_fetch.shape)))
-            for slot, b in bounds._check(trace, caps, working_set)
-        ]
+        b = bounds._check(trace, caps, working_set)
+        b = b._replace(n_fetch=b.n_fetch + noise.integers(-1, 3, b.n_fetch.shape))
         checks = violations = 0
         for c, cap in enumerate(caps):
             cfg_c = CacheConfig(cap, Policy.LRU, reset_each_segment=True)
-            for batch, (slot, b) in enumerate(slots):
-                one_capacity = b._replace(
-                    n_fetch=b.n_fetch[c:c + 1],
-                    ws_horizon=None if b.ws_horizon is None else b.ws_horizon[c:c + 1],
-                    ws_bound=None if b.ws_bound is None else b.ws_bound[c:c + 1],
-                )
-                steps, seqs = bounds._collect_step_records(slot, cfg_c, batch, one_capacity)
-                checks += len(steps) + len(seqs)
-                violations += sum(r.ws_violated if working_set else r.violated for r in steps)
-                violations += sum(r.violated for r in seqs)
-        assert bounds._tally(trace, slots) == (checks, violations)
+            one_capacity = b._replace(
+                n_fetch=b.n_fetch[c:c + 1],
+                ws_horizon=None if b.ws_horizon is None else b.ws_horizon[c:c + 1],
+                ws_bound=None if b.ws_bound is None else b.ws_bound[c:c + 1],
+            )
+            steps, seqs = bounds._collect_step_records(trace, cfg_c, one_capacity)
+            checks += len(steps) + len(seqs)
+            violations += sum(r.ws_violated if working_set else r.violated for r in steps)
+            violations += sum(r.violated for r in seqs)
+        assert bounds._tally(trace, b) == (checks, violations)
 
     def test_violations_are_tallied(self):
         # Under a corrupted fetch count every bound must be seen to break:

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from moe_locality import bounds
 from moe_locality.cache_sim import (
     CacheConfig,
     FaultKind,
@@ -24,7 +25,12 @@ from moe_locality.metrics import eor
 from moe_locality.trace import SynthConfig, TraceError, TraceHeader, synth_trace
 from reference_trace import StepRecord, from_records, records
 
-from reference_sim import naive_simulate, reference_simulate_with_totals, step_rows
+from reference_sim import (
+    naive_simulate,
+    reference_simulate_with_totals,
+    reference_slice_batch,
+    step_rows,
+)
 from test_trace import make_trace, record_at
 
 
@@ -101,9 +107,8 @@ def next_use_table(trace, layer, within_segment=True):
     """(segment, step, expert) -> the step of that expert's next request, read
     from the occurrence index that Belady's victim choice searches (inf when
     the expert is not requested again in the same scope)."""
-    steps = list(trace.iter_steps())
-    requests = _step_requests(
-        [trace.topk[trace.stream(layer, b)] for b in range(trace.header.batch_size)])
+    steps = trace.step_keys.tolist()
+    requests = _step_requests(trace.routes[:, layer])
     occ = _occurrence_index(steps, requests, within_segment)
     table = {}
     for ordinal, ((s, t), (_slots, uniq)) in enumerate(zip(steps, requests)):
@@ -488,43 +493,71 @@ def stack_cases(draw):
     return synth_trace(cfg), tuple(capacities)
 
 
+@st.composite
+def ragged_stack_cases(draw):
+    """A trace with B up to 4 and segments of unequal lengths (some of one
+    step), and capacities from K to beyond N."""
+    trace, capacities = draw(stack_cases())
+    lengths = draw(st.lists(st.integers(1, trace.segment_lengths[0]),
+                            min_size=len(trace.segment_lengths),
+                            max_size=len(trace.segment_lengths)))
+    kept = [r for r in records(trace) if r.step_index < lengths[r.segment_id]]
+    return from_records(trace.header, kept), capacities
+
+
 class TestLruFetchCounts:
     @settings(max_examples=300, deadline=None, derandomize=True)
     @given(case=stack_cases())
     def test_matches_simulate_at_every_capacity(self, case):
+        # Each slot against the B=1 trace the bound checks replay it as.
         trace, capacities = case
         h = trace.header
+        counts = lru_fetch_counts(trace, capacities)
+        assert counts.shape == (len(capacities), h.n_moe_layers, h.batch_size,
+                                trace.segment_offsets[-1])
         for b in range(h.batch_size):
-            slot = trace.batch_slot(b)
-            counts = lru_fetch_counts(slot, capacities)
-            assert counts.shape == (len(capacities), h.n_moe_layers, slot.segment_offsets[-1])
+            slot = bounds._slot_trace(trace, b)
             for c, capacity in enumerate(capacities):
                 expected = simulate(slot, lru(capacity)).unique_misses
-                assert np.array_equal(counts[c], expected), capacity
+                assert np.array_equal(counts[c, :, b], expected), capacity
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(case=ragged_stack_cases())
+    def test_every_slot_matches_its_oracle_slot_trace(self, case):
+        trace, capacities = case
+        counts = lru_fetch_counts(trace, capacities)
+        for b in range(trace.header.batch_size):
+            slot = reference_slice_batch(trace, b)
+            for c, capacity in enumerate(capacities):
+                expected = simulate(slot, lru(capacity)).unique_misses
+                assert np.array_equal(counts[c, :, b], expected), (b, capacity)
 
     @settings(max_examples=60, deadline=None, derandomize=True)
     @given(case=stack_cases())
     def test_refuses_capacity_below_k(self, case):
         trace, capacities = case
-        slot = trace.batch_slot(0)
         with pytest.raises(ValueError, match="capacities >= K"):
-            lru_fetch_counts(slot, capacities + (trace.header.top_k - 1,))
+            lru_fetch_counts(trace, capacities + (trace.header.top_k - 1,))
 
     def test_hand_counts(self):
         # A, B, A with |A ∪ B| = 4: at C=2 every step misses twice, at C=4
         # the return to A hits; the reset empties the stack for segment 1.
         trace = seq_trace([(0, 1), (2, 3), (0, 1), (0, 1)], segment_starts=(3,))
         counts = lru_fetch_counts(trace, (2, 4, 10**30))
-        assert counts[:, 0].tolist() == [[2, 2, 2, 2], [2, 2, 0, 2], [2, 2, 0, 2]]
+        assert counts[:, 0, 0].tolist() == [[2, 2, 2, 2], [2, 2, 0, 2], [2, 2, 0, 2]]
 
     def test_needs_a_capacity(self):
         with pytest.raises(ValueError, match="capacities >= K"):
             lru_fetch_counts(seq_trace([(0, 1)]), ())
 
-    def test_counts_one_batch_slot(self):
-        trace = synth_trace(SynthConfig(batch_size=2, seed=1))
-        with pytest.raises(ValueError, match="one batch slot, got B=2"):
-            lru_fetch_counts(trace, (8,))
+    def test_counts_each_batch_slot_as_its_own_cache(self):
+        # A B=2 trace counts as its two slots, each a B=1 trace of its own.
+        trace = synth_trace(SynthConfig(batch_size=2, seed=1, n_segments=2,
+                                        independent_batches=True))
+        counts = lru_fetch_counts(trace, (4, 8))
+        for b in range(2):
+            alone = lru_fetch_counts(bounds._slot_trace(trace, b), (4, 8))
+            assert np.array_equal(counts[:, :, b:b + 1], alone)
 
     @pytest.mark.parametrize("row", [(0, 1, 2), (), (1, 1)])
     def test_refuses_a_row_that_is_not_a_top_k_set(self, row):

@@ -661,6 +661,22 @@ def test_bad_train_config_is_data_error_naming_the_key(tmp_path, capsys, overrid
     assert not (tmp_path / "l.csv").exists()
 
 
+@pytest.mark.parametrize("section", ["train", "data"])
+def test_negative_config_seed_is_a_data_error_naming_it(tmp_path, capsys, section):
+    # Refused by the config, not left to numpy's message naming no field.
+    config = {**TRAIN_CONFIG, section: {**TRAIN_CONFIG.get(section, {}), "seed": -1}}
+    cfg = tmp_path / "cfg.json"
+    expected = f"data error: config {section}.seed must be >= 0, got -1\n"
+    cfg.write_text(json.dumps(config))
+    assert run("train", "--config", str(cfg), "--out-theta", str(tmp_path / "t.bin"),
+               "--log", str(tmp_path / "l.csv")) == 2
+    assert capsys.readouterr().err == expected
+    cfg.write_text(json.dumps({**config, "grid": [{}]}))
+    assert run("sweep", "--config", str(cfg), "--out", str(tmp_path / "s.csv")) == 2
+    assert capsys.readouterr().err == expected
+    assert not any(tmp_path.glob("*.csv"))
+
+
 class TestSweepCli:
     def test_single_point_equals_train(self, tmp_path):
         cfg = dict(TRAIN_CONFIG)

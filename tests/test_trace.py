@@ -149,7 +149,7 @@ class TestParse:
         keys = np.zeros((1, 4), dtype=np.int64)
         trace = RoutingTrace(TraceHeader(10**12, 4, 2, 1), keys, np.array([[0, 1]]), None)
         with pytest.raises(KeyError, match="not dense: 1 records for 1 steps"):
-            trace.stream(0, 0)
+            trace.routes
 
     def test_unsorted_input_is_normalized(self):
         data = b"\n".join(
@@ -318,7 +318,7 @@ class TestSynth:
     def test_shared_batch_stream_duplicates_sets(self):
         cfg = SynthConfig(batch_size=3, seed=4, steps_per_segment=6)
         trace = synth_trace(cfg)
-        for s, t in trace.iter_steps():
+        for s, t in reference_trace.iter_steps(trace):
             sets = {record_at(trace, s, t, 0, b).expert_set for b in range(3)}
             assert len(sets) == 1
 
@@ -335,10 +335,7 @@ class TestSynth:
             batch_size=3, seed=4, steps_per_segment=12, independent_batches=True
         )
         trace = synth_trace(cfg)
-        streams = [
-            tuple(map(frozenset, trace.expert_rows(0, b).tolist()))
-            for b in range(3)
-        ]
+        streams = [tuple(map(frozenset, trace.route_sets[:, 0, b].tolist())) for b in range(3)]
         assert len(set(streams)) > 1
 
 
@@ -524,7 +521,7 @@ def test_parse_write_round_trip(cfg):
 
 
 class TestRecordAt:
-    """``RoutingTrace.stream``, the one reader of the dense layout, against a
+    """``RoutingTrace.routes``, the one reader of the dense layout, against a
     linear key search."""
 
     @pytest.mark.parametrize("lengths", [(3,), (1, 4, 2), (5, 1, 1, 3)])
@@ -538,46 +535,49 @@ class TestRecordAt:
             [r for r in reference_trace.records(full) if r.step_index < lengths[r.segment_id]],
         )
         assert trace.segment_lengths == lengths and validate_trace(trace) == []
-        records = reference_trace.records(trace)
-        for l in range(layers):
-            for b in range(batch):
-                rows = range(trace.n_records)[trace.stream(l, b)]
-                assert len(rows) == sum(lengths)
-                for i, (s, t) in zip(rows, trace.iter_steps()):
-                    assert records[i] == record_at(trace, s, t, l, b)
+        steps = reference_trace.iter_steps(trace)
+        assert trace.routes.shape == (sum(lengths), layers, batch, cfg.top_k)
+        assert trace.step_keys.tolist() == [list(step) for step in steps]
+        for i, (s, t) in enumerate(steps):
+            for l in range(layers):
+                for b in range(batch):
+                    assert tuple(trace.routes[i, l, b]) == record_at(trace, s, t, l, b).topk_indices
 
     def test_empty_trace_has_empty_streams(self):
         trace = reference_trace.from_records(TraceHeader(2, 8, 2, 3), [])
-        assert trace.topk[trace.stream(1, 2)].shape == (0, 2)
+        assert trace.routes.shape == (0, 2, 3, 2) and trace.step_keys.shape == (0, 2)
+        assert trace.route_sets.shape == (0, 2, 3, 2)
 
     @pytest.mark.parametrize("mutate", ["drop", "duplicate", "gap"])
     def test_not_dense_raises_key_error(self, mutate):
         trace = synth_trace(SynthConfig(n_moe_layers=2, batch_size=2, n_segments=2,
                                         steps_per_segment=4, seed=3))
         records = list(reference_trace.records(trace))
-        slots = [(l, b) for l in range(2) for b in range(2)]
         if mutate == "drop":
             del records[5]
+            at = ": 31 records for 8 steps x 2 layers x 2 batch items"
         elif mutate == "duplicate":  # (0,1,0,1) becomes a second (0,1,0,0)
             records[5] = records[4]
-            slots = [(0, 1)]  # the other slots still hold their own records
+            at = r" at \(0, 1, 0, 1\)"  # the first row that holds another's key
         else:  # segment 1 loses its step 2, so its step 3 follows step 1
             records = [r for r in records if (r.segment_id, r.step_index) != (1, 2)]
+            at = ": 28 records for 8 steps"
         bad = parse_trace(reference_trace.jsonl(trace.header, records), validate=False)
         assert validate_trace(bad) != []
-        for l, b in slots:
-            with pytest.raises(KeyError, match="not dense"):
-                bad.stream(l, b)
+        for view in ("routes", "step_keys", "route_sets"):
+            with pytest.raises(KeyError, match=f"not dense{at}"):
+                getattr(bad, view)
 
     def test_expert_rows_are_the_stream_sets(self):
         trace = synth_trace(SynthConfig(n_moe_layers=2, batch_size=3, n_segments=2, seed=5,
                                         steps_per_segment=4, independent_batches=True))
+        assert trace.route_sets is trace.routes and not trace.routes.flags.writeable
+        assert np.shares_memory(trace.routes, trace.topk)
         for l in range(2):
             for b in range(3):
-                rows = trace.expert_rows(l, b)
-                assert rows.shape == (8, trace.header.top_k)
-                assert [tuple(r) for r in rows.tolist()] == [
-                    record_at(trace, s, t, l, b).topk_indices for s, t in trace.iter_steps()]
+                assert [tuple(r) for r in trace.route_sets[:, l, b].tolist()] == [
+                    record_at(trace, s, t, l, b).topk_indices
+                    for s, t in reference_trace.iter_steps(trace)]
 
     @pytest.mark.parametrize("topk", [(1, 1), (1, 8), (-1, 2), (1, 2, 3), (1,)])
     def test_expert_rows_refuse_a_row_that_is_not_a_k_set(self, topk):
@@ -588,16 +588,19 @@ class TestRecordAt:
                 make_trace(header, [(0, 0, 0, 0, (0, 1)), (0, 1, 0, 0, topk)])
             return
         trace = make_trace(header, [(0, 0, 0, 0, (0, 1)), (0, 1, 0, 0, topk)])
+        assert trace.routes.shape == (2, 1, 1, 2)  # dense: only the set check refuses it
         with pytest.raises(ValueError, match="size K=2 of experts in \\[0, 8\\)"):
-            trace.expert_rows(0, 0)
+            trace.route_sets
 
     def test_batch_slot_refuses_a_slot_that_is_not_dense(self):
+        # (0,0,0,1) becomes a second (0,0,0,0): the slot-1 row of step 0 is
+        # slot 0's, which routes names rather than read one slot as another.
         trace = synth_trace(SynthConfig(batch_size=2, seed=4, steps_per_segment=3))
         records = list(reference_trace.records(trace))
         records[1] = records[0]
         bad = parse_trace(reference_trace.jsonl(trace.header, records), validate=False)
-        with pytest.raises(KeyError, match="not dense in batch slot 1"):
-            bad.batch_slot(1)
+        with pytest.raises(KeyError, match=r"not dense at \(0, 0, 0, 1\)"):
+            bad.routes
 
 
 # ---------------------------------------------------------------------------
