@@ -720,6 +720,9 @@ def dispatch(argv: list[str]) -> int:
     except (TraceError, OSError, ValueError) as e:  # OSError messages name the path
         print(f"data error: {e}", file=sys.stderr)
         return 2
+    except MemoryError as e:  # an allocation sized by the input; numpy's names its size
+        print(f"data error: {str(e) or 'out of memory'}", file=sys.stderr)
+        return 2
 
 
 def main() -> None:

@@ -28,11 +28,12 @@ Lines end at ``\\n`` only, for bytes and files alike; whitespace around a line
 Probabilities are serialized with 17 significant digits so that
 ``parse_trace(write_trace(x)) == x`` holds bit-for-bit; a non-finite one is
 written ``NaN``, ``Infinity`` or ``-Infinity``, which the loader reads back
-(and validation refuses). They are encoded a block of rows at a time into
+(and validation refuses). Records are written a block of rows at a time,
+index-only and probs traces alike, the probabilities encoded into
 fixed-width fields by the exact inverse of the parser's decoder, with the
-bytes of formatting each one by itself:
-:func:`save_trace` writes one block at a time and never holds the whole
-output, and :func:`write_trace` joins the same blocks.
+bytes of formatting each one by itself: :func:`save_trace` writes one block
+at a time and never holds the whole output, and :func:`write_trace` joins
+the same blocks.
 
 :func:`parse_trace` reads the input once, a block of lines at a time. A
 block whose every line is a record exactly as :func:`write_trace` emits it
@@ -40,11 +41,11 @@ block whose every line is a record exactly as :func:`write_trace` emits it
 ``D.DDDDDDDDDDDDDDDDe±DD`` probabilities) is converted into arrays at once,
 with no JSON scan: its integers in one pass, its probabilities by an exact
 vectorized decoder that gives the bits ``float`` gives. Any other block
-takes the JSON path, which alone decides errors: it scans each line as one
-JSON value, runs the field rules over the block's columns and converts the
-block into arrays. When a block breaks a rule, the same rules run again
-over its lines one at a time, so the error names the first line that breaks
-one: a line that is not UTF-8 or not one JSON object (too deep a nesting included), a
+takes the JSON path, which alone decides errors: it reads each line into one
+object with ``json.loads``, as the header line is read, runs the field rules
+over the block's columns and converts the block into arrays. When a block
+breaks a rule, the same rules run again over its lines one at a time, so the
+error names the first line that breaks one: a line that is not UTF-8 or not one JSON object (too deep a nesting included), a
 field that is missing or of another JSON type, a has_probs mismatch, or a
 number too large for a float. Once every line is read, a segment id or step
 index beyond the record count is refused with its line, and so is a header
@@ -67,7 +68,7 @@ from collections import Counter
 from contextlib import suppress
 from dataclasses import asdict, dataclass
 from functools import cached_property
-from itertools import chain, compress, islice, repeat
+from itertools import chain, compress, count, islice, repeat
 from operator import itemgetter
 from typing import IO, Iterator, NamedTuple
 
@@ -275,11 +276,9 @@ def _dense_keys(header: TraceHeader, lengths) -> np.ndarray:
 # Parsing / serialization
 # ---------------------------------------------------------------------------
 
-_scan_once = json.JSONDecoder().scan_once  # json.loads' scanner, without its wrappers
 _INTS = frozenset((int,))
 _NUMBERS = frozenset((int, float))
 _LISTS = frozenset((list,))
-_DICTS = frozenset((dict,))
 _BLOCK = 512  # lines read and converted into arrays at a time
 _CELLS = 1 << 16  # padded topk entries tested at a time in rows no RoutingTrace holds
 _KEY_FIELDS = itemgetter("s", "t", "l", "b")
@@ -313,7 +312,7 @@ def _line_object(raw: bytes, line_no: int) -> dict | None:
     if not line:
         return None
     try:
-        obj = json.loads(line)  # on a stripped line, the same test as _scan_block's
+        obj = json.loads(line)
     except RecursionError:
         raise TraceError("malformed JSON (nested too deeply)", line_no) from None
     except ValueError as e:  # a JSONDecodeError, or int's digit limit
@@ -336,25 +335,6 @@ def _parse_header(obj, line_no) -> TraceHeader:
         raise TraceError(f"header missing field {e.args[0]!r}", line_no) from None
     except ValueError as e:
         raise TraceError(str(e), line_no) from None
-
-
-def _scan_block(raws: list[bytes]) -> tuple[list[dict], list[int]] | None:
-    """The JSON objects of a block of lines and their offsets in it, blank
-    lines skipped, or None if a line is not one UTF-8 JSON object: the test
-    of :func:`_line_object` as C-level maps over the block."""
-    try:
-        texts = list(map(str.strip, map(bytes.decode, raws)))
-        at = list(compress(range(len(texts)), texts))
-        texts = list(filter(None, texts))
-        scanned = list(map(_scan_once, texts, repeat(0)))
-    except (UnicodeDecodeError, ValueError, RecursionError):
-        return None
-    # A StopIteration (no value on a line) ends the map early, so the
-    # comparison also catches it, as well as a line holding more than one value.
-    if list(map(itemgetter(1), scanned)) != list(map(len, texts)):
-        return None
-    objs = list(map(itemgetter(0), scanned))
-    return (objs, at) if _DICTS.issuperset(map(type, objs)) else None
 
 
 def _block_arrays(objs: list[dict], header: TraceHeader) -> tuple | str:
@@ -566,11 +546,14 @@ def _read(lines: Iterator[bytes]) -> RoutingTrace:
         if grammar and (arrays := _written_block(grammar, raws, header)):
             at = range(len(raws))  # one record a line, no blanks
         else:  # the JSON path, the only one that names a line's error
-            scanned = _scan_block(raws)
-            arrays = scanned and _block_arrays(scanned[0], header)
+            try:
+                objs = list(map(_line_object, raws, count(line_no + 1)))
+                at = [i for i, obj in enumerate(objs) if obj is not None]
+                arrays = _block_arrays([objs[i] for i in at], header)
+            except TraceError:  # a line is not one JSON object
+                arrays = None
             if type(arrays) is not tuple:  # None or a message: a line breaks a rule
                 _raise_line_error(raws, line_no + 1, header)
-            at = scanned[1]
         if at:
             top = arrays[0][:, :2].max(axis=1)
             j = int(top.argmax())
@@ -626,7 +609,7 @@ def parse_trace(stream: bytes | IO[bytes], validate: bool = True) -> RoutingTrac
 
 _PROB_FORMAT = "{:.16e}".format  # 17 significant digits: exact float64 round-trip
 _NON_FINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}  # JSON's spelling
-_ENCODE_FIELDS = 1 << 12  # probabilities encoded into one block of lines at a time
+_ENCODE_FIELDS = 1 << 12  # probabilities, or ids of an index-only trace, in one block of lines
 
 
 def _digit_pairs() -> np.ndarray:
@@ -727,34 +710,29 @@ def _prob_text(x: float) -> str:
     return _NON_FINITE.get(text, text)
 
 
-def _heads(keys: np.ndarray, topk: np.ndarray) -> Iterator[str]:
-    """Each row's line up to and including its topk list."""
-    for (s, t, l, b), ids in zip(keys.tolist(), topk.tolist()):
-        yield f'{{"s":{s},"t":{t},"l":{l},"b":{b},"topk":[{",".join(map(str, ids))}]'
-
-
 def _record_lines(trace: RoutingTrace) -> Iterator[bytes]:
-    """The rows as UTF-8 lines, "\\n" included: one line at a time in an
-    index-only trace, a block of lines at a time in a probs trace."""
-    if trace.probs is None:
-        for head in _heads(trace.keys, trace.topk):
-            yield (head + "}\n").encode("utf-8")
-        return
-    rows = max(1, _ENCODE_FIELDS // trace.header.n_routed_experts)
+    """The rows as UTF-8 lines, "\\n" included, a block of rows at a time."""
+    h = trace.header
+    rows = max(1, _ENCODE_FIELDS // (h.top_k if trace.probs is None else h.n_routed_experts))
     for start in range(0, trace.n_records, rows):
         block = slice(start, start + rows)
-        yield _probs_lines(trace.keys[block], trace.topk[block], trace.probs[block])
+        yield _block_lines(trace.keys[block], trace.topk[block],
+                           None if trace.probs is None else trace.probs[block])
 
 
-def _probs_lines(keys: np.ndarray, topk: np.ndarray, probs: np.ndarray) -> bytes:
-    """The lines of rows of a probs trace, their texts read in place from
-    the block :func:`_fixed_texts` writes."""
+def _block_lines(keys: np.ndarray, topk: np.ndarray, probs: np.ndarray | None) -> bytes:
+    """The lines of a block of rows; in a probs trace their probability
+    texts are read in place from the block :func:`_fixed_texts` writes."""
+    heads = (f'{{"s":{s},"t":{t},"l":{l},"b":{b},"topk":[{",".join(map(str, ids))}]'
+             for (s, t, l, b), ids in zip(keys.tolist(), topk.tolist()))
+    if probs is None:
+        return "".join([head + "}\n" for head in heads]).encode("utf-8")
     texts, uneven = _fixed_texts(probs)
     width = texts[0].size
     texts = memoryview(texts.reshape(-1))
     parts = []
-    for i, head, p, other_width in zip(range(0, len(texts), width), _heads(keys, topk),
-                                       probs, uneven.tolist()):
+    for i, head, p, other_width in zip(range(0, len(texts), width), heads, probs,
+                                       uneven.tolist()):
         if other_width:  # a text not _FIELD wide: the row field by field
             row = (",".join(map(_prob_text, p.tolist())) + "]").encode("utf-8")
         else:
@@ -1005,6 +983,8 @@ class SynthConfig:
 
     def __post_init__(self):
         TraceHeader(self.n_moe_layers, self.n_routed_experts, self.top_k, self.batch_size)
+        if self.n_routed_experts >= 2**63:  # numpy's Generator.choice, replayed here, overflows
+            raise ValueError(f"n_routed_experts must be below 2**63, got {self.n_routed_experts}")
         if not 0.0 <= self.stickiness <= 1.0:
             raise ValueError(f"stickiness must be in [0,1], got {self.stickiness}")
         if self.n_segments < 1 or self.steps_per_segment < 1:

@@ -91,7 +91,9 @@ class TestSynthValidate:
         ("--experts", "20000", "--top-k", "500", "--steps", "3"),
         # 3 * 2**30 experts: one 32-bit draw in four is rejected and redrawn.
         ("--experts", str(3 * 2**30), "--top-k", "5"),
-    ], ids=["tail-shuffle", "rejections"])
+        # The largest population numpy's Generator.choice draws from.
+        ("--experts", str(2**63 - 1), "--top-k", "4", "--steps", "8"),
+    ], ids=["tail-shuffle", "rejections", "largest"])
     def test_synth_writes_the_generator_draws(self, tmp_path, argv):
         out = tmp_path / "t.jsonl"
         assert run("synth", *argv, "--out", str(out)) == 0
@@ -100,6 +102,14 @@ class TestSynthValidate:
                           steps_per_segment=flags.get("--steps", 32))
         assert out.read_bytes() == reference_trace.write(reference_trace.synth(cfg))
         assert run("validate", "--trace", str(out)) == 0
+
+    @pytest.mark.parametrize("experts", [2**63, 2**64 - 1, 10**20])
+    def test_synth_refuses_a_population_numpy_cannot_draw_from(self, tmp_path, capsys, experts):
+        out = tmp_path / "t.jsonl"
+        assert run("synth", "--experts", str(experts), "--out", str(out)) == 2
+        assert capsys.readouterr().err == (
+            f"data error: n_routed_experts must be below 2**63, got {experts}\n")
+        assert not out.exists()
 
     def test_synth_deterministic(self, tmp_path):
         a, b = tmp_path / "a.jsonl", tmp_path / "b.jsonl"
@@ -659,6 +669,24 @@ def test_bad_train_config_is_data_error_naming_the_key(tmp_path, capsys, overrid
     err = capsys.readouterr().err
     assert err.startswith("data error:") and key in err
     assert not (tmp_path / "l.csv").exists()
+
+
+@pytest.mark.parametrize("command", ["router", "train"])
+def test_an_allocation_sized_by_the_input_is_a_data_error(tmp_path, capsys, command):
+    # 10**15 experts ask numpy for petabytes, beyond any user address space, so
+    # the allocation fails at once without touching memory.
+    if command == "router":
+        argv = ("router", "--check", "pinsker", "--trials", "3", "--experts", str(10**15))
+    else:
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({**TRAIN_CONFIG,
+                                   "data": {**TRAIN_CONFIG["data"], "n_experts": 10**15}}))
+        argv = ("train", "--config", str(cfg), "--out-theta", str(tmp_path / "t.bin"),
+                "--log", str(tmp_path / "l.csv"))
+    assert run(*argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("data error: Unable to allocate ") and err.count("\n") == 1
+    assert not any(tmp_path.glob("[lt].*"))
 
 
 @pytest.mark.parametrize("section", ["train", "data"])

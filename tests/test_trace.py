@@ -22,6 +22,7 @@ from moe_locality.trace import (
     TraceHeader,
     load_trace,
     parse_trace,
+    save_trace,
     synth_trace,
     validate_trace,
     write_trace,
@@ -214,6 +215,25 @@ class TestWrite:
         out, peak = traced_peak(lambda: write_trace(trace))
         assert out == write_trace(trace) and peak <= 2.2 * len(out)
 
+    @pytest.mark.parametrize("rows", [2, 3, 4])  # a block of 3 rows, less one, plus one
+    def test_index_only_blocks_write_as_the_reference(self, monkeypatch, rows):
+        monkeypatch.setattr(trace_module, "_ENCODE_FIELDS", 3 * 2)  # 3 rows of K = 2 ids
+        big = 10**18 - 1  # 18 digits, the most an id the grammar reads may have
+        keys = np.array([[big - i, i, big, 0] for i in range(rows)], np.int64)
+        topk = np.array([[i, big - i] for i in range(rows)], np.int64)
+        trace = RoutingTrace(TraceHeader(1, 10**18, 2, 1), keys, topk, None)
+        assert write_trace(trace) == reference_trace.write(trace)
+
+    def test_save_streams_an_index_only_trace_in_blocks(self, tmp_path):
+        # 2,500 rows of K = 4 ids are three blocks of at most 4,096 ids, whatever N is.
+        trace = synth_trace(SynthConfig(n_routed_experts=10**12, top_k=4,
+                                        steps_per_segment=2500))
+        chunks = []
+        save_trace(trace, tmp_path / "t.jsonl", lambda path, parts: chunks.extend(parts))
+        assert len(chunks) == 1 + 3  # the header, then the blocks
+        save_trace(trace, tmp_path / "t.jsonl")
+        assert b"".join(chunks) == (tmp_path / "t.jsonl").read_bytes() == write_trace(trace)
+
 
 class TestValidate:
     def test_valid_trace_no_violations(self):
@@ -314,6 +334,15 @@ class TestSynth:
                 xs.append(p)
                 ys.append(eor(trace).overall)
         assert _spearman(xs, ys) > 0.95
+
+    @pytest.mark.parametrize("n", [2**63, 10**20])
+    def test_a_population_numpy_cannot_draw_from_is_refused(self, n):
+        # numpy's Generator.choice, the generator's oracle, overflows from 2**63
+        # on; past 2**64 the replayed rejection loop would never end.
+        with pytest.raises(OverflowError):
+            np.random.default_rng(0).choice(2**63, 4, replace=False)
+        with pytest.raises(ValueError, match=r"^n_routed_experts must be below 2\*\*63, got %d$" % n):
+            SynthConfig(n_routed_experts=n)
 
     def test_shared_batch_stream_duplicates_sets(self):
         cfg = SynthConfig(batch_size=3, seed=4, steps_per_segment=6)
@@ -518,6 +547,22 @@ def test_synth_always_validates(cfg):
 def test_parse_write_round_trip(cfg):
     trace = synth_trace(cfg)
     assert parse_trace(write_trace(trace)) == trace
+
+
+@pytest.mark.parametrize("emit_probs", [False, True])
+@settings(max_examples=30, deadline=None)
+@given(cfg=synth_configs, block=st.integers(1, 8))
+def test_respaced_trace_parses_as_its_written_form(emit_probs, cfg, block):
+    # json.dumps' ", " and ": " leave every record line to the JSON path.
+    trace = synth_trace(replace(cfg, emit_probs=emit_probs))
+    data = write_trace(trace)
+    respaced = b"".join(json.dumps(json.loads(line)).encode() + b"\n"
+                        for line in data.splitlines())
+    line_object = mock.Mock(wraps=trace_module._line_object)
+    with mock.patch.object(trace_module, "_line_object", line_object), \
+            mock.patch.object(trace_module, "_BLOCK", block):
+        assert parse_trace(respaced) == parse_trace(data) == trace
+    assert line_object.call_count == 2 + trace.n_records  # two headers, each record line
 
 
 class TestRecordAt:
@@ -847,6 +892,9 @@ LOADER_CASES = {
     "deep_nesting": (None, b"[" * 50_000),
     "invalid_utf8": (None, b'{"s":0,"t":1,"l":0,"b":0,"topk":[1,2]PROBS}\xff'),
     "not_an_object": (None, b"[1,2]"),
+    # A field error is named before a line after it that is not one JSON object.
+    "field_error_then_not_an_object": (None, [b'{"s":0,"t":1,"l":0,"b":0,"topk":[1,true]PROBS}',
+                                              b"[1,2]"]),
     # Lines an index-only record grammar must leave to the JSON path.
     "two_records_one_line": (None, [b'{"s":0,"t":1,"l":0,"b":0,"topk":[1,2]PROBS}'
                                     b'{"s":0,"t":2,"l":0,"b":0,"topk":[1,2]PROBS}', b""]),
@@ -917,10 +965,14 @@ def _loads_without_a_json_scan(tmp_path, cut, emit_probs):
     data = data[:len(data) - cut]
     path = tmp_path / "trace.jsonl"
     path.write_bytes(data)
-    with mock.patch.object(trace_module, "_scan_block", side_effect=AssertionError("scan")), \
+    # The JSON path builds one object a line; only the header's is built.
+    line_object = mock.Mock(wraps=trace_module._line_object)
+    with mock.patch.object(trace_module, "_line_object", line_object), \
             mock.patch.object(trace_module, "_BLOCK", 7):
         assert parse_trace(data) == trace
+        assert line_object.call_count == 1
         assert load_trace(path) == trace
+        assert line_object.call_count == 2
 
 
 class TestRecordGrammar:
