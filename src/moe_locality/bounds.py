@@ -18,31 +18,38 @@ below K, inter-step interference, inter-step prefetch insertion) and shows one
 bound violation for each.
 
 Each batch slot is checked as its own B=1 sequence with its own cache.
-Fetch counts come from one LRU recency-stack pass over every (layer, slot)
-stream of the trace's ``routes`` (``cache_sim.lru_fetch_counts``), which is
-exact at every C >= K by the inclusion property, so a campaign checks
-{K, K+2, 2K} from one pass per trace and tallies its checks and violations
-from the count and bound arrays.
+Fetch counts come from one stamp pass of LRU stack depths over every
+(layer, slot, segment) stream of the trace's ``routes``
+(``cache_sim.lru_fetch_counts``), which is exact at every C >= K by the
+inclusion property. A campaign runs one such pass over the streams of a
+whole batch of its traces (``cache_sim.lru_fetch_counts_each``), at
+{K, K+2, 2K} at once, and tallies each trace's checks and violations from
+its count and bound arrays.
 The fault-free checks thus verify the bounds against that stack model of LRU,
-not against ``simulate``, whose serve-and-admit check runs in none of them;
-the differential tests of ``lru_fetch_counts`` tie the model to ``simulate``'s
-per-step misses. ``simulate`` counts the fetches of the faulted
-counterexamples, and replays a checked slot, as a B=1 trace, with events only
-to snapshot the resident set before a step that breaks a bound.
+not against ``simulate``'s dict loop, whose serve-and-admit check runs in
+none of them; the differential tests of the pass tie the model to
+``simulate``'s per-step misses and to the per-stream list stacks it replaced.
+``simulate`` counts the fetches of the faulted counterexamples, and replays a
+checked slot, as a B=1 trace, with events only to snapshot the resident set
+before a step that breaks a bound.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_right
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass, replace
 from typing import NamedTuple
 
 import numpy as np
 
-from .cache_sim import CacheConfig, FaultKind, FaultScenario, Policy, lru_fetch_counts, simulate
+from .cache_sim import (CacheConfig, FaultKind, FaultScenario, Policy, lru_fetch_counts,
+                        lru_fetch_counts_each, simulate)
 from .gate import overlap_counts
 from .trace import RoutingTrace, SynthConfig, TraceHeader, synth_trace
+
+_CAMPAIGN_BATCH = 64  # campaign traces one stamp pass covers
 
 __all__ = [
     "FaultKind",
@@ -379,8 +386,13 @@ def run_campaign(
     """Bound checks over randomized synthetic traces.
 
     Per trace, the capacities are {K, K+2, 2K} for the one-step bound and
-    {2K} for the working-set bound. Per-seed results are deterministic and
-    reduced in seed order, so the thread count never changes the report.
+    {2K} for the working-set bound. The traces are drawn in batches of
+    ``_CAMPAIGN_BATCH``, on ``threads`` threads when it is above 1; one stamp
+    pass (``cache_sim.lru_fetch_counts_each``) counts the fetches of a whole
+    batch at all its capacities, and each trace is then tallied on its own.
+    A batch bounds the memory a campaign holds, however many traces it draws.
+    Per-seed results are deterministic and reduced in seed order, so the
+    thread count never changes the report.
     """
     if n_traces < 1:
         raise ValueError(f"campaign needs n_traces >= 1, got {n_traces}")
@@ -399,17 +411,18 @@ def run_campaign(
         )
         jobs.append(cfg)
 
-    def run_one(cfg: SynthConfig) -> tuple[int, int]:
-        trace = synth_trace(cfg)
-        k = cfg.top_k
-        caps = (2 * k,) if working_set else (k, k + 2, 2 * k)
-        return _tally(trace, _check(trace, caps, working_set))
-
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            outcomes = list(pool.map(run_one, jobs))
-    else:
-        outcomes = [run_one(cfg) for cfg in jobs]
+    outcomes = []
+    with ThreadPoolExecutor(max_workers=threads) if threads > 1 else nullcontext() as pool:
+        for first in range(0, n_traces, _CAMPAIGN_BATCH):
+            batch = jobs[first:first + _CAMPAIGN_BATCH]
+            traces = list((pool.map if pool else map)(synth_trace, batch))
+            capacities = [(2 * cfg.top_k,) if working_set else
+                          (cfg.top_k, cfg.top_k + 2, 2 * cfg.top_k) for cfg in batch]
+            outcomes += [
+                _tally(trace, _bounds(trace, caps, working_set, n_fetch))
+                for trace, caps, n_fetch in zip(traces, capacities,
+                                                lru_fetch_counts_each(traces, capacities))
+            ]
     return {
         "kind": "working_set" if working_set else "step",
         "n_traces": n_traces,

@@ -18,6 +18,17 @@ block is loaded at most once per step no matter how many slots request it.
 Policies: LRU, LFU (per-residency frequency, ties least-recent then lowest
 id), FIFO (admission order, hits do not refresh), and BELADY (evict the
 farthest next use, infinity first, ties lowest id; requires the full trace).
+
+Fault-free LRU at a capacity that holds every step's U is a stack algorithm
+(Mattson, Gecsei, Slutz & Traiger, 1970): the resident set is the top C of
+the recency stack, so a request hits exactly when its stack depth is below
+C. One stamp pass (:func:`_stack_depths`; Bennett & Kruskal, 1975) gives the
+depths of many request streams at once, as last-use stamps in an array with
+one row per stream. It is this module's only LRU stack code: ``simulate``
+counts such runs with it, and :func:`lru_fetch_counts` and
+:func:`lru_fetch_counts_each` count the bound checks' per-slot streams at
+every capacity from one pass. Every other run goes through ``simulate``'s
+per-layer dict loop.
 """
 
 from __future__ import annotations
@@ -28,7 +39,7 @@ from bisect import bisect_right
 from dataclasses import dataclass, replace
 from functools import cached_property
 from heapq import nsmallest
-from itertools import count, filterfalse, islice, repeat
+from itertools import count, filterfalse, islice
 
 import numpy as np
 
@@ -50,6 +61,7 @@ __all__ = [
     "TpotReport",
     "simulate",
     "lru_fetch_counts",
+    "lru_fetch_counts_each",
     "reroute_topk",
     "estimate_tpot",
     "percentile",
@@ -328,12 +340,23 @@ def simulate(trace: RoutingTrace, cfg: CacheConfig, record_events: bool = False)
     bonus before being served, and the rerouted trace is attached to the
     report so its locality metrics can be compared against the original.
 
-    Each layer's resident set is one dict, served in one pass over the steps.
-    For LRU its key order is recency (a hit moves the key to the end) and for
-    FIFO admission order (a hit leaves it in place); since the step's own
-    requests are never victims, the victim is the first key outside the
-    step's request set and no scan over timestamps is needed. LFU keeps
-    ``(freq, last_touch, id)`` values and BELADY scans ``(-next_use, id)``.
+    Fault-free LRU (no scenario, no rerouting, no ``record_events``) at a
+    capacity of at least max_t |U_t|, the most distinct experts one step of
+    one layer requests, is counted by one stamp pass over the (layer,
+    segment) streams with resets, or the layer streams without
+    (:func:`_stack_depths`): the step's B*K slots form one row, stamped in
+    the order U is served. Such a capacity always holds U, so the resident
+    set after a step is the top C of the recency stack (inclusion), and an
+    expert hits exactly when its stack depth is below C. ``final_resident``
+    is the top C of each layer's last stream.
+
+    Every other run serves each layer's resident set as one dict, in one pass
+    over the steps. For LRU its key order is recency (a hit moves the key to
+    the end) and for FIFO admission order (a hit leaves it in place); since
+    the step's own requests are never victims, the victim is the first key
+    outside the step's request set and no scan over timestamps is needed.
+    LFU keeps ``(freq, last_touch, id)`` values and BELADY scans
+    ``(-next_use, id)``.
 
     Per-step audit events (resident set before serving, fetched and evicted
     experts) cost a sorted copy of the resident set per step, so they are
@@ -351,6 +374,11 @@ def simulate(trace: RoutingTrace, cfg: CacheConfig, record_events: bool = False)
         raise ValueError("BELADY needs the future request stream, which rerouting changes")
     if cfg.scenario is not None and cfg.policy == Policy.BELADY:
         raise ValueError("fault injection is only supported with online policies")
+    if (cfg.policy == Policy.LRU and cfg.scenario is None and cfg.reroute_beta is None
+            and not record_events):
+        report = _stack_simulate(trace, cfg)
+        if report is not None:
+            return report
 
     policy = cfg.policy
     capacity = cfg.capacity
@@ -467,9 +495,190 @@ def simulate(trace: RoutingTrace, cfg: CacheConfig, record_events: bool = False)
     )
 
 
+_STAMP_CELLS = 1 << 16  # cells of one chunk's stamp array, times the slots of a row
+
+
+def _stack_depths(requests: np.ndarray, streams: np.ndarray, steps: np.ndarray,
+                  cut: int) -> np.ndarray:
+    """LRU stack depths of every request of many streams, in one stamp pass
+    (Bennett & Kruskal, 1975).
+
+    Row i of ``requests`` (int[rows, W]) is step ``steps[i]`` of stream
+    ``streams[i]``, served in slot order: its experts are distinct, but for
+    repeats of its last one, which serve nothing new. A stream's steps are
+    0, 1, ... with no gap, its rows in any order, and each stream starts with
+    an empty stack. Each stream is one row of a last-use stamp array, with
+    one column per expert id that occurs in the stream (never one per id up
+    to N). Serving step t stamps slot j's expert with ``t * W + j``, so the
+    row's last expert is the most recent. Before a step an expert's depth is
+    the number of experts of its stream stamped after it, and ``cut`` for one
+    not stamped yet. Returns int[rows, W], the depth of each slot's expert.
+
+    The loop runs over the step index: streams are ranked longest first, so
+    the streams still running at step t are a prefix of the ranking. They are
+    taken in chunks that bound the stamp array, each step's comparison and
+    the column numbering to about ``_STAMP_CELLS`` cells.
+    """
+    n, w = requests.shape
+    if not n:
+        return np.empty((n, w), dtype=np.int64)
+    lengths = np.bincount(streams)
+    # Step-major order: step t's rows sit at ptr[t] + rank of their stream,
+    # and row_at[p] is the row at position p.
+    by_length = np.argsort(-lengths, kind="stable")
+    rank = np.empty_like(by_length)
+    rank[by_length] = np.arange(len(by_length))
+    running = len(lengths) - np.searchsorted(lengths[by_length][::-1],
+                                             np.arange(lengths.max()), side="right")
+    ptr = np.concatenate(([0], np.cumsum(running)))
+    at = ptr[steps] + rank[streams]
+    row_at = np.empty_like(at)
+    row_at[at] = np.arange(n)
+    ids, column_of = _expert_ids(requests)
+    n_ids = int(column_of[-1]) + 1
+    widest = min(n_ids, int(lengths.max()) * w)  # the most columns a stream can need
+    per_chunk = max(1, _STAMP_CELLS // (widest * w))
+    stamp_dtype = np.int32 if lengths.max() * w < 2**31 else np.int64
+    found = np.empty((w, n), dtype=np.int16 if max(cut, widest) < 2**15 else np.int64)
+    served = np.arange(w, dtype=stamp_dtype)[:, None]
+
+    for a in range(0, running[0], per_chunk):  # the streams with a step
+        b = min(a + per_chunk, running[0])
+        n_steps = lengths[by_length[a]]
+        live = np.minimum(running[:n_steps], b) - a  # the chunk's streams at each step
+        block = np.cumsum(live) - live  # where each step's rows start in the chunk's
+        stream = np.arange(block[-1] + live[-1]) - np.repeat(block, live)
+        starts = ptr[:n_steps] + a
+        rows = row_at[np.repeat(starts, live) + stream]
+        columns, n_columns = _stream_columns(column_of[ids[rows]], stream, b - a, n_ids)
+        # A step compares its stamps with its streams' rows of the chunk's
+        # stamp array, along the longer of its two axes: stored [column,
+        # stream] when the chunk has at least as many streams as columns,
+        # else [stream, column].
+        by_column = b - a >= n_columns
+        cells = columns * (b - a) + stream if by_column else stream * n_columns + columns
+        stamps = np.full(n_columns * (b - a), -1, dtype=stamp_dtype)
+        grid = stamps.reshape((n_columns, 1, b - a) if by_column else (b - a, 1, n_columns))
+        seen = np.empty((w, b - a), dtype=stamp_dtype)  # [slot, stream]
+        for t, (lo, first, k) in enumerate(zip(starts.tolist(), block.tolist(), live.tolist())):
+            step_cells = cells[:, first:first + k]
+            mine = np.take(stamps, step_cells, out=seen[:, :k])
+            depths = found[:, lo:lo + k]
+            if by_column:
+                np.add.reduce(grid[:, :, :k] > mine, axis=0, out=depths)
+            else:
+                np.add.reduce(grid[:k] > mine.T[:, :, None], axis=-1, out=depths.T)
+            np.putmask(depths, mine < 0, cut)
+            stamps[step_cells] = served + t * w
+    return found[:, at].T
+
+
+def _expert_ids(requests: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(ids, column_of): slot j of row i requests expert number
+    ``column_of[ids[i, j]]`` among the ids present, in id order. Ids in
+    [0, number of slots) are ranked through a table over [0, the largest],
+    others by ``np.unique``; neither is sized by N."""
+    if requests.min() >= 0 and requests.max() < requests.size:
+        present = np.zeros(int(requests.max()) + 1, dtype=bool)
+        present[requests] = True
+        return requests, np.cumsum(present) - 1
+    ids, inverse = np.unique(requests, return_inverse=True)
+    return inverse.reshape(requests.shape), np.arange(len(ids))
+
+
+def _stream_columns(experts: np.ndarray, stream: np.ndarray, n_streams: int, n_ids: int):
+    """Each slot's column in its stream's row of a chunk's stamp array,
+    slot-major int[W, rows], and the most columns a stream of the chunk
+    needs. Row i is of stream ``stream[i]`` and requests the experts numbered
+    ``experts[i]`` (below ``n_ids``); a stream's columns number its own
+    experts, in the order of its sorted (stream, expert) pairs."""
+    keys = (stream[:, None] * n_ids + experts).ravel()
+    order = np.argsort(keys)
+    keys = keys[order]
+    new = np.empty(len(keys), dtype=bool)
+    new[0] = True
+    np.not_equal(keys[1:], keys[:-1], out=new[1:])
+    keys //= n_ids  # each sorted pair's stream
+    pair_counts = np.bincount(keys[new], minlength=n_streams)
+    columns = np.empty(len(keys), dtype=np.int64)
+    columns[order] = np.cumsum(new) - 1 - (np.cumsum(pair_counts) - pair_counts)[keys]
+    return np.ascontiguousarray(columns.reshape(experts.shape).T), int(pair_counts.max())
+
+
+def _run_starts(rows: np.ndarray) -> np.ndarray:
+    """bool[rows, W]: in each row, sorted, whether a slot starts a run of
+    equal experts; a row's count of them is its number of distinct ones.
+    The sorted copy is freed on return, before the pass allocates."""
+    ranked = np.sort(rows, axis=-1)
+    new = np.ones(ranked.shape, dtype=bool)
+    np.not_equal(ranked[:, 1:], ranked[:, :-1], out=new[:, 1:])
+    return new
+
+
+def _served_sets(slots: np.ndarray, new: np.ndarray, n_unique: np.ndarray):
+    """Each row's distinct experts in the order ``simulate`` serves them
+    (first request first, as ``dict.fromkeys``), int[rows, max |U|] padded by
+    repeating the row's last one; and the position of every slot's expert in
+    that order. ``new`` flags the first of each run in the sorted rows."""
+    n, w = slots.shape
+    order = np.argsort(slots, axis=-1, kind="stable")
+    start = np.where(new, np.arange(w), 0)  # in sorted order: where each run starts
+    np.maximum.accumulate(start, axis=-1, out=start)
+    first = np.empty_like(order)  # the slot of each slot's expert's first request
+    np.put_along_axis(first, order, np.take_along_axis(order, start, axis=-1), axis=-1)
+    position = np.take_along_axis(np.cumsum(first == np.arange(w), axis=-1) - 1, first, axis=-1)
+    served = np.empty((n, int(n_unique.max())), dtype=slots.dtype)
+    np.put_along_axis(served, position, slots, axis=-1)  # a repeat writes the same expert
+    last = np.minimum(np.arange(served.shape[1]), n_unique[:, None] - 1)
+    return np.take_along_axis(served, last, axis=-1), position
+
+
+def _stack_simulate(trace: RoutingTrace, cfg: CacheConfig) -> SimReport | None:
+    """``simulate``'s report for fault-free LRU from one stamp pass, or None
+    when ``cfg.capacity`` is below max_t |U_t|, where inclusion fails."""
+    h = trace.header
+    routes = trace.routes
+    n_steps, n_layers, w = len(routes), h.n_moe_layers, h.batch_size * h.top_k
+    slots = routes.reshape(n_steps * n_layers, w)  # one row per (step, layer)
+    new = _run_starts(slots)
+    n_unique = new.sum(axis=-1)
+    if cfg.capacity < n_unique.max(initial=0):
+        return None
+    served, position = (slots, None) if new.all() else _served_sets(slots, new, n_unique)
+    s, t = trace.step_keys.T
+    if cfg.reset_each_segment:
+        streams = (s[:, None] * n_layers + np.arange(n_layers)).ravel()
+        steps = np.repeat(t, n_layers)
+    else:
+        streams = np.tile(np.arange(n_layers), n_steps)
+        steps = np.repeat(np.arange(n_steps), n_layers)
+    hits = _stack_depths(served, streams, steps, cfg.capacity) < cfg.capacity
+    if position is None:
+        unique_hits = token_hits = hits.sum(axis=-1)
+    else:
+        unique_hits = (hits & (np.arange(hits.shape[1]) < n_unique[:, None])).sum(axis=-1)
+        token_hits = np.take_along_axis(hits, position, axis=-1).sum(axis=-1)
+    counts = np.empty((n_layers, n_steps, 4), dtype=np.int64)
+    for field, values in enumerate((unique_hits, n_unique, token_hits)):
+        counts[:, :, field] = values.reshape(n_steps, n_layers).T
+    counts[:, :, 3] = w
+
+    # Each layer's last stream, most recent first: its steps backwards, each
+    # served set backwards.
+    start = n_steps - int(t[-1]) - 1 if cfg.reset_each_segment and n_steps else 0
+    final_resident = []
+    last = served.reshape(n_steps, n_layers, served.shape[1])[start:, :, ::-1][::-1]
+    for layer in range(n_layers):
+        recent = last[:, layer].ravel()
+        _, at = np.unique(recent, return_index=True)
+        final_resident.append(tuple(sorted(recent[np.sort(at)[:cfg.capacity]].tolist())))
+    return SimReport(config=cfg, step_counts=counts, final_resident=tuple(final_resident))
+
+
 def lru_fetch_counts(trace: RoutingTrace, capacities) -> np.ndarray:
     """Per-step unique misses of fault-free LRU with request-level resets, at
-    every capacity C >= K, in one pass over each (layer, batch slot) stream.
+    every capacity C >= K, from one stamp pass over every (layer, batch slot,
+    segment) stream.
 
     Returns ``int[len(capacities), L, B, steps]``; entry ``[c, l, b, i]``
     equals ``simulate(...).unique_misses[l, i]`` at ``capacities[c]`` with
@@ -477,39 +686,57 @@ def lru_fetch_counts(trace: RoutingTrace, capacities) -> np.ndarray:
     own cache, as the bound checks model it. Under serve-and-admit LRU with
     C >= K, the resident set after every step is the top C of the recency
     stack (inclusion; Mattson et al., 1970), so an expert misses at C exactly
-    when its stack depth before the step is >= C. Each stream keeps one
-    stack, most recent first, emptied at every segment start; a step's Top-K
-    row is served in order, so its last member is the most recent. The stack
-    is cut at the largest capacity (at most N), since deeper experts miss at
-    every capacity.
+    when its stack depth before the step is >= C (see :func:`_stack_depths`).
 
     Raises ValueError for no capacity or one below K, where inclusion does
     not hold and ``simulate`` is the counter, and for a row that
     :attr:`RoutingTrace.route_sets` refuses.
     """
-    h = trace.header
-    if not capacities or min(capacities) < h.top_k:
-        raise ValueError(
-            f"stack-distance counts need capacities >= K={h.top_k}, got {tuple(capacities)}"
-        )
-    # A stack holds at most N experts, so a capacity above N misses as C = N does.
-    effective = np.array([min(c, h.n_routed_experts) for c in capacities], dtype=np.int64)
-    cut = int(effective.max())
-    firsts = set(trace.segment_offsets[:-1])
-    sets = trace.route_sets
-    counts = np.empty((len(effective),) + sets.shape[1:3] + (len(sets),), dtype=np.int64)
-    for layer in range(h.n_moe_layers):
-        for batch in range(h.batch_size):
-            depths: list[int] = []  # stack depth of each requested expert, step by step
-            for i, row in enumerate(sets[:, layer, batch].tolist()):
-                if i in firsts:
-                    stack: list[int] = []
-                depth = {e: d for d, e in enumerate(stack)}
-                depths.extend(map(depth.get, row, repeat(cut)))
-                stack = [*reversed(row), *filterfalse(set(row).__contains__, stack)]
-                del stack[cut:]
-            depth_rows = np.array(depths, dtype=np.int64).reshape(len(sets), h.top_k)
-            counts[:, layer, batch] = (depth_rows >= effective[:, None, None]).sum(axis=-1)
+    return lru_fetch_counts_each((trace,), (capacities,))[0]
+
+
+def lru_fetch_counts_each(traces, capacities) -> list[np.ndarray]:
+    """:func:`lru_fetch_counts` of each of ``traces`` at its own entry of
+    ``capacities``, from one stamp pass over the streams of all of them.
+
+    Rows of a smaller K are padded to the largest by repeating their last
+    expert: a repeated request of the step's most recent expert changes no
+    stack, and only the first K columns are counted.
+    """
+    traces, capacities = tuple(traces), tuple(map(tuple, capacities))
+    if len(capacities) != len(traces):
+        raise ValueError(f"{len(traces)} traces need as many capacity lists, "
+                         f"got {len(capacities)}")
+    if not traces:
+        return []
+    width = max(trace.header.top_k for trace in traces)
+    effective, parts = [], []
+    first_stream = 0
+    for trace, caps in zip(traces, capacities):
+        h = trace.header
+        if not caps or min(caps) < h.top_k:
+            raise ValueError(f"stack-distance counts need capacities >= K={h.top_k}, got {caps}")
+        # A stack holds at most N experts, so a capacity above N misses as C = N does.
+        effective.append(np.array([min(c, h.n_routed_experts) for c in caps], dtype=np.int64))
+        per_step = h.n_moe_layers * h.batch_size
+        rows = trace.route_sets.reshape(-1, h.top_k)
+        if h.top_k < width:
+            rows = np.concatenate((rows, np.repeat(rows[:, -1:], width - h.top_k, axis=1)), axis=1)
+        s, t = trace.step_keys.T
+        # Stream (segment, layer, slot), numbered after the previous traces'.
+        parts.append((rows, (first_stream + s[:, None] * per_step + np.arange(per_step)).ravel(),
+                      np.repeat(t, per_step)))
+        first_stream += len(trace.segment_lengths) * per_step
+    requests, streams, steps = (p[0] if len(p) == 1 else np.concatenate(p) for p in zip(*parts))
+    depths = _stack_depths(requests, streams, steps, int(max(e.max() for e in effective)))
+    counts = []
+    row = 0
+    for trace, (rows, _, _), cut_at in zip(traces, parts, effective):
+        h = trace.header
+        d = depths[row:row + len(rows), :h.top_k]
+        d = d.reshape(-1, h.n_moe_layers, h.batch_size, h.top_k)
+        counts.append(np.moveaxis((d >= cut_at[:, None, None, None, None]).sum(axis=-1), 1, -1))
+        row += len(rows)
     return counts
 
 

@@ -7,7 +7,9 @@ raw future request list. Used only as a test oracle on tiny traces.
 
 Below it is the package's previous simulator (per-expert timestamp state,
 one keyed record lookup per step and batch item), the oracle for
-whole-report equality. Both find records by key in a dict of their own
+whole-report equality, and the package's previous fault-free LRU stack pass,
+one Python list per (layer, batch slot) stream, the oracle for the stamp
+pass. Both find records by key in a dict of their own
 (``reference_trace.records_by_key``) and walk the steps of
 ``reference_trace.iter_steps``, not the package's ``RoutingTrace.routes``.
 """
@@ -17,6 +19,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_right
 from dataclasses import replace
+from itertools import filterfalse, repeat
 
 import numpy as np
 
@@ -739,3 +742,35 @@ def reference_run_campaign(n_traces: int, seed: int, working_set: bool = False) 
         "checks": checked,
         "violations": violated,
     }
+
+
+def reference_lru_fetch_counts(trace: RoutingTrace, capacities) -> np.ndarray:
+    """``lru_fetch_counts`` as one recency stack per (layer, batch slot)
+    stream, a Python list most recent first, emptied at every segment start:
+    the depth of a requested expert is its index in the list before the step
+    (``cut`` when it is not there), and a step's Top-K row is served in order,
+    so its last member ends on top. The list is cut at the largest capacity
+    (at most N), since deeper experts miss at every capacity."""
+    h = trace.header
+    if not capacities or min(capacities) < h.top_k:
+        raise ValueError(
+            f"stack-distance counts need capacities >= K={h.top_k}, got {tuple(capacities)}"
+        )
+    effective = np.array([min(c, h.n_routed_experts) for c in capacities], dtype=np.int64)
+    cut = int(effective.max())
+    firsts = set(trace.segment_offsets[:-1])
+    sets = trace.route_sets
+    counts = np.empty((len(effective),) + sets.shape[1:3] + (len(sets),), dtype=np.int64)
+    for layer in range(h.n_moe_layers):
+        for batch in range(h.batch_size):
+            depths: list[int] = []  # stack depth of each requested expert, step by step
+            for i, row in enumerate(sets[:, layer, batch].tolist()):
+                if i in firsts:
+                    stack: list[int] = []
+                depth = {e: d for d, e in enumerate(stack)}
+                depths.extend(map(depth.get, row, repeat(cut)))
+                stack = [*reversed(row), *filterfalse(set(row).__contains__, stack)]
+                del stack[cut:]
+            depth_rows = np.array(depths, dtype=np.int64).reshape(len(sets), h.top_k)
+            counts[:, layer, batch] = (depth_rows >= effective[:, None, None]).sum(axis=-1)
+    return counts

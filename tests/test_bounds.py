@@ -189,7 +189,8 @@ class TestCounterexamples:
 
 class TestAdmissionProperty:
     def test_simulator_enforces_residency_lemma(self):
-        # A clean run must never trip the internal admission check.
+        # A clean run must never trip the internal admission check. It runs in
+        # the dict loop only: events keep LRU there, off the stamp pass.
         for seed in range(5):
             trace = synth_trace(SynthConfig(seed=seed, n_segments=2, steps_per_segment=15))
             for policy in (Policy.LRU, Policy.LFU, Policy.FIFO):
@@ -197,6 +198,7 @@ class TestAdmissionProperty:
                     trace,
                     CacheConfig(capacity=trace.header.top_k, policy=policy,
                                 reset_each_segment=True),
+                    record_events=True,
                 )
 
     def test_cross_layer_totals_are_sums(self):
@@ -316,12 +318,13 @@ class TestCampaignEquivalence:
     def test_violations_are_tallied(self):
         # Under a corrupted fetch count every bound must be seen to break:
         # one fetch above K violates every step and every sequence record.
-        real = bounds.lru_fetch_counts
+        real = bounds.lru_fetch_counts_each
 
-        def excessive(trace, capacities):
-            return real(trace, capacities) + trace.header.top_k + 1
+        def excessive(traces, capacities):
+            return [counts + trace.header.top_k + 1
+                    for trace, counts in zip(traces, real(traces, capacities))]
 
-        with mock.patch.object(bounds, "lru_fetch_counts", excessive):
+        with mock.patch.object(bounds, "lru_fetch_counts_each", excessive):
             summary = run_campaign(10, 2)
         assert summary["checks"] == reference_run_campaign(10, 2)["checks"]
         assert summary["violations"] == summary["checks"]

@@ -1,11 +1,12 @@
 import math
 from bisect import bisect_right
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from moe_locality import bounds
+from moe_locality import bounds, cache_sim
 from moe_locality.cache_sim import (
     CacheConfig,
     FaultKind,
@@ -14,6 +15,7 @@ from moe_locality.cache_sim import (
     Policy,
     estimate_tpot,
     lru_fetch_counts,
+    lru_fetch_counts_each,
     percentile,
     reroute_topk,
     _occurrence_index,
@@ -27,6 +29,8 @@ from reference_trace import StepRecord, from_records, records
 
 from reference_sim import (
     naive_simulate,
+    reference_lru_fetch_counts,
+    reference_simulate,
     reference_simulate_with_totals,
     reference_slice_batch,
     step_rows,
@@ -518,7 +522,8 @@ class TestLruFetchCounts:
         for b in range(h.batch_size):
             slot = bounds._slot_trace(trace, b)
             for c, capacity in enumerate(capacities):
-                expected = simulate(slot, lru(capacity)).unique_misses
+                # Events keep simulate on its dict loop, not the stamp pass.
+                expected = simulate(slot, lru(capacity), record_events=True).unique_misses
                 assert np.array_equal(counts[c, :, b], expected), capacity
 
     @settings(max_examples=150, deadline=None, derandomize=True)
@@ -529,7 +534,7 @@ class TestLruFetchCounts:
         for b in range(trace.header.batch_size):
             slot = reference_slice_batch(trace, b)
             for c, capacity in enumerate(capacities):
-                expected = simulate(slot, lru(capacity)).unique_misses
+                expected = simulate(slot, lru(capacity), record_events=True).unique_misses
                 assert np.array_equal(counts[c, :, b], expected), (b, capacity)
 
     @settings(max_examples=60, deadline=None, derandomize=True)
@@ -570,3 +575,155 @@ class TestLruFetchCounts:
         trace = seq_trace([(0, 1), row, (2, 3)])
         with pytest.raises(ValueError, match="size K=2"):
             lru_fetch_counts(trace, (2, 4))
+
+
+@st.composite
+def fetch_count_cases(draw):
+    """A synthetic trace cut to ragged segment lengths, where a length of 0
+    leaves an absent segment id (and all of them an empty trace), with B up
+    to 4, K = 1 among the sizes and ids sparse under N = 10**12; and
+    capacities from K to beyond N."""
+    sparse = draw(st.booleans())
+    cfg = draw(st.builds(
+        SynthConfig,
+        n_moe_layers=st.integers(1, 3),
+        n_routed_experts=st.just(10**12) if sparse else st.integers(4, 12),
+        top_k=st.integers(1, 4),
+        batch_size=st.integers(1, 4),
+        n_segments=st.integers(1, 4),
+        steps_per_segment=st.integers(1, 8),
+        stickiness=st.floats(0.0, 1.0),
+        seed=st.integers(0, 2**31),
+        independent_batches=st.booleans(),
+    ))
+    trace = synth_trace(cfg)
+    lengths = draw(st.lists(st.integers(0, cfg.steps_per_segment), min_size=cfg.n_segments,
+                            max_size=cfg.n_segments))
+    kept = [r for r in records(trace) if r.step_index < lengths[r.segment_id]]
+    k, n = cfg.top_k, cfg.n_routed_experts
+    capacities = draw(st.lists(st.integers(k, k + 12) | st.integers(n, n + 3), min_size=1,
+                               max_size=4))
+    return from_records(trace.header, kept), tuple(capacities)
+
+
+class TestStampPass:
+    """The stamp pass against the per-stream list stacks it replaced."""
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(case=fetch_count_cases())
+    def test_fetch_counts_match_the_list_stacks(self, case):
+        trace, capacities = case
+        assert np.array_equal(lru_fetch_counts(trace, capacities),
+                              reference_lru_fetch_counts(trace, capacities))
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(cases=st.lists(fetch_count_cases(), min_size=1, max_size=4))
+    def test_one_pass_over_many_traces(self, cases):
+        # Rows of a smaller K are padded to the largest one in the pass.
+        counts = lru_fetch_counts_each([t for t, _ in cases], [c for _, c in cases])
+        assert len(counts) == len(cases)
+        for got, (trace, capacities) in zip(counts, cases):
+            assert np.array_equal(got, reference_lru_fetch_counts(trace, capacities))
+
+    def test_padding_keeps_each_steps_order(self):
+        # Served in order, {0, 1} leaves 1 on top; after {2, 3} expert 1 sits
+        # at depth 2 and 0 at depth 3, so at C = 3 the return of 1 hits. A
+        # pad that put 0 back on top would make it miss. The K=4 trace pads
+        # the K=2 one to four slots.
+        short = seq_trace([(0, 1), (2, 3), (1, 5)], k=2, n=8)
+        wide = seq_trace([(0, 1, 2, 3)] * 2, k=4, n=8)
+        counts = lru_fetch_counts_each([short, wide], [(3,), (4,)])
+        assert counts[0][0, 0, 0].tolist() == [2, 2, 1]
+        assert np.array_equal(counts[0], reference_lru_fetch_counts(short, (3,)))
+        assert np.array_equal(counts[1], reference_lru_fetch_counts(wide, (4,)))
+
+    def test_each_trace_is_checked(self):
+        good, bad = seq_trace([(0, 1), (2, 3)]), seq_trace([(0, 1), (1, 1)])
+        with pytest.raises(ValueError, match="capacities >= K"):
+            lru_fetch_counts_each([good, good], [(2,), (1,)])
+        with pytest.raises(ValueError, match="size K=2"):
+            lru_fetch_counts_each([good, bad], [(2,), (2,)])
+        with pytest.raises(ValueError, match="as many capacity lists"):
+            lru_fetch_counts_each([good, good], [(2,)])
+
+    def test_ids_spread_over_all_of_int64(self):
+        # (stream, id) pair keys would overflow: the ids are ranked first.
+        n = 2**63 - 1
+        trace = seq_trace([(0, n - 1), (n - 1, 5), (0, 5), (n - 2, 0)], n=n,
+                          segment_starts=(3,))
+        caps = (2, 3, n)
+        assert np.array_equal(lru_fetch_counts(trace, caps),
+                              reference_lru_fetch_counts(trace, caps))
+
+    def test_chunks_of_streams(self, monkeypatch):
+        # Chunks of one stream each give the counts of one chunk for all,
+        # also when the streams of absent segment ids (no step) are left over.
+        trace = synth_trace(SynthConfig(n_moe_layers=2, batch_size=3, n_segments=5, seed=4,
+                                        independent_batches=True))
+        kept = [r for r in records(trace) if r.segment_id in (0, 4)]
+        for trace in (trace, from_records(trace.header, kept)):
+            whole = lru_fetch_counts(trace, (4, 7))
+            with monkeypatch.context() as patch:
+                patch.setattr(cache_sim, "_STAMP_CELLS", 1)
+                assert np.array_equal(lru_fetch_counts(trace, (4, 7)), whole)
+                assert simulate(trace, lru(12)) == reference_simulate(trace, lru(12))
+            assert np.array_equal(whole, reference_lru_fetch_counts(trace, (4, 7)))
+
+
+@st.composite
+def lru_sim_cases(draw):
+    """A trace whose rows may repeat an expert, within a batch item's K slots
+    and across B up to 4 items, over ragged segments (an absent id or an
+    empty trace among them); resets on or off; and a capacity from
+    max_t |U_t| - 1 to beyond N."""
+    n_layers, batch, k = draw(st.integers(1, 3)), draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    n = draw(st.integers(k, 10))
+    lengths = draw(st.lists(st.integers(0, 6), min_size=1, max_size=3))
+    rng = np.random.default_rng(draw(st.integers(0, 2**31)))
+    shared = draw(st.booleans())  # every batch item routed like the first
+    rows = []
+    for s, length in enumerate(lengths):
+        for t in range(length):
+            for layer in range(n_layers):
+                items = rng.integers(0, n, (batch, k))
+                if shared:
+                    items[:] = items[0]
+                rows += [StepRecord(s, t, layer, b, tuple(items[b].tolist()), None)
+                         for b in range(batch)]
+    trace = from_records(TraceHeader(n_layers, n, k, batch), rows)
+    widest = max((len(set(trace.routes[i, layer].ravel().tolist()))
+                  for i in range(len(trace.routes)) for layer in range(n_layers)), default=0)
+    capacity = max(1, widest - 1 + draw(st.integers(0, n + 3)))
+    return trace, lru(capacity, reset=draw(st.booleans())), capacity >= widest
+
+
+class TestStackSimulate:
+    """Fault-free LRU ``simulate`` at C >= max_t |U_t| comes from the stamp
+    pass; everything else from the dict loop, the same report either way."""
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(case=lru_sim_cases())
+    def test_matches_reference_simulate(self, case):
+        trace, cfg, stacked = case
+        with mock.patch.object(cache_sim, "_stack_depths",
+                               wraps=cache_sim._stack_depths) as spy:
+            got = simulate(trace, cfg)
+        assert spy.called == stacked
+        want = reference_simulate(trace, cfg)
+        assert np.array_equal(got.step_counts, want.step_counts)
+        assert got.final_resident == want.final_resident
+        assert got == want
+
+    def test_events_faults_and_rerouting_take_the_dict_loop(self):
+        trace = synth_trace(SynthConfig(n_moe_layers=2, batch_size=2, emit_probs=True,
+                                        n_segments=2, steps_per_segment=6, seed=3))
+        k = trace.header.top_k
+        cases = [(lru(4 * k), True), (lru(4 * k, reroute_beta=1.0), False),
+                 (lru(4 * k, scenario=FaultScenario(FaultKind.INTERFERENCE, seed=1)), False),
+                 (lru(4 * k, scenario=FaultScenario(FaultKind.PREFETCH, seed=2)), False)]
+        refuse = mock.Mock(side_effect=AssertionError("stamp pass used"))
+        for cfg, record_events in cases:
+            with mock.patch.object(cache_sim, "_stack_depths", refuse):
+                got = simulate(trace, cfg, record_events)
+            assert got == reference_simulate(trace, cfg, record_events)
+        assert not refuse.called

@@ -47,6 +47,31 @@ def cap_memory():
     resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
 
 
+def dispatch_capped(cases, cwd):
+    """(argv, exit code, stderr) of each CLI call of ``cases``, run in order in
+    one subprocess under :func:`cap_memory`, in ``cwd``; the code is None and
+    stderr the traceback for a call that raised."""
+    script = (
+        "import contextlib, io, json, sys, traceback\n"
+        "from moe_locality.cli import dispatch\n"
+        "for argv in json.loads(sys.argv[1]):\n"
+        "    err = io.StringIO()\n"
+        "    try:\n"
+        "        with contextlib.redirect_stdout(io.StringIO()), "
+        "contextlib.redirect_stderr(err):\n"
+        "            code = dispatch(argv)\n"
+        "    except Exception:\n"
+        "        code, err = None, io.StringIO(traceback.format_exc())\n"
+        "    print(json.dumps([argv, code, err.getvalue()]))\n"
+    )
+    proc = run_python("-c", script, json.dumps(cases), cwd=cwd, timeout=120,
+                      preexec_fn=cap_memory)
+    assert proc.returncode == 0, proc.stderr
+    results = [json.loads(line) for line in proc.stdout.splitlines()]
+    assert [argv for argv, _, _ in results] == cases
+    return results
+
+
 @pytest.fixture()
 def trace_path(tmp_path):
     path = tmp_path / "trace.jsonl"
@@ -183,19 +208,6 @@ class TestSynthValidate:
         # Every trace-reading subcommand on a valid two-record trace, or on one
         # whose records are short of K ids or N probs, run in one capped
         # process: a structure sized by the header's N or K fails this test.
-        script = (
-            "import contextlib, io, json, sys, traceback\n"
-            "from moe_locality.cli import dispatch\n"
-            "for argv in json.loads(sys.argv[1]):\n"
-            "    err = io.StringIO()\n"
-            "    try:\n"
-            "        with contextlib.redirect_stdout(io.StringIO()), "
-            "contextlib.redirect_stderr(err):\n"
-            "            code = dispatch(argv)\n"
-            "    except Exception:\n"
-            "        code, err = None, io.StringIO(traceback.format_exc())\n"
-            "    print(json.dumps([argv, code, err.getvalue()]))\n"
-        )
         commands = [("validate",), ("metrics", "--out", "m.csv"),
                     ("simulate", "--capacity", "4", "--out", "s.csv"),
                     ("simulate", "--capacity", "4", "--policy", "belady", "--out", "s.json"),
@@ -216,13 +228,24 @@ class TestSynthValidate:
                     path = tmp_path / f"{field}_{value}_{has_probs}.jsonl"
                     path.write_text("".join(json.dumps(o) + "\n" for o in [header, *records]))
                     cases += [[c[0], "--trace", path.name, *c[1:]] for c in commands]
-        proc = run_python("-c", script, json.dumps(cases), cwd=tmp_path, timeout=120,
-                          preexec_fn=cap_memory)
-        assert proc.returncode == 0, proc.stderr
-        results = [json.loads(line) for line in proc.stdout.splitlines()]
-        assert [argv for argv, _, _ in results] == cases
-        for argv, code, err in results:
+        for argv, code, err in dispatch_capped(cases, tmp_path):
             assert code in (0, 2) and "Traceback" not in err, (argv, err)
+
+    def test_huge_expert_count_trace_sizes_nothing_by_n(self, tmp_path):
+        # A synthesized trace over 10**12 experts, through LRU simulate (the
+        # stamp pass, with and without resets) and the bound checks, in one
+        # capped process: an array sized by N fails this test.
+        assert run("synth", "--experts", str(10**12), "--top-k", "4", "--layers", "2",
+                   "--batch", "2", "--segments", "3", "--steps", "16", "--seed", "5",
+                   "--out", str(tmp_path / "t.jsonl")) == 0
+        cases = [["simulate", "--trace", "t.jsonl", "--capacity", "8", "--policy", "lru",
+                  *reset, "--out", f"s{len(reset)}.csv"]
+                 for reset in ([], ["--reset-each-segment"])]
+        cases += [["bound-check", "--trace", "t.jsonl", "--capacity", "4", "--out", "b.json"],
+                  ["bound-check", "--trace", "t.jsonl", "--capacity", "8", "--working-set",
+                   "--out", "w.json"]]
+        for argv, code, err in dispatch_capped(cases, tmp_path):
+            assert code == 0, (argv, err)
 
     @pytest.mark.parametrize("value", ["nan", "inf"])
     def test_non_finite_concentration_is_data_error(self, tmp_path, capsys, value):
