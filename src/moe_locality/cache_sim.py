@@ -27,8 +27,13 @@ depths of many request streams at once, as last-use stamps in an array with
 one row per stream. It is this module's only LRU stack code: ``simulate``
 counts such runs with it, and :func:`lru_fetch_counts` and
 :func:`lru_fetch_counts_each` count the bound checks' per-slot streams at
-every capacity from one pass. Every other run goes through ``simulate``'s
-per-layer dict loop.
+every capacity from one pass.
+
+Fault-free LFU, FIFO and BELADY at such a capacity never evict a step's own
+requests, so many streams can be served side by side: one policy pass
+(:func:`_policy_pass`) keeps each stream's resident mask and eviction keys
+in arrays, when the trace has at least ``_POLICY_STREAMS`` streams per step.
+Every other run goes through ``simulate``'s per-layer dict loop.
 """
 
 from __future__ import annotations
@@ -348,7 +353,11 @@ def simulate(trace: RoutingTrace, cfg: CacheConfig, record_events: bool = False)
     the order U is served. Such a capacity always holds U, so the resident
     set after a step is the top C of the recency stack (inclusion), and an
     expert hits exactly when its stack depth is below C. ``final_resident``
-    is the top C of each layer's last stream.
+    is the top C of each layer's last stream. Fault-free LFU, FIFO and
+    BELADY at such a capacity are served by one policy pass over the same
+    streams (:func:`_policy_pass`), when they number at least
+    ``_POLICY_STREAMS`` per step of the longest one; ``final_resident`` is
+    then each layer's last stream's resident set.
 
     Every other run serves each layer's resident set as one dict, in one pass
     over the steps. For LRU its key order is recency (a hit moves the key to
@@ -374,9 +383,8 @@ def simulate(trace: RoutingTrace, cfg: CacheConfig, record_events: bool = False)
         raise ValueError("BELADY needs the future request stream, which rerouting changes")
     if cfg.scenario is not None and cfg.policy == Policy.BELADY:
         raise ValueError("fault injection is only supported with online policies")
-    if (cfg.policy == Policy.LRU and cfg.scenario is None and cfg.reroute_beta is None
-            and not record_events):
-        report = _stack_simulate(trace, cfg)
+    if cfg.scenario is None and cfg.reroute_beta is None and not record_events:
+        report = _array_simulate(trace, cfg)
         if report is not None:
             return report
 
@@ -498,6 +506,53 @@ def simulate(trace: RoutingTrace, cfg: CacheConfig, record_events: bool = False)
 _STAMP_CELLS = 1 << 16  # cells of one chunk's stamp array, times the slots of a row
 
 
+def _stream_chunks(requests: np.ndarray, streams: np.ndarray, steps: np.ndarray,
+                   cells_per_column: int):
+    """Many request streams in chunks, for one array pass over the step index.
+
+    Row i of ``requests`` (int[rows, W]) is step ``steps[i]`` of stream
+    ``streams[i]``; a stream's steps are 0, 1, ... with no gap, its rows in
+    any order. Streams are ranked longest first, so the streams still running
+    at step t are a prefix of the ranking, and they are taken in chunks of
+    consecutive ranks. A stream's columns are the ids it requests (never one
+    per id up to N), and a chunk holds about ``_STAMP_CELLS`` of its widest
+    stream's columns, times ``cells_per_column``.
+
+    Yields ``(rows, stream, block, live, columns, n_columns)`` per chunk: the
+    chunk's rows in step-major order, the chunk stream (0, 1, ...) of each,
+    where step t's rows start and how many streams it has (a prefix of the
+    chunk's), each slot's column in its stream (slot-major int[W, rows],
+    numbered in id order) and the most columns a stream of the chunk has.
+    """
+    n, w = requests.shape
+    if not n:
+        return
+    lengths = np.bincount(streams)
+    by_length = np.argsort(-lengths, kind="stable")
+    rank = np.empty_like(by_length)
+    rank[by_length] = np.arange(len(by_length))
+    running = len(lengths) - np.searchsorted(lengths[by_length][::-1],
+                                             np.arange(lengths.max()), side="right")
+    ptr = np.concatenate(([0], np.cumsum(running)))
+    # row_at[p] is the row at position p of the step-major order: step t's
+    # rows sit at ptr[t] + rank of their stream.
+    row_at = np.empty(n, dtype=np.int64)
+    row_at[ptr[steps] + rank[streams]] = np.arange(n)
+    ids, column_of = _expert_ids(requests)
+    n_ids = int(column_of[-1]) + 1
+    widest = min(n_ids, int(lengths.max()) * w)  # the most columns a stream can need
+    per_chunk = max(1, _STAMP_CELLS // (widest * cells_per_column))
+    for a in range(0, running[0], per_chunk):  # the streams with a step
+        b = min(a + per_chunk, running[0])
+        n_steps = lengths[by_length[a]]
+        live = np.minimum(running[:n_steps], b) - a  # the chunk's streams at each step
+        block = np.cumsum(live) - live  # where each step's rows start in the chunk's
+        stream = np.arange(block[-1] + live[-1]) - np.repeat(block, live)
+        rows = row_at[np.repeat(ptr[:n_steps] + a, live) + stream]
+        columns, n_columns = _stream_columns(column_of[ids[rows]], stream, b - a, n_ids)
+        yield rows, stream, block.tolist(), live.tolist(), columns, n_columns
+
+
 def _stack_depths(requests: np.ndarray, streams: np.ndarray, steps: np.ndarray,
                   cut: int) -> np.ndarray:
     """LRU stack depths of every request of many streams, in one stamp pass
@@ -505,72 +560,148 @@ def _stack_depths(requests: np.ndarray, streams: np.ndarray, steps: np.ndarray,
 
     Row i of ``requests`` (int[rows, W]) is step ``steps[i]`` of stream
     ``streams[i]``, served in slot order: its experts are distinct, but for
-    repeats of its last one, which serve nothing new. A stream's steps are
-    0, 1, ... with no gap, its rows in any order, and each stream starts with
-    an empty stack. Each stream is one row of a last-use stamp array, with
-    one column per expert id that occurs in the stream (never one per id up
-    to N). Serving step t stamps slot j's expert with ``t * W + j``, so the
-    row's last expert is the most recent. Before a step an expert's depth is
-    the number of experts of its stream stamped after it, and ``cut`` for one
-    not stamped yet. Returns int[rows, W], the depth of each slot's expert.
-
-    The loop runs over the step index: streams are ranked longest first, so
-    the streams still running at step t are a prefix of the ranking. They are
-    taken in chunks that bound the stamp array, each step's comparison and
-    the column numbering to about ``_STAMP_CELLS`` cells.
+    repeats of its last one, which serve nothing new. Each stream starts with
+    an empty stack and is one row of a last-use stamp array, with one column
+    per expert id that occurs in it (see :func:`_stream_chunks`). Serving
+    step t stamps slot j's expert with ``t * W + j``, so the row's last
+    expert is the most recent. Before a step an expert's depth is the number
+    of experts of its stream stamped after it. Returns int[rows, W], the
+    depth of each slot's expert, or ``cut`` for one not stamped yet or at
+    depth ``cut`` or more.
     """
     n, w = requests.shape
-    if not n:
-        return np.empty((n, w), dtype=np.int64)
-    lengths = np.bincount(streams)
-    # Step-major order: step t's rows sit at ptr[t] + rank of their stream,
-    # and row_at[p] is the row at position p.
-    by_length = np.argsort(-lengths, kind="stable")
-    rank = np.empty_like(by_length)
-    rank[by_length] = np.arange(len(by_length))
-    running = len(lengths) - np.searchsorted(lengths[by_length][::-1],
-                                             np.arange(lengths.max()), side="right")
-    ptr = np.concatenate(([0], np.cumsum(running)))
-    at = ptr[steps] + rank[streams]
-    row_at = np.empty_like(at)
-    row_at[at] = np.arange(n)
-    ids, column_of = _expert_ids(requests)
-    n_ids = int(column_of[-1]) + 1
-    widest = min(n_ids, int(lengths.max()) * w)  # the most columns a stream can need
-    per_chunk = max(1, _STAMP_CELLS // (widest * w))
-    stamp_dtype = np.int32 if lengths.max() * w < 2**31 else np.int64
-    found = np.empty((w, n), dtype=np.int16 if max(cut, widest) < 2**15 else np.int64)
-    served = np.arange(w, dtype=stamp_dtype)[:, None]
-
-    for a in range(0, running[0], per_chunk):  # the streams with a step
-        b = min(a + per_chunk, running[0])
-        n_steps = lengths[by_length[a]]
-        live = np.minimum(running[:n_steps], b) - a  # the chunk's streams at each step
-        block = np.cumsum(live) - live  # where each step's rows start in the chunk's
-        stream = np.arange(block[-1] + live[-1]) - np.repeat(block, live)
-        starts = ptr[:n_steps] + a
-        rows = row_at[np.repeat(starts, live) + stream]
-        columns, n_columns = _stream_columns(column_of[ids[rows]], stream, b - a, n_ids)
+    found = np.empty((n, w), dtype=np.int16 if cut < 2**15 else np.int64)
+    for rows, stream, block, live, columns, n_columns in _stream_chunks(
+            requests, streams, steps, w):
+        n_streams, n_steps = live[0], len(live)
+        stamp_dtype = np.int32 if n_steps * w < 2**31 else np.int64
+        narrow = max(cut, n_columns) < 2**15
+        depths = np.empty((w, len(rows)), dtype=np.int16 if narrow else np.int64)
+        served = np.arange(w, dtype=stamp_dtype)[:, None]
         # A step compares its stamps with its streams' rows of the chunk's
         # stamp array, along the longer of its two axes: stored [column,
         # stream] when the chunk has at least as many streams as columns,
         # else [stream, column].
-        by_column = b - a >= n_columns
-        cells = columns * (b - a) + stream if by_column else stream * n_columns + columns
-        stamps = np.full(n_columns * (b - a), -1, dtype=stamp_dtype)
-        grid = stamps.reshape((n_columns, 1, b - a) if by_column else (b - a, 1, n_columns))
-        seen = np.empty((w, b - a), dtype=stamp_dtype)  # [slot, stream]
-        for t, (lo, first, k) in enumerate(zip(starts.tolist(), block.tolist(), live.tolist())):
+        by_column = n_streams >= n_columns
+        cells = columns * n_streams + stream if by_column else stream * n_columns + columns
+        stamps = np.full(n_columns * n_streams, -1, dtype=stamp_dtype)
+        grid = stamps.reshape((n_columns, 1, n_streams) if by_column
+                              else (n_streams, 1, n_columns))
+        seen = np.empty((w, n_streams), dtype=stamp_dtype)  # [slot, stream]
+        for t, (first, k) in enumerate(zip(block, live)):
             step_cells = cells[:, first:first + k]
             mine = np.take(stamps, step_cells, out=seen[:, :k])
-            depths = found[:, lo:lo + k]
+            at = depths[:, first:first + k]
             if by_column:
-                np.add.reduce(grid[:, :, :k] > mine, axis=0, out=depths)
+                np.add.reduce(grid[:, :, :k] > mine, axis=0, out=at)
             else:
-                np.add.reduce(grid[:k] > mine.T[:, :, None], axis=-1, out=depths.T)
-            np.putmask(depths, mine < 0, cut)
+                np.add.reduce(grid[:k] > mine.T[:, :, None], axis=-1, out=at.T)
+            np.putmask(at, mine < 0, cut)
             stamps[step_cells] = served + t * w
-    return found[:, at].T
+        found[rows] = np.minimum(depths, cut).T
+    return found
+
+
+# Streams per step of the longest stream (rows / its steps) from which the
+# policy pass serves LFU, FIFO and BELADY instead of simulate's dict loop: the
+# pass's numpy calls cost about 45 us a step however many streams run, the
+# dict loop about 2-5 us per stream and step. Sweep, dict loop time / pass
+# time (2 cores, numpy 2.4; L = 4, N = 64, K = 6, B = 1 and 4, C = 6B or 24,
+# resets, 32 and 256 steps per segment): 4 streams 0.3-1.1x, 8 streams
+# 0.5-2.9x, 12 streams 0.75-2.7x, 16 streams 0.87-3.0x (FIFO, the cheapest
+# dict loop, about even), 32 streams 1.25-5.1x, 64 streams 1.6-6.9x. With
+# 4-step segments the pass is up to 0.5 ms slower below 32 streams.
+_POLICY_STREAMS = 16
+
+
+def _policy_pass(served: np.ndarray, n_unique: np.ndarray, streams: np.ndarray,
+                 steps: np.ndarray, capacity: int, policy: Policy, final) -> tuple:
+    """Fault-free LFU, FIFO or BELADY over many streams in one array pass.
+
+    Row i of ``served`` (int[rows, U]) is step ``steps[i]`` of stream
+    ``streams[i]``: its ``n_unique[i]`` distinct experts in the order
+    ``simulate`` serves them, padded by repeating the last one. Each stream
+    starts empty and is served as ``simulate``'s dict loop serves one layer
+    at ``capacity`` >= every row's ``n_unique``, so its victims are always
+    among the residents the step did not request. A chunk of streams keeps a
+    resident mask and one eviction key per (stream, column) cell, smallest
+    evicted first (see :func:`_stream_chunks`; columns are numbered in id
+    order, so "ties to the lowest id" is a column comparison). With T the
+    chunk's longest stream and the step-t touch of slot j stamped ``t * U +
+    j``, which orders a stream's touches as the dict loop's clock does:
+
+    - LFU: frequency in this residency times ``T * U``, plus the last touch;
+    - FIFO: the admission stamp (a hit leaves it);
+    - BELADY: ``(T - next use) * columns + column``, with T for no next use
+      in the stream, so the farthest goes first and ties to the lowest id.
+
+    All keys stay below ``(T + 1) * T * U``; excluded cells read the int64
+    maximum. Returns bool[rows, U], whether each slot's expert was resident
+    before its step, and ``{stream: sorted resident ids}`` after the last
+    step of each stream in ``final``.
+    """
+    n, u = served.shape
+    hits = np.empty((n, u), dtype=bool)
+    residents = {}
+    excluded = np.iinfo(np.int64).max
+    for rows, stream, block, live, columns, n_columns in _stream_chunks(
+            served, streams, steps, u):
+        n_streams, n_steps = live[0], len(live)
+        cells = stream * n_columns + columns  # [slot, row]
+        width = n_unique[rows]
+        valid = np.arange(u)[:, None] < width  # a padded slot repeats the last
+        if policy == Policy.BELADY:
+            # Each request's next use in its stream, scanning the steps
+            # backwards; a padded slot repeats its row's last request.
+            next_use = np.empty((u, len(rows)), dtype=np.int64)
+            upcoming = np.full(n_streams * n_columns, n_steps, dtype=np.int64)
+            for t in range(n_steps - 1, -1, -1):
+                step_cells = cells[:, block[t]:block[t] + live[t]]
+                next_use[:, block[t]:block[t] + live[t]] = upcoming[step_cells]
+                upcoming[step_cells] = t
+            touch_keys = (n_steps - next_use) * n_columns + columns
+        else:
+            position = np.minimum(np.arange(u)[:, None], width - 1)
+            touch_keys = np.repeat(np.arange(n_steps), live) * u + position
+        resident = np.zeros(n_streams * n_columns, dtype=bool)
+        keys = np.zeros(n_streams * n_columns, dtype=np.int64)
+        size = np.zeros(n_streams, dtype=np.int64)
+        span = n_steps * u
+        found = np.empty((u, len(rows)), dtype=bool)
+        for first, k in zip(block, live):
+            step_cells = cells[:, first:first + k]
+            hit = np.take(resident, step_cells, out=found[:, first:first + k])
+            size[:k] += (valid[:, first:first + k] & ~hit).sum(axis=0)
+            touched = touch_keys[:, first:first + k]
+            if policy == Policy.LFU:
+                frequency = np.where(hit, keys[step_cells] // span + 1, 1)
+                keys[step_cells] = frequency * span + touched
+            elif policy == Policy.FIFO:
+                keys[step_cells] = np.where(hit, keys[step_cells], touched)
+            else:
+                keys[step_cells] = touched
+            resident[step_cells] = True
+            over = size[:k] - capacity
+            full = np.flatnonzero(over > 0)
+            if not len(full):
+                continue
+            over = over[full]
+            block_cells = full[:, None] * n_columns + np.arange(n_columns)
+            candidate = resident[block_cells]
+            candidate[np.arange(len(full))[:, None], columns[:, first + full].T] = False  # U stays
+            ranked = np.where(candidate, keys[block_cells], excluded)
+            most = int(over.max())
+            smallest = np.sort(np.partition(ranked, most - 1, axis=1)[:, :most], axis=1)
+            victims = ranked <= smallest[np.arange(len(full)), over - 1][:, None]
+            resident[block_cells[victims]] = False
+            size[full] = capacity
+        hits[rows] = found.T
+        chunk_streams = streams[rows[:n_streams]]
+        for i in np.flatnonzero(np.isin(chunk_streams, final)).tolist():
+            ids = np.unique(served[rows[stream == i]])
+            kept = np.flatnonzero(resident[i * n_columns:(i + 1) * n_columns])
+            residents[int(chunk_streams[i])] = tuple(ids[kept].tolist())
+    return hits, residents
 
 
 def _expert_ids(requests: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -633,26 +764,39 @@ def _served_sets(slots: np.ndarray, new: np.ndarray, n_unique: np.ndarray):
     return np.take_along_axis(served, last, axis=-1), position
 
 
-def _stack_simulate(trace: RoutingTrace, cfg: CacheConfig) -> SimReport | None:
-    """``simulate``'s report for fault-free LRU from one stamp pass, or None
-    when ``cfg.capacity`` is below max_t |U_t|, where inclusion fails."""
+def _array_simulate(trace: RoutingTrace, cfg: CacheConfig) -> SimReport | None:
+    """``simulate``'s fault-free report from one array pass over its streams:
+    the stamp pass for LRU, the policy pass for the others. None when
+    ``cfg.capacity`` is below max_t |U_t| (LRU's inclusion fails, and a step
+    may shed its own experts), or for LFU, FIFO and BELADY below
+    ``_POLICY_STREAMS`` streams per step of the longest stream."""
     h = trace.header
     routes = trace.routes
     n_steps, n_layers, w = len(routes), h.n_moe_layers, h.batch_size * h.top_k
+    s, t = trace.step_keys.T
+    longest = max(trace.segment_lengths, default=0) if cfg.reset_each_segment else n_steps
+    if cfg.policy != Policy.LRU and (
+            n_steps * n_layers < _POLICY_STREAMS * max(longest, 1)
+            or (longest + 1) * longest * w >= 2**63):  # the policy keys fit int64
+        return None
     slots = routes.reshape(n_steps * n_layers, w)  # one row per (step, layer)
     new = _run_starts(slots)
     n_unique = new.sum(axis=-1)
     if cfg.capacity < n_unique.max(initial=0):
         return None
     served, position = (slots, None) if new.all() else _served_sets(slots, new, n_unique)
-    s, t = trace.step_keys.T
     if cfg.reset_each_segment:
         streams = (s[:, None] * n_layers + np.arange(n_layers)).ravel()
         steps = np.repeat(t, n_layers)
     else:
         streams = np.tile(np.arange(n_layers), n_steps)
         steps = np.repeat(np.arange(n_steps), n_layers)
-    hits = _stack_depths(served, streams, steps, cfg.capacity) < cfg.capacity
+    final = streams[-n_layers:].tolist() if n_steps else []  # each layer's last stream
+    if cfg.policy == Policy.LRU:
+        hits = _stack_depths(served, streams, steps, cfg.capacity) < cfg.capacity
+    else:
+        hits, residents = _policy_pass(served, n_unique, streams, steps, cfg.capacity,
+                                       cfg.policy, final)
     if position is None:
         unique_hits = token_hits = hits.sum(axis=-1)
     else:
@@ -663,6 +807,9 @@ def _stack_simulate(trace: RoutingTrace, cfg: CacheConfig) -> SimReport | None:
         counts[:, :, field] = values.reshape(n_steps, n_layers).T
     counts[:, :, 3] = w
 
+    if cfg.policy != Policy.LRU:
+        final_resident = tuple(map(residents.get, final)) if n_steps else ((),) * n_layers
+        return SimReport(config=cfg, step_counts=counts, final_resident=final_resident)
     # Each layer's last stream, most recent first: its steps backwards, each
     # served set backwards.
     start = n_steps - int(t[-1]) - 1 if cfg.reset_each_segment and n_steps else 0

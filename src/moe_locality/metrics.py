@@ -23,6 +23,9 @@ from .trace import RoutingTrace
 # compute_metrics counts each layer's routed slots in a dense length-N array
 # when L x N is at most this many cells, or no more than the trace has slots.
 _DENSE_COUNTS = 1 << 16
+# compute_metrics takes the entropy of this many probabilities at a time, so
+# its temporaries stay small beside the trace.
+_ENTROPY_CELLS = 1 << 14
 
 __all__ = [
     "MetricsReport",
@@ -114,6 +117,27 @@ def normalized_entropy(p) -> float:
     return h / math.log(p.size)
 
 
+def _row_entropies(probs: np.ndarray) -> np.ndarray:
+    """:func:`normalized_entropy` of each row of ``probs``, bit for bit. In
+    blocks of about ``_ENTROPY_CELLS`` entries, the rows whose entries are all
+    > 0 and sum to 1 (its checks, as row arrays) take one array expression;
+    every other row, with a zero, a NaN or a failing check, takes the call,
+    in row order, so the first bad row raises its message."""
+    n = probs.shape[1]
+    values = np.empty(len(probs))
+    step = max(1, _ENTROPY_CELLS // n)
+    for lo in range(0, len(probs), step):
+        block = probs[lo:lo + step]
+        clean = (block > 0).all(axis=1) & (np.abs(block.sum(axis=1) - 1.0) <= 1e-9) & (n >= 2)
+        p = block[clean]
+        terms = np.log(p)
+        terms *= p
+        values[lo:lo + step][clean] = -terms.sum(axis=1) / math.log(n)
+        for row in np.flatnonzero(~clean).tolist():
+            values[lo + row] = normalized_entropy(block[row])
+    return values
+
+
 def load_balance_cv(selection_counts) -> float:
     """Population std of per-expert selection counts divided by their mean."""
     counts = np.asarray(selection_counts, dtype=float)
@@ -162,9 +186,8 @@ def compute_metrics(trace: RoutingTrace, pooled: bool = False) -> MetricsReport:
     eor_report = eor(trace, pooled=pooled)
 
     entropy_norm = None
-    if h.has_probs:
-        vals = [normalized_entropy(row) for row in trace.probs]
-        entropy_norm = float(np.mean(vals)) if vals else None
+    if h.has_probs and trace.n_records:
+        entropy_norm = float(np.mean(_row_entropies(trace.probs)))
 
     sets = trace.route_sets
     if h.n_moe_layers * h.n_routed_experts <= max(trace.topk.size, _DENSE_COUNTS):

@@ -1,5 +1,6 @@
 import math
 from bisect import bisect_right
+from dataclasses import replace
 from unittest import mock
 
 import numpy as np
@@ -24,7 +25,7 @@ from moe_locality.cache_sim import (
 )
 from moe_locality.gate import topk
 from moe_locality.metrics import eor
-from moe_locality.trace import SynthConfig, TraceError, TraceHeader, synth_trace
+from moe_locality.trace import RoutingTrace, SynthConfig, TraceError, TraceHeader, synth_trace
 from reference_trace import StepRecord, from_records, records
 
 from reference_sim import (
@@ -671,14 +672,14 @@ class TestStampPass:
 
 
 @st.composite
-def lru_sim_cases(draw):
+def routed_traces(draw, max_segments=3):
     """A trace whose rows may repeat an expert, within a batch item's K slots
     and across B up to 4 items, over ragged segments (an absent id or an
-    empty trace among them); resets on or off; and a capacity from
-    max_t |U_t| - 1 to beyond N."""
+    empty trace among them); a capacity from max_t |U_t| - 1 to beyond N; and
+    whether it holds every step's U."""
     n_layers, batch, k = draw(st.integers(1, 3)), draw(st.integers(1, 4)), draw(st.integers(1, 4))
     n = draw(st.integers(k, 10))
-    lengths = draw(st.lists(st.integers(0, 6), min_size=1, max_size=3))
+    lengths = draw(st.lists(st.integers(0, 6), min_size=1, max_size=max_segments))
     rng = np.random.default_rng(draw(st.integers(0, 2**31)))
     shared = draw(st.booleans())  # every batch item routed like the first
     rows = []
@@ -694,7 +695,21 @@ def lru_sim_cases(draw):
     widest = max((len(set(trace.routes[i, layer].ravel().tolist()))
                   for i in range(len(trace.routes)) for layer in range(n_layers)), default=0)
     capacity = max(1, widest - 1 + draw(st.integers(0, n + 3)))
-    return trace, lru(capacity, reset=draw(st.booleans())), capacity >= widest
+    return trace, capacity, capacity >= widest
+
+
+@st.composite
+def lru_sim_cases(draw):
+    """:func:`routed_traces` under LRU, resets on or off."""
+    trace, capacity, fits = draw(routed_traces())
+    return trace, lru(capacity, reset=draw(st.booleans())), fits
+
+
+def sparse(trace, rng):
+    """``trace`` with its experts renamed to distinct ids spread below 10**12."""
+    ids = np.unique(rng.integers(0, 10**12, 2 * trace.header.n_routed_experts))
+    header = replace(trace.header, n_routed_experts=10**12)
+    return RoutingTrace(header, trace.keys, rng.permutation(ids)[trace.topk], None)
 
 
 class TestStackSimulate:
@@ -721,9 +736,113 @@ class TestStackSimulate:
         cases = [(lru(4 * k), True), (lru(4 * k, reroute_beta=1.0), False),
                  (lru(4 * k, scenario=FaultScenario(FaultKind.INTERFERENCE, seed=1)), False),
                  (lru(4 * k, scenario=FaultScenario(FaultKind.PREFETCH, seed=2)), False)]
-        refuse = mock.Mock(side_effect=AssertionError("stamp pass used"))
+        cases += [(replace(cfg, policy=policy), record_events) for cfg, record_events in cases
+                  for policy in (Policy.LFU, Policy.FIFO)]
+        cases += [(CacheConfig(4 * k, Policy.BELADY, reset_each_segment=True), True)]
+        refuse = mock.Mock(side_effect=AssertionError("array pass used"))
         for cfg, record_events in cases:
-            with mock.patch.object(cache_sim, "_stack_depths", refuse):
+            with mock.patch.multiple(cache_sim, _stack_depths=refuse, _policy_pass=refuse,
+                                     _POLICY_STREAMS=0):
                 got = simulate(trace, cfg, record_events)
             assert got == reference_simulate(trace, cfg, record_events)
         assert not refuse.called
+
+
+@st.composite
+def policy_sim_cases(draw):
+    """:func:`routed_traces` over up to 8 segments, its ids kept or spread
+    below N = 10**12, under LFU, FIFO or BELADY with resets on or off; a
+    streams threshold and a chunk size; and whether the policy pass serves it."""
+    trace, capacity, fits = draw(routed_traces(max_segments=8))
+    if draw(st.booleans()):
+        trace = sparse(trace, np.random.default_rng(draw(st.integers(0, 2**31))))
+    cfg = CacheConfig(capacity, draw(st.sampled_from([Policy.LFU, Policy.FIFO, Policy.BELADY])),
+                      reset_each_segment=draw(st.booleans()))
+    threshold = draw(st.sampled_from([0, 1, 4, cache_sim._POLICY_STREAMS]))
+    cells = draw(st.sampled_from([1, cache_sim._STAMP_CELLS]))
+    n_steps = len(trace.routes)
+    longest = max(trace.segment_lengths, default=0) if cfg.reset_each_segment else n_steps
+    rows = n_steps * trace.header.n_moe_layers
+    return trace, cfg, threshold, cells, fits and rows >= threshold * max(longest, 1)
+
+
+class TestArraySimulate:
+    """Fault-free LFU, FIFO and BELADY ``simulate`` at C >= max_t |U_t| with
+    enough streams per step comes from the policy pass; everything else from
+    the dict loop, the same report either way."""
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(case=policy_sim_cases())
+    def test_matches_reference_simulate(self, case):
+        trace, cfg, threshold, cells, passed = case
+        with mock.patch.multiple(cache_sim, _POLICY_STREAMS=threshold, _STAMP_CELLS=cells), \
+                mock.patch.object(cache_sim, "_policy_pass",
+                                  wraps=cache_sim._policy_pass) as spy:
+            got = simulate(trace, cfg)
+        assert spy.called == passed
+        want = reference_simulate(trace, cfg)
+        assert np.array_equal(got.step_counts, want.step_counts)
+        assert got.final_resident == want.final_resident
+        assert got == want
+
+    def test_many_streams_take_the_pass(self):
+        # At the shipped threshold: 2 layers of _POLICY_STREAMS / 2 equal
+        # segments are _POLICY_STREAMS streams a step with resets, 2 without.
+        trace = synth_trace(SynthConfig(n_moe_layers=2, n_routed_experts=10, top_k=2,
+                                        n_segments=cache_sim._POLICY_STREAMS // 2,
+                                        steps_per_segment=5, seed=2))
+        for policy in (Policy.LFU, Policy.FIFO, Policy.BELADY):
+            for reset, passed in ((True, True), (False, False)):
+                cfg = CacheConfig(3, policy, reset_each_segment=reset)
+                with mock.patch.object(cache_sim, "_policy_pass",
+                                       wraps=cache_sim._policy_pass) as spy:
+                    got = simulate(trace, cfg)
+                assert spy.called == passed
+                assert got == reference_simulate(trace, cfg)
+
+
+@st.composite
+def relabel_cases(draw):
+    """:func:`routed_traces` and the same trace with its experts renamed by a
+    permutation of [0, N), under any policy, resets on or off."""
+    trace, capacity, _ = draw(routed_traces(max_segments=8))
+    rng = np.random.default_rng(draw(st.integers(0, 2**31)))
+    renamed = RoutingTrace(trace.header, trace.keys,
+                           rng.permutation(trace.header.n_routed_experts)[trace.topk], None)
+    cfg = CacheConfig(capacity, draw(st.sampled_from(list(Policy))),
+                      reset_each_segment=draw(st.booleans()))
+    return trace, renamed, cfg
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(case=relabel_cases())
+def test_renaming_the_experts_keeps_the_step_counts(case):
+    # Metamorphic: no policy reads what an expert is called, only ties do.
+    # BELADY's ties to the lowest id change which expert of a tie stays, so
+    # its token hits (see the next test) and final_resident may change; its
+    # unique counts may not. Each trace runs on the array pass where it
+    # applies and on the dict loop (events force it).
+    trace, renamed, cfg = case
+    with mock.patch.object(cache_sim, "_POLICY_STREAMS", 0):
+        counts = [simulate(t, cfg, record_events).step_counts
+                  for t in (trace, renamed) for record_events in (False, True)]
+    fields = [0, 1, 3] if cfg.policy == Policy.BELADY else [0, 1, 2, 3]
+    for other in counts[1:]:
+        assert np.array_equal(other[..., fields], counts[0][..., fields])
+
+
+def test_belady_token_hits_follow_the_tie_to_the_lowest_id():
+    # Experts 0 and 1 are both next used at step 2, where 0 fills two slots
+    # and 1 one. The tie evicts 0, so step 2 hits one slot; renamed, the
+    # expert that fills two slots is 1, kept, and step 2 hits two.
+    header = TraceHeader(1, 4, 1, 3)
+    cfg = CacheConfig(2, Policy.BELADY)
+    hits = []
+    for step_slots in ([(0, 1, 1), (2, 2, 2), (0, 0, 1)], [(1, 0, 0), (2, 2, 2), (1, 1, 0)]):
+        trace = from_records(header, [StepRecord(0, t, 0, b, (e,), None)
+                                      for t, slots in enumerate(step_slots)
+                                      for b, e in enumerate(slots)])
+        report = simulate(trace, cfg)
+        assert report == reference_simulate(trace, cfg)
+        hits.append(report.step_counts[0, 2, [0, 2]].tolist())
+    assert hits == [[1, 1], [1, 2]]

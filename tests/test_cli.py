@@ -12,6 +12,7 @@ import pytest
 
 import moe_locality
 import reference_trace
+from moe_locality import cache_sim
 from moe_locality.cli import _atomic_write, _json_bytes, dispatch, run_gradcheck
 from moe_locality.trace import (SynthConfig, load_trace, save_trace, synth_trace, validate_trace,
                                 write_trace)
@@ -232,18 +233,24 @@ class TestSynthValidate:
             assert code in (0, 2) and "Traceback" not in err, (argv, err)
 
     def test_huge_expert_count_trace_sizes_nothing_by_n(self, tmp_path):
-        # A synthesized trace over 10**12 experts, through LRU simulate (the
-        # stamp pass, with and without resets) and the bound checks, in one
-        # capped process: an array sized by N fails this test.
-        assert run("synth", "--experts", str(10**12), "--top-k", "4", "--layers", "2",
-                   "--batch", "2", "--segments", "3", "--steps", "16", "--seed", "5",
-                   "--out", str(tmp_path / "t.jsonl")) == 0
+        # Synthesized traces over 10**12 experts, through LRU simulate (the
+        # stamp pass, with and without resets), the bound checks and LFU,
+        # FIFO and BELADY simulate over 64 x 2 streams (the policy pass), in
+        # one capped process: an array sized by N fails this test.
+        for name, segments, steps in (("t.jsonl", "3", "16"), ("m.jsonl", "64", "4")):
+            assert run("synth", "--experts", str(10**12), "--top-k", "4", "--layers", "2",
+                       "--batch", "2", "--segments", segments, "--steps", steps, "--seed", "5",
+                       "--out", str(tmp_path / name)) == 0
+        assert 64 * 2 >= cache_sim._POLICY_STREAMS
         cases = [["simulate", "--trace", "t.jsonl", "--capacity", "8", "--policy", "lru",
                   *reset, "--out", f"s{len(reset)}.csv"]
                  for reset in ([], ["--reset-each-segment"])]
         cases += [["bound-check", "--trace", "t.jsonl", "--capacity", "4", "--out", "b.json"],
                   ["bound-check", "--trace", "t.jsonl", "--capacity", "8", "--working-set",
                    "--out", "w.json"]]
+        cases += [["simulate", "--trace", "m.jsonl", "--capacity", "8", "--policy", policy,
+                   "--reset-each-segment", "--out", f"{policy}.csv"]
+                  for policy in ("lfu", "fifo", "belady")]
         for argv, code, err in dispatch_capped(cases, tmp_path):
             assert code == 0, (argv, err)
 

@@ -1,10 +1,13 @@
 import math
+from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import reference_metrics
+from moe_locality import metrics
 from moe_locality.gate import overlap_counts
 from moe_locality.metrics import (
     _DENSE_COUNTS,
@@ -15,7 +18,7 @@ from moe_locality.metrics import (
     normalized_entropy,
     unique_experts_per_sequence,
 )
-from moe_locality.trace import SynthConfig, TraceError, TraceHeader, synth_trace
+from moe_locality.trace import RoutingTrace, SynthConfig, TraceError, TraceHeader, synth_trace
 from reference_trace import StepRecord, from_records, records
 
 from test_trace import make_trace
@@ -152,6 +155,64 @@ class TestNormalizedEntropy:
         p = rng.dirichlet(np.ones(12))
         perm = rng.permutation(12)
         assert normalized_entropy(p[perm]) == pytest.approx(normalized_entropy(p))
+
+
+def with_probs(probs, seed=0):
+    """An index-only synthetic trace of len(probs) records over N =
+    probs.shape[1] experts, given ``probs`` unchecked."""
+    n_records, n = probs.shape
+    trace = synth_trace(SynthConfig(n_moe_layers=1, n_routed_experts=n, top_k=1,
+                                    steps_per_segment=n_records, seed=seed))
+    return RoutingTrace(replace(trace.header, has_probs=True), trace.keys, trace.topk,
+                        np.ascontiguousarray(probs, dtype=np.float64))
+
+
+@st.composite
+def probs_rows(draw):
+    """float[rows, N]: Dirichlet rows, some with zeros, some with a NaN."""
+    n, n_rows = draw(st.integers(2, 130)), draw(st.integers(2, 40))
+    rng = np.random.default_rng(draw(st.integers(0, 2**31)))
+    probs = rng.dirichlet(np.full(n, draw(st.sampled_from([0.05, 0.5, 5.0]))), n_rows)
+    for row in rng.choice(n_rows, int(rng.integers(0, n_rows + 1)), replace=False):
+        zeros = rng.random(n) < rng.random()
+        if zeros.all():
+            zeros[0] = False
+        probs[row, zeros] = 0.0
+        probs[row] /= probs[row].sum()
+    for row in rng.choice(n_rows, int(rng.integers(0, n_rows // 4 + 1)), replace=False):
+        probs[row, rng.integers(n)] = np.nan
+    return probs
+
+
+class TestRowEntropies:
+    """compute_metrics' entropy takes the clean rows as one array and the
+    rest through normalized_entropy, with the per-row calls' bits and errors."""
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(probs=probs_rows(), cells=st.sampled_from([1, 200, metrics._ENTROPY_CELLS]))
+    def test_mean_is_bit_equal_to_the_per_row_calls(self, probs, cells):
+        # Blocks of one row, of a few rows, or all rows at once.
+        with mock.patch.object(metrics, "_ENTROPY_CELLS", cells):
+            got = compute_metrics(with_probs(probs)).entropy_norm
+        want = float(np.mean([normalized_entropy(row) for row in probs]))
+        assert np.array_equal(np.float64(got).view(np.int64), np.float64(want).view(np.int64))
+
+    @pytest.mark.parametrize("bad", ["negative", "sum", "infinity"])
+    def test_first_bad_row_raises_its_message(self, bad):
+        # Row 1 fails one check; row 3 fails another, which must not be named.
+        rng = np.random.default_rng(1)
+        probs = rng.dirichlet(np.ones(6), 5)
+        probs[1] = {"negative": [0.5, 0.6, -0.1, 0.0, 0.0, 0.0],
+                    "sum": [0.5, 0.2, 0.1, 0.1, 0.0, 0.0],
+                    "infinity": [np.inf, 0.2, 0.1, 0.1, 0.1, 0.1]}[bad]
+        probs[3] = [0.5, 0.5, 0.5, -0.5, 0.5, 0.0] if bad != "negative" else [0.9] + [0.2] * 5
+        with pytest.raises(ValueError) as want:
+            normalized_entropy(probs[1])
+        for cells in (6, metrics._ENTROPY_CELLS):  # a block per row, and one block
+            with pytest.raises(ValueError) as got, \
+                    mock.patch.object(metrics, "_ENTROPY_CELLS", cells):
+                compute_metrics(with_probs(probs))
+            assert str(got.value) == str(want.value)
 
 
 class TestLoadBalanceCv:
