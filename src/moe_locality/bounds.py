@@ -24,7 +24,8 @@ Fetch counts come from one stamp pass of LRU stack depths over every
 inclusion property. A campaign runs one such pass over the streams of a
 whole batch of its traces (``cache_sim.lru_fetch_counts_each``), at
 {K, K+2, 2K} at once, and tallies each trace's checks and violations from
-its count and bound arrays.
+its count and bound arrays. A working-set check runs at one capacity ({2K}
+in a campaign), where one sliding window per stream gives every horizon.
 The fault-free checks thus verify the bounds against that stack model of LRU,
 not against ``simulate``'s dict loop, whose serve-and-admit check runs in
 none of them; the differential tests of the pass tie the model to
@@ -36,7 +37,6 @@ before a step that breaks a bound.
 
 from __future__ import annotations
 
-from bisect import bisect_right
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import nullcontext
 from dataclasses import dataclass, replace
@@ -116,22 +116,22 @@ class ScenarioResult:
 
 class _Bounds(NamedTuple):
     """A trace's fetch counts and bounds, indexed by layer, batch slot and
-    step ordinal; the leading axis of the capacity-dependent arrays is the
-    capacity. A segment's first step has no bound and is never read."""
+    step ordinal; the leading axis of ``n_fetch`` is the capacity, and the
+    working-set arrays are at the check's one capacity. A segment's first
+    step has no bound and is never read."""
 
     n_fetch: np.ndarray  # int[C, L, B, steps], unique misses
     overlap_bound: np.ndarray  # int[L, B, steps], K - |E_t ∩ E_{t-1}|
-    ws_horizon: np.ndarray | None  # int[C, L, B, steps], L_t (working-set checks only)
-    ws_bound: np.ndarray | None  # int[C, L, B, steps], K - |E_t ∩ U_{t, L_t}|
+    ws_horizon: np.ndarray | None  # int[L, B, steps], L_t (working-set checks only)
+    ws_bound: np.ndarray | None  # int[L, B, steps], K - |E_t ∩ U_{t, L_t}|
 
 
-def _bounds(
-    trace: RoutingTrace, capacities: tuple[int, ...], working_set: bool, n_fetch: np.ndarray
-) -> _Bounds:
-    """The bounds of every slot of ``trace`` at every capacity, next to its
-    fetch counts ``n_fetch``. The overlaps are counted over all slots at
-    once; each slot's working-set sets are built once, and only the
-    working-set horizon depends on the capacity."""
+def _bounds(trace: RoutingTrace, n_fetch: np.ndarray, ws_capacity: int | None) -> _Bounds:
+    """The bounds of every slot of ``trace`` next to its fetch counts
+    ``n_fetch``, the working-set one at ``ws_capacity`` unless it is None.
+    The horizon L_t counts the most steps before t whose union fits in C, so
+    its window's start only moves forward: one sliding window per (layer,
+    slot, segment) stream finds every L_t, each step entering and leaving once."""
     h = trace.header
     k = h.top_k
     offsets = trace.segment_offsets
@@ -140,32 +140,29 @@ def _bounds(
     overlap = np.zeros((h.n_moe_layers, h.batch_size, n_steps), dtype=np.int64)
     # Exact integer form of K * (1 - IR_t); a pair across segments is never read.
     overlap[..., 1:] = k - overlap_counts(np.moveaxis(sets, 0, 2))
-    if not working_set:
+    if ws_capacity is None:
         return _Bounds(n_fetch, overlap, None, None)
-    ws_horizon = np.zeros((len(capacities),) + overlap.shape, dtype=np.int64)
-    ws_bound = np.zeros_like(ws_horizon)
-    deepest = max(capacities)
+    ws_horizon = np.zeros_like(overlap)
+    ws_bound = np.zeros_like(overlap)
     for layer in range(h.n_moe_layers):
         for batch in range(h.batch_size):
-            row_sets = [frozenset(row) for row in sets[:, layer, batch].tolist()]
+            rows = sets[:, layer, batch].tolist()
+            horizons, row_bounds = ws_horizon[layer, batch], ws_bound[layer, batch]
             for segment, length in enumerate(trace.segment_lengths):
                 start = offsets[segment]
+                held: dict[int, int] = {}  # expert -> rows of the window holding it
+                first = start  # the window is rows [first, i - 1]
                 for i in range(start + 1, start + length):
-                    # Grow the union back from E_{t-1}; its size never shrinks,
-                    # so the horizon L_t at C is the number of unions that fit in C.
-                    sizes: list[int] = []
-                    shared: list[int] = []
-                    union: set[int] = set()
-                    for back in range(i - 1, start - 1, -1):
-                        union |= row_sets[back]
-                        if len(union) > deepest:
-                            break
-                        sizes.append(len(union))
-                        shared.append(len(row_sets[i] & union))
-                    for c, capacity in enumerate(capacities):
-                        horizon = bisect_right(sizes, capacity)
-                        ws_horizon[c, layer, batch, i] = horizon
-                        ws_bound[c, layer, batch, i] = k - (shared[horizon - 1] if horizon else 0)
+                    for e in rows[i - 1]:
+                        held[e] = held.get(e, 0) + 1
+                    while len(held) > ws_capacity:
+                        for e in rows[first]:
+                            held[e] -= 1
+                            if not held[e]:
+                                del held[e]
+                        first += 1
+                    horizons[i] = i - first
+                    row_bounds[i] = k - sum(map(held.__contains__, rows[i]))
     return _Bounds(n_fetch, overlap, ws_horizon, ws_bound)
 
 
@@ -232,7 +229,7 @@ def _collect_step_records(
             # The StepBoundRecord fields from n_fetch on, per step ordinal.
             columns = [bounds.n_fetch[at], bounds.overlap_bound[at[1:]], violated[at]]
             if ws_violated is not None:
-                columns += [bounds.ws_horizon[at], bounds.ws_bound[at], ws_violated[at]]
+                columns += [bounds.ws_horizon[at[1:]], bounds.ws_bound[at[1:]], ws_violated[at]]
             steps = list(zip(*(column.tolist() for column in columns)))
             fetch_totals = totals[at].tolist()
             bound_totals = total_bounds[at[1:]].tolist()
@@ -266,17 +263,21 @@ def _simulated_records(
     ``cfg``: the counter for faults and C < K, where the stack pass of
     :func:`lru_fetch_counts` does not apply."""
     n_fetch = simulate(trace, cfg).unique_misses[None, :, None]
-    bounds = _bounds(trace, (cfg.capacity,), working_set, n_fetch)
+    bounds = _bounds(trace, n_fetch, cfg.capacity if working_set else None)
     return _collect_step_records(trace, cfg, bounds)
 
 
 def _check(trace: RoutingTrace, capacities: tuple[int, ...], working_set: bool) -> _Bounds:
     """The fetch counts and bounds of every slot at every capacity; one stack
-    pass counts the fetches at all of them."""
+    pass counts the fetches at all of them. A working-set check takes one
+    capacity, its horizon's."""
     k = trace.header.top_k
     if min(capacities) < k:
         raise ValueError(f"bound checks require C >= K (got C={min(capacities)}, K={k})")
-    return _bounds(trace, capacities, working_set, lru_fetch_counts(trace, capacities))
+    if working_set and len(capacities) != 1:
+        raise ValueError(f"a working-set check takes one capacity, got {capacities}")
+    return _bounds(trace, lru_fetch_counts(trace, capacities),
+                   capacities[0] if working_set else None)
 
 
 def _bound_report(trace: RoutingTrace, capacity: int, working_set: bool) -> BoundReport:
@@ -419,7 +420,7 @@ def run_campaign(
             capacities = [(2 * cfg.top_k,) if working_set else
                           (cfg.top_k, cfg.top_k + 2, 2 * cfg.top_k) for cfg in batch]
             outcomes += [
-                _tally(trace, _bounds(trace, caps, working_set, n_fetch))
+                _tally(trace, _bounds(trace, n_fetch, caps[0] if working_set else None))
                 for trace, caps, n_fetch in zip(traces, capacities,
                                                 lru_fetch_counts_each(traces, capacities))
             ]

@@ -15,8 +15,8 @@ Serve-and-admit semantics, per step and per layer:
 Unique-level counts are the unit that matches expert-weight I/O: a weight
 block is loaded at most once per step no matter how many slots request it.
 
-Policies: LRU, LFU (per-residency frequency, ties least-recent then lowest
-id), FIFO (admission order, hits do not refresh), and BELADY (evict the
+Policies: LRU, LFU (per-residency frequency, ties to the least recent),
+FIFO (admission order, hits do not refresh), and BELADY (evict the
 farthest next use, infinity first, ties lowest id; requires the full trace).
 
 Fault-free LRU at a capacity that holds every step's U is a stack algorithm
@@ -40,7 +40,6 @@ from __future__ import annotations
 
 import enum
 import math
-from bisect import bisect_right
 from dataclasses import dataclass, replace
 from functools import cached_property
 from heapq import nsmallest
@@ -261,7 +260,7 @@ def reroute_topk(probs, resident, beta: float, k: int) -> tuple[int, ...]:
 
 
 # ---------------------------------------------------------------------------
-# Requests and Belady next-use tables
+# Requests and Belady next uses
 # ---------------------------------------------------------------------------
 
 
@@ -273,29 +272,23 @@ def _step_requests(rows: np.ndarray) -> list[tuple[list[int], dict]]:
     return [(slots, dict.fromkeys(slots)) for slots in slot_rows]
 
 
-def _occurrence_index(steps, requests, within_segment: bool) -> dict:
-    """expert -> sorted list of request ordinals, scoped per segment or globally."""
-    occ: dict = {}
-    for ordinal, ((s, _t), (_slots, uniq)) in enumerate(zip(steps, requests)):
-        scope = s if within_segment else None
-        for e in uniq:
-            occ.setdefault((scope, e), []).append(ordinal)
-    return occ
-
-
-def _farthest_first(occ: dict, scope, ordinal: int):
-    """Belady's victim order after request ``ordinal``: farthest next use
-    first (no further use counts as farthest), ties to the lowest id."""
-
-    def key(e):
-        positions = occ.get((scope, e))
-        if positions is not None:
-            i = bisect_right(positions, ordinal)
-            if i < len(positions):
-                return (-positions[i], e)
-        return (-math.inf, e)
-
-    return key
+def _belady_values(requests, scopes) -> list[dict]:
+    """Per step ordinal, BELADY's resident value ``(-next_use, id)`` of each
+    expert of its U, from one backward scan: the expert's next request
+    ordinal in the same scope (``scopes[ordinal]``), or ``len(requests)``,
+    the farthest, when there is none."""
+    never = len(requests)
+    upcoming: dict = {}
+    values: list = [None] * never
+    scope = None
+    for ordinal in range(never - 1, -1, -1):
+        if scopes[ordinal] != scope:
+            scope = scopes[ordinal]
+            upcoming.clear()
+        uniq = requests[ordinal][1]
+        values[ordinal] = {e: (-upcoming.get(e, never), e) for e in uniq}
+        upcoming.update(dict.fromkeys(uniq, ordinal))
+    return values
 
 
 # ---------------------------------------------------------------------------
@@ -303,17 +296,17 @@ def _farthest_first(occ: dict, scope, ordinal: int):
 # ---------------------------------------------------------------------------
 
 
-def _victims(resident: dict, policy: Policy, n: int, protected, belady_key=None) -> list[int]:
+def _victims(resident: dict, policy: Policy, n: int, protected) -> list[int]:
     """The policy's first ``n`` eviction choices among residents not in ``protected``.
 
     LRU and FIFO keep ``resident`` in eviction order, so theirs is a prefix
-    scan; LFU values are ``(freq, last_touch, id)`` tuples.
+    scan; LFU and BELADY evict the smallest values, ``(freq, last_touch)``
+    and ``(-next_use, id)``.
     """
-    if policy == Policy.LFU:
-        return [v[2] for v in nsmallest(n, (v for e, v in resident.items() if e not in protected))]
-    if policy == Policy.BELADY:
-        return nsmallest(n, (e for e in resident if e not in protected), key=belady_key)
-    return list(islice(filterfalse(protected.__contains__, resident), n))
+    candidates = filterfalse(protected.__contains__, resident)
+    if policy in (Policy.LFU, Policy.BELADY):
+        return nsmallest(n, candidates, key=resident.__getitem__)
+    return list(islice(candidates, n))
 
 
 def _apply_fault(resident: dict, policy: Policy, capacity: int, scenario: FaultScenario,
@@ -325,12 +318,18 @@ def _apply_fault(resident: dict, policy: Policy, capacity: int, scenario: FaultS
             del resident[int(rng.choice(sorted(resident)))]
     elif scenario.kind == FaultKind.PREFETCH:
         for _ in range(scenario.n):
-            outside = sorted(set(range(n_experts)).difference(resident))
-            if not outside:
+            inside = sorted(e for e in resident if e < n_experts)
+            if len(inside) == n_experts:
                 break
-            e = int(rng.choice(outside))
+            # rng.choice's draw over the outside ids in id order, without listing them:
+            # the j-th is j shifted past every resident at or below it.
+            e = int(rng.integers(0, n_experts - len(inside)))
+            for r in inside:
+                if e < r:
+                    break
+                e += 1
             # Admitted untouched: most recent, newest admission, frequency 0.
-            resident[e] = (0, tick(), e) if policy == Policy.LFU else None
+            resident[e] = (0, tick()) if policy == Policy.LFU else None
             if len(resident) > capacity:
                 for victim in _victims(resident, policy, len(resident) - capacity, ()):
                     del resident[victim]
@@ -364,8 +363,9 @@ def simulate(trace: RoutingTrace, cfg: CacheConfig, record_events: bool = False)
     the end) and for FIFO admission order (a hit leaves it in place); since
     the step's own requests are never victims, the victim is the first key
     outside the step's request set and no scan over timestamps is needed.
-    LFU keeps ``(freq, last_touch, id)`` values and BELADY scans
-    ``(-next_use, id)``.
+    LFU and BELADY evict the residents of smallest value: LFU's is
+    ``(freq, last_touch)``, BELADY's ``(-next_use, id)``, stored when the
+    expert is served, its next use found by one backward scan per layer.
 
     Per-step audit events (resident set before serving, fetched and evicted
     experts) cost a sorted copy of the resident set per step, so they are
@@ -397,6 +397,7 @@ def simulate(trace: RoutingTrace, cfg: CacheConfig, record_events: bool = False)
 
     routes = trace.routes
     steps = trace.step_keys.tolist()
+    scopes = [s for s, _t in steps] if cfg.reset_each_segment else [0] * len(steps)
     counts: list[tuple[int, int, int, int]] = []  # one per (layer, step), layer-major
     events: list[StepEvent] = []
     if reroute:
@@ -406,9 +407,8 @@ def simulate(trace: RoutingTrace, cfg: CacheConfig, record_events: bool = False)
 
     for layer in range(h.n_moe_layers):
         requests = None if reroute else _step_requests(routes[:, layer])
-        occ = None
         if policy == Policy.BELADY:
-            occ = _occurrence_index(steps, requests, within_segment=cfg.reset_each_segment)
+            belady_values = _belady_values(requests, scopes)
         resident: dict = {}
         prev_unique: dict | None = None
         prev_segment: int | None = None
@@ -457,7 +457,9 @@ def simulate(trace: RoutingTrace, cfg: CacheConfig, record_events: bool = False)
             if policy == Policy.LFU:
                 for e in uniq:
                     old = resident.get(e)
-                    resident[e] = (old[0] + 1 if old else 1, tick(), e)
+                    resident[e] = (old[0] + 1 if old else 1, tick())
+            elif policy == Policy.BELADY:
+                resident.update(belady_values[ordinal])
             else:
                 if unique_hits and policy == Policy.LRU:
                     for e in uniq:
@@ -467,12 +469,7 @@ def simulate(trace: RoutingTrace, cfg: CacheConfig, record_events: bool = False)
             evicted = []
             over = len(resident) - capacity
             if over > 0:
-                belady_key = None
-                if occ is not None:
-                    belady_key = _farthest_first(
-                        occ, s if cfg.reset_each_segment else None, ordinal
-                    )
-                evicted = _victims(resident, policy, over, uniq, belady_key)
+                evicted = _victims(resident, policy, over, uniq)
                 if len(evicted) < over:
                     # C < |U|: shed the step's own experts in request order.
                     evicted.extend(islice(uniq, over - len(evicted)))

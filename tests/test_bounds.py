@@ -156,6 +156,30 @@ class TestWorkingSetBound:
         summary = run_campaign(n_traces=40, seed=2, working_set=True)
         assert summary["violations"] == 0
 
+    def test_capacity_holding_the_segment_reaches_back_to_its_start(self):
+        # C at least the segment's distinct ids: L_t = t, the whole prefix.
+        trace = synth_trace(SynthConfig(n_routed_experts=40, top_k=3, steps_per_segment=300,
+                                        stickiness=0.7, seed=5))
+        capacity = len(np.unique(trace.routes))
+        report = check_working_set_bound(trace, capacity)
+        assert [r.ws_horizon for r in report.step_records] == list(range(1, 300))
+        assert report == reference_check(trace, capacity, working_set=True)
+
+    def test_capacity_below_k_has_no_horizon(self):
+        # No step's E_{t-1} fits in C < K: L_t = 0 and the bound is K.
+        trace = synth_trace(SynthConfig(top_k=4, n_segments=2, steps_per_segment=12, seed=3))
+        cfg = CacheConfig(3, Policy.LRU, reset_each_segment=True)
+        steps, seqs = bounds._simulated_records(trace, cfg, working_set=True)
+        assert {(r.ws_horizon, r.ws_bound) for r in steps} == {(0, 4)}
+        assert (steps, seqs) == reference_collect_step_records(trace, cfg, working_set=True)
+
+    def test_one_capacity_per_check(self):
+        trace = seq_trace([(0, 1), (1, 2), (2, 3)], k=2, n=4)
+        with pytest.raises(ValueError, match="one capacity"):
+            bounds._check(trace, (2, 3), working_set=True)
+        assert bounds._check(trace, (2, 3), working_set=False).ws_horizon is None
+        assert bounds._check(trace, (3,), working_set=True).ws_horizon.tolist() == [[[0, 1, 2]]]
+
 
 class TestCounterexamples:
     def test_all_three_scenarios_violate(self):
@@ -265,6 +289,27 @@ class TestReferenceEquivalence:
         assert run_counterexamples() == expected
 
 
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(cfg=bound_trace_configs.map(lambda c: SynthConfig(**{**vars(c), "batch_size": 2})),
+       extra=st.integers(0, 5), working_set=st.booleans())
+def test_checking_two_slots_checks_each_alone(cfg, extra, working_set):
+    # Metamorphic: each slot is its own cache, so a B = 2 report is its two
+    # B = 1 slot reports, slot 0's records first, batch relabelled.
+    trace = synth_trace(cfg)
+    check = check_working_set_bound if working_set else check_step_bound
+    capacity = cfg.top_k + extra
+    first, second = (check(bounds._slot_trace(trace, b), capacity) for b in (0, 1))
+    assert check(trace, capacity) == replace(
+        first,
+        step_records=first.step_records + tuple(
+            replace(r, batch=1) for r in second.step_records),
+        sequence_records=first.sequence_records + tuple(
+            replace(r, batch=1) for r in second.sequence_records),
+        n_step_violations=first.n_step_violations + second.n_step_violations,
+        n_avg_violations=first.n_avg_violations + second.n_avg_violations,
+    )
+
+
 class TestCampaignEquivalence:
     """``run_campaign`` tallies every capacity from one pass per trace; the
     oracle builds one full report per trace and capacity."""
@@ -282,9 +327,13 @@ class TestCampaignEquivalence:
     def test_explicit_capacities(self, capacities, working_set):
         # The tally at capacities the campaign never picks, unsorted and
         # repeated ones among them, over the campaign's own traces (K <= 6).
+        # A working-set check takes its capacities one per call.
+        calls = [(c,) for c in capacities] if working_set else [capacities]
         for cfg in reference_campaign_configs(20, 4):
             trace = synth_trace(cfg)
-            assert bounds._tally(trace, bounds._check(trace, capacities, working_set)) == (
+            tallies = [bounds._tally(trace, bounds._check(trace, caps, working_set))
+                       for caps in calls]
+            assert tuple(map(sum, zip(*tallies))) == (
                 reference_tally(trace, capacities, working_set)
             )
 
@@ -299,21 +348,19 @@ class TestCampaignEquivalence:
         trace = synth_trace(cfg)
         caps = tuple(cfg.top_k + e for e in extras)
         noise = np.random.default_rng(noise_seed)
-        b = bounds._check(trace, caps, working_set)
-        b = b._replace(n_fetch=b.n_fetch + noise.integers(-1, 3, b.n_fetch.shape))
-        checks = violations = 0
-        for c, cap in enumerate(caps):
-            cfg_c = CacheConfig(cap, Policy.LRU, reset_each_segment=True)
-            one_capacity = b._replace(
-                n_fetch=b.n_fetch[c:c + 1],
-                ws_horizon=None if b.ws_horizon is None else b.ws_horizon[c:c + 1],
-                ws_bound=None if b.ws_bound is None else b.ws_bound[c:c + 1],
-            )
-            steps, seqs = bounds._collect_step_records(trace, cfg_c, one_capacity)
-            checks += len(steps) + len(seqs)
-            violations += sum(r.ws_violated if working_set else r.violated for r in steps)
-            violations += sum(r.violated for r in seqs)
-        assert bounds._tally(trace, b) == (checks, violations)
+        # A working-set check takes its capacities one per call.
+        for call in ([(c,) for c in caps] if working_set else [caps]):
+            b = bounds._check(trace, call, working_set)
+            b = b._replace(n_fetch=b.n_fetch + noise.integers(-1, 3, b.n_fetch.shape))
+            checks = violations = 0
+            for c, cap in enumerate(call):
+                cfg_c = CacheConfig(cap, Policy.LRU, reset_each_segment=True)
+                one_capacity = b._replace(n_fetch=b.n_fetch[c:c + 1])
+                steps, seqs = bounds._collect_step_records(trace, cfg_c, one_capacity)
+                checks += len(steps) + len(seqs)
+                violations += sum(r.ws_violated if working_set else r.violated for r in steps)
+                violations += sum(r.violated for r in seqs)
+            assert bounds._tally(trace, b) == (checks, violations)
 
     def test_violations_are_tallied(self):
         # Under a corrupted fetch count every bound must be seen to break:

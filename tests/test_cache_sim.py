@@ -1,5 +1,4 @@
 import math
-from bisect import bisect_right
 from dataclasses import replace
 from unittest import mock
 
@@ -19,7 +18,7 @@ from moe_locality.cache_sim import (
     lru_fetch_counts_each,
     percentile,
     reroute_topk,
-    _occurrence_index,
+    _belady_values,
     _step_requests,
     simulate,
 )
@@ -36,6 +35,7 @@ from reference_sim import (
     reference_slice_batch,
     step_rows,
 )
+from test_cli import cap_memory, run_python
 from test_trace import make_trace, record_at
 
 
@@ -110,17 +110,16 @@ class TestHandSimulations:
 
 def next_use_table(trace, layer, within_segment=True):
     """(segment, step, expert) -> the step of that expert's next request, read
-    from the occurrence index that Belady's victim choice searches (inf when
-    the expert is not requested again in the same scope)."""
+    from the backward scan whose ``(-next_use, id)`` values Belady's victim
+    choice compares (inf when the expert is not requested again in the same
+    scope)."""
     steps = trace.step_keys.tolist()
     requests = _step_requests(trace.routes[:, layer])
-    occ = _occurrence_index(steps, requests, within_segment)
+    scopes = [s for s, _t in steps] if within_segment else [0] * len(steps)
     table = {}
-    for ordinal, ((s, t), (_slots, uniq)) in enumerate(zip(steps, requests)):
-        for e in uniq:
-            positions = occ[(s if within_segment else None, e)]
-            i = bisect_right(positions, ordinal)
-            table[(s, t, e)] = steps[positions[i]][1] if i < len(positions) else math.inf
+    for (s, t), values in zip(steps, _belady_values(requests, scopes)):
+        for e, (negated, _e) in values.items():
+            table[(s, t, e)] = steps[-negated][1] if -negated < len(steps) else math.inf
     return table
 
 
@@ -846,3 +845,79 @@ def test_belady_token_hits_follow_the_tie_to_the_lowest_id():
         assert report == reference_simulate(trace, cfg)
         hits.append(report.step_counts[0, 2, [0, 2]].tolist())
     assert hits == [[1, 1], [1, 2]]
+
+
+def split_segments(trace, cut):
+    """``trace`` as two traces of its header: its segments before ``cut``,
+    and the others renumbered from 0."""
+    before = trace.keys[:, 0] < cut
+    keys = trace.keys[~before].copy()
+    keys[:, 0] -= cut
+    return (RoutingTrace(trace.header, trace.keys[before], trace.topk[before], None),
+            RoutingTrace(trace.header, keys, trace.topk[~before], None))
+
+
+def concatenate(first, second):
+    """``second``'s segments after ``first``'s, in one trace of their header."""
+    keys = second.keys.copy()
+    keys[:, 0] += len(first.segment_lengths)
+    return RoutingTrace(first.header, np.concatenate((first.keys, keys)),
+                        np.concatenate((first.topk, second.topk)), None)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(case=routed_traces(max_segments=8), cut=st.integers(0, 8),
+       policy=st.sampled_from(list(Policy)))
+def test_concatenated_traces_count_side_by_side(case, cut, policy):
+    # Metamorphic: with resets no segment sees another, so the counts of two
+    # traces run as one are the two runs' counts, step after step. Each run
+    # takes the array pass where it applies and the dict loop (events force it).
+    first, second = split_segments(case[0], cut)
+    cfg = CacheConfig(case[1], policy, reset_each_segment=True)
+    whole = concatenate(first, second)
+    with mock.patch.object(cache_sim, "_POLICY_STREAMS", 0):
+        for record_events in (False, True):
+            counts = [simulate(t, cfg, record_events).step_counts
+                      for t in (whole, first, second)]
+            assert np.array_equal(counts[0], np.concatenate(counts[1:], axis=1))
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(case=fetch_count_cases(), cut=st.integers(0, 4))
+def test_concatenated_traces_count_side_by_side_at_every_capacity(case, cut):
+    trace, capacities = case
+    first, second = split_segments(trace, cut)
+    counts = [lru_fetch_counts(t, capacities) for t in (concatenate(first, second), first, second)]
+    assert np.array_equal(counts[0], np.concatenate(counts[1:], axis=-1))
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(case=lru_sim_cases())
+def test_lru_misses_never_rise_with_capacity(case):
+    # Metamorphic: at C >= max_t |U_t| LRU is a stack algorithm, so a larger
+    # cache holds what a smaller one does, and no step misses more.
+    trace, cfg, fits = case
+    widest = cfg.capacity if fits else cfg.capacity + 1  # max_t |U_t|, or below it
+    for record_events in (False, True):
+        misses = [simulate(trace, replace(cfg, capacity=c), record_events).unique_misses
+                  for c in range(widest, trace.header.n_routed_experts + 2)]
+        for smaller, larger in zip(misses, misses[1:]):
+            assert (larger <= smaller).all()
+
+
+def test_prefetch_at_a_huge_expert_count_sizes_nothing_by_n():
+    # A prefetched expert is drawn among the ids outside the cache without
+    # listing them, so N = 10**12 runs under the 1 GiB address-space cap.
+    script = (
+        "from moe_locality.cache_sim import (CacheConfig, FaultKind, FaultScenario, Policy,\n"
+        "                                    simulate)\n"
+        "from moe_locality.trace import SynthConfig, synth_trace\n"
+        "trace = synth_trace(SynthConfig(n_routed_experts=10**12, top_k=4, batch_size=2,\n"
+        "                                n_segments=2, steps_per_segment=10, seed=1))\n"
+        "for policy in (Policy.LRU, Policy.LFU, Policy.FIFO):\n"
+        "    prefetch = FaultScenario(FaultKind.PREFETCH, n=2, seed=3)\n"
+        "    print(simulate(trace, CacheConfig(8, policy, scenario=prefetch)).overall)\n"
+    )
+    proc = run_python("-c", script, timeout=120, preexec_fn=cap_memory)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.count("LayerTotals") == 3
