@@ -47,7 +47,7 @@ from itertools import count, filterfalse, islice
 
 import numpy as np
 
-from .gate import topk
+from .gate import topk_rows
 from .trace import RoutingTrace
 
 REROUTE_EPS = 1e-12
@@ -244,19 +244,21 @@ def _percentile_summary(series) -> dict[str, float]:
     }
 
 
-def reroute_topk(probs, resident, beta: float, k: int) -> tuple[int, ...]:
-    """Top-K of log(p) + beta * residency bonus, ties to the lowest index.
+def reroute_topk(probs, resident, beta: float, k: int) -> np.ndarray:
+    """Top-K index rows of log(p) + beta * residency bonus along the last
+    axis, descending, ties to the lowest index (:func:`gate.topk_rows`).
 
-    Traces carry probabilities rather than raw scores, so the residency bonus
-    is added in log space; beta = 0 reproduces the plain Top-K exactly.
+    ``probs`` is one distribution or a stack of them (``[..., N]``). Every
+    row gets the bonus on the columns of ``resident``, so one call reroutes
+    the B rows of a (layer, step), which all see the same resident set.
+    Traces carry probabilities rather than raw scores, so the bonus is added
+    in log space; beta = 0 reproduces the plain Top-K exactly.
     """
     if not _finite_nonnegative(beta):
         raise ValueError(f"beta must be a finite number >= 0, got {beta}")
-    p = np.asarray(probs, dtype=float)
-    scores = np.log(p + REROUTE_EPS)
-    for e in resident:
-        scores[e] += beta
-    return topk(scores, k)
+    scores = np.log(np.asarray(probs, dtype=float) + REROUTE_EPS)
+    scores[..., list(resident)] += beta
+    return topk_rows(scores, k)
 
 
 # ---------------------------------------------------------------------------
@@ -341,8 +343,9 @@ def simulate(trace: RoutingTrace, cfg: CacheConfig, record_events: bool = False)
     Deterministic for a fixed (trace, cfg), including the fault RNG, which is
     seeded from ``cfg.scenario``. With ``cfg.reroute_beta`` set the step's
     Top-K sets are recomputed from the stored distributions with a residency
-    bonus before being served, and the rerouted trace is attached to the
-    report so its locality metrics can be compared against the original.
+    bonus before being served, one :func:`reroute_topk` call on the B rows
+    of each (layer, step), and the rerouted trace is attached to the report
+    so its locality metrics can be compared against the original.
 
     Fault-free LRU (no scenario, no rerouting, no ``record_events``) at a
     capacity of at least max_t |U_t|, the most distinct experts one step of
@@ -422,11 +425,9 @@ def simulate(trace: RoutingTrace, cfg: CacheConfig, record_events: bool = False)
             prev_segment = s
 
             if reroute:
-                slots = ()
-                for b, p in enumerate(probs[ordinal, layer]):
-                    new_topk = reroute_topk(p, resident, cfg.reroute_beta, h.top_k)
-                    slots += new_topk
-                    rerouted[ordinal, layer, b] = new_topk
+                rows = reroute_topk(probs[ordinal, layer], resident, cfg.reroute_beta, h.top_k)
+                rerouted[ordinal, layer] = rows
+                slots = rows.ravel().tolist()
                 uniq = dict.fromkeys(slots)
             else:
                 slots, uniq = requests[ordinal]

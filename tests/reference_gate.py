@@ -7,7 +7,8 @@
 row by row, which the differential tests check.
 
 ``load_gate`` reads the file ``gate.save_gate`` writes, for the round-trip
-tests.
+tests, and ``stable_topk_rows`` is the tie rule as one stable sort, the
+oracle for ``gate.topk_rows``'s fast path and for the reference rerouting.
 """
 
 from __future__ import annotations
@@ -18,6 +19,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from moe_locality.gate import GateParams, probability_margin, topk
+
+
+def stable_topk_rows(p: np.ndarray, k: int) -> np.ndarray:
+    """Top-K along the last axis, descending, ties to the lowest index: the
+    first K entries of one stable sort."""
+    return np.argsort(-p, axis=-1, kind="stable")[..., :k]
 
 
 @dataclass(frozen=True)

@@ -32,12 +32,13 @@ from moe_locality.cache_sim import (
     Policy,
     SimReport,
     StepEvent,
+    REROUTE_EPS,
     _percentile_summary,
-    reroute_topk,
     simulate,
 )
 from moe_locality.gate import overlap_counts
 from moe_locality.trace import RoutingTrace, SynthConfig, TraceHeader, synth_trace
+from reference_gate import stable_topk_rows
 from reference_trace import StepRecord, from_records, iter_steps, records, records_by_key
 
 
@@ -366,9 +367,10 @@ def reference_simulate_with_totals(
                 slots = []
                 for b in range(h.batch_size):
                     rec = by_key[(s, t, layer, b)]
-                    new_topk = reroute_topk(
-                        rec.probs, state.resident, cfg.reroute_beta, h.top_k
-                    )
+                    scores = np.log(np.asarray(rec.probs, dtype=float) + REROUTE_EPS)
+                    for e in state.resident:
+                        scores[e] += cfg.reroute_beta
+                    new_topk = tuple(stable_topk_rows(scores, h.top_k).tolist())
                     slots.extend(new_topk)
                     rerouted_records.append(
                         StepRecord(s, t, layer, b, new_topk, rec.probs)

@@ -22,9 +22,10 @@ from moe_locality.cache_sim import (
     _step_requests,
     simulate,
 )
-from moe_locality.gate import topk
+from moe_locality.gate import topk, topk_rows
 from moe_locality.metrics import eor
 from moe_locality.trace import RoutingTrace, SynthConfig, TraceError, TraceHeader, synth_trace
+from reference_gate import stable_topk_rows
 from reference_trace import StepRecord, from_records, records
 
 from reference_sim import (
@@ -215,16 +216,35 @@ class TestReroute:
         for _ in range(50):
             p = rng.dirichlet(np.ones(8))
             resident = set(rng.choice(8, size=3, replace=False).tolist())
-            assert reroute_topk(p, resident, 0.0, 3) == topk(p, 3)
+            assert tuple(reroute_topk(p, resident, 0.0, 3).tolist()) == topk(p, 3)
+
+    def test_rows_are_rerouted_alike(self):
+        # One call on [B, N] rows is the B one-row calls, each row getting
+        # the bonus on the same resident columns; beta = 0 is plain Top-K.
+        rng = np.random.default_rng(1)
+        for _ in range(50):
+            p = rng.dirichlet(np.ones(8), size=4)
+            resident = set(rng.choice(8, size=rng.integers(0, 5), replace=False).tolist())
+            beta = float(rng.uniform(0.0, 4.0))
+            rows = reroute_topk(p, resident, beta, 3)
+            assert rows.shape == (4, 3)
+            for b in range(4):
+                assert np.array_equal(rows[b], reroute_topk(p[b], resident, beta, 3))
+            assert np.array_equal(reroute_topk(p, resident, 0.0, 3), topk_rows(p, 3))
+
+    def test_empty_resident_set_is_plain_topk(self):
+        p = np.random.default_rng(2).dirichlet(np.ones(8), size=3)
+        for beta in (0.0, 1.0, 10.0):
+            assert np.array_equal(reroute_topk(p, set(), beta, 3), topk_rows(p, 3))
 
     def test_strong_bonus_pulls_in_cached_expert(self):
         got = reroute_topk([0.4, 0.3, 0.2, 0.1], {3}, 10.0, 2)
-        assert set(got) == {3, 0}
+        assert set(got.tolist()) == {3, 0}
 
     def test_bonus_on_selected_expert_changes_nothing(self):
         for beta in (0.0, 0.5, 2.0, 10.0):
             got = reroute_topk([0.4, 0.3, 0.2, 0.1], {1}, beta, 2)
-            assert set(got) == {0, 1}
+            assert set(got.tolist()) == {0, 1}
 
     def test_beta_zero_report_matches_non_reroute(self):
         trace = synth_trace(SynthConfig(seed=5, emit_probs=True, steps_per_segment=30))
@@ -903,6 +923,86 @@ def test_lru_misses_never_rise_with_capacity(case):
                   for c in range(widest, trace.header.n_routed_experts + 2)]
         for smaller, larger in zip(misses, misses[1:]):
             assert (larger <= smaller).all()
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(case=routed_traces(), reset=st.booleans())
+def test_belady_misses_never_rise_with_capacity(case, reset):
+    # Metamorphic: at C >= max_t |U_t| a larger Belady cache fetches no more
+    # at any step, on the policy pass (forced) and on the dict loop (events).
+    trace, capacity, fits = case
+    widest = capacity if fits else capacity + 1  # max_t |U_t|
+    with mock.patch.object(cache_sim, "_POLICY_STREAMS", 0):
+        for record_events in (False, True):
+            misses = [simulate(trace, CacheConfig(c, Policy.BELADY, reset), record_events)
+                      .unique_misses for c in range(widest, trace.header.n_routed_experts + 2)]
+            for smaller, larger in zip(misses, misses[1:]):
+                assert (larger <= smaller).all()
+
+
+# Probabilities that tie: zeros, which rerouting lifts to log(REROUTE_EPS),
+# and a few repeated values.
+REROUTE_POOL = np.array([0.0, 0.125, 0.25, 0.5])
+
+
+@st.composite
+def reroute_cases(draw):
+    """A probs trace with B up to 4, ragged segments and rows drawn either
+    continuous or from ``REROUTE_POOL`` (ties inside the head, at the K/K+1
+    boundary and past it), each row's stored Top-K its stable-rule Top-K; and
+    an online LRU, LFU or FIFO cache, resets on or off, with an interference
+    fault or none, so some steps meet an empty resident set mid-segment."""
+    n_layers, batch, k = draw(st.integers(1, 2)), draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    n = draw(st.integers(k, 10))
+    lengths = draw(st.lists(st.integers(1, 6), min_size=1, max_size=3))
+    rng = np.random.default_rng(draw(st.integers(0, 2**31)))
+    pooled = draw(st.sampled_from([0.0, 0.5, 1.0]))
+    rows = []
+    for s, length in enumerate(lengths):
+        for t in range(length):
+            for layer in range(n_layers):
+                for b in range(batch):
+                    p = (rng.choice(REROUTE_POOL, n) if rng.random() < pooled
+                         else rng.dirichlet(np.ones(n)))
+                    rows.append(StepRecord(s, t, layer, b,
+                                           tuple(stable_topk_rows(p, k).tolist()),
+                                           tuple(p.tolist())))
+    trace = from_records(TraceHeader(n_layers, n, k, batch, has_probs=True), rows)
+    scenario = draw(st.none() | st.builds(
+        FaultScenario, kind=st.just(FaultKind.INTERFERENCE), n=st.integers(1, n),
+        seed=st.integers(0, 99)))
+    cfg = CacheConfig(draw(st.integers(1, n + 2)),
+                      draw(st.sampled_from([Policy.LRU, Policy.LFU, Policy.FIFO])),
+                      draw(st.booleans()), scenario=scenario)
+    return trace, cfg, draw(st.just(0.0) | st.floats(0.0, 10.0))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(case=reroute_cases())
+def test_reroute_matches_reference_report(case):
+    # One reroute_topk call per (layer, step) gives the reference's report,
+    # whose rows are rerouted one at a time through one stable sort. A step
+    # that meets an empty resident set keeps the plain Top-K of its rows.
+    trace, cfg, beta = case
+    cfg = replace(cfg, reroute_beta=beta)
+    got = simulate(trace, cfg, record_events=True)
+    assert got == reference_simulate(trace, cfg, record_events=True)
+    steps = trace.step_keys.tolist()
+    for event in got.events:
+        if not event.resident_before:
+            at = steps.index([event.segment, event.step]), event.layer
+            assert np.array_equal(got.rerouted_trace.routes[at], trace.routes[at])
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(case=reroute_cases())
+def test_reroute_at_beta_zero_is_plain_topk(case):
+    # No bonus: every row keeps its stored Top-K, ties included, and the
+    # counts are those of the trace served as stored.
+    trace, cfg, _beta = case
+    got = simulate(trace, replace(cfg, reroute_beta=0.0))
+    assert np.array_equal(got.rerouted_trace.topk, trace.topk)
+    assert np.array_equal(got.step_counts, simulate(trace, cfg).step_counts)
 
 
 def test_prefetch_at_a_huge_expert_count_sizes_nothing_by_n():

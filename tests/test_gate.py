@@ -1,4 +1,5 @@
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -19,7 +20,7 @@ from moe_locality.gate import (
     topk_rows,
 )
 from moe_locality.objective import routing_distributions
-from reference_gate import load_gate, sample_within_margin, stability_check
+from reference_gate import load_gate, sample_within_margin, stability_check, stable_topk_rows
 
 
 class TestGateForward:
@@ -359,3 +360,98 @@ def test_topk_rows_matches_topk_per_row(case):
     for i, row in enumerate(p):
         assert tuple(rows[i].tolist()) == topk(row, k)
         assert topk(row, k) == tuple(sorted(range(len(row)), key=lambda e: (-row[e], e))[:k])
+
+
+# Entries that tie each other or compare false: a zero of each sign, the
+# infinities and NaN among a few repeated values.
+TIE_POOL = np.array([0.0, -0.0, 0.125, 0.25, 0.5, np.inf, -np.inf, np.nan])
+
+
+@st.composite
+def topk_stacks(draw):
+    """A 1-D, 2-D or [C, T, N] stack of N in [1, 70] distinct random values,
+    some replaced from ``TIE_POOL`` and some rows given a planted tie inside
+    the Top-K head, at the K/K+1 boundary or past it; and K in {0, 1, a
+    random K, N}."""
+    n = draw(st.integers(1, 70))
+    lead = draw(st.sampled_from([(), (draw(st.integers(0, 6)),),
+                                 (draw(st.integers(1, 3)), draw(st.integers(0, 5)))]))
+    k = draw(st.sampled_from(sorted({0, 1, n, draw(st.integers(0, n))})))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    p = rng.random(lead + (n,))
+    pooled = rng.random(p.shape) < draw(st.sampled_from([0.0, 0.02, 0.2, 1.0]))
+    p[pooled] = rng.choice(TIE_POOL, size=int(pooled.sum()))
+    rows = p.reshape(-1, n)
+    at = {"inside": 0, "boundary": k - 1, "outside": k + 1}[
+        draw(st.sampled_from(["inside", "boundary", "outside"]))]
+    for row in rows[rng.random(len(rows)) < draw(st.floats(0.0, 1.0))]:
+        order = stable_topk_rows(row, n)
+        if 0 <= at < n - 1:
+            row[order[at + 1]] = row[order[at]]
+    return p, k
+
+
+def head_is_tied(row, k) -> bool:
+    """Whether the K + 1 leading values of the stable order fail to strictly
+    decrease: an equal pair, NaN or zeros of both signs among them."""
+    head = [row[e] for e in stable_topk_rows(row, k + 1).tolist()]
+    return not all(a > b for a, b in zip(head, head[1:]))
+
+
+class StableSpy:
+    """Every array ``np.argsort`` is asked to sort with ``kind="stable"``."""
+
+    def __init__(self):
+        self.calls = []
+        self._argsort = np.argsort
+
+    def __call__(self, a, *args, **kwargs):
+        if kwargs.get("kind") == "stable":
+            self.calls.append(np.array(a, copy=True))
+        return self._argsort(a, *args, **kwargs)
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(case=topk_stacks())
+def test_topk_rows_matches_one_stable_sort(case):
+    # The fast sort plus the stable re-sort of tied rows is the stable sort's
+    # first K, row for row; the stable kind sees exactly the rows whose
+    # head is tied, and nothing when none is.
+    p, k = case
+    want = stable_topk_rows(p, k)
+    spy = StableSpy()
+    with mock.patch.object(np, "argsort", spy):
+        got = topk_rows(p, k)
+    assert got.shape == want.shape == p.shape[:-1] + (k,)
+    assert np.array_equal(got, want)
+    rows = p.reshape(-1, p.shape[-1])
+    tied = rows[[head_is_tied(row, k) for row in rows]]
+    if len(tied):
+        assert len(spy.calls) == 1
+        assert np.array_equal(spy.calls[0].reshape(tied.shape), -tied, equal_nan=True)
+    else:
+        assert spy.calls == []
+
+
+@pytest.mark.parametrize("k", [1, 6, 32])
+def test_topk_rows_of_tie_free_softmax_never_sorts_stably(k):
+    rng = np.random.default_rng(0)
+    z = rng.standard_normal((3, 64, 32))
+    p = np.exp(z - z.max(axis=-1, keepdims=True))
+    p /= p.sum(axis=-1, keepdims=True)
+    spy = StableSpy()
+    with mock.patch.object(np, "argsort", spy):
+        got = topk_rows(p, k)
+    assert spy.calls == []
+    assert np.array_equal(got, stable_topk_rows(p, k))
+
+
+@pytest.mark.parametrize("p, k, want", [
+    ([0.0, -0.0, 0.5], 2, [2, 0]),  # -0.0 == 0.0: a tie at the boundary
+    ([-0.0, 0.0, 0.5], 3, [2, 0, 1]),
+    ([np.inf, 1.0, np.inf], 1, [0]),
+    ([np.nan, 1.0, np.nan, 2.0], 4, [3, 1, 0, 2]),  # NaN sorts last, in index order
+    ([0.25, 0.25, 0.25], 0, []),
+])
+def test_topk_rows_breaks_special_ties_to_the_lowest_index(p, k, want):
+    assert topk_rows(np.array(p), k).tolist() == want

@@ -1,5 +1,6 @@
-"""What deletions leave behind: an import no code of its module reads, and an
-``__all__`` entry that names nothing."""
+"""What deletions leave behind: an import no code of its module reads, an
+``__all__`` entry that names nothing, and a private top-level name that no
+code of the package reads."""
 
 import ast
 import importlib
@@ -40,3 +41,41 @@ def test_every_all_entry_resolves(path):
     module = importlib.import_module(name)
     missing = [entry for entry in getattr(module, "__all__", ()) if not hasattr(module, entry)]
     assert not missing, f"{name}.__all__ names what it does not define: {missing}"
+
+
+def private_definitions(tree: ast.Module) -> dict[str, ast.AST]:
+    """Each private (one leading underscore) name the module body defines ->
+    its defining statement."""
+    names = {}
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            targets = [node.name]
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            found = node.targets if isinstance(node, ast.Assign) else [node.target]
+            targets = [n.id for t in found for n in ast.walk(t) if isinstance(n, ast.Name)]
+        else:
+            continue
+        names.update((name, node) for name in targets
+                     if name.startswith("_") and not name.startswith("__"))
+    return names
+
+
+def reads(node: ast.AST) -> list[str]:
+    """The names ``node`` loads, bare or as an attribute."""
+    return [n.id if isinstance(n, ast.Name) else n.attr for n in ast.walk(node)
+            if isinstance(n, (ast.Name, ast.Attribute)) and isinstance(n.ctx, ast.Load)]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.stem)
+def test_every_private_name_is_read(path):
+    # A read inside the name's own definition (a recursion, a class reading
+    # its own attribute) does not count.
+    trees = {p: ast.parse(p.read_text()) for p in MODULES}
+    tree = trees[path]
+    everywhere = [name for p, t in trees.items() if p != path for name in reads(t)]
+    unread = []
+    for name, node in private_definitions(tree).items():
+        outside = [read for stmt in tree.body if stmt is not node for read in reads(stmt)]
+        if name not in outside and name not in everywhere:
+            unread.append(f"{name} (line {node.lineno})")
+    assert not unread, f"{path.name} defines private names nothing reads: {unread}"
