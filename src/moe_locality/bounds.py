@@ -39,7 +39,8 @@ from __future__ import annotations
 
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import nullcontext
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
+from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
@@ -93,16 +94,44 @@ class SequenceBound:
 
 @dataclass(frozen=True)
 class BoundReport:
+    """A bound check at one capacity. ``violations`` holds the record of each
+    step that breaks a bound, with the resident set before it; the counts and
+    the two record lists are built from the verdict arrays the check keeps,
+    on first use. Reports compare by their verdicts, not those arrays."""
+
     kind: str  # "step" or "working_set"
     capacity: int
-    step_records: tuple[StepBoundRecord, ...]
-    sequence_records: tuple[SequenceBound, ...]
+    violations: tuple[StepBoundRecord, ...]  # in step_records order
     n_step_violations: int
     n_avg_violations: int
+    arrays: tuple = field(compare=False, repr=False)  # (segment offsets, _Bounds, _verdicts)
 
     @property
     def n_violations(self) -> int:
         return self.n_step_violations + self.n_avg_violations
+
+    @cached_property
+    def step_records(self) -> tuple[StepBoundRecord, ...]:
+        """Every step with a bound, slot by slot, then layer, then step."""
+        offsets, bounds, verdicts = self.arrays
+        pairs, flagged = verdicts[0], _flagged(verdicts)
+        records = _step_records(offsets, bounds, verdicts, np.broadcast_to(pairs, flagged.shape))
+        at = np.flatnonzero(np.swapaxes(flagged, 0, 1)[..., pairs])
+        for i, record in zip(at.tolist(), self.violations):
+            records[i] = record
+        return tuple(records)
+
+    @cached_property
+    def sequence_records(self) -> tuple[SequenceBound, ...]:
+        """Every segment of at least two steps, slot by slot, then layer."""
+        offsets, _bounds, (_, _, _, (totals, total_bounds, seq_violated)) = self.arrays
+        lengths = np.diff(offsets)
+        batch, layer, segment = np.nonzero(
+            np.broadcast_to(lengths >= 2, np.swapaxes(total_bounds, 0, 1).shape))
+        at = layer, batch, segment
+        columns = (layer, batch, segment, totals[0][at], total_bounds[at], lengths[segment] - 1,
+                   seq_violated[0][at])
+        return tuple(map(SequenceBound, *(c.tolist() for c in columns)))
 
 
 @dataclass(frozen=True)
@@ -207,64 +236,59 @@ def _slot_trace(trace: RoutingTrace, batch: int) -> RoutingTrace:
                         routes[:, :, batch].reshape(-1, h.top_k), None)
 
 
-def _collect_step_records(
-    trace: RoutingTrace, cfg: CacheConfig, bounds: _Bounds
-) -> tuple[list[StepBoundRecord], list[SequenceBound]]:
-    """Per-step fetch counts vs. bounds for every slot of ``trace``, slot by
-    slot, from ``bounds`` at one capacity, ``cfg.capacity``.
-
-    The resident set before a flagged step comes from an event-recording
-    simulation of its slot's B=1 trace under ``cfg``, which runs only for a
-    slot with a flagged step.
-    """
-    offsets = trace.segment_offsets
-    n_steps = offsets[-1]
-    _pairs, violated, ws_violated, (totals, total_bounds, seq_violated) = _verdicts(trace, bounds)
-    per_step: list[StepBoundRecord] = []
-    per_sequence: list[SequenceBound] = []
-    for batch in range(trace.header.batch_size):
-        flagged: list[tuple[int, int]] = []  # (index in per_step, layer-major step ordinal)
-        for layer in range(trace.header.n_moe_layers):
-            at = (0, layer, batch)  # the slot at the one capacity; at[1:] without it
-            # The StepBoundRecord fields from n_fetch on, per step ordinal.
-            columns = [bounds.n_fetch[at], bounds.overlap_bound[at[1:]], violated[at]]
-            if ws_violated is not None:
-                columns += [bounds.ws_horizon[at[1:]], bounds.ws_bound[at[1:]], ws_violated[at]]
-            steps = list(zip(*(column.tolist() for column in columns)))
-            fetch_totals = totals[at].tolist()
-            bound_totals = total_bounds[at[1:]].tolist()
-            seq_flags = seq_violated[at].tolist()
-            for segment, length in enumerate(trace.segment_lengths):
-                start = offsets[segment]  # the segment's first step ordinal
-                for i in range(start + 1, start + length):
-                    record = StepBoundRecord(layer, batch, segment, i - start, *steps[i])
-                    if record.violated or record.ws_violated:
-                        flagged.append((len(per_step), layer * n_steps + i))
-                    per_step.append(record)
-                if length >= 2:
-                    per_sequence.append(SequenceBound(
-                        layer=layer, batch=batch, segment=segment, n_steps=length - 1,
-                        total_fetch=fetch_totals[segment], total_bound=bound_totals[segment],
-                        violated=seq_flags[segment],
-                    ))
-        if flagged:
-            events = simulate(_slot_trace(trace, batch), cfg, record_events=True).events
-            for i, ordinal in flagged:
-                per_step[i] = replace(
-                    per_step[i], resident_before=events[ordinal].resident_before
-                )
-    return per_step, per_sequence
+def _flagged(verdicts) -> np.ndarray:
+    """bool[L, B, steps]: the steps whose record a report keeps, at its one
+    capacity: those that break the overlap or the working-set bound."""
+    _pairs, violated, ws_violated, _ = verdicts
+    return violated[0] if ws_violated is None else violated[0] | ws_violated[0]
 
 
-def _simulated_records(
-    trace: RoutingTrace, cfg: CacheConfig, working_set: bool
-) -> tuple[list[StepBoundRecord], list[SequenceBound]]:
-    """Records of one B=1 trace whose fetches ``simulate`` counts under
+def _step_records(offsets: np.ndarray, bounds: _Bounds, verdicts,
+                  steps: np.ndarray) -> list[StepBoundRecord]:
+    """The records of the steps ``steps`` (bool[L, B, steps]) marks, from
+    ``bounds`` at one capacity and their ``verdicts``, slot by slot, then
+    layer, then step ordinal; none holds a resident set."""
+    _pairs, violated, ws_violated, _ = verdicts
+    columns = [bounds.n_fetch[0], bounds.overlap_bound, violated[0]]
+    if ws_violated is not None:
+        columns += [bounds.ws_horizon, bounds.ws_bound, ws_violated[0]]
+    batch, layer, i = np.nonzero(np.swapaxes(steps, 0, 1))
+    segment = np.searchsorted(offsets, i, side="right") - 1
+    fields = [layer, batch, segment, i - offsets[segment]] + [c[layer, batch, i] for c in columns]
+    return list(map(StepBoundRecord, *(f.tolist() for f in fields)))
+
+
+def _report(trace: RoutingTrace, cfg: CacheConfig, bounds: _Bounds) -> BoundReport:
+    """The report of ``bounds`` at one capacity, ``cfg.capacity``, a
+    working-set one when it holds working-set bounds. The resident set
+    before a flagged step comes from an event-recording simulation of its
+    slot's B=1 trace under ``cfg``, which runs only for a slot with one."""
+    offsets = np.array(trace.segment_offsets)
+    verdicts = _verdicts(trace, bounds)
+    _pairs, violated, ws_violated, (_, _, seq_violated) = verdicts
+    violations = _step_records(offsets, bounds, verdicts, _flagged(verdicts))
+    events = {}  # batch slot -> the events of its simulation
+    for i, r in enumerate(violations):
+        if r.batch not in events:
+            events[r.batch] = simulate(_slot_trace(trace, r.batch), cfg, record_events=True).events
+        ordinal = r.layer * offsets[-1] + offsets[r.segment] + r.step
+        violations[i] = replace(r, resident_before=events[r.batch][ordinal].resident_before)
+    return BoundReport(
+        kind="step" if ws_violated is None else "working_set",
+        capacity=cfg.capacity,
+        violations=tuple(violations),
+        n_step_violations=int((violated if ws_violated is None else ws_violated).sum()),
+        n_avg_violations=int(seq_violated.sum()),
+        arrays=(offsets, bounds, verdicts),
+    )
+
+
+def _simulated_report(trace: RoutingTrace, cfg: CacheConfig, working_set: bool) -> BoundReport:
+    """The report of one B=1 trace whose fetches ``simulate`` counts under
     ``cfg``: the counter for faults and C < K, where the stack pass of
     :func:`lru_fetch_counts` does not apply."""
     n_fetch = simulate(trace, cfg).unique_misses[None, :, None]
-    bounds = _bounds(trace, n_fetch, cfg.capacity if working_set else None)
-    return _collect_step_records(trace, cfg, bounds)
+    return _report(trace, cfg, _bounds(trace, n_fetch, cfg.capacity if working_set else None))
 
 
 def _check(trace: RoutingTrace, capacities: tuple[int, ...], working_set: bool) -> _Bounds:
@@ -282,17 +306,7 @@ def _check(trace: RoutingTrace, capacities: tuple[int, ...], working_set: bool) 
 
 def _bound_report(trace: RoutingTrace, capacity: int, working_set: bool) -> BoundReport:
     cfg = CacheConfig(capacity=capacity, policy=Policy.LRU, reset_each_segment=True)
-    step_records, seq_records = _collect_step_records(
-        trace, cfg, _check(trace, (capacity,), working_set))
-    n_step = sum(1 for r in step_records if (r.ws_violated if working_set else r.violated))
-    return BoundReport(
-        kind="working_set" if working_set else "step",
-        capacity=capacity,
-        step_records=tuple(step_records),
-        sequence_records=tuple(seq_records),
-        n_step_violations=n_step,
-        n_avg_violations=sum(1 for r in seq_records if r.violated),
-    )
+    return _report(trace, cfg, _check(trace, (capacity,), working_set))
 
 
 def _tally(trace: RoutingTrace, bounds: _Bounds) -> tuple[int, int]:
@@ -366,10 +380,10 @@ def run_counterexamples() -> list[ScenarioResult]:
         trace = _constant_set_trace(n_experts=8, k=k, steps=5)
         cfg = CacheConfig(capacity=4, policy=Policy.LRU, reset_each_segment=True,
                           scenario=scenario)
-        steps, _ = _simulated_records(trace, cfg, working_set=False)
-        violations = [r for r in steps if r.violated]
-        results.append(ScenarioResult(name, assumption, len(violations),
-                                      violations[0] if violations else None, description))
+        report = _simulated_report(trace, cfg, working_set=False)
+        results.append(ScenarioResult(name, assumption, report.n_step_violations,
+                                      report.violations[0] if report.violations else None,
+                                      description))
     return results
 
 

@@ -96,12 +96,13 @@ def _atomic_write(path: str, chunks: Iterable[bytes]) -> None:
         raise
 
 
-def _csv_bytes(rows: list[dict], columns: list[str]) -> bytes:
+def _csv_bytes(columns: dict[str, list]) -> bytes:
+    """A header row of the names of ``columns``, then row i of the i-th value
+    of each: the columns are equally long."""
     buf = io.StringIO()
-    writer = csv.DictWriter(buf, fieldnames=columns, lineterminator="\n")
-    writer.writeheader()
-    for row in rows:
-        writer.writerow(row)
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(columns)
+    writer.writerows(zip(*columns.values()))
     return buf.getvalue().encode("utf-8")
 
 
@@ -199,23 +200,15 @@ def _cmd_validate(args) -> int:
 def _cmd_metrics(args) -> int:
     trace = load_trace(args.trace)
     report = compute_metrics(trace, pooled=args.pooled)
-    rows = [
-        {"metric": "eor", "layer": "all", "value": report.eor},
-        {
-            "metric": "entropy_norm",
-            "layer": "all",
-            "value": "unavailable" if report.entropy_norm is None else report.entropy_norm,
-        },
-        {"metric": "load_cv", "layer": "all", "value": report.load_cv},
-        {
-            "metric": "unique_experts_per_sequence",
-            "layer": "all",
-            "value": report.unique_experts_per_sequence,
-        },
-    ]
-    if args.per_layer:
-        for layer, value in enumerate(report.mean_ir_per_layer):
-            rows.append({"metric": "eor", "layer": layer, "value": value})
+    per_layer = report.mean_ir_per_layer if args.per_layer else ()
+    columns = {
+        "metric": ["eor", "entropy_norm", "load_cv", "unique_experts_per_sequence"]
+        + ["eor"] * len(per_layer),
+        "layer": ["all"] * 4 + list(range(len(per_layer))),
+        "value": [report.eor,
+                  "unavailable" if report.entropy_norm is None else report.entropy_norm,
+                  report.load_cv, report.unique_experts_per_sequence, *per_layer],
+    }
     config = {"trace": args.trace, "per_layer": args.per_layer, "pooled": args.pooled}
     with _Run(args, "metrics", config, [args.trace], [args.out]) as run:
         if args.out.endswith(".json"):
@@ -229,7 +222,7 @@ def _cmd_metrics(args) -> int:
             }
             run.write(args.out, [_json_bytes(payload)])
         else:
-            run.write(args.out, [_csv_bytes(rows, ["metric", "layer", "value"])])
+            run.write(args.out, [_csv_bytes(columns)])
     print(f"wrote {args.out}")
     return 0
 
@@ -257,24 +250,18 @@ def _cmd_simulate(args) -> int:
     report = simulate(trace, cfg)
     tpot = estimate_tpot(report, io_model, trace.header.batch_size) if io_model else None
 
-    layer_rows = []
-    for lt in list(report.per_layer) + [report.overall]:
-        layer_rows.append(
-            {
-                "layer": "all" if lt.layer is None else lt.layer,
-                "uHR": lt.uhr,
-                "tHR": lt.thr,
-                "uMiss": lt.unique_misses,
-                "tMiss": lt.token_misses,
-            }
-        )
-    step_rows = []
-    for i, (s, t) in enumerate(trace.step_keys.tolist()):
-        row = {"segment": s, "step": t, "uMiss": report.step_unique_miss_series[i]}
-        if tpot is not None:
-            row["io_ms"] = tpot.io_ms[i]
-            row["tpot_ms"] = tpot.tpot_ms[i]
-        step_rows.append(row)
+    totals = [*report.per_layer, report.overall]
+    layer_columns = {
+        "layer": ["all" if lt.layer is None else lt.layer for lt in totals],
+        "uHR": [lt.uhr for lt in totals],
+        "tHR": [lt.thr for lt in totals],
+        "uMiss": [lt.unique_misses for lt in totals],
+        "tMiss": [lt.token_misses for lt in totals],
+    }
+    segments, steps = trace.step_keys.T.tolist()
+    step_columns = {"segment": segments, "step": steps, "uMiss": report.step_unique_miss_series}
+    if tpot is not None:
+        step_columns.update(io_ms=tpot.io_ms, tpot_ms=tpot.tpot_ms)
 
     config = {
         "trace": args.trace,
@@ -293,7 +280,7 @@ def _cmd_simulate(args) -> int:
         if as_json:
             payload = {
                 "manifest_id": run.id,
-                "layers": layer_rows,
+                "layers": [dict(zip(layer_columns, r)) for r in zip(*layer_columns.values())],
                 "miss_percentiles": report.miss_percentiles,
                 "step_unique_miss_series": list(report.step_unique_miss_series),
             }
@@ -304,9 +291,8 @@ def _cmd_simulate(args) -> int:
                 payload["original_eor"], payload["rerouted_eor"] = eors
             run.write(args.out, [_json_bytes(payload)])
         else:
-            run.write(args.out, [_csv_bytes(layer_rows, ["layer", "uHR", "tHR", "uMiss", "tMiss"])])
-            cols = ["segment", "step", "uMiss"] + (["io_ms", "tpot_ms"] if tpot else [])
-            run.write(outputs[1], [_csv_bytes(step_rows, cols)])
+            run.write(args.out, [_csv_bytes(layer_columns)])
+            run.write(outputs[1], [_csv_bytes(step_columns)])
     summary = f"uHR={report.overall.uhr:.4f} uMiss={report.overall.unique_misses}"
     if eors is not None:
         summary += f" eor={eors[0]:.4f} rerouted_eor={eors[1]:.4f}"
@@ -386,11 +372,7 @@ def _cmd_bound_check(args) -> int:
             "capacity": report.capacity,
             "n_step_violations": report.n_step_violations,
             "n_avg_violations": report.n_avg_violations,
-            "violations": [
-                dataclasses.asdict(r)
-                for r in report.step_records
-                if r.violated or (r.ws_violated or False)
-            ],
+            "violations": [dataclasses.asdict(r) for r in report.violations],
         }
         config = {"trace": args.trace, "capacity": args.capacity,
                   "working_set": args.working_set}
@@ -514,8 +496,8 @@ def _cmd_train(args) -> int:
                 "data": dataclasses.asdict(dcfg)}
     with _Run(args, "train", resolved, [args.config], [args.log, args.out_theta],
               tcfg.seed) as run:
-        rows = [dataclasses.asdict(r) for r in result.log]
-        run.write(args.log, [_csv_bytes(rows, _LOG_COLUMNS)])
+        log = {c: [getattr(r, c) for r in result.log] for c in _LOG_COLUMNS}
+        run.write(args.log, [_csv_bytes(log)])
         # Not run.write: the gate's .json sidecar is written too, and is no declared output.
         save_gate(result.params, args.out_theta, _atomic_write)
     print(
@@ -590,28 +572,15 @@ def _cmd_sweep(args) -> int:
         for i, overrides in enumerate(grid)
     ]
     results = train_grid(theta0, sequences, tcfg, points, dcfg.top_k)
-    rows = []
-    for i, (overrides, result) in enumerate(zip(grid, results)):
-        last = result.log[-1]
-        rows.append(
-            {
-                "point": i,
-                "overrides": json.dumps(overrides, sort_keys=True),
-                "eor": result.eval_after.eor,
-                "trust_kl": result.eval_after.trust_kl,
-                "reuse_rho": result.eval_after.reuse_rho,
-                "total": last.total,
-                "reuse": last.reuse,
-                "smooth": last.smooth,
-                "lag": last.lag,
-                "ws": last.ws,
-            }
-        )
-    columns = ["point", "overrides", "eor", "trust_kl", "reuse_rho", "total",
-               "reuse", "smooth", "lag", "ws"]
+    columns = {"point": list(range(len(grid))),
+               "overrides": [json.dumps(overrides, sort_keys=True) for overrides in grid]}
+    for name in ("eor", "trust_kl", "reuse_rho"):
+        columns[name] = [getattr(result.eval_after, name) for result in results]
+    for name in ("total", "reuse", "smooth", "lag", "ws"):
+        columns[name] = [getattr(result.log[-1], name) for result in results]
     with _Run(args, "sweep", config, [args.config], [args.out], tcfg.seed) as run:
-        run.write(args.out, [_csv_bytes(rows, columns)])
-    print(f"wrote {len(rows)} sweep rows to {args.out}")
+        run.write(args.out, [_csv_bytes(columns)])
+    print(f"wrote {len(grid)} sweep rows to {args.out}")
     return 0
 
 

@@ -13,10 +13,11 @@ coefficient of variation, and unique experts per sequence.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
+from .cache_sim import _run_starts
 from .gate import overlap_counts
 from .trace import RoutingTrace
 
@@ -30,7 +31,6 @@ _ENTROPY_CELLS = 1 << 14
 __all__ = [
     "MetricsReport",
     "EorReport",
-    "SequenceEor",
     "eor",
     "normalized_entropy",
     "load_balance_cv",
@@ -40,19 +40,11 @@ __all__ = [
 
 
 @dataclass(frozen=True)
-class SequenceEor:
-    layer: int
-    batch: int
-    segment: int
-    value: float
-    n_pairs: int
-
-
-@dataclass(frozen=True)
 class EorReport:
     overall: float
     per_layer: tuple[float, ...]
-    per_sequence: tuple[SequenceEor, ...]
+    # float[L, B, segments]: each sequence's EOR, NaN for a segment of under two steps
+    per_sequence: np.ndarray = field(compare=False, repr=False)
 
 
 @dataclass(frozen=True)
@@ -64,42 +56,51 @@ class MetricsReport:
     unique_experts_per_sequence: float
 
 
+def _length_groups(trace: RoutingTrace, shortest: int):
+    """(segments, their first step ordinals, their length) for each length
+    of at least ``shortest`` that a segment of ``trace`` has, shortest first.
+    Not ``np.unique``, whose first call imports ``numpy.ma`` (about 1 MB)."""
+    offsets = np.array(trace.segment_offsets)
+    lengths = np.diff(offsets)
+    for length in sorted(set(lengths[lengths >= shortest].tolist())):
+        segments = np.flatnonzero(lengths == length)
+        yield segments, offsets[segments], length
+
+
 def eor(trace: RoutingTrace, pooled: bool = False) -> EorReport:
     """Mean instantaneous reuse per sequence, per layer, and overall.
 
     The overall value is the unweighted mean over per-sequence EORs; with
     ``pooled`` it is instead the mean over all adjacent step pairs of the
     whole trace. Length-1 segments contribute nothing; a trace with no pair
-    at all is an error.
+    at all is an error. A sequence's EOR is one row mean over a C-contiguous
+    gather of its segment-length group, so it sums its pairs as ``np.mean``
+    of the sequence alone does.
     """
     h = trace.header
-    offsets = trace.segment_offsets
     # [l, b, i] pairs steps i and i+1 of slot (l, b)
     reuse = overlap_counts(np.moveaxis(trace.route_sets, 0, 2)) / h.top_k
-    per_sequence: list[SequenceEor] = []
-    for layer in range(h.n_moe_layers):
-        for batch in range(h.batch_size):
-            for segment, length in enumerate(trace.segment_lengths):
-                if length >= 2:
-                    irs = reuse[layer, batch, offsets[segment] : offsets[segment] + length - 1]
-                    per_sequence.append(
-                        SequenceEor(layer, batch, segment, float(np.mean(irs)), length - 1)
-                    )
-    if not per_sequence:
+    lengths = np.array(trace.segment_lengths, dtype=np.int64)
+    values = np.full((h.n_moe_layers, h.batch_size, len(lengths)), np.nan)
+    for segments, starts, length in _length_groups(trace, 2):
+        pairs = reuse[:, :, starts[:, None] + np.arange(length - 1)]
+        values[:, :, segments] = np.ascontiguousarray(pairs).mean(axis=-1)
+    kept = lengths >= 2
+    if not kept.any():
         raise ValueError("EOR undefined: no sequence has length >= 2")
-    layers = sorted({s.layer for s in per_sequence})
+    n_pairs = (lengths[kept] - 1).tolist()
     if pooled:
         def agg(seqs):
-            pairs = sum(s.n_pairs for s in seqs)
-            return sum(s.value * s.n_pairs for s in seqs) / pairs
+            pairs = n_pairs * (seqs.size // len(n_pairs))
+            return sum(v * n for v, n in zip(seqs.ravel().tolist(), pairs)) / sum(pairs)
     else:
         def agg(seqs):
-            return float(np.mean([s.value for s in seqs]))
-    per_layer = tuple(agg([s for s in per_sequence if s.layer == layer]) for layer in layers)
+            return float(np.mean(seqs.ravel()))
+    sequences = values[:, :, kept]  # in (layer, batch, segment) order
     return EorReport(
-        overall=agg(per_sequence),
-        per_layer=per_layer,
-        per_sequence=tuple(per_sequence),
+        overall=agg(sequences),
+        per_layer=tuple(agg(layer) for layer in sequences),
+        per_sequence=values,
     )
 
 
@@ -159,19 +160,16 @@ def _sparse_cv(ids: np.ndarray, n: int) -> float:
 
 
 def unique_experts_per_sequence(trace: RoutingTrace) -> float:
-    """Mean |union of routed sets| across (layer, batch, segment) sequences."""
-    offsets = trace.segment_offsets
-    sets = trace.route_sets
-    sizes = [
-        len(set(sets[offsets[segment] : offsets[segment + 1], layer, batch].ravel().tolist()))
-        for layer in range(trace.header.n_moe_layers)
-        for batch in range(trace.header.batch_size)
-        for segment, length in enumerate(trace.segment_lengths)
-        if length >= 1
-    ]
+    """Mean |union of routed sets| across (layer, batch, segment) sequences,
+    counted as run starts in one sort per segment-length group."""
+    sizes = []
+    for _segments, starts, length in _length_groups(trace, 1):
+        rows = trace.route_sets[starts[:, None] + np.arange(length)]  # [segments, length, L, B, K]
+        rows = np.moveaxis(rows, 1, -2).reshape(-1, length * trace.header.top_k)
+        sizes.append(_run_starts(rows).sum(axis=-1))
     if not sizes:
         raise ValueError("trace has no records")
-    return float(np.mean(sizes))
+    return float(np.mean(np.concatenate(sizes)))
 
 
 def compute_metrics(trace: RoutingTrace, pooled: bool = False) -> MetricsReport:

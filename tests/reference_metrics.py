@@ -13,15 +13,25 @@ from __future__ import annotations
 
 import numpy as np
 
+from dataclasses import dataclass
+
 from moe_locality.metrics import (
     EorReport,
     MetricsReport,
-    SequenceEor,
     load_balance_cv,
     normalized_entropy,
 )
 from moe_locality.trace import RoutingTrace
 from reference_trace import records
+
+
+@dataclass(frozen=True)
+class SequenceEor:
+    layer: int
+    batch: int
+    segment: int
+    value: float
+    n_pairs: int
 
 
 def sequence_sets(trace: RoutingTrace) -> dict[tuple[int, int, int], list[frozenset[int]]]:
@@ -65,11 +75,11 @@ def eor(trace: RoutingTrace, pooled: bool = False) -> EorReport:
         def agg(seqs):
             return float(np.mean([s.value for s in seqs]))
     per_layer = tuple(agg([s for s in per_sequence if s.layer == layer]) for layer in layers)
-    return EorReport(
-        overall=agg(per_sequence),
-        per_layer=per_layer,
-        per_sequence=tuple(per_sequence),
-    )
+    h = trace.header
+    values = np.full((h.n_moe_layers, h.batch_size, len(trace.segment_lengths)), np.nan)
+    for s in per_sequence:
+        values[s.layer, s.batch, s.segment] = s.value
+    return EorReport(overall=agg(per_sequence), per_layer=per_layer, per_sequence=values)
 
 
 def unique_experts_per_sequence(trace: RoutingTrace) -> float:

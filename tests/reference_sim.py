@@ -20,6 +20,7 @@ import math
 from bisect import bisect_right
 from dataclasses import replace
 from itertools import filterfalse, repeat
+from typing import NamedTuple
 
 import numpy as np
 
@@ -672,10 +673,47 @@ def simulate_collect_step_records(
     return per_step, per_sequence
 
 
+class ReferenceReport(NamedTuple):
+    """A bound report with every step and sequence record, as the package
+    built its reports before they kept only the flagged steps' records; a
+    ``BoundReport`` is compared with it through :func:`as_reference`."""
+
+    kind: str
+    capacity: int
+    violations: tuple[StepBoundRecord, ...]
+    n_step_violations: int
+    n_avg_violations: int
+    step_records: tuple[StepBoundRecord, ...]
+    sequence_records: tuple[SequenceBound, ...]
+
+
+def reference_report(capacity: int, working_set: bool, step_records,
+                     seq_records) -> ReferenceReport:
+    """The report of all the records of a check at ``capacity``: the flagged
+    steps and both counts found by scanning them."""
+    return ReferenceReport(
+        kind="working_set" if working_set else "step",
+        capacity=capacity,
+        violations=tuple(r for r in step_records if r.violated or r.ws_violated),
+        n_step_violations=sum(1 for r in step_records
+                              if (r.ws_violated if working_set else r.violated)),
+        n_avg_violations=sum(1 for r in seq_records if r.violated),
+        step_records=tuple(step_records),
+        sequence_records=tuple(seq_records),
+    )
+
+
+def as_reference(report: BoundReport) -> ReferenceReport:
+    """``report``'s fields and its two record lists, to compare with an oracle."""
+    return ReferenceReport(report.kind, report.capacity, report.violations,
+                           report.n_step_violations, report.n_avg_violations,
+                           report.step_records, report.sequence_records)
+
+
 def reference_check(
     trace: RoutingTrace, capacity: int, working_set: bool,
     collect=reference_collect_step_records,
-) -> BoundReport:
+) -> ReferenceReport:
     """``check_step_bound`` / ``check_working_set_bound`` at one capacity,
     each batch slot collected by ``collect``."""
     k = trace.header.top_k
@@ -688,15 +726,7 @@ def reference_check(
         steps, seqs = collect(reference_slice_batch(trace, b), cfg, working_set, b)
         step_records.extend(steps)
         seq_records.extend(seqs)
-    n_step = sum(1 for r in step_records if (r.ws_violated if working_set else r.violated))
-    return BoundReport(
-        kind="working_set" if working_set else "step",
-        capacity=capacity,
-        step_records=tuple(step_records),
-        sequence_records=tuple(seq_records),
-        n_step_violations=n_step,
-        n_avg_violations=sum(1 for r in seq_records if r.violated),
-    )
+    return reference_report(capacity, working_set, step_records, seq_records)
 
 
 def reference_campaign_configs(n_traces: int, seed: int) -> list[SynthConfig]:
@@ -724,7 +754,7 @@ def reference_tally(trace: RoutingTrace, capacities, working_set: bool) -> tuple
     for cap in capacities:
         report = reference_check(trace, cap, working_set, simulate_collect_step_records)
         checked += len(report.step_records) + len(report.sequence_records)
-        violated += report.n_violations
+        violated += report.n_step_violations + report.n_avg_violations
     return checked, violated
 
 

@@ -21,12 +21,14 @@ from moe_locality.trace import (
     synth_trace,
     validate_trace,
 )
-from reference_trace import iter_steps, jsonl, records
+from reference_trace import from_records, iter_steps, jsonl, records
 
 from reference_sim import (
+    as_reference,
     reference_campaign_configs,
     reference_check,
     reference_collect_step_records,
+    reference_report,
     reference_run_campaign,
     reference_slice_batch,
     reference_tally,
@@ -163,15 +165,16 @@ class TestWorkingSetBound:
         capacity = len(np.unique(trace.routes))
         report = check_working_set_bound(trace, capacity)
         assert [r.ws_horizon for r in report.step_records] == list(range(1, 300))
-        assert report == reference_check(trace, capacity, working_set=True)
+        assert as_reference(report) == reference_check(trace, capacity, working_set=True)
 
     def test_capacity_below_k_has_no_horizon(self):
         # No step's E_{t-1} fits in C < K: L_t = 0 and the bound is K.
         trace = synth_trace(SynthConfig(top_k=4, n_segments=2, steps_per_segment=12, seed=3))
         cfg = CacheConfig(3, Policy.LRU, reset_each_segment=True)
-        steps, seqs = bounds._simulated_records(trace, cfg, working_set=True)
-        assert {(r.ws_horizon, r.ws_bound) for r in steps} == {(0, 4)}
-        assert (steps, seqs) == reference_collect_step_records(trace, cfg, working_set=True)
+        report = bounds._simulated_report(trace, cfg, working_set=True)
+        assert {(r.ws_horizon, r.ws_bound) for r in report.step_records} == {(0, 4)}
+        assert as_reference(report) == reference_report(
+            3, True, *reference_collect_step_records(trace, cfg, working_set=True))
 
     def test_one_capacity_per_check(self):
         trace = seq_trace([(0, 1), (1, 2), (2, 3)], k=2, n=4)
@@ -251,16 +254,27 @@ bound_trace_configs = st.builds(
 )
 
 
+@st.composite
+def ragged_bound_traces(draw):
+    """A trace of ``bound_trace_configs`` cut to ragged segment lengths, where
+    a length of 0 leaves an absent segment id; at least one step is kept."""
+    cfg = draw(bound_trace_configs)
+    lengths = draw(st.lists(st.integers(0, cfg.steps_per_segment), min_size=cfg.n_segments,
+                            max_size=cfg.n_segments).filter(any))
+    trace = synth_trace(cfg)
+    kept = [r for r in records(trace) if r.step_index < lengths[r.segment_id]]
+    return from_records(trace.header, kept)
+
+
 class TestReferenceEquivalence:
-    @settings(max_examples=60, deadline=None, derandomize=True)
-    @given(cfg=bound_trace_configs, extra=st.integers(0, 5), working_set=st.booleans())
-    def test_bound_report_matches_reference(self, cfg, extra, working_set):
+    @settings(max_examples=80, deadline=None, derandomize=True)
+    @given(trace=ragged_bound_traces(), extra=st.integers(0, 5), working_set=st.booleans())
+    def test_bound_report_matches_reference(self, trace, extra, working_set):
         # Both oracles: the keyed-lookup collection and the former package
         # collection, which counted fetches with one simulate per capacity.
-        trace = synth_trace(cfg)
         check = check_working_set_bound if working_set else check_step_bound
-        capacity = cfg.top_k + extra
-        report = check(trace, capacity)
+        capacity = trace.header.top_k + extra
+        report = as_reference(check(trace, capacity))
         assert report == reference_check(trace, capacity, working_set)
         assert report == reference_check(
             trace, capacity, working_set, simulate_collect_step_records
@@ -279,12 +293,32 @@ class TestReferenceEquivalence:
         # from the event-recording simulation.
         trace = synth_trace(cfg)
         sim_cfg = CacheConfig(capacity, Policy.LRU, reset_each_segment=True, scenario=scenario)
-        assert bounds._simulated_records(
-            trace, sim_cfg, working_set
-        ) == reference_collect_step_records(trace, sim_cfg, working_set)
+        assert as_reference(bounds._simulated_report(trace, sim_cfg, working_set)) == (
+            reference_report(capacity, working_set,
+                             *reference_collect_step_records(trace, sim_cfg, working_set)))
+
+    @pytest.mark.parametrize("kind", [FaultKind.INTERFERENCE, FaultKind.PREFETCH])
+    @pytest.mark.parametrize("working_set", [False, True])
+    @pytest.mark.parametrize("seed", range(4))
+    def test_faults_break_bounds_as_the_reference_does(self, kind, working_set, seed):
+        # Sticky two-segment traces at C = K, where an inter-step eviction or
+        # insertion breaks a bound; the flagged records carry resident sets.
+        trace = synth_trace(SynthConfig(n_routed_experts=8, top_k=3, n_segments=2,
+                                        steps_per_segment=9, stickiness=0.9, seed=seed))
+        cfg = CacheConfig(3, Policy.LRU, reset_each_segment=True,
+                          scenario=FaultScenario(kind, n=1, seed=seed))
+        report = bounds._simulated_report(trace, cfg, working_set)
+        assert report.violations
+        assert all(r.resident_before is not None for r in report.violations)
+        assert as_reference(report) == reference_report(
+            3, working_set, *reference_collect_step_records(trace, cfg, working_set))
 
     def test_counterexamples_match_reference(self):
-        with mock.patch.object(bounds, "_simulated_records", reference_collect_step_records):
+        def oracle(trace, cfg, working_set):
+            return reference_report(cfg.capacity, working_set,
+                                    *reference_collect_step_records(trace, cfg, working_set))
+
+        with mock.patch.object(bounds, "_simulated_report", oracle):
             expected = run_counterexamples()
         assert run_counterexamples() == expected
 
@@ -298,15 +332,16 @@ def test_checking_two_slots_checks_each_alone(cfg, extra, working_set):
     trace = synth_trace(cfg)
     check = check_working_set_bound if working_set else check_step_bound
     capacity = cfg.top_k + extra
-    first, second = (check(bounds._slot_trace(trace, b), capacity) for b in (0, 1))
-    assert check(trace, capacity) == replace(
-        first,
+    first, second = (as_reference(check(bounds._slot_trace(trace, b), capacity))
+                     for b in (0, 1))
+    assert as_reference(check(trace, capacity)) == first._replace(
+        violations=first.violations + tuple(replace(r, batch=1) for r in second.violations),
+        n_step_violations=first.n_step_violations + second.n_step_violations,
+        n_avg_violations=first.n_avg_violations + second.n_avg_violations,
         step_records=first.step_records + tuple(
             replace(r, batch=1) for r in second.step_records),
         sequence_records=first.sequence_records + tuple(
             replace(r, batch=1) for r in second.sequence_records),
-        n_step_violations=first.n_step_violations + second.n_step_violations,
-        n_avg_violations=first.n_avg_violations + second.n_avg_violations,
     )
 
 
@@ -356,7 +391,8 @@ class TestCampaignEquivalence:
             for c, cap in enumerate(call):
                 cfg_c = CacheConfig(cap, Policy.LRU, reset_each_segment=True)
                 one_capacity = b._replace(n_fetch=b.n_fetch[c:c + 1])
-                steps, seqs = bounds._collect_step_records(trace, cfg_c, one_capacity)
+                report = bounds._report(trace, cfg_c, one_capacity)
+                steps, seqs = report.step_records, report.sequence_records
                 checks += len(steps) + len(seqs)
                 violations += sum(r.ws_violated if working_set else r.violated for r in steps)
                 violations += sum(r.violated for r in seqs)

@@ -1,5 +1,7 @@
 import csv
+import dataclasses
 import hashlib
+import io
 import json
 import os
 import resource
@@ -9,15 +11,19 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import moe_locality
+import reference_metrics
 import reference_trace
 from moe_locality import cache_sim
-from moe_locality.cli import _atomic_write, _json_bytes, dispatch, run_gradcheck
+from moe_locality.cache_sim import CacheConfig, IoModel, Policy, estimate_tpot
+from moe_locality.cli import _atomic_write, _csv_bytes, _json_bytes, dispatch, run_gradcheck
 from moe_locality.trace import (SynthConfig, load_trace, save_trace, synth_trace, validate_trace,
                                 write_trace)
 from moe_locality.trainer import SyntheticDataConfig, evaluate_gate, synth_hidden_sequences
 from reference_gate import load_gate
+from reference_sim import reference_check, reference_simulate
 
 
 def run(*argv):
@@ -467,6 +473,117 @@ def test_json_reports_are_strict():
     for bad in (float("nan"), float("inf")):
         with pytest.raises(ValueError):
             _json_bytes({"x": bad})
+
+
+def dict_csv(rows, columns):
+    """The CSV of ``rows``, one dict each, through ``csv.DictWriter``: the
+    oracle of ``_csv_bytes``, which writes columns."""
+    buf = io.StringIO()
+    writer = csv.DictWriter(buf, fieldnames=columns, lineterminator="\n")
+    writer.writeheader()
+    writer.writerows(rows)
+    return buf.getvalue().encode("utf-8")
+
+
+def oracle_json(payload):
+    return (json.dumps(payload, indent=2, sort_keys=True, allow_nan=False) + "\n").encode()
+
+
+CSV_CELLS = (0, -7, 10**20, 1e-05, 1e16, -0.0, 0.1, 1 / 3, float("inf"), None, "", "all",
+             'a,"b"', "two\nlines", " padded ", True)
+
+
+class TestReportBytes:
+    """Every report through ``dispatch`` against bytes built from the
+    reference reports, row by row, as the CLI once built them."""
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(cells=st.lists(st.lists(st.sampled_from(CSV_CELLS) | st.integers() | st.floats()
+                                   | st.none() | st.text(), min_size=1, max_size=4),
+                          min_size=0, max_size=6),
+           names=st.lists(st.text(min_size=1), min_size=4, max_size=4, unique=True))
+    def test_csv_bytes_match_a_dict_writer(self, cells, names):
+        width = max(map(len, cells), default=1)
+        rows = [[*row, *[None] * (width - len(row))] for row in cells]
+        columns = {name: [row[i] for row in rows] for i, name in enumerate(names[:width])}
+        assert _csv_bytes(columns) == dict_csv(
+            [dict(zip(columns, row)) for row in rows], list(columns))
+
+    def test_every_cell_kind_of_the_reports(self):
+        columns = {"a": list(CSV_CELLS), "b": list(reversed(CSV_CELLS))}
+        rows = [{"a": a, "b": b} for a, b in zip(*columns.values())]
+        assert _csv_bytes(columns) == dict_csv(rows, ["a", "b"])
+
+    def test_reports_match_the_reference_bytes(self, tmp_path):
+        # B = 2 and 3 segments, the second shorter than the others.
+        full = synth_trace(SynthConfig(n_moe_layers=2, n_routed_experts=8, top_k=2,
+                                       batch_size=2, n_segments=3, steps_per_segment=6,
+                                       stickiness=0.5, seed=3))
+        trace = reference_trace.from_records(full.header, [
+            r for r in reference_trace.records(full) if r.segment_id != 1 or r.step_index < 3])
+        path = str(tmp_path / "trace.jsonl")
+        save_trace(trace, path)
+
+        def out(name):
+            return str(tmp_path / name)
+
+        io_flags = ("--expert-bytes", "1e6", "--bandwidth-gbps", "4", "--compute-ms", "5")
+        calls = {
+            "metrics": ("metrics", "--trace", path, "--per-layer", "--out", out("m.csv")),
+            "sim_csv": ("simulate", "--trace", path, "--capacity", "5", "--reset-each-segment",
+                        *io_flags, "--out", out("s.csv")),
+            "sim_json": ("simulate", "--trace", path, "--capacity", "5", "--reset-each-segment",
+                         *io_flags, "--out", out("s.json")),
+            "step": ("bound-check", "--trace", path, "--capacity", "4", "--out", out("b.json")),
+            "ws": ("bound-check", "--trace", path, "--capacity", "5", "--working-set",
+                   "--out", out("w.json")),
+        }
+        for argv in calls.values():
+            assert run(*argv) == 0, argv
+
+        expected = {}
+        m = reference_metrics.compute_metrics(trace)
+        rows = [{"metric": "eor", "layer": "all", "value": m.eor},
+                {"metric": "entropy_norm", "layer": "all", "value": "unavailable"},
+                {"metric": "load_cv", "layer": "all", "value": m.load_cv},
+                {"metric": "unique_experts_per_sequence", "layer": "all",
+                 "value": m.unique_experts_per_sequence}]
+        rows += [{"metric": "eor", "layer": layer, "value": v}
+                 for layer, v in enumerate(m.mean_ir_per_layer)]
+        expected["m.csv"] = dict_csv(rows, ["metric", "layer", "value"])
+
+        report = reference_simulate(trace, CacheConfig(5, Policy.LRU, reset_each_segment=True))
+        tpot = estimate_tpot(report, IoModel(1e6, 4.0, 5.0), trace.header.batch_size)
+        layer_rows = [{"layer": "all" if lt.layer is None else lt.layer, "uHR": lt.uhr,
+                       "tHR": lt.thr, "uMiss": lt.unique_misses, "tMiss": lt.token_misses}
+                      for lt in (*report.per_layer, report.overall)]
+        step_rows = [{"segment": s, "step": t, "uMiss": miss, "io_ms": io_ms, "tpot_ms": ms}
+                     for (s, t), miss, io_ms, ms in zip(
+                         reference_trace.iter_steps(trace), report.step_unique_miss_series,
+                         tpot.io_ms, tpot.tpot_ms)]
+        expected["s.csv"] = dict_csv(layer_rows, ["layer", "uHR", "tHR", "uMiss", "tMiss"])
+        expected["s_steps.csv"] = dict_csv(
+            step_rows, ["segment", "step", "uMiss", "io_ms", "tpot_ms"])
+        with open(out("s.json.manifest.jsonl")) as f:
+            manifest_id = json.loads(f.readline())["manifest_id"]
+        expected["s.json"] = oracle_json({
+            "manifest_id": manifest_id, "layers": layer_rows,
+            "miss_percentiles": report.miss_percentiles,
+            "step_unique_miss_series": list(report.step_unique_miss_series),
+            "tpot_percentiles": tpot.percentiles, "tpot_ms": list(tpot.tpot_ms)})
+
+        for name, capacity, working_set in (("b.json", 4, False), ("w.json", 5, True)):
+            ref = reference_check(trace, capacity, working_set)
+            expected[name] = oracle_json({
+                "mode": ref.kind, "capacity": capacity,
+                "n_step_violations": ref.n_step_violations,
+                "n_avg_violations": ref.n_avg_violations,
+                "violations": [dataclasses.asdict(r) for r in ref.violations]})
+
+        for name, data in expected.items():
+            with open(out(name), "rb") as f:
+                digest = hashlib.file_digest(f, "sha256").hexdigest()
+            assert digest == hashlib.sha256(data).hexdigest(), name
 
 
 class TestBoundCheckCli:

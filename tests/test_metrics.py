@@ -112,7 +112,8 @@ class TestEor:
         )
         report = eor(trace)
         assert report.overall == 1.0
-        assert len(report.per_sequence) == 1
+        assert report.per_sequence.shape == (1, 1, 2)
+        assert report.per_sequence[0, 0, 0] == 1.0 and np.isnan(report.per_sequence[0, 0, 1])
 
     def test_matches_fetch_bound_identity(self):
         # EOR == 1 - mean(K * (1 - IR_t)) / K, computed through the set algebra
@@ -363,12 +364,20 @@ def dense_traces(draw):
     return from_records(header, rows)
 
 
+def assert_eor_bitwise(trace, pooled):
+    # repr spells every float exactly, so equal reprs mean equal bits; the
+    # per-sequence array is compared by its bytes, NaNs included.
+    got, expected = eor(trace, pooled), reference_metrics.eor(trace, pooled)
+    assert repr(got) == repr(expected)
+    assert got.per_sequence.shape == expected.per_sequence.shape
+    assert got.per_sequence.tobytes() == expected.per_sequence.tobytes()
+
+
 @settings(max_examples=150, deadline=None, derandomize=True)
 @given(trace=dense_traces(), pooled=st.booleans())
 def test_reports_match_reference_bitwise(trace, pooled):
     if any(length >= 2 for length in trace.segment_lengths):
-        # repr spells every float exactly, so equal reprs mean equal bits.
-        assert repr(eor(trace, pooled)) == repr(reference_metrics.eor(trace, pooled))
+        assert_eor_bitwise(trace, pooled)
         assert repr(compute_metrics(trace, pooled)) == repr(
             reference_metrics.compute_metrics(trace, pooled)
         )
@@ -396,4 +405,37 @@ def test_bench_shaped_reports_match_reference_bitwise():
             assert repr(compute_metrics(trace, pooled)) == repr(
                 reference_metrics.compute_metrics(trace, pooled)
             )
-            assert repr(eor(trace, pooled)) == repr(reference_metrics.eor(trace, pooled))
+            assert_eor_bitwise(trace, pooled)
+
+
+@st.composite
+def long_segment_traces(draw):
+    """A synthetic trace cut to ragged segment lengths from 1 to 300 steps,
+    with B up to 2: per-sequence means of up to 299 pairs, past the blocks of
+    numpy's pairwise summation, and many segment-length groups."""
+    cfg = draw(st.builds(
+        SynthConfig,
+        n_moe_layers=st.integers(1, 2),
+        n_routed_experts=st.integers(4, 12),
+        top_k=st.integers(1, 3),
+        batch_size=st.integers(1, 2),
+        n_segments=st.integers(1, 4),
+        steps_per_segment=st.just(300),
+        stickiness=st.floats(0.0, 1.0),
+        seed=st.integers(0, 2**31),
+    ))
+    lengths = draw(st.lists(st.integers(1, 300), min_size=cfg.n_segments,
+                            max_size=cfg.n_segments))
+    trace = synth_trace(cfg)
+    return from_records(trace.header, [r for r in records(trace)
+                                       if r.step_index < lengths[r.segment_id]])
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(trace=long_segment_traces(), pooled=st.booleans())
+def test_per_sequence_eor_matches_reference_bitwise(trace, pooled):
+    if any(length >= 2 for length in trace.segment_lengths):
+        assert_eor_bitwise(trace, pooled)
+    assert repr(unique_experts_per_sequence(trace)) == repr(
+        reference_metrics.unique_experts_per_sequence(trace)
+    )
