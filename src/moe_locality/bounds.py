@@ -258,6 +258,13 @@ def _step_records(offsets: np.ndarray, bounds: _Bounds, verdicts,
     return list(map(StepBoundRecord, *(f.tolist() for f in fields)))
 
 
+def _counts(verdicts) -> tuple[int, int]:
+    """(step, average) violations of ``verdicts``: a step counts against the
+    working-set bound when there is one, else against the overlap bound."""
+    _pairs, violated, ws_violated, (_, _, seq_violated) = verdicts
+    return int((violated if ws_violated is None else ws_violated).sum()), int(seq_violated.sum())
+
+
 def _report(trace: RoutingTrace, cfg: CacheConfig, bounds: _Bounds) -> BoundReport:
     """The report of ``bounds`` at one capacity, ``cfg.capacity``, a
     working-set one when it holds working-set bounds. The resident set
@@ -265,7 +272,6 @@ def _report(trace: RoutingTrace, cfg: CacheConfig, bounds: _Bounds) -> BoundRepo
     slot's B=1 trace under ``cfg``, which runs only for a slot with one."""
     offsets = np.array(trace.segment_offsets)
     verdicts = _verdicts(trace, bounds)
-    _pairs, violated, ws_violated, (_, _, seq_violated) = verdicts
     violations = _step_records(offsets, bounds, verdicts, _flagged(verdicts))
     events = {}  # batch slot -> the events of its simulation
     for i, r in enumerate(violations):
@@ -273,12 +279,13 @@ def _report(trace: RoutingTrace, cfg: CacheConfig, bounds: _Bounds) -> BoundRepo
             events[r.batch] = simulate(_slot_trace(trace, r.batch), cfg, record_events=True).events
         ordinal = r.layer * offsets[-1] + offsets[r.segment] + r.step
         violations[i] = replace(r, resident_before=events[r.batch][ordinal].resident_before)
+    n_step, n_avg = _counts(verdicts)
     return BoundReport(
-        kind="step" if ws_violated is None else "working_set",
+        kind="step" if bounds.ws_bound is None else "working_set",
         capacity=cfg.capacity,
         violations=tuple(violations),
-        n_step_violations=int((violated if ws_violated is None else ws_violated).sum()),
-        n_avg_violations=int(seq_violated.sum()),
+        n_step_violations=n_step,
+        n_avg_violations=n_avg,
         arrays=(offsets, bounds, verdicts),
     )
 
@@ -315,10 +322,10 @@ def _tally(trace: RoutingTrace, bounds: _Bounds) -> tuple[int, int]:
     building them: a campaign reads only these two numbers, and one record
     per step and capacity would cost it more than its stack pass saves."""
     n_sequences = sum(length >= 2 for length in trace.segment_lengths)
-    pairs, violated, ws_violated, (_, _, seq_violated) = _verdicts(trace, bounds)
+    verdicts = _verdicts(trace, bounds)
+    pairs = verdicts[0]  # the steps that have a bound
     checks = bounds.n_fetch[..., :1].size * (int(pairs.sum()) + n_sequences)
-    violations = int((violated if ws_violated is None else ws_violated).sum())
-    return checks, violations + int(seq_violated.sum())
+    return checks, sum(_counts(verdicts))
 
 
 def check_step_bound(trace: RoutingTrace, capacity: int) -> BoundReport:

@@ -359,8 +359,7 @@ def simulate(trace: RoutingTrace, cfg: CacheConfig, record_events: bool = False)
     BELADY at such a capacity are served by one policy pass over the same
     streams (:func:`_policy_pass`), when they number at least
     ``_POLICY_STREAMS`` per step of the longest one; ``final_resident`` is
-    then each layer's last stream's resident set. Neither pass runs when a
-    stream may hold more than ``_ARRAY_IDS`` experts and the trace does.
+    then each layer's last stream's resident set.
 
     Every other run serves each layer's resident set as one dict, in one pass
     over the steps. For LRU its key order is recency (a hit moves the key to
@@ -611,16 +610,6 @@ def _stack_depths(requests: np.ndarray, streams: np.ndarray, steps: np.ndarray,
 # dict loop, about even), 32 streams 1.25-5.1x, 64 streams 1.6-6.9x. With
 # 4-step segments the pass is up to 0.5 ms slower below 32 streams.
 _POLICY_STREAMS = 16
-# The most distinct experts a stream may hold for the array passes, which scan
-# a stream's experts every step where the dict loop touches its B*K slots.
-# Dict loop / pass time at C = 8 (2 cores, numpy 2.4; K = 4, B = 1, 2,000
-# steps a layer): one stream without resets, 4,001 ids, LRU 7.9 / 24.8 ms;
-# L = 4 and 4 segments with resets (16 streams of 500 steps), by trace ids:
-# 1,024 ids LRU 33 / 19, LFU 58 / 50, FIFO 32 / 52, BELADY 87 / 54 ms;
-# 2,048 ids LRU 34 / 27, LFU 59 / 76, FIFO 32 / 87, BELADY 82 / 80 ms;
-# 16,095 ids (about 1,000 a stream) LRU 34 / 34, LFU 68 / 88, FIFO 37 / 84,
-# BELADY 83 / 132 ms. The bench traces hold 64 ids.
-_ARRAY_IDS = 1024
 
 
 def _policy_pass(served: np.ndarray, n_unique: np.ndarray, streams: np.ndarray,
@@ -777,9 +766,8 @@ def _array_simulate(trace: RoutingTrace, cfg: CacheConfig) -> SimReport | None:
     """``simulate``'s fault-free report from one array pass over its streams:
     the stamp pass for LRU, the policy pass for the others. None when
     ``cfg.capacity`` is below max_t |U_t| (LRU's inclusion fails, and a step
-    may shed its own experts), when a stream may hold more than
-    ``_ARRAY_IDS`` distinct experts and the trace does, or for LFU, FIFO and
-    BELADY below ``_POLICY_STREAMS`` streams per step of the longest stream."""
+    may shed its own experts), or for LFU, FIFO and BELADY below
+    ``_POLICY_STREAMS`` streams per step of the longest stream."""
     h = trace.header
     routes = trace.routes
     n_steps, n_layers, w = len(routes), h.n_moe_layers, h.batch_size * h.top_k
@@ -788,9 +776,6 @@ def _array_simulate(trace: RoutingTrace, cfg: CacheConfig) -> SimReport | None:
     if cfg.policy != Policy.LRU and (
             n_steps * n_layers < _POLICY_STREAMS * max(longest, 1)
             or (longest + 1) * longest * w >= 2**63):  # the policy keys fit int64
-        return None
-    # A stream holds at most N experts, and at most B*K a step.
-    if min(h.n_routed_experts, longest * w) > _ARRAY_IDS and len(np.unique(routes)) > _ARRAY_IDS:
         return None
     slots = routes.reshape(n_steps * n_layers, w)  # one row per (step, layer)
     new = _run_starts(slots)

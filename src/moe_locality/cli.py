@@ -51,6 +51,7 @@ from .trace import (
 from .trainer import (
     SyntheticDataConfig,
     TrainConfig,
+    TrainLogRow,
     init_gate_matrix,
     synth_hidden_sequences,
     train,
@@ -98,11 +99,11 @@ def _atomic_write(path: str, chunks: Iterable[bytes]) -> None:
 
 def _csv_bytes(columns: dict[str, list]) -> bytes:
     """A header row of the names of ``columns``, then row i of the i-th value
-    of each: the columns are equally long."""
+    of each. Columns of unequal length raise ValueError."""
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(columns)
-    writer.writerows(zip(*columns.values()))
+    writer.writerows(zip(*columns.values(), strict=True))
     return buf.getvalue().encode("utf-8")
 
 
@@ -479,10 +480,7 @@ def _build_train_parts(config: dict):
     return weights, tcfg, dcfg
 
 
-_LOG_COLUMNS = [
-    "step", "total", "trust_kl", "reuse_rho", "reuse", "smooth", "lag", "ws",
-    "alpha_reuse", "alpha_loc", "eor", "grad_norm",
-]
+_LOG_COLUMNS = [f.name for f in dataclasses.fields(TrainLogRow)]
 
 
 def _cmd_train(args) -> int:

@@ -820,59 +820,6 @@ class TestArraySimulate:
                 assert got == reference_simulate(trace, cfg)
 
 
-def report_and_path(trace, cfg):
-    """``simulate``'s report and whether the array passes made it."""
-    real, made = cache_sim._array_simulate, []
-
-    def spy(*args):
-        report = real(*args)
-        made.append(report is not None)
-        return report
-
-    with mock.patch.object(cache_sim, "_array_simulate", spy):
-        report = simulate(trace, cfg)
-    return report, made == [True]
-
-
-class TestWideStreams:
-    """A stream of more than ``_ARRAY_IDS`` experts costs the array passes
-    more than the dict loop, so such traces take the loop."""
-
-    @pytest.mark.parametrize("cfg, policies, reset", [
-        # One LRU stream of 4,001 ids; 16 streams of about 1,000 ids each.
-        (SynthConfig(n_routed_experts=10**12, top_k=4, steps_per_segment=2000,
-                     stickiness=0.5, seed=1), (Policy.LRU,), False),
-        (SynthConfig(n_moe_layers=4, n_routed_experts=10**12, top_k=4, n_segments=4,
-                     steps_per_segment=500, stickiness=0.5, seed=1),
-         (Policy.LFU, Policy.FIFO, Policy.BELADY), True),
-    ])
-    def test_wide_streams_take_the_dict_loop(self, cfg, policies, reset):
-        trace = synth_trace(cfg)
-        for policy in policies:
-            sim_cfg = CacheConfig(8, policy, reset_each_segment=reset)
-            looped, passed = report_and_path(trace, sim_cfg)
-            assert not passed
-            with mock.patch.object(cache_sim, "_ARRAY_IDS", 10**13):
-                assert report_and_path(trace, sim_cfg) == (looped, True)
-
-    @pytest.mark.parametrize("cfg, runs", [
-        # The bench shapes, and many short streams of sparse ids under N = 10**12.
-        (SynthConfig(n_moe_layers=4, n_routed_experts=64, top_k=6, n_segments=1000,
-                     steps_per_segment=4, stickiness=0.6, seed=0),
-         ((6, Policy.LRU), (12, Policy.LRU), (12, Policy.LFU), (12, Policy.BELADY))),
-        (SynthConfig(n_moe_layers=4, n_routed_experts=64, top_k=6, batch_size=4, n_segments=2,
-                     steps_per_segment=128, stickiness=0.4, seed=0),
-         ((6, Policy.LRU), (12, Policy.LRU), (24, Policy.LRU))),
-        (SynthConfig(n_moe_layers=4, n_routed_experts=10**12, top_k=6, n_segments=1000,
-                     steps_per_segment=4, stickiness=0.6, seed=0),
-         ((6, Policy.LRU), (12, Policy.LFU), (12, Policy.BELADY))),
-    ])
-    def test_narrow_streams_take_the_array_pass(self, cfg, runs):
-        trace = synth_trace(cfg)
-        for capacity, policy in runs:
-            assert report_and_path(trace, CacheConfig(capacity, policy, True))[1]
-
-
 @st.composite
 def relabel_cases(draw):
     """:func:`routed_traces` and the same trace with its experts renamed by a

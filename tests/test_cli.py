@@ -514,6 +514,10 @@ class TestReportBytes:
         rows = [{"a": a, "b": b} for a, b in zip(*columns.values())]
         assert _csv_bytes(columns) == dict_csv(rows, ["a", "b"])
 
+    def test_a_short_column_raises_instead_of_dropping_rows(self):
+        with pytest.raises(ValueError):
+            _csv_bytes({"a": [1, 2], "b": [3]})
+
     def test_reports_match_the_reference_bytes(self, tmp_path):
         # B = 2 and 3 segments, the second shorter than the others.
         full = synth_trace(SynthConfig(n_moe_layers=2, n_routed_experts=8, top_k=2,
